@@ -9,14 +9,7 @@ import argparse
 import pathlib
 import time
 
-from uavcov.cli import (
-    BOUNDARY_DEFAULTS,
-    SweepSpec,
-    figure_preset,
-    params_from_boundary,
-    rows_to_csv,
-    run_sweep,
-)
+from uavcov.cli import run_figure
 
 PRESETS = ("fig2a", "fig2b", "fig3a", "fig3b")
 
@@ -32,23 +25,12 @@ def main():
     args = parser.parse_args()
 
     outdir = pathlib.Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     for preset in args.presets.split(","):
-        for variant in figure_preset(preset):
-            boundary = dict(BOUNDARY_DEFAULTS)
-            boundary.update(variant.overrides)
-            params = params_from_boundary(boundary)
-            spec = SweepSpec(
-                axis=variant.spec.axis, values=variant.spec.values,
-                metrics=variant.spec.metrics, policies=variant.spec.policies,
-                antennas=variant.spec.antennas, engine=variant.spec.engine,
-                trials=args.trials, seed=args.seed)
-            start = time.time()
-            rows = run_sweep(spec, params, threads=args.threads)
-            path = outdir / f"{preset}_{variant.label}.csv"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                rows_to_csv(rows, fh)
+        start = time.time()
+        for path, rows in run_figure(preset, outdir / f"{preset}.csv",
+                                     args.trials, args.seed, threads=args.threads):
             print(f"{path}  ({len(rows)} rows, {time.time() - start:.0f}s)")
+            start = time.time()
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ from .association import (
     serving_distance_pdf,
 )
 from .geometry import (
-    DiskPair,
     displaced_distance,
     equal_power_radius,
     exclusion_radius,
@@ -42,7 +41,6 @@ from .model import (
     horizontal_speed,
     linear_from_db,
     los_probability,
-    mean_rx_power,
     mobility_pdfs,
     path_loss,
     sample_fading,
@@ -57,7 +55,6 @@ from .montecarlo import (
     classify_links,
     conditioned_oracles,
     episode_rng,
-    estimate,
     sample_ppp,
     simulate_episode,
     summary_estimates,

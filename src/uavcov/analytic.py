@@ -37,14 +37,19 @@ from .geometry import (
     equal_power_radius,
     lens_complement_area,
 )
-from .model import LinkType, SystemParams, horizontal_speed, path_loss
-from .quadrature import QuadratureSpec, gauss_nodes, integrate  # noqa: F401  (re-exported)
+from .model import (
+    AssociationPolicy,
+    LinkType,
+    SystemParams,
+    horizontal_speed,
+    mobility_pdfs,
+    path_loss,
+)
+from .quadrature import gauss_nodes
 
 __all__ = [
     "HandoverContext",
     "CoverageBreakdown",
-    "QuadratureSpec",
-    "integrate",
     "conditional_handover",
     "conditional_handover_any",
     "handover_probability",
@@ -120,14 +125,15 @@ def _cond_handover_grid(serving: LinkType, target: LinkType, r0, z_t: float,
         return np.zeros_like(r0)
     ctx = height_context(params, z_t)
     ch = params.channel
+    f_rho, f_z, f_theta = mobility_pdfs(params)
 
     theta, w_th = gauss_nodes(0.0, np.pi, n_theta)
-    w_th = w_th / np.pi
+    w_th = w_th * f_theta(theta)
     rho_max = math.sqrt(math.log(1.0 / RAYLEIGH_TAIL_MASS) / (np.pi * params.mu))
     rho, w_rho = gauss_nodes(0.0, rho_max, n_rho)
-    w_rho = w_rho * 2.0 * np.pi * params.mu * rho * np.exp(-np.pi * params.mu * rho * rho)
+    w_rho = w_rho * f_rho(rho)
     z1, w_z1 = gauss_nodes(params.h_lb, params.h_ub, n_zprev)
-    w_z1 = w_z1 / (params.h_ub - params.h_lb)
+    w_z1 = w_z1 * f_z(z1)
 
     # kinematics on the (rho, z_prev) mesh, then distances per (r0, theta)
     v_h = horizontal_speed(params.v, rho[:, None], z_t - z1[None, :])
@@ -143,6 +149,15 @@ def _cond_handover_grid(serving: LinkType, target: LinkType, r0, z_t: float,
     w = (w_th[None, :, None, None] * w_rho[None, None, :, None]
          * w_z1[None, None, None, :])
     return np.clip(1.0 - np.sum(stay * w, axis=(1, 2, 3)), 0.0, 1.0)
+
+
+def _stay_grid(serving: LinkType, r0, z_t: float, params: SystemParams) -> np.ndarray:
+    """P(no handover to either target type | serving type, r0, z_t), the
+    target types composed as independent thinnings; vectorized in r0."""
+    stay = np.ones_like(r0)
+    for target in LinkType:
+        stay *= 1.0 - _cond_handover_grid(serving, target, r0, z_t, params)
+    return stay
 
 
 def _check_ctx(ctx: HandoverContext, params: SystemParams) -> None:
@@ -164,11 +179,8 @@ def conditional_handover_any(ctx: HandoverContext, params: SystemParams) -> floa
     """Handover probability to any target type, composed across target types
     under the independent-thinning assumption."""
     _check_ctx(ctx, params)
-    stay = 1.0
-    for target in LinkType:
-        stay *= 1.0 - float(
-            _cond_handover_grid(ctx.serving, target, ctx.r0, ctx.z_t, params)[0])
-    return 1.0 - stay
+    r0 = np.asarray([ctx.r0], dtype=float)
+    return 1.0 - float(_stay_grid(ctx.serving, r0, ctx.z_t, params)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -332,74 +344,57 @@ def _r0_nodes_type(ctx, link: LinkType, params: SystemParams, n_r0: int):
     return r0, w_u
 
 
-def _strongest_metrics_impl(params: SystemParams, n_z: int, n_r0: int) -> _PolicyMetrics:
-    band = params.h_ub - params.h_lb
-    z_nodes, w_z = gauss_nodes(params.h_lb, params.h_ub, n_z)
-    w_z = w_z / band
+def _strongest_nodes(ctx, params: SystemParams, n_r0: int):
+    """(link, r0, weight, stay) per serving type under strongest-average-RSS.
+
+    The weight integrates A * f_tilde dr0 (type-nearest density times the
+    opposite-type exclusion); stay composes both handover target types.
+    """
+    for link in LinkType:
+        r0, w_u = _r0_nodes_type(ctx, link, params, n_r0)
+        limit = cross_exclusion_limit(link, r0, ctx, params)
+        excl = np.exp(-2.0 * np.pi * params.lambda_b
+                      * ctx.cum_intensity(link.other, limit))
+        yield link, r0, w_u * excl, _stay_grid(link, r0, ctx.z, params)
+
+
+def _nearest_nodes(ctx, params: SystemParams, n_r0: int):
+    """(link, r0, weight, stay) per serving type under the nearest policy.
+
+    Both types share the contact-distance nodes (du is exactly f^n(r0) dr0)
+    and the type-blind handover; the weight thins by the type probability.
+    """
     lam = params.lambda_b
-
-    cov1 = {link: 0.0 for link in LinkType}
-    cov2 = {link: 0.0 for link in LinkType}
-    assoc = {link: 0.0 for link in LinkType}
-    handover = 0.0
-    for z, wz in zip(z_nodes, w_z):
-        ctx = height_context(params, z)
-        for link in LinkType:
-            r0, w_u = _r0_nodes_type(ctx, link, params, n_r0)
-            limit = cross_exclusion_limit(link, r0, ctx, params)
-            excl = np.exp(-2.0 * np.pi * lam
-                          * ctx.cum_intensity(link.other, limit))
-            w_joint = w_u * excl                     # integrates A * f_tilde dr0
-            assoc[link] += wz * float(np.sum(w_joint))
-
-            p_cov = _coverage_grid(link, r0, z, params)
-            stay = np.ones_like(r0)
-            for target in LinkType:
-                stay *= 1.0 - _cond_handover_grid(link, target, r0, z, params)
-            cov1[link] += wz * float(np.sum(w_joint * p_cov))
-            cov2[link] += wz * float(np.sum(w_joint * p_cov * stay))
-            handover += wz * float(np.sum(w_joint * (1.0 - stay)))
-    void = 1.0 - sum(assoc.values())
-    return _PolicyMetrics(cov1, cov2, handover, assoc, void)
-
-
-def _nearest_metrics_impl(params: SystemParams, n_z: int, n_r0: int) -> _PolicyMetrics:
-    band = params.h_ub - params.h_lb
-    z_nodes, w_z = gauss_nodes(params.h_lb, params.h_ub, n_z)
-    w_z = w_z / band
-    lam = params.lambda_b
-
-    cov1 = {link: 0.0 for link in LinkType}
-    cov2 = {link: 0.0 for link in LinkType}
-    assoc = {link: 0.0 for link in LinkType}
-    handover = 0.0
-    void = 0.0
-    for z, wz in zip(z_nodes, w_z):
-        ctx = height_context(params, z)
-        # contact-distance CDF transform: du is exactly f^n(r0) dr0
-        u_top = -math.expm1(-np.pi * lam * ctx.r_m ** 2)
-        u, w_u = gauss_nodes(0.0, u_top, n_r0)
-        r0 = np.sqrt(-np.log1p(-u) / (np.pi * lam))
-        void += wz * (1.0 - u_top)
-
-        # type is ignored for handover under the nearest policy: identity map
-        p_h = _cond_handover_grid(LinkType.LOS, LinkType.LOS, r0, z, params)
-        handover += wz * float(np.sum(w_u * p_h))
-        for link in LinkType:
-            p_type = ctx.p_type(link, r0)
-            p_cov = _coverage_grid(link, r0, z, params, nearest=True)
-            assoc[link] += wz * float(np.sum(w_u * p_type))
-            cov1[link] += wz * float(np.sum(w_u * p_type * p_cov))
-            cov2[link] += wz * float(np.sum(w_u * p_type * p_cov * (1.0 - p_h)))
-    return _PolicyMetrics(cov1, cov2, handover, assoc, void)
+    u_top = -math.expm1(-np.pi * lam * ctx.r_m ** 2)
+    u, w_u = gauss_nodes(0.0, u_top, n_r0)
+    r0 = np.sqrt(-np.log1p(-u) / (np.pi * lam))
+    # type is ignored for handover under the nearest policy: identity map
+    stay = 1.0 - _cond_handover_grid(LinkType.LOS, LinkType.LOS, r0, ctx.z, params)
+    for link in LinkType:
+        yield link, r0, w_u * ctx.p_type(link, r0), stay
 
 
 @lru_cache(maxsize=64)
-def _policy_metrics(params_key: SystemParams, nearest: bool,
+def _policy_metrics(params: SystemParams, nearest: bool,
                     n_z: int, n_r0: int) -> _PolicyMetrics:
-    if nearest:
-        return _nearest_metrics_impl(params_key, n_z, n_r0)
-    return _strongest_metrics_impl(params_key, n_z, n_r0)
+    _, f_z, _ = mobility_pdfs(params)
+    z_nodes, w_z = gauss_nodes(params.h_lb, params.h_ub, n_z)
+    w_z = w_z * f_z(z_nodes)
+    nodes = _nearest_nodes if nearest else _strongest_nodes
+
+    cov1 = {link: 0.0 for link in LinkType}
+    cov2 = {link: 0.0 for link in LinkType}
+    assoc = {link: 0.0 for link in LinkType}
+    handover = 0.0
+    for z, wz in zip(z_nodes, w_z):
+        for link, r0, weight, stay in nodes(height_context(params, z), params, n_r0):
+            p_cov = _coverage_grid(link, r0, z, params, nearest)
+            assoc[link] += wz * float(np.sum(weight))
+            cov1[link] += wz * float(np.sum(weight * p_cov))
+            cov2[link] += wz * float(np.sum(weight * p_cov * stay))
+            handover += wz * float(np.sum(weight * (1.0 - stay)))
+    void = 1.0 - sum(assoc.values())
+    return _PolicyMetrics(cov1, cov2, handover, assoc, void)
 
 
 def _metrics(params: SystemParams, nearest: bool, n_z=N_Z, n_r0=N_R0) -> _PolicyMetrics:
@@ -437,8 +432,6 @@ def handover_probability(params: SystemParams) -> float:
     """Marginal handover probability: conditional handover averaged over the
     serving type, serving distance and both altitudes; void mass counts as
     no handover."""
-    from .model import AssociationPolicy
-
     nearest = params.policy is AssociationPolicy.NEAREST
     return _metrics(params, nearest=nearest).handover
 

@@ -162,11 +162,6 @@ def _joint_weight(link: LinkType, r0, ctx: HeightContext, params: SystemParams):
     return f_nearest * excl
 
 
-def joint_serving_weight(link: LinkType, r0, z: float, params: SystemParams):
-    """Public accessor for the unnormalized serving-distance weight."""
-    return _joint_weight(link, r0, height_context(params, z), params)
-
-
 @lru_cache(maxsize=2048)
 def _association_probability_cached(link: LinkType, z: float,
                                     params: SystemParams) -> float:

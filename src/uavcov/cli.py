@@ -26,9 +26,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import pathlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 from . import analytic, montecarlo
 from .errors import ParameterError
@@ -50,6 +51,7 @@ __all__ = [
     "params_from_boundary",
     "run_sweep",
     "figure_preset",
+    "run_figure",
     "validate",
     "rows_to_csv",
     "main",
@@ -370,6 +372,27 @@ def figure_preset(preset_id: str) -> list:
     raise ParameterError(f"unknown figure preset '{preset_id}'")
 
 
+def run_figure(preset_id: str, base, trials: int, seed: int, threads: int = 1):
+    """Run every variant of a figure preset, one CSV per variant.
+
+    Variant `label` is written next to `base` as `<stem>_<label><suffix>`,
+    the suffix defaulting to `.csv`. Yields (path, rows) as each file is
+    written.
+    """
+    base = pathlib.Path(base)
+    base.parent.mkdir(parents=True, exist_ok=True)
+    suffix = base.suffix or ".csv"
+    for variant in figure_preset(preset_id):
+        # figure overrides are boundary-unit values
+        params = params_from_boundary({**BOUNDARY_DEFAULTS, **variant.overrides})
+        spec = replace(variant.spec, trials=trials, seed=seed)
+        rows = run_sweep(spec, params, threads=threads)
+        path = base.with_name(f"{base.stem}_{variant.label}{suffix}")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            rows_to_csv(rows, fh)
+        yield path, rows
+
+
 def rows_to_csv(rows, fh) -> None:
     """Write rows with the fixed schema; floats use 9 significant digits."""
     writer = csv.writer(fh, lineterminator="\n")
@@ -476,8 +499,6 @@ def _add_common(parser):
                         help="output path (default stdout)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--trials", type=int, default=20_000)
-    parser.add_argument("--rel-tol", type=float, default=None,
-                        help="relative tolerance of the adaptive quadrature")
     parser.add_argument("--threads", type=int, default=1)
 
 
@@ -526,9 +547,6 @@ def main(argv=None) -> int:
             p.add_argument("preset", choices=("fig2a", "fig2b", "fig3a", "fig3b"))
 
     args = parser.parse_args(argv)
-    if args.rel_tol is not None:
-        from . import quadrature
-        quadrature.set_default_spec(rel_tol=args.rel_tol)
     params = load_config(args.config)
 
     if args.command in ("analytic", "simulate"):
@@ -563,28 +581,9 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "figure":
-        import pathlib
-
-        variants = figure_preset(args.preset)
         base = args.output or f"{args.preset}.csv"
-        pathlib.Path(base).parent.mkdir(parents=True, exist_ok=True)
-        stem, dot, ext = base.rpartition(".")
-        if not dot:
-            stem, ext = base, "csv"
-        for variant in variants:
-            boundary = dict(BOUNDARY_DEFAULTS)
-            # figure overrides are boundary-unit values
-            boundary.update(variant.overrides)
-            p = params_from_boundary(boundary)
-            spec = variant.spec
-            spec = SweepSpec(axis=spec.axis, values=spec.values,
-                             metrics=spec.metrics, policies=spec.policies,
-                             antennas=spec.antennas, engine=spec.engine,
-                             trials=args.trials, seed=args.seed)
-            rows = run_sweep(spec, p, threads=args.threads)
-            path = f"{stem}_{variant.label}.{ext}"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                rows_to_csv(rows, fh)
+        for path, _ in run_figure(args.preset, base, args.trials, args.seed,
+                                  threads=args.threads):
             print(f"wrote {path}", file=sys.stderr)
         return 0
 

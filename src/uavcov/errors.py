@@ -9,10 +9,6 @@ class GeometryError(ValueError):
     """A geometric configuration is degenerate or impossible."""
 
 
-class OutOfBeamError(ValueError):
-    """Requested point lies outside the antenna's receiving range."""
-
-
 class UndefinedConditionalError(ValueError):
     """A conditional quantity was requested on a zero-probability event."""
 

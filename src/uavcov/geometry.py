@@ -9,35 +9,18 @@ probability).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import GeometryError
 from .model import AntennaModel, ChannelParams, DirectionalAntenna, LinkType
 
 __all__ = [
-    "DiskPair",
     "receiving_radius",
     "equal_power_radius",
     "exclusion_radius",
     "displaced_distance",
     "lens_complement_area",
 ]
-
-
-@dataclass(frozen=True)
-class DiskPair:
-    """Disk A of radius x at the pre-move point, disk B of radius y at the
-    post-move point, centers separated by the horizontal displacement v."""
-
-    x: float
-    y: float
-    v: float
-
-    def __post_init__(self):
-        if self.x < 0 or self.y < 0 or self.v < 0:
-            raise GeometryError(f"radii and separation must be nonnegative: {self}")
 
 
 def receiving_radius(z, h_b: float, antenna: AntennaModel):
@@ -93,46 +76,26 @@ def displaced_distance(r0, v_h, theta):
     return float(out) if out.ndim == 0 else out
 
 
-def _lens_intersection_area(x, y, v):
-    """Area of the intersection of two overlapping disks (partial case only)."""
-    # inverse-cosine arguments can drift to 1+1e-16 on branch boundaries
-    ax = np.clip((v * v + x * x - y * y) / (2.0 * v * x), -1.0, 1.0)
-    ay = np.clip((v * v + y * y - x * x) / (2.0 * v * y), -1.0, 1.0)
-    heron = (x + y - v) * (v + x - y) * (v - x + y) * (v + x + y)
-    return (x * x * np.arccos(ax) + y * y * np.arccos(ay)
-            - 0.5 * np.sqrt(np.maximum(heron, 0.0)))
-
-
-def lens_complement_area(p: DiskPair | None = None, *, x=None, y=None, v=None):
+def lens_complement_area(*, x, y, v):
     """Area of disk B not covered by disk A, |B| - |A and B|.
 
-    Branches: B inside A -> 0; disjoint -> pi*y^2; A inside B ->
-    pi*(y^2 - x^2); otherwise the circular-lens closed form. Accepts either
-    a DiskPair or broadcastable arrays via keywords.
+    Disk A of radius x sits at the pre-move point, disk B of radius y at the
+    post-move point, their centers v apart; broadcastable arrays or scalars.
+    One lens formula covers every configuration: the half-angles a, b of the
+    lens at the centers of A and B satisfy 2vx (cos a, sin a) =
+    (v^2 + x^2 - y^2, t) and 2vy (cos b, sin b) = (v^2 + y^2 - x^2, t), t
+    being 4 times the area of the triangle of both centers and a crossing
+    point (Heron). atan2 thus needs no division by v, x or y, and t = 0
+    unless the circles cross, which gives the disjoint (pi*y^2) and A inside
+    B (pi*(y^2 - x^2)) limits. B inside A is pinned to exactly 0: at v = 0,
+    x = y the formula cannot tell it from disjoint disks.
     """
-    if p is not None:
-        x, y, v = p.x, p.y, p.v
-    scalar = np.ndim(x) == 0 and np.ndim(y) == 0 and np.ndim(v) == 0
-    x, y, v = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
-                                  np.atleast_1d(np.asarray(y, dtype=float)),
-                                  np.atleast_1d(np.asarray(v, dtype=float)))
-
-    area_b = np.pi * y * y
-    b_inside_a = v + y <= x
-    disjoint = v >= x + y
-    a_inside_b = v + x <= y
-
-    out = np.empty(x.shape, dtype=float)
-    out[b_inside_a] = 0.0
-    rest = ~b_inside_a
-    out[rest & disjoint] = area_b[rest & disjoint]
-    contain = rest & ~disjoint & a_inside_b
-    out[contain] = np.pi * (y[contain] ** 2 - x[contain] ** 2)
-
-    partial = rest & ~disjoint & ~a_inside_b
-    if np.any(partial):
-        xp, yp, vp = x[partial], y[partial], v[partial]
-        out[partial] = np.pi * yp * yp - _lens_intersection_area(xp, yp, vp)
-
-    out = np.clip(out, 0.0, area_b)
-    return float(out[0]) if scalar else out
+    x, y, v = (np.asarray(a, dtype=float) for a in (x, y, v))
+    if np.any(x < 0) or np.any(y < 0) or np.any(v < 0):
+        raise GeometryError("radii and separation must be nonnegative")
+    x2, y2, v2 = x * x, y * y, v * v
+    t = np.sqrt(np.maximum((x + y - v) * (v + x - y) * (v + y - x) * (v + x + y), 0.0))
+    out = (y2 * (np.pi - np.arctan2(t, v2 + y2 - x2))
+           - x2 * np.arctan2(t, v2 + x2 - y2) + 0.5 * t)
+    out = np.where(v + y <= x, 0.0, np.maximum(out, 0.0))
+    return float(out) if out.ndim == 0 else out

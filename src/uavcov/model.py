@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import GeometryError, OutOfBeamError, ParameterError
+from .errors import GeometryError, ParameterError
 
 __all__ = [
     "LinkType",
@@ -29,9 +29,7 @@ __all__ = [
     "watts_from_dbm",
     "path_loss",
     "los_probability",
-    "nlos_probability",
     "uav_mainlobe_gain",
-    "mean_rx_power",
     "sample_fading",
     "horizontal_speed",
     "mobility_pdfs",
@@ -256,37 +254,11 @@ def los_probability(r, h_u, env: EnvironmentParams, h_b: float):
     return float(out) if out.ndim == 0 else out
 
 
-def nlos_probability(r, h_u, env: EnvironmentParams, h_b: float):
-    """Complement of the LoS probability."""
-    return 1.0 - los_probability(r, h_u, env, h_b)
-
-
-def type_probability(link: LinkType, r, h_u, env: EnvironmentParams, h_b: float):
-    """P_L or P_N depending on the link tag."""
-    p = los_probability(r, h_u, env, h_b)
-    return p if link is LinkType.LOS else 1.0 - p
-
-
 def uav_mainlobe_gain(antenna: AntennaModel) -> float:
     """Main-lobe gain: 29000/beamwidth_deg^2 for the cone, 1 for omni."""
     if isinstance(antenna, DirectionalAntenna):
         return 29000.0 / antenna.beamwidth_deg ** 2
     return 1.0
-
-
-def mean_rx_power(link: LinkType, r, z, params: SystemParams):
-    """Average received power P_t*G_b*G_u*zeta (fading at its unit mean).
-
-    This is the metric of the strongest-average-RSS association. Points
-    beyond the receiving radius see zero antenna gain and are rejected.
-    """
-    from .geometry import receiving_radius  # local import, no cycle at module load
-
-    r_m = receiving_radius(z, params.h_b, params.antenna)
-    r = np.asarray(r, dtype=float)
-    if np.any(r > r_m):
-        raise OutOfBeamError(f"r={r} beyond receiving radius {r_m:.3f} m")
-    return params.p_t * params.g_tot * path_loss(link, r, z, params.channel, params.h_b)
 
 
 def sample_fading(link: LinkType, ch: ChannelParams, rng: np.random.Generator, size=None):

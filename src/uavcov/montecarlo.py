@@ -30,6 +30,7 @@ from .model import (
     horizontal_speed,
     los_probability,
     path_loss,
+    sample_fading,
 )
 
 __all__ = [
@@ -42,17 +43,11 @@ __all__ = [
     "classify_links",
     "associate",
     "simulate_episode",
-    "estimate",
     "summary_estimates",
     "association_estimate",
     "conditioned_oracles",
     "laplace_estimate",
     "wilson_interval",
-    "metric_covered",
-    "metric_handover",
-    "metric_void",
-    "metric_assoc_los",
-    "metric_assoc_nlos",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -136,15 +131,9 @@ def sample_ppp(lambda_b: float, r_field: float, rng: np.random.Generator) -> Gbs
 
 
 def classify_links(field: GbsField, uav: Waypoint, env, h_b: float,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Independent LoS marks per GBS as seen from the UAV's position."""
-    d = np.hypot(field.positions[:, 0] - uav.x, field.positions[:, 1] - uav.y)
-    return rng.random(len(field)) < los_probability(d, uav.z, env, h_b)
-
-
-def _classify_latent(field: GbsField, uav: Waypoint, env, h_b: float,
-                     latent: np.ndarray) -> np.ndarray:
-    """LoS marks from per-GBS latent uniforms.
+                   latent: np.ndarray) -> np.ndarray:
+    """LoS marks per GBS as seen from the UAV's position, from per-GBS
+    latent uniforms.
 
     Re-thresholding the same latent draw at both waypoints couples the
     marks of one episode: the marginal LoS probability at each position is
@@ -162,6 +151,13 @@ def _pathloss_gains(d: np.ndarray, los: np.ndarray, z: float,
     return np.where(los,
                     ch.eta_l * d2 ** (-0.5 * ch.alpha_l),
                     ch.eta_n * d2 ** (-0.5 * ch.alpha_n))
+
+
+def _station_fading(los: np.ndarray, params: SystemParams,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Nakagami power gains per GBS, shape m_l on LoS and m_n on NLoS links."""
+    m_arr = np.where(los, params.channel.m_l, params.channel.m_n)
+    return rng.standard_gamma(m_arr) / m_arr
 
 
 def associate(field: GbsField, los: np.ndarray, uav: Waypoint,
@@ -205,7 +201,7 @@ def simulate_episode(params: SystemParams, rng: np.random.Generator,
 
     start = Waypoint(0.0, 0.0, z_pre)
     latent = rng.random(len(field))
-    los_pre = _classify_latent(field, start, params.env, params.h_b, latent)
+    los_pre = classify_links(field, start, params.env, params.h_b, latent)
     pre = associate(field, los_pre, start, params.policy, params)
 
     v_h = horizontal_speed(params.v, rho, z_post - z_pre)
@@ -217,12 +213,10 @@ def simulate_episode(params: SystemParams, rng: np.random.Generator,
     end = Waypoint(v_h * math.cos(bearing + theta),
                    v_h * math.sin(bearing + theta), z_post)
 
-    los_post = _classify_latent(field, end, params.env, params.h_b, latent)
+    los_post = classify_links(field, end, params.env, params.h_b, latent)
     post = associate(field, los_post, end, params.policy, params)
 
-    ch = params.channel
-    m_arr = np.where(los_post, ch.m_l, ch.m_n)
-    fading = rng.standard_gamma(m_arr) / np.maximum(m_arr, 1)
+    fading = _station_fading(los_post, params, rng)
     coin = rng.random()
 
     handover = pre is not None and post is not None and pre[0] != post[0]
@@ -241,53 +235,6 @@ def simulate_episode(params: SystemParams, rng: np.random.Generator,
                           sir, covered)
 
 
-# metric maps for estimate(); module-level so they pickle across workers
-def metric_covered(o: EpisodeOutcome) -> bool:
-    return o.covered
-
-
-def metric_handover(o: EpisodeOutcome) -> bool:
-    return o.handover
-
-
-def metric_void(o: EpisodeOutcome) -> bool:
-    return o.void_pre
-
-
-def metric_assoc_los(o: EpisodeOutcome) -> bool:
-    return o.associated_pre is not None and o.associated_pre[1] is LinkType.LOS
-
-
-def metric_assoc_nlos(o: EpisodeOutcome) -> bool:
-    return o.associated_pre is not None and o.associated_pre[1] is LinkType.NLOS
-
-
-def _count_metric(args) -> int:
-    params, seed, start, stop, metric, r_field = args
-    return sum(
-        bool(metric(simulate_episode(params, episode_rng(seed, e), r_field)))
-        for e in range(start, stop))
-
-
-def estimate(metric, n: int, seed: int, params: SystemParams,
-             workers: int = 1, r_field: float | None = None) -> McEstimate:
-    """Proportion of episodes on which the metric holds.
-
-    The metric must be a picklable episode->bool map when workers > 1.
-    """
-    if n < 100:
-        raise ParameterError("need at least 100 trials")
-    if workers <= 1:
-        successes = _count_metric((params, seed, 0, n, metric, r_field))
-    else:
-        chunk = max(1000, -(-n // (4 * workers)))
-        jobs = [(params, seed, lo, min(lo + chunk, n), metric, r_field)
-                for lo in range(0, n, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            successes = sum(pool.map(_count_metric, jobs))
-    return _estimate_from_count(successes, n, seed)
-
-
 _SUMMARY_KEYS = ("coverage", "handover", "assoc_los", "assoc_nlos", "void")
 
 
@@ -296,11 +243,12 @@ def _tally_range(args) -> np.ndarray:
     counts = np.zeros(len(_SUMMARY_KEYS), dtype=np.int64)
     for e in range(start, stop):
         o = simulate_episode(params, episode_rng(seed, e), r_field)
+        serving = o.associated_pre and o.associated_pre[1]
         counts += (
             o.covered,
             o.handover,
-            metric_assoc_los(o),
-            metric_assoc_nlos(o),
+            serving is LinkType.LOS,
+            serving is LinkType.NLOS,
             o.void_pre,
         )
     return counts
@@ -333,7 +281,8 @@ def association_estimate(params: SystemParams, z: float, n: int, seed: int) -> d
     for e in range(n):
         rng = episode_rng(seed, e)
         field = sample_ppp(params.lambda_b, r_field, rng)
-        los = classify_links(field, uav, params.env, params.h_b, rng)
+        los = classify_links(field, uav, params.env, params.h_b,
+                             rng.random(len(field)))
         got = associate(field, los, uav, params.policy, params)
         if got is None:
             counts["void"] += 1
@@ -385,8 +334,8 @@ def _conditioned_field(params: SystemParams, r0: float, z: float,
     while True:
         field = sample_ppp(params.lambda_b, r_field, rng)
         latent = rng.random(len(field))
-        los = _classify_latent(field, Waypoint(0.0, 0.0, z), params.env,
-                               params.h_b, latent)
+        los = classify_links(field, Waypoint(0.0, 0.0, z), params.env,
+                             params.h_b, latent)
         d = np.hypot(field.positions[:, 0], field.positions[:, 1])
         bad = _beats_pinned(d, los, pinned_gain, r0, z, params.policy, params)
         ok = not np.any(bad)
@@ -431,7 +380,7 @@ def conditioned_oracles(params: SystemParams, r0: float, z_t: float,
         # field marks stay coupled through the move; the pinned GBS keeps
         # its forced type, which is part of the conditioning
         los_post = np.append(
-            _classify_latent(field, end, params.env, params.h_b, latent),
+            classify_links(field, end, params.env, params.h_b, latent),
             serving is LinkType.LOS)
         got = associate(aug, los_post, end, params.policy, params)
         handovers += got is not None and got[0] != len(aug) - 1
@@ -444,11 +393,10 @@ def conditioned_oracles(params: SystemParams, r0: float, z_t: float,
         field, _, los, d = _conditioned_field(params, r0, z_t, serving,
                                               r_field, rng, cov_budget)
         in_range = d <= r_m_t
-        m_arr = np.where(los, ch.m_l, ch.m_n)
-        fading = rng.standard_gamma(m_arr) / np.maximum(m_arr, 1)
+        fading = _station_fading(los, params, rng)
         interference = float(np.sum(
             (_pathloss_gains(d, los, z_t, params) * fading)[in_range]))
-        omega = rng.standard_gamma(ch.m(serving)) / ch.m(serving)
+        omega = sample_fading(serving, ch, rng)
         signal = path_loss(serving, r0, z_t, ch, params.h_b) * omega
         covered += interference <= 0.0 or signal / interference > params.t_thresh
 
@@ -462,7 +410,6 @@ def laplace_estimate(params: SystemParams, serving: LinkType, r0: float,
                      z: float, tau: float, n: int, seed: int) -> float:
     """Empirical Laplace functional E[exp(-tau I)] of the interference
     (fading included) under the pinned-serving conditioning."""
-    ch = params.channel
     r_m = receiving_radius(z, params.h_b, params.antenna)
     pg = params.p_t * params.g_tot
     budget = _RejectionBudget()
@@ -472,8 +419,7 @@ def laplace_estimate(params: SystemParams, serving: LinkType, r0: float,
         field, _, los, d = _conditioned_field(params, r0, z, serving,
                                               r_m + 1.0, rng, budget)
         in_range = d <= r_m
-        m_arr = np.where(los, ch.m_l, ch.m_n)
-        fading = rng.standard_gamma(m_arr) / np.maximum(m_arr, 1)
+        fading = _station_fading(los, params, rng)
         interference = pg * float(np.sum(
             (_pathloss_gains(d, los, z, params) * fading)[in_range]))
         total += math.exp(-tau * interference)

@@ -17,8 +17,7 @@ from scipy import integrate as _scipy_integrate
 
 from .errors import QuadratureError
 
-__all__ = ["QuadratureSpec", "integrate", "gauss_legendre", "gauss_nodes",
-           "set_default_spec"]
+__all__ = ["QuadratureSpec", "integrate", "gauss_legendre", "gauss_nodes"]
 
 
 @dataclass(frozen=True)
@@ -36,20 +35,6 @@ class QuadratureSpec:
             raise ValueError("max_depth must be at least 1")
 
 
-DEFAULT_SPEC = QuadratureSpec()
-
-
-def set_default_spec(rel_tol=None, abs_tol=None, max_depth=None) -> QuadratureSpec:
-    """Adjust the process-wide default tolerance contract."""
-    global DEFAULT_SPEC
-    DEFAULT_SPEC = QuadratureSpec(
-        rel_tol=DEFAULT_SPEC.rel_tol if rel_tol is None else rel_tol,
-        abs_tol=DEFAULT_SPEC.abs_tol if abs_tol is None else abs_tol,
-        max_depth=DEFAULT_SPEC.max_depth if max_depth is None else max_depth,
-    )
-    return DEFAULT_SPEC
-
-
 def integrate(fn, lo: float, hi: float, spec: QuadratureSpec | None = None) -> float:
     """Integrate a scalar function over [lo, hi] to the spec's tolerance.
 
@@ -59,7 +44,7 @@ def integrate(fn, lo: float, hi: float, spec: QuadratureSpec | None = None) -> f
     estimate and the bound.
     """
     if spec is None:
-        spec = DEFAULT_SPEC
+        spec = QuadratureSpec()
     if not lo <= hi:
         raise ValueError(f"invalid integration range [{lo}, {hi}]")
     if lo == hi:

@@ -19,6 +19,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from uavcov.analytic import (
     coverage_probability,
@@ -47,6 +48,7 @@ def report(name, ok, detail):
     return ok
 
 
+@pytest.mark.slow
 def test_ac1_oracle_agreement():
     """AC-1: |analytic - MC| <= max(0.02, 3*CI half-width) at baseline."""
     start = time.time()
@@ -61,6 +63,7 @@ def test_ac1_oracle_agreement():
                               f"runtime {elapsed:.0f}s <= 600s"), rep.render()
 
 
+@pytest.mark.slow
 def test_ac2_handover_gap_directional_vs_omni():
     """AC-2: handover(omni) - handover(directional 120) > 0.1 at 100/km^2,
     analytic and MC both."""

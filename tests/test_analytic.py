@@ -9,6 +9,7 @@ from uavcov.analytic import (
     N_Z,
     _policy_metrics,
     _breakdown,
+    _metrics,
     conditional_coverage,
     conditional_handover,
     conditional_handover_any,
@@ -21,14 +22,17 @@ from uavcov.analytic import (
     reset_coverage_drift_counter,
     _tau_threshold,
 )
+from uavcov.association import association_probability
 from uavcov.errors import GeometryError
 from uavcov.model import (
     AssociationPolicy,
     ChannelParams,
+    DirectionalAntenna,
     LinkType,
     OmniAntenna,
 )
 from uavcov.montecarlo import conditioned_oracles, laplace_estimate
+from uavcov.quadrature import gauss_nodes
 
 SYM_CHANNEL = ChannelParams(alpha_l=3.0, alpha_n=3.0, eta_l=1e-4, eta_n=1e-4,
                             m_l=2, m_n=2)
@@ -50,6 +54,7 @@ class TestConditionalHandover:
             conditional_handover(HandoverContext(LinkType.LOS, 1e4, 120.0),
                                  LinkType.LOS, params)
 
+    @pytest.mark.slow
     def test_matches_conditioned_simulation(self, params):
         # pinned LoS serving GBS at 50 m, post-move altitude 120 m
         ctx = HandoverContext(LinkType.LOS, 50.0, 120.0)
@@ -116,6 +121,7 @@ class TestLaplaceInterference:
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert all(0.0 < v <= 1.0 for v in vals)
 
+    @pytest.mark.slow
     def test_matches_empirical_laplace_functional(self, params):
         tau = _tau_threshold(LinkType.LOS, 50.0, 120.0, params)
         analytic = laplace_interference(tau, LinkType.LOS, 50.0, 120.0, params)
@@ -179,6 +185,7 @@ class TestConditionalCoverage:
         ctx_edge = conditional_coverage(LinkType.LOS, 155.0, 120.0, params)
         assert ctx_edge > 0.95
 
+    @pytest.mark.slow
     def test_matches_conditioned_simulation(self, params):
         analytic = conditional_coverage(LinkType.LOS, 50.0, 120.0, params)
         oracle = conditioned_oracles(params, 50.0, 120.0, LinkType.LOS,
@@ -236,6 +243,24 @@ class TestCoverageProbability:
         fine = _breakdown(params, _policy_metrics(key, False, 20, 56))
         assert abs(coarse.total - fine.total) < 5e-4
         assert abs(coarse.handover_prob - fine.handover_prob) < 5e-4
+
+
+class TestAssociationMarginals:
+    @pytest.mark.parametrize("antenna", [DirectionalAntenna(), OmniAntenna()],
+                             ids=["directional", "omni"])
+    @pytest.mark.parametrize("lam", [10.0, 100.0, 1000.0])
+    def test_gauss_sums_match_quadpack(self, params, lam, antenna):
+        # the altitude average of the adaptive association probability on the
+        # engine's own altitude nodes; the largest gap, about 3e-6, is the
+        # omni antenna in the sparsest network
+        p = params.with_(lambda_b=lam * 1e-6, antenna=antenna)
+        z_nodes, w_z = gauss_nodes(p.h_lb, p.h_ub, N_Z)
+        w_z = w_z / (p.h_ub - p.h_lb)
+        gauss = _metrics(p, nearest=False).assoc
+        for link in LinkType:
+            quadpack = sum(w * association_probability(link, z, p)
+                           for z, w in zip(z_nodes, w_z))
+            assert abs(gauss[link] - quadpack) <= 1e-5
 
 
 class TestCoverageProbabilityNearest:

@@ -1,7 +1,9 @@
 import io
+from dataclasses import replace
 
 import pytest
 
+from uavcov import cli
 from uavcov.cli import (
     BOUNDARY_DEFAULTS,
     CSV_HEADER,
@@ -210,6 +212,28 @@ class TestMainEntry:
                      "--output", str(out)])
         assert code == 0
         assert out.read_text().startswith(",".join(CSV_HEADER))
+
+    @pytest.mark.parametrize("output,written", [
+        ("./results/fig2a", "results/fig2a_{}.csv"),
+        ("out.v2/fig", "out.v2/fig_{}.csv"),
+        ("out.v2/fig.txt", "out.v2/fig_{}.txt"),
+    ])
+    def test_figure_command_output_paths(self, tmp_path, monkeypatch, capsys,
+                                         output, written):
+        # the fig2a variants, cut to one directional point each
+        full = cli.figure_preset
+        monkeypatch.setattr(cli, "figure_preset", lambda preset_id: [
+            replace(v, spec=replace(v.spec, values=(100.0,),
+                                    antennas=("directional",)))
+            for v in full(preset_id)])
+        monkeypatch.chdir(tmp_path)
+        code = main(["figure", "fig2a", "--trials", "100", "--output", output])
+        assert code == 0
+        log = capsys.readouterr().err
+        for variant in full("fig2a"):
+            path = written.format(variant.label)
+            assert (tmp_path / path).read_text().startswith(",".join(CSV_HEADER))
+            assert f"wrote {path}\n" in log
 
     def test_validate_command_exit_status(self, tmp_path):
         out = tmp_path / "report.txt"

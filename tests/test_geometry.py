@@ -9,7 +9,6 @@ from scipy.integrate import IntegrationWarning, quad
 
 from uavcov.errors import GeometryError
 from uavcov.geometry import (
-    DiskPair,
     displaced_distance,
     equal_power_radius,
     exclusion_radius,
@@ -127,20 +126,28 @@ class TestDisplacedDistance:
 
 class TestLensComplementArea:
     def test_contained(self):
-        assert lens_complement_area(DiskPair(10.0, 5.0, 2.0)) == 0.0
+        assert lens_complement_area(x=10.0, y=5.0, v=2.0) == 0.0
 
     def test_disjoint(self):
-        assert lens_complement_area(DiskPair(3.0, 4.0, 10.0)) == pytest.approx(
+        assert lens_complement_area(x=3.0, y=4.0, v=10.0) == pytest.approx(
             math.pi * 16.0, rel=1e-12)
 
     def test_partial_overlap_frozen_oracle(self):
         # rejection-sampling oracle (1e7 points, seed 0) gave 98.95 +- 0.04
-        assert lens_complement_area(DiskPair(10.0, 10.0, 5.0)) == pytest.approx(
+        assert lens_complement_area(x=10.0, y=10.0, v=5.0) == pytest.approx(
             98.94834285600842, abs=0.5)
 
     def test_a_inside_b(self):
-        assert lens_complement_area(DiskPair(2.0, 10.0, 1.0)) == pytest.approx(
+        assert lens_complement_area(x=2.0, y=10.0, v=1.0) == pytest.approx(
             math.pi * (100.0 - 4.0), rel=1e-12)
+
+    def test_degenerate_disks(self):
+        # concentric equal disks, concentric A inside B, point disk A
+        assert lens_complement_area(x=5.0, y=5.0, v=0.0) == 0.0
+        assert lens_complement_area(x=3.0, y=5.0, v=0.0) == pytest.approx(
+            16.0 * math.pi, rel=1e-12)
+        assert lens_complement_area(x=0.0, y=5.0, v=5.0) == pytest.approx(
+            25.0 * math.pi, rel=1e-12)
 
     def test_rejection_sampling_spot_check(self):
         x, y, v = 10.0, 10.0, 5.0
@@ -204,4 +211,4 @@ class TestLensComplementArea:
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(GeometryError):
-            DiskPair(-1.0, 2.0, 3.0)
+            lens_complement_area(x=-1.0, y=2.0, v=3.0)

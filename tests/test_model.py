@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavcov.errors import GeometryError, OutOfBeamError, ParameterError
+from uavcov.errors import GeometryError, ParameterError
 from uavcov.model import (
     ChannelParams,
     DirectionalAntenna,
@@ -16,7 +16,6 @@ from uavcov.model import (
     horizontal_speed,
     linear_from_db,
     los_probability,
-    mean_rx_power,
     mobility_pdfs,
     path_loss,
     sample_fading,
@@ -117,23 +116,6 @@ class TestAntennaGain:
             DirectionalAntenna(0.0)
         with pytest.raises(ParameterError):
             DirectionalAntenna(180.0)
-
-
-class TestMeanRxPower:
-    def test_linear_in_transmit_power(self, params):
-        base = mean_rx_power(LinkType.LOS, 100.0, 120.0, params)
-        doubled = mean_rx_power(LinkType.LOS, 100.0, 120.0,
-                                params.with_(p_t=2 * params.p_t))
-        assert doubled == pytest.approx(2 * base, rel=1e-12)
-
-    def test_los_stronger(self, params):
-        assert (mean_rx_power(LinkType.LOS, 100.0, 120.0, params)
-                > mean_rx_power(LinkType.NLOS, 100.0, 120.0, params))
-
-    def test_out_of_beam(self, params):
-        r_m = 90.0 * math.tan(math.radians(60.0))
-        with pytest.raises(OutOfBeamError):
-            mean_rx_power(LinkType.LOS, r_m + 0.1, 120.0, params)
 
 
 class TestFading:

@@ -17,10 +17,7 @@ from uavcov.montecarlo import (
     classify_links,
     conditioned_oracles,
     episode_rng,
-    estimate,
     field_radius,
-    metric_covered,
-    metric_handover,
     sample_ppp,
     simulate_episode,
     summary_estimates,
@@ -62,7 +59,7 @@ class TestClassifyLinks:
         n = 100_000
         field = GbsField(np.column_stack([np.full(n, 2000.0), np.zeros(n)]))
         los = classify_links(field, Waypoint(0, 0, 31.0), params.env,
-                             params.h_b, rng)
+                             params.h_b, rng.random(n))
         # elevation near zero: the LoS floor is 1/(1 + a e^{ab}) ~ 0.0219
         assert los.mean() < 0.03
 
@@ -71,16 +68,16 @@ class TestClassifyLinks:
         n = 100_000
         field = GbsField(np.column_stack([np.full(n, 90.0), np.zeros(n)]))
         los = classify_links(field, Waypoint(0, 0, 120.0), params.env,
-                             params.h_b, rng)
+                             params.h_b, rng.random(n))
         p = 0.9676918999472423
         assert abs(los.mean() - p) < 3 * math.sqrt(p * (1 - p) / n)
 
     def test_deterministic_under_seed(self, params):
         field = sample_ppp(1e-4, 500.0, episode_rng(6, 0))
         a = classify_links(field, Waypoint(0, 0, 120.0), params.env,
-                           params.h_b, episode_rng(6, 1))
+                           params.h_b, episode_rng(6, 1).random(len(field)))
         b = classify_links(field, Waypoint(0, 0, 120.0), params.env,
-                           params.h_b, episode_rng(6, 1))
+                           params.h_b, episode_rng(6, 1).random(len(field)))
         assert np.array_equal(a, b)
 
 
@@ -105,7 +102,8 @@ class TestAssociate:
         for e in range(200):
             rng = episode_rng(7, e)
             field = sample_ppp(p.lambda_b, field_radius(p), rng)
-            los = classify_links(field, Waypoint(0, 0, 120.0), p.env, p.h_b, rng)
+            los = classify_links(field, Waypoint(0, 0, 120.0), p.env, p.h_b,
+                                 rng.random(len(field)))
             uav = Waypoint(0, 0, 120.0)
             a = associate(field, los, uav, AssociationPolicy.STRONGEST_RSS, p)
             b = associate(field, los, uav, AssociationPolicy.NEAREST, p)
@@ -161,22 +159,23 @@ class TestSimulateEpisode:
 
 class TestEstimate:
     def test_constant_metric(self, params):
-        est = estimate(lambda o: True, 500, 13, params)
+        # an empty network is void on every episode
+        est = summary_estimates(params.with_(lambda_b=1e-12), 500, 13)["void"]
         assert est.mean == 1.0
         assert est.ci_high == 1.0 and est.ci_low > 0.98
 
     def test_requires_minimum_trials(self, params):
         with pytest.raises(ParameterError):
-            estimate(metric_covered, 10, 1, params)
+            summary_estimates(params, 10, 1)
 
     def test_bit_identical_reruns(self, params):
-        a = estimate(metric_covered, 2000, 14, params)
-        b = estimate(metric_covered, 2000, 14, params)
+        a = summary_estimates(params, 2000, 14)
+        b = summary_estimates(params, 2000, 14)
         assert a == b
 
     def test_worker_count_does_not_change_result(self, params):
-        serial = estimate(metric_handover, 2000, 15, params, workers=1)
-        parallel = estimate(metric_handover, 2000, 15, params, workers=2)
+        serial = summary_estimates(params, 2000, 15, workers=1)
+        parallel = summary_estimates(params, 2000, 15, workers=2)
         assert serial == parallel
 
     def test_wilson_interval_orders(self):
@@ -186,10 +185,26 @@ class TestEstimate:
 
 class TestSummaryEstimates:
     def test_matches_single_metric_estimates(self, params):
-        summary = summary_estimates(params, 2000, 16)
-        assert summary["coverage"] == estimate(metric_covered, 2000, 16, params)
-        assert summary["handover"] == estimate(metric_handover, 2000, 16, params)
+        # each metric counted by a plain loop over the same episodes
+        n, seed = 2000, 16
+        summary = summary_estimates(params, n, seed)
+        outcomes = [simulate_episode(params, episode_rng(seed, e))
+                    for e in range(n)]
+        serving = [o.associated_pre and o.associated_pre[1] for o in outcomes]
+        counts = {
+            "coverage": sum(o.covered for o in outcomes),
+            "handover": sum(o.handover for o in outcomes),
+            "assoc_los": serving.count(LinkType.LOS),
+            "assoc_nlos": serving.count(LinkType.NLOS),
+            "void": sum(o.void_pre for o in outcomes),
+        }
+        assert set(summary) == set(counts)
+        for key, count in counts.items():
+            est = summary[key]
+            assert (est.mean, est.n, est.seed) == (count / n, n, seed)
+            assert (est.ci_low, est.ci_high) == wilson_interval(count, n)
 
+    @pytest.mark.slow
     def test_field_size_sufficiency(self, params):
         base = summary_estimates(params, 20_000, 17)
         doubled = summary_estimates(params, 20_000, 17,
@@ -198,6 +213,7 @@ class TestSummaryEstimates:
             assert (abs(base[key].mean - doubled[key].mean)
                     < base[key].half_width)
 
+    @pytest.mark.slow
     def test_handover_nondecreasing_in_density_and_speed(self, params):
         by_density = [summary_estimates(params.with_(lambda_b=lam * 1e-6),
                                         20_000, 18)["handover"]
