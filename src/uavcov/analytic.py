@@ -2,11 +2,13 @@
 
 Layout of the computation:
 
-* conditional handover: triple integral over movement direction, transition
-  length and pre-move altitude of the PPP null probability of the
-  equal-power lens-complement region, vectorized on Gauss-Legendre grids
-  with the transition length truncated where the Rayleigh tail mass drops
-  below 1e-8;
+* conditional handover: PPP null probability of the equal-power
+  lens-complement region, averaged over movement direction x horizontal-speed
+  law. Transition length and pre-move altitude enter the region only through
+  the horizontal speed, so their double integral is one integral over the
+  law of that speed given the post-move altitude, on Gauss nodes placed
+  through its closed-form CDF (``model.horizontal_speed_nodes``); both
+  target types share the direction, speed and post-move distance grids;
 * conditional coverage: finite Nakagami sum over derivatives of the
   interference Laplace transform, with the exponent integrals evaluated on
   two-panel (linear + geometric) Gauss grids so both the near-serving peak
@@ -41,7 +43,7 @@ from .model import (
     AssociationPolicy,
     LinkType,
     SystemParams,
-    horizontal_speed,
+    horizontal_speed_nodes,
     mobility_pdfs,
     path_loss,
 )
@@ -67,11 +69,8 @@ __all__ = [
 N_Z = 12        # post-move altitude
 N_R0 = 32       # serving distance (transformed variable)
 N_THETA = 24    # movement direction
-N_RHO = 24      # horizontal transition length
-N_ZPREV = 8     # pre-move altitude
+N_V = 32        # horizontal speed (CDF-transformed variable)
 N_X = 40        # interference distance, per panel
-
-RAYLEIGH_TAIL_MASS = 1e-8
 
 _drift_events = 0
 
@@ -115,49 +114,44 @@ class CoverageBreakdown:
 # conditional handover probability
 # ---------------------------------------------------------------------------
 
-def _cond_handover_grid(serving: LinkType, target: LinkType, r0, z_t: float,
-                        params: SystemParams, n_theta=N_THETA, n_rho=N_RHO,
-                        n_zprev=N_ZPREV) -> np.ndarray:
-    """P(handover to target type | serving type, r0, z_t), vectorized in r0."""
+def _cond_handover_grid(serving: LinkType, targets: tuple, r0, z_t: float,
+                        params: SystemParams, n_theta=N_THETA,
+                        n_v=N_V) -> np.ndarray:
+    """P(handover to each target type | serving type, r0, z_t), one row per
+    target type, vectorized in r0.
+
+    The movement reaches the handover region only through its direction
+    theta and its horizontal speed v_h, so the expectation runs over theta
+    and over the law of v_h given z_t (``horizontal_speed_nodes``), and the
+    post-move serving distance is shared by the target types.
+    """
     r0 = np.atleast_1d(np.asarray(r0, dtype=float))
     if params.v == 0.0:
         # zero displacement: the post-move disk is contained in the pre-move one
-        return np.zeros_like(r0)
+        return np.zeros((len(targets), r0.size))
     ctx = height_context(params, z_t)
     ch = params.channel
-    f_rho, f_z, f_theta = mobility_pdfs(params)
+    _, _, f_theta = mobility_pdfs(params)
 
     theta, w_th = gauss_nodes(0.0, np.pi, n_theta)
-    w_th = w_th * f_theta(theta)
-    rho_max = math.sqrt(math.log(1.0 / RAYLEIGH_TAIL_MASS) / (np.pi * params.mu))
-    rho, w_rho = gauss_nodes(0.0, rho_max, n_rho)
-    w_rho = w_rho * f_rho(rho)
-    z1, w_z1 = gauss_nodes(params.h_lb, params.h_ub, n_zprev)
-    w_z1 = w_z1 * f_z(z1)
-
-    # kinematics on the (rho, z_prev) mesh, then distances per (r0, theta)
-    v_h = horizontal_speed(params.v, rho[:, None], z_t - z1[None, :])
-    r_after = displaced_distance(r0[:, None, None, None],
-                                 v_h[None, None, :, :],
-                                 theta[None, :, None, None])
-    x_a = equal_power_radius(serving, target, r0, ctx.h_bar, ch)
-    y_b = np.minimum(equal_power_radius(serving, target, r_after, ctx.h_bar, ch),
-                     ctx.r_m)
-    area = lens_complement_area(x=x_a[:, None, None, None], y=y_b,
-                                v=v_h[None, None, :, :])
-    stay = np.exp(-params.lambda_b * area)
-    w = (w_th[None, :, None, None] * w_rho[None, None, :, None]
-         * w_z1[None, None, None, :])
-    return np.clip(1.0 - np.sum(stay * w, axis=(1, 2, 3)), 0.0, 1.0)
+    v_h, w_v = horizontal_speed_nodes(z_t, params, n_v)
+    w = (w_th * f_theta(theta))[:, None] * w_v
+    r_after = displaced_distance(r0[:, None, None], v_h, theta[:, None])
+    rows = []
+    for target in targets:
+        x_a = equal_power_radius(serving, target, r0, ctx.h_bar, ch)
+        y_b = np.minimum(equal_power_radius(serving, target, r_after, ctx.h_bar, ch),
+                         ctx.r_m)
+        area = lens_complement_area(x=x_a[:, None, None], y=y_b, v=v_h)
+        rows.append(1.0 - np.sum(np.exp(-params.lambda_b * area) * w, axis=(1, 2)))
+    return np.clip(np.array(rows), 0.0, 1.0)
 
 
 def _stay_grid(serving: LinkType, r0, z_t: float, params: SystemParams) -> np.ndarray:
     """P(no handover to either target type | serving type, r0, z_t), the
     target types composed as independent thinnings; vectorized in r0."""
-    stay = np.ones_like(r0)
-    for target in LinkType:
-        stay *= 1.0 - _cond_handover_grid(serving, target, r0, z_t, params)
-    return stay
+    return np.prod(1.0 - _cond_handover_grid(serving, tuple(LinkType), r0, z_t,
+                                             params), axis=0)
 
 
 def _check_ctx(ctx: HandoverContext, params: SystemParams) -> None:
@@ -172,7 +166,8 @@ def conditional_handover(ctx: HandoverContext, target: LinkType,
     """Handover probability to a given target type, conditioned on the
     serving type, the pre-move serving distance and the post-move altitude."""
     _check_ctx(ctx, params)
-    return float(_cond_handover_grid(ctx.serving, target, ctx.r0, ctx.z_t, params)[0])
+    return float(_cond_handover_grid(ctx.serving, (target,), ctx.r0, ctx.z_t,
+                                     params)[0, 0])
 
 
 def conditional_handover_any(ctx: HandoverContext, params: SystemParams) -> float:
@@ -369,7 +364,8 @@ def _nearest_nodes(ctx, params: SystemParams, n_r0: int):
     u, w_u = gauss_nodes(0.0, u_top, n_r0)
     r0 = np.sqrt(-np.log1p(-u) / (np.pi * lam))
     # type is ignored for handover under the nearest policy: identity map
-    stay = 1.0 - _cond_handover_grid(LinkType.LOS, LinkType.LOS, r0, ctx.z, params)
+    stay = 1.0 - _cond_handover_grid(LinkType.LOS, (LinkType.LOS,), r0, ctx.z,
+                                     params)[0]
     for link in LinkType:
         yield link, r0, w_u * ctx.p_type(link, r0), stay
 

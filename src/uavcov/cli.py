@@ -134,6 +134,11 @@ def params_from_boundary(values: dict) -> SystemParams:
 
 def load_config(path: str | None) -> SystemParams:
     """Parse a flat key=value config file on top of the built-in defaults."""
+    return params_from_boundary(_config_values(path))
+
+
+def _config_values(path: str | None) -> dict:
+    """Boundary-unit values of a config file on top of the built-in defaults."""
     values = dict(BOUNDARY_DEFAULTS)
     if path is not None:
         with open(path, encoding="utf-8") as fh:
@@ -154,7 +159,7 @@ def load_config(path: str | None) -> SystemParams:
                     values[key] = int(val)
                 else:
                     values[key] = float(val)
-    return params_from_boundary(values)
+    return values
 
 
 @dataclass(frozen=True)
@@ -281,7 +286,7 @@ def _metric_rows_for_spec(metric: str) -> tuple:
     return (metric,)
 
 
-def _evaluate_group(args) -> list:
+def _evaluate_group(args, workers: int = 1) -> list:
     spec, params, value, policy, antenna_name = args
     p = _apply_axis(params, spec.axis, value)
     p = _apply_antenna(p, antenna_name)
@@ -295,7 +300,7 @@ def _evaluate_group(args) -> list:
             error = f"analytic: {exc}"
     if spec.engine in ("mc", "both"):
         try:
-            mc_vals = _mc_metrics(p, spec.trials, spec.seed, workers=1)
+            mc_vals = _mc_metrics(p, spec.trials, spec.seed, workers=workers)
         except Exception as exc:
             error = (error + "; " if error else "") + f"mc: {exc}"
     rows = []
@@ -325,7 +330,10 @@ def run_sweep(spec: SweepSpec, params: SystemParams, threads: int = 1) -> list:
               for value in spec.values
               for policy in spec.policies
               for antenna in spec.antennas]
-    if threads > 1:
+    if len(groups) == 1:
+        # one point: the threads go to its Monte Carlo episodes instead
+        per_group = [_evaluate_group(groups[0], workers=threads)]
+    elif threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             per_group = list(pool.map(_evaluate_group, groups))
     else:
@@ -372,19 +380,22 @@ def figure_preset(preset_id: str) -> list:
     raise ParameterError(f"unknown figure preset '{preset_id}'")
 
 
-def run_figure(preset_id: str, base, trials: int, seed: int, threads: int = 1):
+def run_figure(preset_id: str, base, trials: int, seed: int, threads: int = 1,
+               config: str | None = None):
     """Run every variant of a figure preset, one CSV per variant.
 
-    Variant `label` is written next to `base` as `<stem>_<label><suffix>`,
-    the suffix defaulting to `.csv`. Yields (path, rows) as each file is
-    written.
+    Each variant's overrides apply on top of the config file's values (the
+    built-in defaults without one). Variant `label` is written next to
+    `base` as `<stem>_<label><suffix>`, the suffix defaulting to `.csv`.
+    Yields (path, rows) as each file is written.
     """
+    values = _config_values(config)
     base = pathlib.Path(base)
     base.parent.mkdir(parents=True, exist_ok=True)
     suffix = base.suffix or ".csv"
     for variant in figure_preset(preset_id):
         # figure overrides are boundary-unit values
-        params = params_from_boundary({**BOUNDARY_DEFAULTS, **variant.overrides})
+        params = params_from_boundary({**values, **variant.overrides})
         spec = replace(variant.spec, trials=trials, seed=seed)
         rows = run_sweep(spec, params, threads=threads)
         path = base.with_name(f"{base.stem}_{variant.label}{suffix}")
@@ -583,7 +594,7 @@ def main(argv=None) -> int:
     if args.command == "figure":
         base = args.output or f"{args.preset}.csv"
         for path, _ in run_figure(args.preset, base, args.trials, args.seed,
-                                  threads=args.threads):
+                                  threads=args.threads, config=args.config):
             print(f"wrote {path}", file=sys.stderr)
         return 0
 

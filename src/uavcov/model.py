@@ -8,11 +8,15 @@ per-km^2 values are only accepted at the configuration boundary (see
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
+from scipy.special import erf
 
 from .errors import GeometryError, ParameterError
+from .quadrature import gauss_nodes
 
 __all__ = [
     "LinkType",
@@ -33,7 +37,11 @@ __all__ = [
     "sample_fading",
     "horizontal_speed",
     "mobility_pdfs",
+    "horizontal_speed_cdf",
+    "horizontal_speed_nodes",
 ]
+
+_BISECTION_STEPS = 60
 
 
 class LinkType(enum.Enum):
@@ -310,3 +318,62 @@ def mobility_pdfs(params: SystemParams):
         return np.where(inside, 1.0 / np.pi, 0.0)
 
     return f_rho, f_z, f_theta
+
+
+def _speed_ratio_cdf(t, z_t: float, mu: float, h_lb: float, h_ub: float):
+    """P(v_h <= t V | z_t) for t in (0, 1]: the Rayleigh transition length
+    gives P(v_h <= s | dz) = 1 - exp(-a^2 dz^2), a^2 = pi mu s^2/(V^2 - s^2),
+    and the uniform pre-move altitude averages exp(-a^2 dz^2) in erf form."""
+    with np.errstate(divide="ignore"):  # t = 1: a = inf, erf = 1, F = 1
+        a = np.sqrt(np.pi * mu * t * t / ((1.0 - t) * (1.0 + t)))
+    spread = erf(a * (z_t - h_lb)) + erf(a * (h_ub - z_t))
+    return 1.0 - 0.5 * math.sqrt(math.pi) * spread / (a * (h_ub - h_lb))
+
+
+def horizontal_speed_cdf(s, z_t: float, params: SystemParams):
+    """CDF of the horizontal speed v_h given the post-move altitude z_t:
+
+    F(s) = 1 - (1/band) (sqrt(pi)/(2a)) [erf(a (z_t - h_lb)) + erf(a (h_ub - z_t))],
+    a = sqrt(pi mu s^2 / (V^2 - s^2)), for the Rayleigh transition length
+    and the uniform pre-move altitude of ``mobility_pdfs``; 0 below s = 0
+    and 1 from s = V on.
+    """
+    s = np.asarray(s, dtype=float)
+    t = s / params.v if params.v > 0.0 else np.where(s >= 0.0, 1.0, 0.0)
+    inside = (t > 0.0) & (t < 1.0)
+    cdf = _speed_ratio_cdf(np.where(inside, t, 0.5), z_t, params.mu,
+                           params.h_lb, params.h_ub)
+    out = np.where(inside, cdf, np.where(t >= 1.0, 1.0, 0.0))
+    return float(out) if out.ndim == 0 else out
+
+
+@lru_cache(maxsize=256)
+def _speed_ratio_nodes(z_t: float, mu: float, h_lb: float, h_ub: float, n: int):
+    """F^-1 at the n Gauss-Legendre nodes of (0, 1), as ratios v_h / V,
+    by a vectorised bisection to double precision."""
+    u, w = gauss_nodes(0.0, 1.0, n)
+    lo, hi = np.zeros(n), np.ones(n)
+    for _ in range(_BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        below = _speed_ratio_cdf(mid, z_t, mu, h_lb, h_ub) < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    t = 0.5 * (lo + hi)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
+def horizontal_speed_nodes(z_t: float, params: SystemParams, n: int):
+    """Gauss nodes of the horizontal-speed law given z_t.
+
+    Substituting u = F(v_h) makes the law the integration measure: the
+    nodes are F^-1 at the Gauss-Legendre nodes of (0, 1) and the weights
+    are the plain Gauss weights, which sum to 1. The ratios v_h / V do not
+    depend on V and are cached per (z_t, mu, band, n).
+
+    Returns:
+        (v_h, weights): n increasing speeds in [0, V] and their weights.
+    """
+    t, w = _speed_ratio_nodes(float(z_t), params.mu, params.h_lb, params.h_ub, n)
+    return params.v * t, w

@@ -53,6 +53,9 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _Z95 = 1.959963984540054
 FIELD_MARGIN = 50.0
+# mean stations per sampled field beyond which an estimator refuses to run;
+# an episode keeps some ten float arrays per station alive
+MAX_MEAN_STATIONS = 1e6
 
 
 @dataclass(frozen=True)
@@ -119,6 +122,16 @@ def field_radius(params: SystemParams) -> float:
     """Sampling disc radius covering both receiving discs of one movement."""
     r_m = receiving_radius(params.h_ub, params.h_b, params.antenna)
     return r_m + params.v + FIELD_MARGIN
+
+
+def _check_field_budget(lambda_b: float, r_field: float) -> None:
+    """Reject, before any draw, a field whose mean station count exceeds
+    MAX_MEAN_STATIONS (a beamwidth near 180 degrees, a dense network)."""
+    mean = lambda_b * np.pi * r_field * r_field
+    if not mean <= MAX_MEAN_STATIONS:
+        raise ParameterError(
+            f"sampling field of radius {r_field:.4g} m holds {mean:.3g} stations "
+            f"on average, above the budget of {MAX_MEAN_STATIONS:.0e}")
 
 
 def sample_ppp(lambda_b: float, r_field: float, rng: np.random.Generator) -> GbsField:
@@ -259,6 +272,8 @@ def summary_estimates(params: SystemParams, n: int, seed: int,
     """All standard metrics from a single pass over n episodes."""
     if n < 100:
         raise ParameterError("need at least 100 trials")
+    _check_field_budget(params.lambda_b,
+                        field_radius(params) if r_field is None else r_field)
     if workers <= 1:
         counts = _tally_range((params, seed, 0, n, r_field))
     else:
@@ -276,6 +291,7 @@ def association_estimate(params: SystemParams, z: float, n: int, seed: int) -> d
     if n < 100:
         raise ParameterError("need at least 100 trials")
     r_field = receiving_radius(z, params.h_b, params.antenna) + 1.0
+    _check_field_budget(params.lambda_b, r_field)
     uav = Waypoint(0.0, 0.0, z)
     counts = {"assoc_los": 0, "assoc_nlos": 0, "void": 0}
     for e in range(n):
@@ -363,6 +379,7 @@ def conditioned_oracles(params: SystemParams, r0: float, z_t: float,
     ch = params.channel
     band = params.h_ub - params.h_lb
     r_field = field_radius(params)
+    _check_field_budget(params.lambda_b, r_field)
     budget = _RejectionBudget()
 
     handovers = 0
@@ -411,6 +428,7 @@ def laplace_estimate(params: SystemParams, serving: LinkType, r0: float,
     """Empirical Laplace functional E[exp(-tau I)] of the interference
     (fading included) under the pinned-serving conditioning."""
     r_m = receiving_radius(z, params.h_b, params.antenna)
+    _check_field_budget(params.lambda_b, r_m + 1.0)
     pg = params.p_t * params.g_tot
     budget = _RejectionBudget()
     total = 0.0

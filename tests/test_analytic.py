@@ -1,8 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from uavcov import analytic
 from uavcov.analytic import (
     HandoverContext,
     N_R0,
@@ -243,6 +245,23 @@ class TestCoverageProbability:
         fine = _breakdown(params, _policy_metrics(key, False, 20, 56))
         assert abs(coarse.total - fine.total) < 5e-4
         assert abs(coarse.handover_prob - fine.handover_prob) < 5e-4
+
+
+class TestHandoverKernelGrid:
+    @pytest.mark.parametrize("antenna", [DirectionalAntenna(), OmniAntenna()],
+                             ids=["directional", "omni"])
+    @pytest.mark.parametrize("lam", [10.0, 100.0, 1000.0])
+    def test_default_grid_matches_refined(self, params, monkeypatch, lam,
+                                          antenna):
+        # the direction x horizontal-speed grid of the handover kernel at
+        # twice its default node counts; the largest gap, about 3e-6, is at
+        # the densest network
+        key = params.with_(lambda_b=lam * 1e-6, antenna=antenna, kappa=0.0)
+        default = _policy_metrics.__wrapped__(key, False, N_Z, N_R0).handover
+        monkeypatch.setattr(analytic, "_cond_handover_grid", functools.partial(
+            analytic._cond_handover_grid, n_theta=48, n_v=64))
+        refined = _policy_metrics.__wrapped__(key, False, N_Z, N_R0).handover
+        assert abs(default - refined) <= 1e-5
 
 
 class TestAssociationMarginals:

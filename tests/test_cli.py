@@ -235,6 +235,46 @@ class TestMainEntry:
             assert (tmp_path / path).read_text().startswith(",".join(CSV_HEADER))
             assert f"wrote {path}\n" in log
 
+    def test_figure_command_reads_config(self, tmp_path, monkeypatch):
+        # the config sets the scenario; the preset's own keys (here the
+        # height band) still override it
+        full = cli.figure_preset
+        monkeypatch.setattr(cli, "figure_preset", lambda preset_id: [
+            replace(v, spec=replace(v.spec, values=(100.0,),
+                                    antennas=("directional",), engine="analytic"))
+            for v in full(preset_id)])
+
+        def csv_bytes(name, config_text):
+            argv = ["figure", "fig2a", "--output", str(tmp_path / name / "fig")]
+            if config_text is not None:
+                argv += ["--config", write_config(tmp_path, config_text)]
+            assert main(argv) == 0
+            return [(tmp_path / name / f"fig_{v.label}.csv").read_bytes()
+                    for v in full("fig2a")]
+
+        default = csv_bytes("default", None)
+        slow = csv_bytes("slow", "v = 5\n")
+        assert all(a != b for a, b in zip(default, slow))
+        assert csv_bytes("banded", "v = 5\nh_ub = 200\n") == slow
+
+    def test_simulate_threads_reach_the_episodes(self, tmp_path, monkeypatch):
+        seen = []
+        estimates = cli.montecarlo.summary_estimates
+
+        def recording(params, n, seed, workers=1, **kwargs):
+            seen.append(workers)
+            return estimates(params, n, seed, workers=workers, **kwargs)
+
+        monkeypatch.setattr(cli.montecarlo, "summary_estimates", recording)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}.csv"
+            assert main(["simulate", "--trials", "2000", "--seed", "5",
+                         "--threads", threads, "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert seen == [1, 2]
+        assert outputs[0] == outputs[1]
+
     def test_validate_command_exit_status(self, tmp_path):
         out = tmp_path / "report.txt"
         code = main(["validate", "--trials", "10000", "--seed", "3",

@@ -14,6 +14,8 @@ from uavcov.model import (
     SystemParams,
     default_params,
     horizontal_speed,
+    horizontal_speed_cdf,
+    horizontal_speed_nodes,
     linear_from_db,
     los_probability,
     mobility_pdfs,
@@ -185,6 +187,35 @@ class TestMobilityPdfs:
             assert float(f_theta(theta)) == pytest.approx(1.0 / math.pi)
         assert integrate(lambda z: float(f_z(z)), params.h_lb, params.h_ub,
                          TIGHT) == pytest.approx(1.0, abs=1e-8)
+
+
+class TestHorizontalSpeedLaw:
+    @pytest.mark.parametrize("z_t", [90.0, 120.0, 150.0])
+    def test_cdf_matches_sampled_speeds(self, params, z_t):
+        # Kolmogorov-Smirnov distance of the closed-form CDF from the
+        # empirical CDF of sampled (transition length, pre-move altitude)
+        rng = np.random.default_rng(11)
+        n = 200_000
+        rho = rng.rayleigh(1.0 / math.sqrt(2.0 * np.pi * params.mu), n)
+        z_prev = rng.uniform(params.h_lb, params.h_ub, n)
+        speeds = np.sort(horizontal_speed(params.v, rho, z_t - z_prev))
+        cdf = horizontal_speed_cdf(speeds, z_t, params)
+        steps = np.arange(1, n + 1) / n
+        ks = max(np.max(steps - cdf), np.max(cdf - (steps - 1.0 / n)))
+        assert ks < 1.95 / math.sqrt(n)   # 0.1 % level
+
+    @pytest.mark.parametrize("z_t", [90.0, 100.0, 120.0, 150.0])
+    def test_nodes_inside_speed_range_and_increasing(self, params, z_t):
+        v_h, w = horizontal_speed_nodes(z_t, params, 32)
+        assert np.all(v_h >= 0.0) and np.all(v_h <= params.v)
+        assert np.all(np.diff(v_h) > 0.0)
+        assert np.sum(w) == pytest.approx(1.0, abs=1e-14)
+
+    def test_thin_band_moves_horizontally(self, params):
+        # a band 1e-6 m thick leaves no vertical motion: v_h = V
+        thin = params.with_(h_lb=120.0 - 5e-7, h_ub=120.0 + 5e-7)
+        v_h, _ = horizontal_speed_nodes(120.0, thin, 32)
+        assert np.max(np.abs(v_h / thin.v - 1.0)) <= 1e-9
 
 
 class TestParamValidation:

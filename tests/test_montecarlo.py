@@ -1,16 +1,20 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+from uavcov import montecarlo
 from uavcov.errors import ParameterError
 from uavcov.model import (
     AssociationPolicy,
     ChannelParams,
+    DirectionalAntenna,
     LinkType,
     Waypoint,
 )
 from uavcov.montecarlo import (
+    MAX_MEAN_STATIONS,
     GbsField,
     associate,
     association_estimate,
@@ -18,6 +22,7 @@ from uavcov.montecarlo import (
     conditioned_oracles,
     episode_rng,
     field_radius,
+    laplace_estimate,
     sample_ppp,
     simulate_episode,
     summary_estimates,
@@ -250,3 +255,28 @@ class TestConditionedOracles:
     def test_conditioning_validates_inputs(self, params):
         with pytest.raises(ParameterError):
             conditioned_oracles(params, 1e4, 120.0, LinkType.LOS, 500, 1)
+
+
+class TestFieldBudget:
+    def test_oversized_field_rejected_before_sampling(self, params, monkeypatch):
+        # beamwidth 179.9 degrees at 1000/km^2: r_m is about 137 km, so a
+        # field would hold about 6e7 stations
+        wide = params.with_(lambda_b=1e-3,
+                            antenna=DirectionalAntenna(179.9))
+        assert wide.lambda_b * math.pi * field_radius(wide) ** 2 > MAX_MEAN_STATIONS
+
+        def no_draw(*args):
+            raise AssertionError("sampled a field above the budget")
+
+        monkeypatch.setattr(montecarlo, "sample_ppp", no_draw)
+        calls = [
+            lambda: summary_estimates(wide, 1000, 1),
+            lambda: association_estimate(wide, 120.0, 1000, 1),
+            lambda: conditioned_oracles(wide, 50.0, 120.0, LinkType.LOS, 1000, 1),
+            lambda: laplace_estimate(wide, LinkType.LOS, 50.0, 120.0, 1.0, 1000, 1),
+        ]
+        for call in calls:
+            start = time.perf_counter()
+            with pytest.raises(ParameterError, match="budget"):
+                call()
+            assert time.perf_counter() - start < 1.0
