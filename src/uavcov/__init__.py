@@ -5,13 +5,10 @@ the closed-form probabilities plus a Monte Carlo validation simulator."""
 from .analytic import (
     CoverageBreakdown,
     HandoverContext,
-    association_marginals,
     conditional_coverage,
     conditional_handover,
     conditional_handover_any,
     coverage_probability,
-    coverage_probability_nearest,
-    handover_probability,
     laplace_derivatives,
     laplace_interference,
 )

@@ -1,5 +1,12 @@
 """Numerical evaluation of the closed-form handover and coverage expressions.
 
+``coverage_probability(params)`` is the one entry point for the marginal
+quantities: coverage, handover, association and void. The association rule
+is ``params.policy``: strongest-average-RSS, or nearest GBS (type-blind
+handover, interference from beyond the serving distance). The conditional
+coverage, the Laplace transform and the handover to any type read it too;
+the handover to one target type is the strongest-average-RSS expression.
+
 Layout of the computation:
 
 * conditional handover: PPP null probability of the equal-power
@@ -54,12 +61,10 @@ __all__ = [
     "CoverageBreakdown",
     "conditional_handover",
     "conditional_handover_any",
-    "handover_probability",
     "laplace_interference",
     "laplace_derivatives",
     "conditional_coverage",
     "coverage_probability",
-    "coverage_probability_nearest",
     "coverage_drift_events",
     "reset_coverage_drift_counter",
 ]
@@ -101,13 +106,15 @@ class CoverageBreakdown:
     """Coverage probability with its companion quantities.
 
     per_link holds the LoS/NLoS serving contributions to the total (joint
-    probabilities of "served by that type and covered").
+    probabilities of "served by that type and covered"); association holds
+    the LoS/NLoS association probabilities.
     """
 
     total: float
     per_link: tuple[float, float]
     handover_prob: float
     void_prob: float
+    association: tuple[float, float]
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +155,18 @@ def _cond_handover_grid(serving: LinkType, targets: tuple, r0, z_t: float,
 
 
 def _stay_grid(serving: LinkType, r0, z_t: float, params: SystemParams) -> np.ndarray:
-    """P(no handover to either target type | serving type, r0, z_t), the
-    target types composed as independent thinnings; vectorized in r0."""
-    return np.prod(1.0 - _cond_handover_grid(serving, tuple(LinkType), r0, z_t,
-                                             params), axis=0)
+    """P(no handover | serving type, r0, z_t), vectorized in r0.
+
+    Under strongest-average-RSS the two target types compose as independent
+    thinnings; the nearest policy ignores type, so one same-type target (the
+    identity radius map) covers every station.
+    """
+    if params.policy is AssociationPolicy.NEAREST:
+        serving, targets = LinkType.LOS, (LinkType.LOS,)
+    else:
+        targets = tuple(LinkType)
+    return np.prod(1.0 - _cond_handover_grid(serving, targets, r0, z_t, params),
+                   axis=0)
 
 
 def _check_ctx(ctx: HandoverContext, params: SystemParams) -> None:
@@ -171,8 +186,8 @@ def conditional_handover(ctx: HandoverContext, target: LinkType,
 
 
 def conditional_handover_any(ctx: HandoverContext, params: SystemParams) -> float:
-    """Handover probability to any target type, composed across target types
-    under the independent-thinning assumption."""
+    """Handover probability to any target type; under strongest-average-RSS
+    composed across target types as independent thinnings."""
     _check_ctx(ctx, params)
     r0 = np.asarray([ctx.r0], dtype=float)
     return 1.0 - float(_stay_grid(ctx.serving, r0, ctx.z_t, params)[0])
@@ -183,14 +198,16 @@ def conditional_handover_any(ctx: HandoverContext, params: SystemParams) -> floa
 # ---------------------------------------------------------------------------
 
 def _interference_nodes(serving: LinkType, r0: np.ndarray, z: float,
-                        params: SystemParams, nearest: bool, n_x=N_X):
+                        params: SystemParams, n_x=N_X):
     """Quadrature nodes for the Laplace exponent integrals.
 
     Returns, per interferer type, (x nodes, dx weights) of shape
     (len(r0), 2*n_x): a linear panel from the exclusion radius to a
     mid-point around twice the effective height, then a geometric panel to
-    the receiving radius.
+    the receiving radius. Under the nearest policy every interferer lies
+    beyond the serving distance, whatever its type.
     """
+    nearest = params.policy is AssociationPolicy.NEAREST
     ctx = height_context(params, z)
     hi = ctx.r_m
     t01, w01 = gauss_nodes(0.0, 1.0, n_x)
@@ -218,12 +235,12 @@ def _interference_nodes(serving: LinkType, r0: np.ndarray, z: float,
 
 def _exponent_derivatives(tau: np.ndarray, serving: LinkType, r0: np.ndarray,
                           z: float, params: SystemParams, max_order: int,
-                          nearest: bool = False, n_x=N_X) -> list[np.ndarray]:
+                          n_x=N_X) -> list[np.ndarray]:
     """g(tau) and its tau-derivatives, g being the Laplace exponent
     -2 pi lam sum_xi int P_xi gamma_xi x dx. Vectorized over (tau, r0) pairs."""
     ch = params.channel
     pg = params.p_t * params.g_tot
-    panels = _interference_nodes(serving, r0, z, params, nearest, n_x)
+    panels = _interference_nodes(serving, r0, z, params, n_x)
     ctx = height_context(params, z)
     ders = [np.zeros_like(tau) for _ in range(max_order + 1)]
     for xi, (xs, ws) in panels.items():
@@ -246,11 +263,11 @@ def _exponent_derivatives(tau: np.ndarray, serving: LinkType, r0: np.ndarray,
 
 
 def _laplace_derivative_grid(tau: np.ndarray, serving: LinkType, r0: np.ndarray,
-                             z: float, params: SystemParams, max_order: int,
-                             nearest: bool = False) -> list[np.ndarray]:
+                             z: float, params: SystemParams,
+                             max_order: int) -> list[np.ndarray]:
     """L and its derivatives through the exponential-composition recursion
     L^(l) = sum_j C(l-1, j) L^(j) g^(l-j)."""
-    g = _exponent_derivatives(tau, serving, r0, z, params, max_order, nearest)
+    g = _exponent_derivatives(tau, serving, r0, z, params, max_order)
     ders = [np.exp(g[0])]
     for order in range(1, max_order + 1):
         total = np.zeros_like(tau)
@@ -285,12 +302,12 @@ def _tau_threshold(serving: LinkType, r0, z: float, params: SystemParams):
 
 
 def _coverage_grid(serving: LinkType, r0: np.ndarray, z: float,
-                   params: SystemParams, nearest: bool = False) -> np.ndarray:
+                   params: SystemParams) -> np.ndarray:
     """Conditional coverage on an array of serving distances."""
     global _drift_events
     m = params.channel.m(serving)
     tau = np.asarray(_tau_threshold(serving, r0, z, params), dtype=float)
-    ders = _laplace_derivative_grid(tau, serving, r0, z, params, m - 1, nearest)
+    ders = _laplace_derivative_grid(tau, serving, r0, z, params, m - 1)
     total = np.zeros_like(tau)
     for l in range(m):
         total += (-tau) ** l / math.factorial(l) * ders[l]
@@ -363,20 +380,18 @@ def _nearest_nodes(ctx, params: SystemParams, n_r0: int):
     u_top = -math.expm1(-np.pi * lam * ctx.r_m ** 2)
     u, w_u = gauss_nodes(0.0, u_top, n_r0)
     r0 = np.sqrt(-np.log1p(-u) / (np.pi * lam))
-    # type is ignored for handover under the nearest policy: identity map
-    stay = 1.0 - _cond_handover_grid(LinkType.LOS, (LinkType.LOS,), r0, ctx.z,
-                                     params)[0]
+    stay = _stay_grid(LinkType.LOS, r0, ctx.z, params)
     for link in LinkType:
         yield link, r0, w_u * ctx.p_type(link, r0), stay
 
 
 @lru_cache(maxsize=64)
-def _policy_metrics(params: SystemParams, nearest: bool,
-                    n_z: int, n_r0: int) -> _PolicyMetrics:
+def _policy_metrics(params: SystemParams, n_z: int, n_r0: int) -> _PolicyMetrics:
     _, f_z, _ = mobility_pdfs(params)
     z_nodes, w_z = gauss_nodes(params.h_lb, params.h_ub, n_z)
     w_z = w_z * f_z(z_nodes)
-    nodes = _nearest_nodes if nearest else _strongest_nodes
+    nodes = (_nearest_nodes if params.policy is AssociationPolicy.NEAREST
+             else _strongest_nodes)
 
     cov1 = {link: 0.0 for link in LinkType}
     cov2 = {link: 0.0 for link in LinkType}
@@ -384,18 +399,13 @@ def _policy_metrics(params: SystemParams, nearest: bool,
     handover = 0.0
     for z, wz in zip(z_nodes, w_z):
         for link, r0, weight, stay in nodes(height_context(params, z), params, n_r0):
-            p_cov = _coverage_grid(link, r0, z, params, nearest)
+            p_cov = _coverage_grid(link, r0, z, params)
             assoc[link] += wz * float(np.sum(weight))
             cov1[link] += wz * float(np.sum(weight * p_cov))
             cov2[link] += wz * float(np.sum(weight * p_cov * stay))
             handover += wz * float(np.sum(weight * (1.0 - stay)))
     void = 1.0 - sum(assoc.values())
     return _PolicyMetrics(cov1, cov2, handover, assoc, void)
-
-
-def _metrics(params: SystemParams, nearest: bool, n_z=N_Z, n_r0=N_R0) -> _PolicyMetrics:
-    # the heavy integrals do not depend on kappa; key the cache without it
-    return _policy_metrics(replace(params, kappa=0.0), nearest, n_z, n_r0)
 
 
 def _breakdown(params: SystemParams, metrics: _PolicyMetrics) -> CoverageBreakdown:
@@ -409,34 +419,14 @@ def _breakdown(params: SystemParams, metrics: _PolicyMetrics) -> CoverageBreakdo
         per_link=per_link,
         handover_prob=float(metrics.handover),
         void_prob=min(max(float(metrics.void), 0.0), 1.0),
+        association=tuple(float(metrics.assoc[link]) for link in LinkType),
     )
 
 
 def coverage_probability(params: SystemParams) -> CoverageBreakdown:
-    """Coverage of the mobile user under strongest-average-RSS association,
-    combining handover-free coverage with the handover-survival term."""
-    return _breakdown(params, _metrics(params, nearest=False))
-
-
-def coverage_probability_nearest(params: SystemParams) -> CoverageBreakdown:
-    """Coverage under nearest-GBS association (type-blind handover and
-    interference limits starting at the serving distance)."""
-    return _breakdown(params, _metrics(params, nearest=True))
-
-
-def handover_probability(params: SystemParams) -> float:
-    """Marginal handover probability: conditional handover averaged over the
-    serving type, serving distance and both altitudes; void mass counts as
-    no handover."""
-    nearest = params.policy is AssociationPolicy.NEAREST
-    return _metrics(params, nearest=nearest).handover
-
-
-def association_marginals(params: SystemParams, nearest: bool = False) -> dict:
-    """Altitude-averaged association probabilities and void probability."""
-    metrics = _metrics(params, nearest=nearest)
-    return {
-        "assoc_los": metrics.assoc[LinkType.LOS],
-        "assoc_nlos": metrics.assoc[LinkType.NLOS],
-        "void": metrics.void,
-    }
+    """Coverage of the mobile user under the association policy of params,
+    combining handover-free coverage with the handover-survival term, with
+    the marginal handover, association and void probabilities."""
+    # the heavy integrals do not depend on kappa; key the cache without it
+    metrics = _policy_metrics(replace(params, kappa=0.0), N_Z, N_R0)
+    return _breakdown(params, metrics)

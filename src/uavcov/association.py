@@ -120,17 +120,12 @@ def height_context(params: SystemParams, z: float) -> HeightContext:
 
 def cross_exclusion_limit(serving: LinkType, r0, ctx: HeightContext,
                           params: SystemParams):
-    """Exclusion radius for opposite-type GBSs given a serving type.
-
-    With a LoS serving GBS the NLoS exclusion is max(rho, 0); with an NLoS
-    serving GBS the LoS exclusion is capped at the receiving radius (a LoS
-    GBS beyond the receiving range is not received and cannot have won the
-    association).
+    """Exclusion radius for opposite-type GBSs given a serving type, capped
+    at the receiving radius: a GBS of either type beyond the receiving range
+    is not received and cannot have won the association.
     """
-    rho = exclusion_radius(serving, r0, ctx.h_bar, params.channel)
-    if serving is LinkType.NLOS:
-        return np.minimum(rho, ctx.r_m)
-    return rho
+    return np.minimum(exclusion_radius(serving, r0, ctx.h_bar, params.channel),
+                      ctx.r_m)
 
 
 def nearest_type_pdf(link: LinkType, r0, z: float, params: SystemParams):

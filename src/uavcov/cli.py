@@ -24,6 +24,7 @@ and 9-significant-digit floats, byte-deterministic for a given
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import pathlib
@@ -90,6 +91,8 @@ _INT_KEYS = {"m_l", "m_n"}
 
 SWEEP_AXES = ("lambda_b", "beamwidth_deg", "v", "kappa", "height_band", "t_thresh")
 METRICS = ("coverage", "handover", "association", "void")
+POLICIES = tuple(p.value for p in AssociationPolicy)
+ANTENNAS = ("directional", "omni")
 LAMBDA_GRID = (10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
 BEAMWIDTH_GRID = (20.0, 50.0, 80.0, 110.0, 140.0, 170.0)
 
@@ -181,9 +184,12 @@ class SweepSpec:
             raise ParameterError(f"unknown sweep axis '{self.axis}'")
         if not self.values or not self.metrics:
             raise ParameterError("values and metrics must be non-empty")
-        for m in self.metrics:
-            if m not in METRICS:
-                raise ParameterError(f"unknown metric '{m}'")
+        for kind, names, known in (("metric", self.metrics, METRICS),
+                                   ("policy", self.policies, POLICIES),
+                                   ("antenna", self.antennas, ANTENNAS)):
+            for name in names:
+                if name not in known:
+                    raise ParameterError(f"unknown {kind} '{name}'")
         if self.engine not in ("analytic", "mc", "both"):
             raise ParameterError(f"unknown engine '{self.engine}'")
         if self.engine != "analytic" and self.trials < 100:
@@ -235,48 +241,21 @@ def _apply_axis(params: SystemParams, axis: str, value) -> SystemParams:
 
 
 def _apply_antenna(params: SystemParams, name: str) -> SystemParams:
-    if name == "directional":
-        antenna = (params.antenna if isinstance(params.antenna, DirectionalAntenna)
-                   else DirectionalAntenna())
-    elif name == "omni":
-        antenna = (params.antenna if isinstance(params.antenna, OmniAntenna)
-                   else OmniAntenna())
-    else:
-        raise ParameterError(f"unknown antenna '{name}'")
-    return params.with_(antenna=antenna)
+    """The configured antenna when it is of the named kind, else that kind's
+    default."""
+    kind = DirectionalAntenna if name == "directional" else OmniAntenna
+    return params if isinstance(params.antenna, kind) else params.with_(antenna=kind())
 
 
-def _format_value(value) -> str:
-    if isinstance(value, tuple):
-        return "-".join(_format_value(v) for v in value)
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
-
-
-def _analytic_metrics(params: SystemParams, policy: str) -> dict:
-    nearest = policy == "nearest"
-    breakdown = (analytic.coverage_probability_nearest(params) if nearest
-                 else analytic.coverage_probability(params))
-    marginals = analytic.association_marginals(params, nearest=nearest)
+def _analytic_metrics(params: SystemParams) -> dict:
+    """The analytic value of every CSV metric row, under params.policy."""
+    breakdown = analytic.coverage_probability(params)
     return {
         "coverage": breakdown.total,
         "handover": breakdown.handover_prob,
         "void": breakdown.void_prob,
-        "association_los": marginals["assoc_los"],
-        "association_nlos": marginals["assoc_nlos"],
-    }
-
-
-def _mc_metrics(params: SystemParams, trials: int, seed: int,
-                workers: int) -> dict:
-    summary = montecarlo.summary_estimates(params, trials, seed, workers=workers)
-    return {
-        "coverage": summary["coverage"],
-        "handover": summary["handover"],
-        "void": summary["void"],
-        "association_los": summary["assoc_los"],
-        "association_nlos": summary["assoc_nlos"],
+        "association_los": breakdown.association[0],
+        "association_nlos": breakdown.association[1],
     }
 
 
@@ -295,12 +274,13 @@ def _evaluate_group(args, workers: int = 1) -> list:
     analytic_vals, mc_vals = {}, {}
     if spec.engine in ("analytic", "both"):
         try:
-            analytic_vals = _analytic_metrics(p, policy)
+            analytic_vals = _analytic_metrics(p)
         except Exception as exc:  # recorded per row, sweep continues
             error = f"analytic: {exc}"
     if spec.engine in ("mc", "both"):
         try:
-            mc_vals = _mc_metrics(p, spec.trials, spec.seed, workers=workers)
+            mc_vals = montecarlo.summary_estimates(p, spec.trials, spec.seed,
+                                                   workers=workers)
         except Exception as exc:
             error = (error + "; " if error else "") + f"mc: {exc}"
     rows = []
@@ -404,24 +384,24 @@ def run_figure(preset_id: str, base, trials: int, seed: int, threads: int = 1,
         yield path, rows
 
 
+def _format(x) -> str:
+    """CSV text of one cell: floats with 9 significant digits, tuples (the
+    height band) joined by '-', None empty."""
+    if x is None:
+        return ""
+    if isinstance(x, tuple):
+        return "-".join(_format(v) for v in x)
+    if isinstance(x, float):
+        return f"{x:.9g}"
+    return str(x)
+
+
 def rows_to_csv(rows, fh) -> None:
     """Write rows with the fixed schema; floats use 9 significant digits."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-
-    def fmt(x):
-        if x is None:
-            return ""
-        if isinstance(x, float):
-            return f"{x:.9g}"
-        return str(x)
-
     for r in rows:
-        writer.writerow([
-            r.axis, _format_value(r.value), r.metric, r.policy, r.antenna,
-            fmt(r.analytic), fmt(r.mc_mean), fmt(r.mc_ci_low),
-            fmt(r.mc_ci_high), fmt(r.n), fmt(r.seed), r.error,
-        ])
+        writer.writerow([_format(getattr(r, name)) for name in CSV_HEADER])
 
 
 @dataclass(frozen=True)
@@ -471,31 +451,27 @@ def validate(params: SystemParams, trials: int, seed: int,
 
     A row passes when the absolute gap is at most max(0.02, 3 * CI
     half-width). Coverage is checked under both association policies;
-    association fractions, void and handover under the configured policy.
+    association fractions, void and handover under strongest-average-RSS.
     """
     if trials < 10_000:
         raise ParameterError("validation needs at least 10^4 trials")
-    p_strongest = params.with_(policy=AssociationPolicy.STRONGEST_RSS)
-    p_nearest = params.with_(policy=AssociationPolicy.NEAREST)
+    strongest = params.with_(policy=AssociationPolicy.STRONGEST_RSS)
+    nearest = params.with_(policy=AssociationPolicy.NEAREST)
+    an_s, an_n = _analytic_metrics(strongest), _analytic_metrics(nearest)
+    mc_s = montecarlo.summary_estimates(strongest, trials, seed, workers=threads)
+    mc_n = montecarlo.summary_estimates(nearest, trials, seed, workers=threads)
 
-    mc_s = montecarlo.summary_estimates(p_strongest, trials, seed, workers=threads)
-    mc_n = montecarlo.summary_estimates(p_nearest, trials, seed, workers=threads)
-
-    breakdown_s = analytic.coverage_probability(p_strongest)
-    breakdown_n = analytic.coverage_probability_nearest(p_nearest)
-    marginals = analytic.association_marginals(p_strongest)
-
-    def row(name, value, est):
-        return ValidationRow(name, value, est,
-                             max(0.02, 3.0 * est.half_width))
+    def row(name, key, an=an_s, mc=mc_s):
+        est = mc[key]
+        return ValidationRow(name, an[key], est, max(0.02, 3.0 * est.half_width))
 
     rows = (
-        row("assoc_los", marginals["assoc_los"], mc_s["assoc_los"]),
-        row("assoc_nlos", marginals["assoc_nlos"], mc_s["assoc_nlos"]),
-        row("void", marginals["void"], mc_s["void"]),
-        row("handover", breakdown_s.handover_prob, mc_s["handover"]),
-        row("coverage_strongest", breakdown_s.total, mc_s["coverage"]),
-        row("coverage_nearest", breakdown_n.total, mc_n["coverage"]),
+        row("assoc_los", "association_los"),
+        row("assoc_nlos", "association_nlos"),
+        row("void", "void"),
+        row("handover", "handover"),
+        row("coverage_strongest", "coverage"),
+        row("coverage_nearest", "coverage", an_n, mc_n),
     )
     return ValidationReport(rows, trials, seed)
 
@@ -514,15 +490,15 @@ def _add_common(parser):
 
 
 def _open_output(path):
+    """Context manager of the output file, or of stdout without a path."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _single_point_rows(params, engine, trials, seed, threads):
     spec = SweepSpec(axis="lambda_b", values=(params.lambda_b * 1e6,),
-                     metrics=("coverage", "handover", "association", "void"),
-                     policies=(params.policy.value,),
+                     metrics=METRICS, policies=(params.policy.value,),
                      antennas=("directional" if isinstance(
                          params.antenna, DirectionalAntenna) else "omni",),
                      engine=engine, trials=trials, seed=seed)
@@ -550,8 +526,10 @@ def main(argv=None) -> int:
                                 "(height_band: lo:hi pairs)")
             p.add_argument("--metrics", default="coverage",
                            help=f"comma-separated subset of {METRICS}")
-            p.add_argument("--policies", default="strongest_rss")
-            p.add_argument("--antennas", default="directional")
+            p.add_argument("--policies", default="strongest_rss",
+                           help=f"comma-separated subset of {POLICIES}")
+            p.add_argument("--antennas", default="directional",
+                           help=f"comma-separated subset of {ANTENNAS}")
             p.add_argument("--engine", default="both",
                            choices=("analytic", "mc", "both"))
         if name == "figure":
@@ -564,10 +542,8 @@ def main(argv=None) -> int:
         engine = "analytic" if args.command == "analytic" else "mc"
         rows = _single_point_rows(params, engine, args.trials, args.seed,
                                   args.threads)
-        fh, close = _open_output(args.output)
-        rows_to_csv(rows, fh)
-        if close:
-            fh.close()
+        with _open_output(args.output) as fh:
+            rows_to_csv(rows, fh)
         return 0
 
     if args.command == "sweep":
@@ -585,10 +561,8 @@ def main(argv=None) -> int:
             antennas=tuple(args.antennas.split(",")),
             engine=args.engine, trials=args.trials, seed=args.seed)
         rows = run_sweep(spec, params, threads=args.threads)
-        fh, close = _open_output(args.output)
-        rows_to_csv(rows, fh)
-        if close:
-            fh.close()
+        with _open_output(args.output) as fh:
+            rows_to_csv(rows, fh)
         return 0
 
     if args.command == "figure":
@@ -600,10 +574,8 @@ def main(argv=None) -> int:
 
     if args.command == "validate":
         report = validate(params, args.trials, args.seed, threads=args.threads)
-        fh, close = _open_output(args.output)
-        fh.write(report.render())
-        if close:
-            fh.close()
+        with _open_output(args.output) as fh:
+            fh.write(report.render())
         return 0 if report.passed else 1
 
     raise AssertionError(f"unhandled command {args.command}")

@@ -174,8 +174,9 @@ def _station_fading(los: np.ndarray, params: SystemParams,
 
 
 def associate(field: GbsField, los: np.ndarray, uav: Waypoint,
-              policy: AssociationPolicy, params: SystemParams):
-    """Pick the serving GBS, or None when no station is in range (void).
+              params: SystemParams):
+    """Pick the serving GBS under params.policy, or None when no station is
+    in range (void).
 
     Strongest-average-RSS maximizes the mean received power (the common
     P_t*G_tot factor is omitted; it cannot change the argmax), the nearest
@@ -188,7 +189,7 @@ def associate(field: GbsField, los: np.ndarray, uav: Waypoint,
     in_range = d <= receiving_radius(uav.z, params.h_b, params.antenna)
     if not np.any(in_range):
         return None
-    if policy is AssociationPolicy.NEAREST:
+    if params.policy is AssociationPolicy.NEAREST:
         metric = np.where(in_range, -d, -np.inf)
     else:
         metric = np.where(in_range, _pathloss_gains(d, los, uav.z, params), -np.inf)
@@ -215,7 +216,7 @@ def simulate_episode(params: SystemParams, rng: np.random.Generator,
     start = Waypoint(0.0, 0.0, z_pre)
     latent = rng.random(len(field))
     los_pre = classify_links(field, start, params.env, params.h_b, latent)
-    pre = associate(field, los_pre, start, params.policy, params)
+    pre = associate(field, los_pre, start, params)
 
     v_h = horizontal_speed(params.v, rho, z_post - z_pre)
     if pre is not None:
@@ -227,7 +228,7 @@ def simulate_episode(params: SystemParams, rng: np.random.Generator,
                    v_h * math.sin(bearing + theta), z_post)
 
     los_post = classify_links(field, end, params.env, params.h_b, latent)
-    post = associate(field, los_post, end, params.policy, params)
+    post = associate(field, los_post, end, params)
 
     fading = _station_fading(los_post, params, rng)
     coin = rng.random()
@@ -248,7 +249,8 @@ def simulate_episode(params: SystemParams, rng: np.random.Generator,
                           sir, covered)
 
 
-_SUMMARY_KEYS = ("coverage", "handover", "assoc_los", "assoc_nlos", "void")
+_SUMMARY_KEYS = ("coverage", "handover", "association_los", "association_nlos",
+                 "void")
 
 
 def _tally_range(args) -> np.ndarray:
@@ -269,11 +271,13 @@ def _tally_range(args) -> np.ndarray:
 
 def summary_estimates(params: SystemParams, n: int, seed: int,
                       workers: int = 1, r_field: float | None = None) -> dict:
-    """All standard metrics from a single pass over n episodes."""
+    """All standard metrics from a single pass over n episodes, keyed like
+    the CSV metric column."""
     if n < 100:
         raise ParameterError("need at least 100 trials")
-    _check_field_budget(params.lambda_b,
-                        field_radius(params) if r_field is None else r_field)
+    if r_field is None:
+        r_field = field_radius(params)
+    _check_field_budget(params.lambda_b, r_field)
     if workers <= 1:
         counts = _tally_range((params, seed, 0, n, r_field))
     else:
@@ -293,19 +297,19 @@ def association_estimate(params: SystemParams, z: float, n: int, seed: int) -> d
     r_field = receiving_radius(z, params.h_b, params.antenna) + 1.0
     _check_field_budget(params.lambda_b, r_field)
     uav = Waypoint(0.0, 0.0, z)
-    counts = {"assoc_los": 0, "assoc_nlos": 0, "void": 0}
+    counts = {"association_los": 0, "association_nlos": 0, "void": 0}
     for e in range(n):
         rng = episode_rng(seed, e)
         field = sample_ppp(params.lambda_b, r_field, rng)
         los = classify_links(field, uav, params.env, params.h_b,
                              rng.random(len(field)))
-        got = associate(field, los, uav, params.policy, params)
+        got = associate(field, los, uav, params)
         if got is None:
             counts["void"] += 1
         elif got[1] is LinkType.LOS:
-            counts["assoc_los"] += 1
+            counts["association_los"] += 1
         else:
-            counts["assoc_nlos"] += 1
+            counts["association_nlos"] += 1
     return {k: _estimate_from_count(c, n, seed) for k, c in counts.items()}
 
 
@@ -333,10 +337,9 @@ class _RejectionBudget:
 
 
 def _beats_pinned(d: np.ndarray, los: np.ndarray, pinned_gain: float,
-                  pinned_r0: float, z: float, policy: AssociationPolicy,
-                  params: SystemParams) -> np.ndarray:
+                  pinned_r0: float, z: float, params: SystemParams) -> np.ndarray:
     in_range = d <= receiving_radius(z, params.h_b, params.antenna)
-    if policy is AssociationPolicy.NEAREST:
+    if params.policy is AssociationPolicy.NEAREST:
         return in_range & (d < pinned_r0)
     return in_range & (_pathloss_gains(d, los, z, params) > pinned_gain)
 
@@ -353,7 +356,7 @@ def _conditioned_field(params: SystemParams, r0: float, z: float,
         los = classify_links(field, Waypoint(0.0, 0.0, z), params.env,
                              params.h_b, latent)
         d = np.hypot(field.positions[:, 0], field.positions[:, 1])
-        bad = _beats_pinned(d, los, pinned_gain, r0, z, params.policy, params)
+        bad = _beats_pinned(d, los, pinned_gain, r0, z, params)
         ok = not np.any(bad)
         budget.tick(ok)
         if ok:
@@ -399,7 +402,7 @@ def conditioned_oracles(params: SystemParams, r0: float, z_t: float,
         los_post = np.append(
             classify_links(field, end, params.env, params.h_b, latent),
             serving is LinkType.LOS)
-        got = associate(aug, los_post, end, params.policy, params)
+        got = associate(aug, los_post, end, params)
         handovers += got is not None and got[0] != len(aug) - 1
 
     cov_seed = (seed + 0x9E3779B97F4A7C15) & _MASK64

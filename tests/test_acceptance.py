@@ -23,7 +23,6 @@ import pytest
 
 from uavcov.analytic import (
     coverage_probability,
-    coverage_probability_nearest,
     coverage_drift_events,
     laplace_derivatives,
     laplace_interference,
@@ -33,7 +32,14 @@ from uavcov.analytic import (
 from uavcov.association import height_context, nearest_any_pdf, nearest_type_pdf, serving_distance_pdf
 from uavcov.cli import SweepSpec, rows_to_csv, run_sweep, validate
 from uavcov.geometry import equal_power_radius, exclusion_radius, lens_complement_area
-from uavcov.model import ChannelParams, DirectionalAntenna, LinkType, OmniAntenna, default_params
+from uavcov.model import (
+    AssociationPolicy,
+    ChannelParams,
+    DirectionalAntenna,
+    LinkType,
+    OmniAntenna,
+    default_params,
+)
 from uavcov.montecarlo import summary_estimates
 from uavcov.quadrature import QuadratureSpec, integrate
 
@@ -155,7 +161,8 @@ def test_ac7_policy_gap_shrinks_with_density():
     for lam in (50.0, 1000.0):
         p = params.with_(lambda_b=lam * 1e-6)
         gaps[lam] = (coverage_probability(p).total
-                     - coverage_probability_nearest(p).total)
+                     - coverage_probability(
+                         p.with_(policy=AssociationPolicy.NEAREST)).total)
     ok = gaps[1000.0] < gaps[50.0]
     assert report("AC-7", ok,
                   f"gap at 50/km^2 {gaps[50.0]:.5f}, at 1000/km^2 "
@@ -234,7 +241,8 @@ def test_ac8_property_suite():
                                              eta_l=1e-4, eta_n=1e-4,
                                              m_l=2, m_n=2), kappa=0.0)
     diff = abs(coverage_probability(sym).total
-               - coverage_probability_nearest(sym).total)
+               - coverage_probability(
+                   sym.with_(policy=AssociationPolicy.NEAREST)).total)
     assert diff <= 2e-3
     checks.append(f"policy equivalence diff {diff:.1e}")
 

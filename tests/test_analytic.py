@@ -11,14 +11,11 @@ from uavcov.analytic import (
     N_Z,
     _policy_metrics,
     _breakdown,
-    _metrics,
     conditional_coverage,
     conditional_handover,
     conditional_handover_any,
     coverage_drift_events,
     coverage_probability,
-    coverage_probability_nearest,
-    handover_probability,
     laplace_derivatives,
     laplace_interference,
     reset_coverage_drift_counter,
@@ -38,6 +35,10 @@ from uavcov.quadrature import gauss_nodes
 
 SYM_CHANNEL = ChannelParams(alpha_l=3.0, alpha_n=3.0, eta_l=1e-4, eta_n=1e-4,
                             m_l=2, m_n=2)
+
+
+def nearest(params):
+    return params.with_(policy=AssociationPolicy.NEAREST)
 
 
 class TestConditionalHandover:
@@ -91,24 +92,26 @@ class TestConditionalHandoverAny:
 
 class TestHandoverProbability:
     def test_empty_network(self, params):
-        assert handover_probability(params.with_(lambda_b=1e-12)) < 1e-6
+        assert coverage_probability(
+            params.with_(lambda_b=1e-12)).handover_prob < 1e-6
 
     def test_increasing_in_density(self, params):
-        vals = [handover_probability(params.with_(lambda_b=lam * 1e-6))
+        vals = [coverage_probability(params.with_(lambda_b=lam * 1e-6)).handover_prob
                 for lam in (10.0, 50.0, 100.0, 500.0)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_nondecreasing_in_speed(self, params):
-        vals = [handover_probability(params.with_(v=v))
+        vals = [coverage_probability(params.with_(v=v)).handover_prob
                 for v in (0.0, 10.0, 20.0, 40.0)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_policy_dispatch(self, params):
-        strongest = handover_probability(params)
-        nearest = handover_probability(
-            params.with_(policy=AssociationPolicy.NEAREST))
-        assert strongest != nearest
-        assert 0.0 < nearest < 1.0
+        strongest = coverage_probability(params)
+        by_nearest = coverage_probability(nearest(params))
+        assert strongest.handover_prob != by_nearest.handover_prob
+        assert 0.0 < by_nearest.handover_prob < 1.0
+        assert strongest.total != by_nearest.total
+        assert strongest.association != by_nearest.association
 
 
 class TestLaplaceInterference:
@@ -195,6 +198,16 @@ class TestConditionalCoverage:
         se = math.sqrt(oracle.mean * (1 - oracle.mean) / oracle.n)
         assert abs(analytic - oracle.mean) < 3 * se
 
+    def test_nearest_policy_matches_conditioned_simulation(self, params):
+        # a nearest NLoS server at 50 m leaves every station beyond 50 m,
+        # LoS ones included, as an interferer: coverage is about 0.002
+        p = nearest(params)
+        oracle = conditioned_oracles(p, 50.0, 120.0, LinkType.NLOS, 2000, seed=17)
+        cov = conditional_coverage(LinkType.NLOS, 50.0, 120.0, p)
+        ho = conditional_handover_any(HandoverContext(LinkType.NLOS, 50.0, 120.0), p)
+        assert oracle["coverage"].ci_low <= cov <= oracle["coverage"].ci_high
+        assert oracle["handover"].ci_low <= ho <= oracle["handover"].ci_high
+
 
 class TestCoverageProbability:
     def test_kappa_zero_is_handover_free_term(self, params):
@@ -241,8 +254,8 @@ class TestCoverageProbability:
 
     def test_grid_convergence(self, params):
         key = params.with_(kappa=0.0)
-        coarse = _breakdown(params, _policy_metrics(key, False, N_Z, N_R0))
-        fine = _breakdown(params, _policy_metrics(key, False, 20, 56))
+        coarse = _breakdown(params, _policy_metrics(key, N_Z, N_R0))
+        fine = _breakdown(params, _policy_metrics(key, 20, 56))
         assert abs(coarse.total - fine.total) < 5e-4
         assert abs(coarse.handover_prob - fine.handover_prob) < 5e-4
 
@@ -257,10 +270,10 @@ class TestHandoverKernelGrid:
         # twice its default node counts; the largest gap, about 3e-6, is at
         # the densest network
         key = params.with_(lambda_b=lam * 1e-6, antenna=antenna, kappa=0.0)
-        default = _policy_metrics.__wrapped__(key, False, N_Z, N_R0).handover
+        default = _policy_metrics.__wrapped__(key, N_Z, N_R0).handover
         monkeypatch.setattr(analytic, "_cond_handover_grid", functools.partial(
             analytic._cond_handover_grid, n_theta=48, n_v=64))
-        refined = _policy_metrics.__wrapped__(key, False, N_Z, N_R0).handover
+        refined = _policy_metrics.__wrapped__(key, N_Z, N_R0).handover
         assert abs(default - refined) <= 1e-5
 
 
@@ -275,11 +288,11 @@ class TestAssociationMarginals:
         p = params.with_(lambda_b=lam * 1e-6, antenna=antenna)
         z_nodes, w_z = gauss_nodes(p.h_lb, p.h_ub, N_Z)
         w_z = w_z / (p.h_ub - p.h_lb)
-        gauss = _metrics(p, nearest=False).assoc
-        for link in LinkType:
+        gauss = coverage_probability(p).association
+        for link, got in zip(LinkType, gauss):
             quadpack = sum(w * association_probability(link, z, p)
                            for z, w in zip(z_nodes, w_z))
-            assert abs(gauss[link] - quadpack) <= 1e-5
+            assert abs(got - quadpack) <= 1e-5
 
 
 class TestCoverageProbabilityNearest:
@@ -290,15 +303,15 @@ class TestCoverageProbabilityNearest:
         # degenerate-equal target types twice and separates the policies
         p = params.with_(channel=SYM_CHANNEL, kappa=0.0)
         strongest = coverage_probability(p).total
-        nearest = coverage_probability_nearest(p).total
-        assert abs(strongest - nearest) < 2e-3
+        by_nearest = coverage_probability(nearest(p)).total
+        assert abs(strongest - by_nearest) < 2e-3
 
     def test_empty_network_limit(self, params):
         p = params.with_(lambda_b=1e-10, kappa=0.0)
-        assert coverage_probability_nearest(p).total < 1e-3
+        assert coverage_probability(nearest(p)).total < 1e-3
 
     def test_not_better_than_strongest_at_baseline_density(self, params):
-        assert (coverage_probability_nearest(params).total
+        assert (coverage_probability(nearest(params)).total
                 <= coverage_probability(params).total)
 
 

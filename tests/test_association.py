@@ -65,9 +65,15 @@ class TestAssociationProbability:
         assert 0.0 <= a_l <= 1.0 and 0.0 <= a_n <= 1.0
         assert a_l + a_n <= 1.0
 
-    def test_complement_is_void(self, params):
-        # with these channel parameters the LoS exclusion radius is zero, so
-        # the in-range partition is exact: A_L + A_N + void = 1
+    @pytest.mark.parametrize("channel", [ChannelParams(),
+                                         ChannelParams(alpha_l=3.0, alpha_n=3.0)],
+                             ids=["default", "equal_exponents"])
+    def test_complement_is_void(self, params, channel):
+        # both exclusion radii are capped at the receiving radius, so the
+        # in-range partition is exact: A_L + A_N + void = 1. With equal path
+        # loss exponents the NLoS exclusion around a LoS server reaches
+        # beyond the receiving radius
+        params = params.with_(channel=channel)
         z = 120.0
         ctx = height_context(params, z)
         a_l = association_probability(LinkType.LOS, z, params)

@@ -125,6 +125,10 @@ class TestRunSweep:
             SweepSpec(axis="v", values=())
         with pytest.raises(ParameterError):
             SweepSpec(axis="v", values=(1.0,), engine="mc", trials=10)
+        with pytest.raises(ParameterError, match="foo"):
+            SweepSpec(axis="v", values=(1.0,), policies=("strongest_rss", "foo"))
+        with pytest.raises(ParameterError, match="dish"):
+            SweepSpec(axis="v", values=(1.0,), antennas=("dish",))
 
 
 class TestFigurePresets:

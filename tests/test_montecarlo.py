@@ -92,14 +92,13 @@ class TestAssociate:
         los = np.array([True])
         uav = Waypoint(0, 0, 120.0)
         for policy in AssociationPolicy:
-            got = associate(field, los, uav, policy, params)
+            got = associate(field, los, uav, params.with_(policy=policy))
             assert got is not None and got[0] == 0
             assert got[1] is LinkType.LOS
 
     def test_void_when_out_of_range(self, params):
         field = GbsField(np.array([[3000.0, 0.0]]))
-        got = associate(field, np.array([True]), Waypoint(0, 0, 120.0),
-                        AssociationPolicy.STRONGEST_RSS, params)
+        got = associate(field, np.array([True]), Waypoint(0, 0, 120.0), params)
         assert got is None
 
     def test_policies_agree_under_symmetric_channel(self, params):
@@ -110,8 +109,9 @@ class TestAssociate:
             los = classify_links(field, Waypoint(0, 0, 120.0), p.env, p.h_b,
                                  rng.random(len(field)))
             uav = Waypoint(0, 0, 120.0)
-            a = associate(field, los, uav, AssociationPolicy.STRONGEST_RSS, p)
-            b = associate(field, los, uav, AssociationPolicy.NEAREST, p)
+            a = associate(field, los, uav, p)
+            b = associate(field, los, uav,
+                          p.with_(policy=AssociationPolicy.NEAREST))
             assert (a is None) == (b is None)
             if a is not None:
                 assert a[0] == b[0]
@@ -119,8 +119,7 @@ class TestAssociate:
     def test_exact_tie_resolves_to_lowest_index(self, params):
         field = GbsField(np.array([[50.0, 0.0], [0.0, 50.0], [-50.0, 0.0]]))
         los = np.array([True, True, True])
-        got = associate(field, los, Waypoint(0, 0, 120.0),
-                        AssociationPolicy.STRONGEST_RSS, params)
+        got = associate(field, los, Waypoint(0, 0, 120.0), params)
         assert got[0] == 0
 
 
@@ -199,8 +198,8 @@ class TestSummaryEstimates:
         counts = {
             "coverage": sum(o.covered for o in outcomes),
             "handover": sum(o.handover for o in outcomes),
-            "assoc_los": serving.count(LinkType.LOS),
-            "assoc_nlos": serving.count(LinkType.NLOS),
+            "association_los": serving.count(LinkType.LOS),
+            "association_nlos": serving.count(LinkType.NLOS),
             "void": sum(o.void_pre for o in outcomes),
         }
         assert set(summary) == set(counts)
@@ -236,8 +235,8 @@ class TestStaticAssociation:
         from uavcov.association import association_probability
 
         got = association_estimate(params, 120.0, 20_000, 20)
-        for link, key in ((LinkType.LOS, "assoc_los"),
-                          (LinkType.NLOS, "assoc_nlos")):
+        for link, key in ((LinkType.LOS, "association_los"),
+                          (LinkType.NLOS, "association_nlos")):
             analytic = association_probability(link, 120.0, params)
             est = got[key]
             # 99% Wilson-style check via the reported 95% interval widened
