@@ -5,7 +5,8 @@ quantities: coverage, handover, association and void. The association rule
 is ``params.policy``: strongest-average-RSS, or nearest GBS (type-blind
 handover, interference from beyond the serving distance). The conditional
 coverage, the Laplace transform and the handover to any type read it too;
-the handover to one target type is the strongest-average-RSS expression.
+the handover to one target type is the strongest-average-RSS expression and
+refuses the nearest rule.
 
 Layout of the computation:
 
@@ -40,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .association import cross_exclusion_limit, height_context
-from .errors import GeometryError
+from .errors import GeometryError, ParameterError
 from .geometry import (
     displaced_distance,
     equal_power_radius,
@@ -179,7 +180,14 @@ def _check_ctx(ctx: HandoverContext, params: SystemParams) -> None:
 def conditional_handover(ctx: HandoverContext, target: LinkType,
                          params: SystemParams) -> float:
     """Handover probability to a given target type, conditioned on the
-    serving type, the pre-move serving distance and the post-move altitude."""
+    serving type, the pre-move serving distance and the post-move altitude,
+    under strongest-average-RSS. The nearest rule picks the new station
+    regardless of type, so it has no such split and raises ParameterError;
+    conditional_handover_any serves both rules."""
+    if params.policy is AssociationPolicy.NEAREST:
+        raise ParameterError(
+            "handover to one target type is defined under strongest_rss; "
+            "use conditional_handover_any for the nearest policy")
     _check_ctx(ctx, params)
     return float(_cond_handover_grid(ctx.serving, (target,), ctx.r0, ctx.z_t,
                                      params)[0, 0])

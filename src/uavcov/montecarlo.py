@@ -6,6 +6,19 @@ a run draws every random number from a Philox stream keyed by (seed, e), so
 estimates are bit-identical regardless of execution order, chunking or
 worker count.
 
+`simulate_episode` runs one episode and is the reference. The estimators
+`summary_estimates` and `association_estimate` run the same episodes in
+blocks: consecutive episodes whose fields together hold about
+BLOCK_STATIONS stations. A block keeps the per-episode streams and their
+draw order. Each episode draws its movement and field from its own stream;
+the stations of all episodes then sit in one ragged array (episode b owns
+the rows starts[b] : starts[b] + sizes[b]), and distances, link types,
+path-loss gains and the serving station of every episode are computed
+once per waypoint for the whole block; each episode then resumes its
+stream for the fading and the handover coin. Every elementwise operation
+is the one `simulate_episode` applies, so the counts equal those of a
+plain loop over `simulate_episode`.
+
 The common factor P_t*G_tot multiplies the received power of the serving
 GBS and of every interferer alike, so it cancels from the SIR and from the
 association argmax; episodes therefore work with the path-loss gains
@@ -54,8 +67,12 @@ _MASK64 = (1 << 64) - 1
 _Z95 = 1.959963984540054
 FIELD_MARGIN = 50.0
 # mean stations per sampled field beyond which an estimator refuses to run;
-# an episode keeps some ten float arrays per station alive
+# a block holds at least one whole field, some ten float arrays per station
 MAX_MEAN_STATIONS = 1e6
+# stations per block, counting one for each episode's own draws; a larger
+# field is a block of its own. At the baseline 4096 ran as fast as 8192
+# with 0.8 MB less peak memory, and 2048 ran slower
+BLOCK_STATIONS = 4096
 
 
 @dataclass(frozen=True)
@@ -157,10 +174,13 @@ def classify_links(field: GbsField, uav: Waypoint, env, h_b: float,
     return latent < los_probability(d, uav.z, env, h_b)
 
 
-def _pathloss_gains(d: np.ndarray, los: np.ndarray, z: float,
+def _pathloss_gains(d: np.ndarray, los: np.ndarray, dz2,
                     params: SystemParams) -> np.ndarray:
+    """Path-loss gains at horizontal distances d, with dz2 the squared
+    height gap (z - h_b)**2 as a Python or numpy scalar power: the array
+    square may differ from it in the last bit."""
     ch = params.channel
-    d2 = d * d + (z - params.h_b) ** 2
+    d2 = d * d + dz2
     return np.where(los,
                     ch.eta_l * d2 ** (-0.5 * ch.alpha_l),
                     ch.eta_n * d2 ** (-0.5 * ch.alpha_n))
@@ -192,7 +212,8 @@ def associate(field: GbsField, los: np.ndarray, uav: Waypoint,
     if params.policy is AssociationPolicy.NEAREST:
         metric = np.where(in_range, -d, -np.inf)
     else:
-        metric = np.where(in_range, _pathloss_gains(d, los, uav.z, params), -np.inf)
+        gains = _pathloss_gains(d, los, (uav.z - params.h_b) ** 2, params)
+        metric = np.where(in_range, gains, -np.inf)
     idx = int(np.argmax(metric))
     link = LinkType.LOS if los[idx] else LinkType.NLOS
     return idx, link, float(d[idx])
@@ -239,7 +260,8 @@ def simulate_episode(params: SystemParams, rng: np.random.Generator,
     if post is not None:
         d = np.hypot(field.positions[:, 0] - end.x, field.positions[:, 1] - end.y)
         in_range = d <= receiving_radius(z_post, params.h_b, params.antenna)
-        powers = _pathloss_gains(d, los_post, z_post, params) * fading
+        powers = _pathloss_gains(d, los_post, (z_post - params.h_b) ** 2,
+                                 params) * fading
         signal = powers[post[0]]
         interference = float(np.sum(powers[in_range])) - signal
         sir = math.inf if interference <= 0.0 else float(signal / interference)
@@ -249,23 +271,220 @@ def simulate_episode(params: SystemParams, rng: np.random.Generator,
                           sir, covered)
 
 
+# ---------------------------------------------------------------------------
+# block engine: the episodes of simulate_episode, a block at a time
+# ---------------------------------------------------------------------------
+
+class _EpisodeStreams:
+    """The streams of episode_rng(seed, e) through one Philox whose state is
+    reset in place: building a Philox per episode reads OS entropy and costs
+    several times the reset."""
+
+    def __init__(self, seed: int):
+        self._key = np.array([seed & _MASK64, 0], dtype=np.uint64)
+        self._bits = np.random.Philox(key=self._key)
+        self._rng = np.random.Generator(self._bits)
+        # counter 0 and an empty output buffer: the state of a new Philox
+        self._fresh = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0,
+        }
+
+    def start(self, e: int) -> np.random.Generator:
+        """Episode e's stream before its first draw."""
+        self._key[1] = e & _MASK64
+        self._bits.state = self._fresh
+        return self._rng
+
+    def save(self) -> dict:
+        """The current stream's state, for resume."""
+        return self._bits.state
+
+    def resume(self, state: dict) -> np.random.Generator:
+        self._bits.state = state
+        return self._rng
+
+
+def _segment_argmax(metric: np.ndarray, starts: np.ndarray,
+                    sizes: np.ndarray) -> np.ndarray:
+    """Per segment metric[starts[b] : starts[b] + sizes[b]], the index of
+    its first maximum, as np.argmax gives it (exact ties go to the lowest
+    index); -1 for an empty segment or one whose maximum is -inf."""
+    out = np.full(len(sizes), -1, dtype=np.intp)
+    full = sizes > 0
+    if not np.any(full):
+        return out
+    peak = np.full(len(sizes), -np.inf)
+    peak[full] = np.maximum.reduceat(metric, starts[full])
+    # every non-empty segment reaches its peak, so its first hit is its own
+    hits = np.flatnonzero(metric == np.repeat(peak, sizes))
+    first = hits[np.searchsorted(hits, starts[full])]
+    out[full] = np.where(peak[full] > -np.inf, first, -1)
+    return out
+
+
+class _FieldBlock:
+    """The fields of consecutive episodes in one ragged array: episode b
+    owns the stations starts[b] : starts[b] + sizes[b]. Episode b drew
+    random(3 n_b): station radii, angles, then LoS latents, as sample_ppp
+    and simulate_episode draw them."""
+
+    def __init__(self, sizes: list, draws: list, r_field: float):
+        self.sizes = np.array(sizes, dtype=np.intp)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        if len(sizes) == 1:
+            n, u = sizes[0], draws[0]
+            self._seg = None
+            # a copy, so that the raw draws can be freed
+            radius_u, angle_u, self.latent = u[:n], u[n:2 * n], u[2 * n:].copy()
+        else:
+            u = np.concatenate(draws)
+            self._seg = np.repeat(np.arange(len(sizes)), self.sizes)
+            # station i of episode b drew its radius at 3 starts[b] + (i - starts[b])
+            first = 2 * self.starts[self._seg] + np.arange(len(self._seg))
+            n_b = self.sizes[self._seg]
+            radius_u, angle_u, self.latent = (u[first], u[first + n_b],
+                                              u[first + 2 * n_b])
+        radii = r_field * np.sqrt(radius_u)
+        angles = 2.0 * np.pi * angle_u
+        self.x = radii * np.cos(angles)
+        self.y = radii * np.sin(angles)
+
+    def spread(self, per_episode: np.ndarray) -> np.ndarray:
+        """One value per station; a one-episode block broadcasts instead."""
+        return per_episode if self._seg is None else per_episode[self._seg]
+
+    def serve(self, wx: np.ndarray, wy: np.ndarray, z: np.ndarray,
+              params: SystemParams):
+        """Link types, in-range mask, path-loss gains and serving station
+        (-1 when void) with each episode's UAV at (wx, wy, z)[b]; the same
+        operations as classify_links and associate."""
+        d = np.hypot(self.x - self.spread(wx), self.y - self.spread(wy))
+        los = self.latent < los_probability(d, self.spread(z), params.env,
+                                            params.h_b)
+        in_range = d <= self.spread(receiving_radius(z, params.h_b,
+                                                     params.antenna))
+        # scalar powers per episode, as _pathloss_gains asks
+        dz2 = np.array([(zb - params.h_b) ** 2 for zb in z.tolist()])
+        gains = _pathloss_gains(d, los, self.spread(dz2), params)
+        metric = -d if params.policy is AssociationPolicy.NEAREST else gains
+        serving = _segment_argmax(np.where(in_range, metric, -np.inf),
+                                  self.starts, self.sizes)
+        return los, in_range, gains, serving
+
+
+def _draw_block(streams: _EpisodeStreams, start: int, stop: int,
+                r_field: float, draw):
+    """Draw episodes start, start + 1, ... (short of stop) until their
+    stations, counting one per episode, reach BLOCK_STATIONS. draw(rng)
+    takes one episode's draws from its stream and returns (values, n,
+    random(3 n)). Returns the episodes' values and their _FieldBlock."""
+    values, sizes, draws = [], [], []
+    e, slots = start, 0
+    while e < stop and slots < BLOCK_STATIONS:
+        v, n, u = draw(streams.start(e))
+        values.append(v)
+        sizes.append(n)
+        draws.append(u)
+        slots += n + 1
+        e += 1
+    return values, _FieldBlock(sizes, draws, r_field)
+
+
 _SUMMARY_KEYS = ("coverage", "handover", "association_los", "association_nlos",
                  "void")
 
 
+def _tally_block(params: SystemParams, streams: _EpisodeStreams, draw,
+                 start: int, stop: int, r_field: float):
+    """Summary counts of one block from episode start on, and the episode
+    after the block. The block's arrays live only in this call, so the next
+    block is drawn without them."""
+    episodes, field = _draw_block(streams, start, stop, r_field, draw)
+    altitudes, rho, theta, states = zip(*episodes)
+    altitudes = np.array(altitudes)
+    band = params.h_ub - params.h_lb
+    z_pre = params.h_lb + band * altitudes[:, 0]
+    z_post = params.h_lb + band * altitudes[:, 1]
+    origin = np.zeros(len(episodes))
+    los, in_range, gains, pre = field.serve(origin, origin, z_pre, params)
+    has_pre = pre >= 0
+    serving_los = los[pre[has_pre]]
+
+    # math's atan2, cos and sin as in simulate_episode: numpy's vector
+    # versions may differ in the last bit
+    v_h = horizontal_speed(params.v, np.array(rho), z_post - z_pre)
+    heading = [t + (math.atan2(field.y[i], field.x[i]) if i >= 0 else 0.0)
+               for i, t in zip(pre.tolist(), theta)]
+    end_x = np.array([v * math.cos(h) for v, h in zip(v_h.tolist(), heading)])
+    end_y = np.array([v * math.sin(h) for v, h in zip(v_h.tolist(), heading)])
+    los, in_range, gains, post = field.serve(end_x, end_y, z_post, params)
+
+    # fading and coin from each episode's own stream; a void episode needs
+    # neither, and nothing follows them in its stream
+    served = np.flatnonzero(post >= 0)
+    m = np.where(los, float(params.channel.m_l), float(params.channel.m_n))
+    powers = np.zeros(len(m))
+    coin = np.empty(len(served))
+    first = field.starts.tolist()
+    ends = (field.starts + field.sizes).tolist()
+    for k, b in enumerate(served.tolist()):
+        rng = streams.resume(states[b])
+        rows = slice(first[b], ends[b])
+        powers[rows] = rng.standard_gamma(m[rows])
+        coin[k] = rng.random()
+    powers /= m
+    powers *= gains
+
+    # per-episode sums of the in-range powers by np.add.reduce, whose
+    # pairwise order is np.sum's: a reordered sum may round differently
+    kept = np.flatnonzero(in_range)
+    lo = np.searchsorted(kept, field.starts[served]).tolist()
+    hi = np.searchsorted(kept, field.starts[served] + field.sizes[served]).tolist()
+    kept = powers[kept]
+    total = np.array([np.add.reduce(kept[a:b]) for a, b in zip(lo, hi)])
+    signal = powers[post[served]]
+    interference = total - signal
+    sir = np.full(len(served), np.inf)
+    np.divide(signal, interference, out=sir, where=interference > 0.0)
+
+    handover = has_pre & (post >= 0) & (pre != post)
+    covered = (sir > params.t_thresh) & (
+        ~handover[served] | (coin <= 1.0 - params.kappa))
+    counts = (
+        np.count_nonzero(covered),
+        np.count_nonzero(handover),
+        np.count_nonzero(serving_los),
+        len(serving_los) - np.count_nonzero(serving_los),
+        len(pre) - len(serving_los),
+    )
+    return counts, start + len(episodes)
+
+
 def _tally_range(args) -> np.ndarray:
+    """Summary counts over episodes start..stop-1, equal to a loop of
+    simulate_episode over the same streams."""
     params, seed, start, stop, r_field = args
+    streams = _EpisodeStreams(seed)
+    scale = 1.0 / math.sqrt(2.0 * np.pi * params.mu)
+    mean = params.lambda_b * np.pi * r_field * r_field
+
+    def draw(rng):
+        # simulate_episode's draws up to the link types, in its order
+        altitudes = rng.random(2)
+        rho = rng.rayleigh(scale)
+        theta = np.pi * rng.random()
+        n = rng.poisson(mean)
+        u = rng.random(3 * n)
+        return (altitudes, rho, theta, streams.save()), n, u
+
     counts = np.zeros(len(_SUMMARY_KEYS), dtype=np.int64)
-    for e in range(start, stop):
-        o = simulate_episode(params, episode_rng(seed, e), r_field)
-        serving = o.associated_pre and o.associated_pre[1]
-        counts += (
-            o.covered,
-            o.handover,
-            serving is LinkType.LOS,
-            serving is LinkType.NLOS,
-            o.void_pre,
-        )
+    e = start
+    while e < stop:
+        block, e = _tally_block(params, streams, draw, e, stop, r_field)
+        counts += block
     return counts
 
 
@@ -291,26 +510,32 @@ def summary_estimates(params: SystemParams, n: int, seed: int,
 
 
 def association_estimate(params: SystemParams, z: float, n: int, seed: int) -> dict:
-    """Static association-type frequencies at a fixed altitude."""
+    """Static association-type frequencies at a fixed altitude, equal to a
+    loop of sample_ppp, classify_links and associate over episode_rng(seed, e)."""
     if n < 100:
         raise ParameterError("need at least 100 trials")
     r_field = receiving_radius(z, params.h_b, params.antenna) + 1.0
     _check_field_budget(params.lambda_b, r_field)
-    uav = Waypoint(0.0, 0.0, z)
-    counts = {"association_los": 0, "association_nlos": 0, "void": 0}
-    for e in range(n):
-        rng = episode_rng(seed, e)
-        field = sample_ppp(params.lambda_b, r_field, rng)
-        los = classify_links(field, uav, params.env, params.h_b,
-                             rng.random(len(field)))
-        got = associate(field, los, uav, params)
-        if got is None:
-            counts["void"] += 1
-        elif got[1] is LinkType.LOS:
-            counts["association_los"] += 1
-        else:
-            counts["association_nlos"] += 1
-    return {k: _estimate_from_count(c, n, seed) for k, c in counts.items()}
+    streams = _EpisodeStreams(seed)
+    mean = params.lambda_b * np.pi * r_field * r_field
+
+    def draw(rng):
+        n_field = rng.poisson(mean)
+        return None, n_field, rng.random(3 * n_field)
+
+    los_count = nlos_count = 0
+    e = 0
+    while e < n:
+        episodes, field = _draw_block(streams, e, n, r_field, draw)
+        e += len(episodes)
+        at = np.zeros(len(episodes))
+        los, _, _, serving = field.serve(at, at, np.full(len(episodes), z), params)
+        serving_los = los[serving[serving >= 0]]
+        los_count += np.count_nonzero(serving_los)
+        nlos_count += len(serving_los) - np.count_nonzero(serving_los)
+    counts = {"association_los": los_count, "association_nlos": nlos_count,
+              "void": n - los_count - nlos_count}
+    return {k: _estimate_from_count(int(c), n, seed) for k, c in counts.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +566,8 @@ def _beats_pinned(d: np.ndarray, los: np.ndarray, pinned_gain: float,
     in_range = d <= receiving_radius(z, params.h_b, params.antenna)
     if params.policy is AssociationPolicy.NEAREST:
         return in_range & (d < pinned_r0)
-    return in_range & (_pathloss_gains(d, los, z, params) > pinned_gain)
+    gains = _pathloss_gains(d, los, (z - params.h_b) ** 2, params)
+    return in_range & (gains > pinned_gain)
 
 
 def _conditioned_field(params: SystemParams, r0: float, z: float,
@@ -414,8 +640,8 @@ def conditioned_oracles(params: SystemParams, r0: float, z_t: float,
                                               r_field, rng, cov_budget)
         in_range = d <= r_m_t
         fading = _station_fading(los, params, rng)
-        interference = float(np.sum(
-            (_pathloss_gains(d, los, z_t, params) * fading)[in_range]))
+        gains = _pathloss_gains(d, los, (z_t - params.h_b) ** 2, params)
+        interference = float(np.sum((gains * fading)[in_range]))
         omega = sample_fading(serving, ch, rng)
         signal = path_loss(serving, r0, z_t, ch, params.h_b) * omega
         covered += interference <= 0.0 or signal / interference > params.t_thresh
@@ -441,7 +667,7 @@ def laplace_estimate(params: SystemParams, serving: LinkType, r0: float,
                                               r_m + 1.0, rng, budget)
         in_range = d <= r_m
         fading = _station_fading(los, params, rng)
-        interference = pg * float(np.sum(
-            (_pathloss_gains(d, los, z, params) * fading)[in_range]))
+        gains = _pathloss_gains(d, los, (z - params.h_b) ** 2, params)
+        interference = pg * float(np.sum((gains * fading)[in_range]))
         total += math.exp(-tau * interference)
     return total / n

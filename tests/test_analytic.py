@@ -22,7 +22,7 @@ from uavcov.analytic import (
     _tau_threshold,
 )
 from uavcov.association import association_probability
-from uavcov.errors import GeometryError
+from uavcov.errors import GeometryError, ParameterError
 from uavcov.model import (
     AssociationPolicy,
     ChannelParams,
@@ -56,6 +56,16 @@ class TestConditionalHandover:
         with pytest.raises(GeometryError):
             conditional_handover(HandoverContext(LinkType.LOS, 1e4, 120.0),
                                  LinkType.LOS, params)
+
+    def test_nearest_policy_refused(self, params):
+        # the per-type split is the strongest-RSS expression: with nearest
+        # params and an NLoS server at 50 m it used to return 0.0 to LoS,
+        # although the nearest rule's new server is LoS about 0.997 of the time
+        ctx = HandoverContext(LinkType.NLOS, 50.0, 120.0)
+        for target in LinkType:
+            with pytest.raises(ParameterError, match="conditional_handover_any"):
+                conditional_handover(ctx, target, nearest(params))
+        assert 0.0 < conditional_handover_any(ctx, nearest(params)) < 1.0
 
     @pytest.mark.slow
     def test_matches_conditioned_simulation(self, params):

@@ -6,16 +6,19 @@ import pytest
 
 from uavcov import montecarlo
 from uavcov.errors import ParameterError
+from uavcov.geometry import receiving_radius
 from uavcov.model import (
     AssociationPolicy,
     ChannelParams,
     DirectionalAntenna,
     LinkType,
+    OmniAntenna,
     Waypoint,
 )
 from uavcov.montecarlo import (
     MAX_MEAN_STATIONS,
     GbsField,
+    _segment_argmax,
     associate,
     association_estimate,
     classify_links,
@@ -31,6 +34,20 @@ from uavcov.montecarlo import (
 
 SYM_CHANNEL = ChannelParams(alpha_l=3.0, alpha_n=3.0, eta_l=1e-4, eta_n=1e-4,
                             m_l=2, m_n=2)
+NEAREST = AssociationPolicy.NEAREST
+
+# (overrides, episodes): the policy x antenna grid at the baseline density,
+# an empty network (every block all-void) and a dense field of about 29,600
+# stations, above montecarlo.BLOCK_STATIONS, so each block is one episode
+ENGINE_CASES = [
+    pytest.param({}, 2000, id="strongest_rss-directional"),
+    pytest.param({"policy": NEAREST}, 2000, id="nearest-directional"),
+    pytest.param({"antenna": OmniAntenna()}, 500, id="strongest_rss-omni"),
+    pytest.param({"policy": NEAREST, "antenna": OmniAntenna()}, 500,
+                 id="nearest-omni"),
+    pytest.param({"lambda_b": 1e-12}, 500, id="empty"),
+    pytest.param({"lambda_b": 1e-3, "antenna": OmniAntenna()}, 100, id="dense"),
+]
 
 
 class TestSamplePpp:
@@ -187,10 +204,39 @@ class TestEstimate:
         assert 0.0 <= lo <= 0.7 <= hi <= 1.0
 
 
+class TestSegmentArgmax:
+    def test_matches_argmax_per_segment(self):
+        # small integers make exact ties common; empty segments anywhere
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            sizes = rng.integers(0, 6, size=rng.integers(1, 12))
+            metric = rng.integers(0, 3, size=sizes.sum()).astype(float)
+            metric[rng.random(len(metric)) < 0.3] = -np.inf
+            starts = np.cumsum(sizes) - sizes
+            got = _segment_argmax(metric, starts, sizes)
+            for b, (s, n) in enumerate(zip(starts, sizes)):
+                seg = metric[s:s + n]
+                want = (s + int(np.argmax(seg)) if n and np.max(seg) > -np.inf
+                        else -1)
+                assert got[b] == want
+
+    def test_exact_ties_and_empty_segments(self):
+        metric = np.array([1.0, 3.0, 3.0, -np.inf, -np.inf, 2.0, 2.0, 2.0, 5.0])
+        sizes = np.array([0, 3, 0, 2, 3, 1, 0])
+        starts = np.cumsum(sizes) - sizes
+        assert _segment_argmax(metric, starts, sizes).tolist() == [
+            -1, 1, -1, -1, 5, 8, -1]
+        none = np.zeros(3, dtype=int)
+        assert _segment_argmax(np.empty(0), none, none).tolist() == [-1, -1, -1]
+
+
 class TestSummaryEstimates:
-    def test_matches_single_metric_estimates(self, params):
-        # each metric counted by a plain loop over the same episodes
-        n, seed = 2000, 16
+    @pytest.mark.parametrize("overrides, n", ENGINE_CASES)
+    def test_matches_single_metric_estimates(self, params, overrides, n):
+        # each metric counted by a plain loop of simulate_episode over the
+        # same episodes; n is no multiple of a block's episode count
+        seed = 16
+        params = params.with_(**overrides)
         summary = summary_estimates(params, n, seed)
         outcomes = [simulate_episode(params, episode_rng(seed, e))
                     for e in range(n)]
@@ -231,6 +277,27 @@ class TestSummaryEstimates:
 
 
 class TestStaticAssociation:
+    @pytest.mark.parametrize("overrides, n", ENGINE_CASES)
+    def test_matches_episode_loop(self, params, overrides, n):
+        # the block engine against a plain loop of the per-episode steps
+        seed, z = 20, 120.0
+        params = params.with_(**overrides)
+        r_field = receiving_radius(z, params.h_b, params.antenna) + 1.0
+        uav = Waypoint(0.0, 0.0, z)
+        counts = {"association_los": 0, "association_nlos": 0, "void": 0}
+        for e in range(n):
+            rng = episode_rng(seed, e)
+            field = sample_ppp(params.lambda_b, r_field, rng)
+            los = classify_links(field, uav, params.env, params.h_b,
+                                 rng.random(len(field)))
+            got = associate(field, los, uav, params)
+            key = ("void" if got is None else "association_los"
+                   if got[1] is LinkType.LOS else "association_nlos")
+            counts[key] += 1
+        estimates = association_estimate(params, z, n, seed)
+        assert {k: (e.mean, e.n, e.seed) for k, e in estimates.items()} == {
+            k: (c / n, n, seed) for k, c in counts.items()}
+
     def test_matches_analytic_association(self, params):
         from uavcov.association import association_probability
 
