@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .association import cross_exclusion_limit, height_context
+from .association import cross_exclusion_limit, exclusion_factor, height_context
 from .errors import GeometryError, ParameterError
 from .geometry import (
     displaced_distance,
@@ -372,10 +372,8 @@ def _strongest_nodes(ctx, params: SystemParams, n_r0: int):
     """
     for link in LinkType:
         r0, w_u = _r0_nodes_type(ctx, link, params, n_r0)
-        limit = cross_exclusion_limit(link, r0, ctx, params)
-        excl = np.exp(-2.0 * np.pi * params.lambda_b
-                      * ctx.cum_intensity(link.other, limit))
-        yield link, r0, w_u * excl, _stay_grid(link, r0, ctx.z, params)
+        yield (link, r0, w_u * exclusion_factor(link, r0, ctx, params),
+               _stay_grid(link, r0, ctx.z, params))
 
 
 def _nearest_nodes(ctx, params: SystemParams, n_r0: int):

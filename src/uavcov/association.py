@@ -36,6 +36,7 @@ __all__ = [
     "serving_distance_pdf",
     "nearest_any_pdf",
     "cross_exclusion_limit",
+    "exclusion_factor",
     "height_context",
 ]
 
@@ -128,6 +129,15 @@ def cross_exclusion_limit(serving: LinkType, r0, ctx: HeightContext,
                       ctx.r_m)
 
 
+def exclusion_factor(serving: LinkType, r0, ctx: HeightContext,
+                     params: SystemParams):
+    """Probability that no opposite-type GBS lies within the cross-type
+    exclusion limit of a serving GBS at r0, which it must to win."""
+    limit = cross_exclusion_limit(serving, r0, ctx, params)
+    return np.exp(-2.0 * np.pi * params.lambda_b
+                  * ctx.cum_intensity(serving.other, limit))
+
+
 def nearest_type_pdf(link: LinkType, r0, z: float, params: SystemParams):
     """Density of the distance to the nearest GBS of the given link type.
 
@@ -151,10 +161,7 @@ def _joint_weight(link: LinkType, r0, ctx: HeightContext, params: SystemParams):
     r0 = np.asarray(r0, dtype=float)
     f_nearest = (2.0 * np.pi * lam * r0 * ctx.p_type(link, r0)
                  * np.exp(-2.0 * np.pi * lam * ctx.cum_intensity(link, r0)))
-    limit = cross_exclusion_limit(link, r0, ctx, params)
-    excl = np.exp(-2.0 * np.pi * lam
-                  * ctx.cum_intensity(link.other, limit))
-    return f_nearest * excl
+    return f_nearest * exclusion_factor(link, r0, ctx, params)
 
 
 @lru_cache(maxsize=2048)

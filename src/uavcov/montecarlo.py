@@ -1,23 +1,19 @@
 """Ground-truth network simulator.
 
 Each episode samples a GBS field, link types, fading and one 3D movement,
-then records association, handover, void and coverage events. Episode e of
-a run draws every random number from a Philox stream keyed by (seed, e), so
-estimates are bit-identical regardless of execution order, chunking or
-worker count.
-
-`simulate_episode` runs one episode and is the reference. The estimators
-`summary_estimates` and `association_estimate` run the same episodes in
-blocks: consecutive episodes whose fields together hold about
-BLOCK_STATIONS stations. A block keeps the per-episode streams and their
-draw order. Each episode draws its movement and field from its own stream;
-the stations of all episodes then sit in one ragged array (episode b owns
-the rows starts[b] : starts[b] + sizes[b]), and distances, link types,
-path-loss gains and the serving station of every episode are computed
-once per waypoint for the whole block; each episode then resumes its
-stream for the fading and the handover coin. Every elementwise operation
-is the one `simulate_episode` applies, so the counts equal those of a
-plain loop over `simulate_episode`.
+then records association, handover, void and coverage events.
+`simulate_episode` runs one episode from a given stream and is the
+reference. The estimators `summary_estimates` and `association_estimate`
+run blocks of a fixed number of episodes, chosen from the inputs so that a
+block's fields hold about BLOCK_STATIONS stations (a denser field is a
+block of its own). Block k draws from one Philox stream keyed by
+(seed, k), each quantity in one vector call in simulate_episode's order,
+so a one-episode block consumes its stream as simulate_episode does.
+Workers get whole blocks, so estimates are bit-identical regardless of
+execution order or worker count. A block's stations sit in one array
+(episode b owns the rows starts[b] : starts[b] + sizes[b]); distances,
+link types, gains and serving stations are computed once per waypoint
+for the whole block, with simulate_episode's elementwise operations.
 
 The common factor P_t*G_tot multiplies the received power of the serving
 GBS and of every interferer alike, so it cancels from the SIR and from the
@@ -130,7 +126,7 @@ def _estimate_from_count(successes: int, n: int, seed: int) -> McEstimate:
 
 
 def episode_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream for one episode, independent of all others."""
+    """Counter-based stream for one episode or block, independent of all others."""
     key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -141,14 +137,15 @@ def field_radius(params: SystemParams) -> float:
     return r_m + params.v + FIELD_MARGIN
 
 
-def _check_field_budget(lambda_b: float, r_field: float) -> None:
-    """Reject, before any draw, a field whose mean station count exceeds
-    MAX_MEAN_STATIONS (a beamwidth near 180 degrees, a dense network)."""
+def _check_field_budget(lambda_b: float, r_field: float) -> float:
+    """The mean station count of a field; rejects, before any draw, one
+    above MAX_MEAN_STATIONS (a beamwidth near 180 degrees, a dense network)."""
     mean = lambda_b * np.pi * r_field * r_field
     if not mean <= MAX_MEAN_STATIONS:
         raise ParameterError(
             f"sampling field of radius {r_field:.4g} m holds {mean:.3g} stations "
             f"on average, above the budget of {MAX_MEAN_STATIONS:.0e}")
+    return mean
 
 
 def sample_ppp(lambda_b: float, r_field: float, rng: np.random.Generator) -> GbsField:
@@ -189,7 +186,7 @@ def _pathloss_gains(d: np.ndarray, los: np.ndarray, dz2,
 def _station_fading(los: np.ndarray, params: SystemParams,
                     rng: np.random.Generator) -> np.ndarray:
     """Nakagami power gains per GBS, shape m_l on LoS and m_n on NLoS links."""
-    m_arr = np.where(los, params.channel.m_l, params.channel.m_n)
+    m_arr = np.where(los, float(params.channel.m_l), float(params.channel.m_n))
     return rng.standard_gamma(m_arr) / m_arr
 
 
@@ -242,11 +239,12 @@ def simulate_episode(params: SystemParams, rng: np.random.Generator,
     v_h = horizontal_speed(params.v, rho, z_post - z_pre)
     if pre is not None:
         sx, sy = field.positions[pre[0]]
-        bearing = math.atan2(sy, sx)
+        bearing = np.arctan2(sy, sx)
     else:
         bearing = 0.0
-    end = Waypoint(v_h * math.cos(bearing + theta),
-                   v_h * math.sin(bearing + theta), z_post)
+    # numpy's scalar and vector results agree; math's may differ in the last bit
+    end = Waypoint(v_h * np.cos(bearing + theta),
+                   v_h * np.sin(bearing + theta), z_post)
 
     los_post = classify_links(field, end, params.env, params.h_b, latent)
     post = associate(field, los_post, end, params)
@@ -272,39 +270,14 @@ def simulate_episode(params: SystemParams, rng: np.random.Generator,
 
 
 # ---------------------------------------------------------------------------
-# block engine: the episodes of simulate_episode, a block at a time
+# block engine: simulate_episode's draws, one vector call per block
 # ---------------------------------------------------------------------------
 
-class _EpisodeStreams:
-    """The streams of episode_rng(seed, e) through one Philox whose state is
-    reset in place: building a Philox per episode reads OS entropy and costs
-    several times the reset."""
-
-    def __init__(self, seed: int):
-        self._key = np.array([seed & _MASK64, 0], dtype=np.uint64)
-        self._bits = np.random.Philox(key=self._key)
-        self._rng = np.random.Generator(self._bits)
-        # counter 0 and an empty output buffer: the state of a new Philox
-        self._fresh = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
-            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0,
-        }
-
-    def start(self, e: int) -> np.random.Generator:
-        """Episode e's stream before its first draw."""
-        self._key[1] = e & _MASK64
-        self._bits.state = self._fresh
-        return self._rng
-
-    def save(self) -> dict:
-        """The current stream's state, for resume."""
-        return self._bits.state
-
-    def resume(self, state: dict) -> np.random.Generator:
-        self._bits.state = state
-        return self._rng
+def _block_episodes(mean: float) -> int:
+    """Episodes per block for fields of the given mean station count: the
+    block holds about BLOCK_STATIONS stations, counting one for each
+    episode's own draws; a denser field is a block of its own."""
+    return max(1, int(BLOCK_STATIONS // (mean + 1.0)))
 
 
 def _segment_argmax(metric: np.ndarray, starts: np.ndarray,
@@ -326,31 +299,29 @@ def _segment_argmax(metric: np.ndarray, starts: np.ndarray,
 
 
 class _FieldBlock:
-    """The fields of consecutive episodes in one ragged array: episode b
-    owns the stations starts[b] : starts[b] + sizes[b]. Episode b drew
-    random(3 n_b): station radii, angles, then LoS latents, as sample_ppp
-    and simulate_episode draw them."""
+    """The fields of a block's episodes in one array: episode b owns the
+    stations starts[b] : starts[b] + sizes[b]. Draws the station counts,
+    then the radii, angles and LoS latents of all stations, as sample_ppp
+    and simulate_episode draw them for one field."""
 
-    def __init__(self, sizes: list, draws: list, r_field: float):
-        self.sizes = np.array(sizes, dtype=np.intp)
+    def __init__(self, episodes: int, lambda_b: float, r_field: float,
+                 rng: np.random.Generator):
+        self.sizes = rng.poisson(lambda_b * np.pi * r_field * r_field, episodes)
         self.starts = np.cumsum(self.sizes) - self.sizes
-        if len(sizes) == 1:
-            n, u = sizes[0], draws[0]
-            self._seg = None
-            # a copy, so that the raw draws can be freed
-            radius_u, angle_u, self.latent = u[:n], u[n:2 * n], u[2 * n:].copy()
-        else:
-            u = np.concatenate(draws)
-            self._seg = np.repeat(np.arange(len(sizes)), self.sizes)
-            # station i of episode b drew its radius at 3 starts[b] + (i - starts[b])
-            first = 2 * self.starts[self._seg] + np.arange(len(self._seg))
-            n_b = self.sizes[self._seg]
-            radius_u, angle_u, self.latent = (u[first], u[first + n_b],
-                                              u[first + 2 * n_b])
-        radii = r_field * np.sqrt(radius_u)
-        angles = 2.0 * np.pi * angle_u
-        self.x = radii * np.cos(angles)
-        self.y = radii * np.sin(angles)
+        n = int(self.sizes.sum())
+        # in-place products and u freed on return: a dense field faults less
+        u = rng.random(3 * n)
+        radii = np.sqrt(u[:n])
+        radii *= r_field
+        angles = u[n:2 * n]
+        angles *= 2.0 * np.pi
+        self.x = np.cos(angles)
+        self.x *= radii
+        self.y = np.sin(angles)
+        self.y *= radii
+        self.latent = u[2 * n:].copy()
+        self._seg = (None if episodes == 1
+                     else np.repeat(np.arange(episodes), self.sizes))
 
     def spread(self, per_episode: np.ndarray) -> np.ndarray:
         """One value per station; a one-episode block broadcasts instead."""
@@ -375,71 +346,45 @@ class _FieldBlock:
         return los, in_range, gains, serving
 
 
-def _draw_block(streams: _EpisodeStreams, start: int, stop: int,
-                r_field: float, draw):
-    """Draw episodes start, start + 1, ... (short of stop) until their
-    stations, counting one per episode, reach BLOCK_STATIONS. draw(rng)
-    takes one episode's draws from its stream and returns (values, n,
-    random(3 n)). Returns the episodes' values and their _FieldBlock."""
-    values, sizes, draws = [], [], []
-    e, slots = start, 0
-    while e < stop and slots < BLOCK_STATIONS:
-        v, n, u = draw(streams.start(e))
-        values.append(v)
-        sizes.append(n)
-        draws.append(u)
-        slots += n + 1
-        e += 1
-    return values, _FieldBlock(sizes, draws, r_field)
-
-
 _SUMMARY_KEYS = ("coverage", "handover", "association_los", "association_nlos",
                  "void")
 
 
-def _tally_block(params: SystemParams, streams: _EpisodeStreams, draw,
-                 start: int, stop: int, r_field: float):
-    """Summary counts of one block from episode start on, and the episode
-    after the block. The block's arrays live only in this call, so the next
-    block is drawn without them."""
-    episodes, field = _draw_block(streams, start, stop, r_field, draw)
-    altitudes, rho, theta, states = zip(*episodes)
-    altitudes = np.array(altitudes)
+def _association_counts(los: np.ndarray, serving: np.ndarray) -> tuple:
+    """Episodes served over LoS, over NLoS, and void."""
+    serving_los = los[serving[serving >= 0]]
+    n_los = np.count_nonzero(serving_los)
+    return n_los, len(serving_los) - n_los, len(serving) - len(serving_los)
+
+
+def _tally_block(params: SystemParams, episodes: int, r_field: float,
+                 rng: np.random.Generator):
+    """Summary counts of one block of episodes drawn from rng; its arrays
+    live only in this call, so the next block is drawn without them."""
     band = params.h_ub - params.h_lb
-    z_pre = params.h_lb + band * altitudes[:, 0]
-    z_post = params.h_lb + band * altitudes[:, 1]
-    origin = np.zeros(len(episodes))
-    los, in_range, gains, pre = field.serve(origin, origin, z_pre, params)
+    z_pre, z_post = (params.h_lb + band * rng.random((episodes, 2))).T
+    rho = rng.rayleigh(1.0 / math.sqrt(2.0 * np.pi * params.mu), episodes)
+    theta = np.pi * rng.random(episodes)
+    field = _FieldBlock(episodes, params.lambda_b, r_field, rng)
+
+    origin = np.zeros(episodes)
+    los, _, _, pre = field.serve(origin, origin, z_pre, params)
+    association = _association_counts(los, pre)
     has_pre = pre >= 0
-    serving_los = los[pre[has_pre]]
 
-    # math's atan2, cos and sin as in simulate_episode: numpy's vector
-    # versions may differ in the last bit
-    v_h = horizontal_speed(params.v, np.array(rho), z_post - z_pre)
-    heading = [t + (math.atan2(field.y[i], field.x[i]) if i >= 0 else 0.0)
-               for i, t in zip(pre.tolist(), theta)]
-    end_x = np.array([v * math.cos(h) for v, h in zip(v_h.tolist(), heading)])
-    end_y = np.array([v * math.sin(h) for v, h in zip(v_h.tolist(), heading)])
-    los, in_range, gains, post = field.serve(end_x, end_y, z_post, params)
-
-    # fading and coin from each episode's own stream; a void episode needs
-    # neither, and nothing follows them in its stream
-    served = np.flatnonzero(post >= 0)
-    m = np.where(los, float(params.channel.m_l), float(params.channel.m_n))
-    powers = np.zeros(len(m))
-    coin = np.empty(len(served))
-    first = field.starts.tolist()
-    ends = (field.starts + field.sizes).tolist()
-    for k, b in enumerate(served.tolist()):
-        rng = streams.resume(states[b])
-        rows = slice(first[b], ends[b])
-        powers[rows] = rng.standard_gamma(m[rows])
-        coin[k] = rng.random()
-    powers /= m
-    powers *= gains
+    bearing = np.zeros(episodes)
+    bearing[has_pre] = np.arctan2(field.y[pre[has_pre]], field.x[pre[has_pre]])
+    heading = bearing + theta
+    v_h = horizontal_speed(params.v, rho, z_post - z_pre)
+    los, in_range, gains, post = field.serve(v_h * np.cos(heading),
+                                             v_h * np.sin(heading), z_post,
+                                             params)
+    powers = gains * _station_fading(los, params, rng)
+    coin = rng.random(episodes)
 
     # per-episode sums of the in-range powers by np.add.reduce, whose
     # pairwise order is np.sum's: a reordered sum may round differently
+    served = np.flatnonzero(post >= 0)
     kept = np.flatnonzero(in_range)
     lo = np.searchsorted(kept, field.starts[served]).tolist()
     hi = np.searchsorted(kept, field.starts[served] + field.sizes[served]).tolist()
@@ -452,40 +397,16 @@ def _tally_block(params: SystemParams, streams: _EpisodeStreams, draw,
 
     handover = has_pre & (post >= 0) & (pre != post)
     covered = (sir > params.t_thresh) & (
-        ~handover[served] | (coin <= 1.0 - params.kappa))
-    counts = (
-        np.count_nonzero(covered),
-        np.count_nonzero(handover),
-        np.count_nonzero(serving_los),
-        len(serving_los) - np.count_nonzero(serving_los),
-        len(pre) - len(serving_los),
-    )
-    return counts, start + len(episodes)
+        ~handover[served] | (coin[served] <= 1.0 - params.kappa))
+    return np.count_nonzero(covered), np.count_nonzero(handover), *association
 
 
-def _tally_range(args) -> np.ndarray:
-    """Summary counts over episodes start..stop-1, equal to a loop of
-    simulate_episode over the same streams."""
-    params, seed, start, stop, r_field = args
-    streams = _EpisodeStreams(seed)
-    scale = 1.0 / math.sqrt(2.0 * np.pi * params.mu)
-    mean = params.lambda_b * np.pi * r_field * r_field
-
-    def draw(rng):
-        # simulate_episode's draws up to the link types, in its order
-        altitudes = rng.random(2)
-        rho = rng.rayleigh(scale)
-        theta = np.pi * rng.random()
-        n = rng.poisson(mean)
-        u = rng.random(3 * n)
-        return (altitudes, rho, theta, streams.save()), n, u
-
-    counts = np.zeros(len(_SUMMARY_KEYS), dtype=np.int64)
-    e = start
-    while e < stop:
-        block, e = _tally_block(params, streams, draw, e, stop, r_field)
-        counts += block
-    return counts
+def _tally_blocks(args) -> np.ndarray:
+    """Summary counts over the given blocks of an n-episode run; block k
+    holds episodes k*size onwards and draws from episode_rng(seed, k)."""
+    params, seed, n, size, blocks, r_field = args
+    return np.sum([_tally_block(params, min(size, n - k * size), r_field,
+                                episode_rng(seed, k)) for k in blocks], axis=0)
 
 
 def summary_estimates(params: SystemParams, n: int, seed: int,
@@ -496,46 +417,38 @@ def summary_estimates(params: SystemParams, n: int, seed: int,
         raise ParameterError("need at least 100 trials")
     if r_field is None:
         r_field = field_radius(params)
-    _check_field_budget(params.lambda_b, r_field)
+    size = _block_episodes(_check_field_budget(params.lambda_b, r_field))
+    blocks = range(-(-n // size))
     if workers <= 1:
-        counts = _tally_range((params, seed, 0, n, r_field))
+        counts = _tally_blocks((params, seed, n, size, blocks, r_field))
     else:
-        chunk = max(1000, -(-n // (4 * workers)))
-        jobs = [(params, seed, lo, min(lo + chunk, n), r_field)
-                for lo in range(0, n, chunk)]
+        # workers get whole blocks, so the counts do not depend on them
+        chunk = -(-len(blocks) // (4 * workers))
+        jobs = [(params, seed, n, size, blocks[i:i + chunk], r_field)
+                for i in range(0, len(blocks), chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = sum(pool.map(_tally_range, jobs))
+            counts = sum(pool.map(_tally_blocks, jobs))
     return {key: _estimate_from_count(int(c), n, seed)
             for key, c in zip(_SUMMARY_KEYS, counts)}
 
 
 def association_estimate(params: SystemParams, z: float, n: int, seed: int) -> dict:
-    """Static association-type frequencies at a fixed altitude, equal to a
-    loop of sample_ppp, classify_links and associate over episode_rng(seed, e)."""
+    """Static association-type frequencies at a fixed altitude, block k of
+    episodes drawing its fields and link types from episode_rng(seed, k)."""
     if n < 100:
         raise ParameterError("need at least 100 trials")
     r_field = receiving_radius(z, params.h_b, params.antenna) + 1.0
-    _check_field_budget(params.lambda_b, r_field)
-    streams = _EpisodeStreams(seed)
-    mean = params.lambda_b * np.pi * r_field * r_field
-
-    def draw(rng):
-        n_field = rng.poisson(mean)
-        return None, n_field, rng.random(3 * n_field)
-
-    los_count = nlos_count = 0
-    e = 0
-    while e < n:
-        episodes, field = _draw_block(streams, e, n, r_field, draw)
-        e += len(episodes)
-        at = np.zeros(len(episodes))
-        los, _, _, serving = field.serve(at, at, np.full(len(episodes), z), params)
-        serving_los = los[serving[serving >= 0]]
-        los_count += np.count_nonzero(serving_los)
-        nlos_count += len(serving_los) - np.count_nonzero(serving_los)
-    counts = {"association_los": los_count, "association_nlos": nlos_count,
-              "void": n - los_count - nlos_count}
-    return {k: _estimate_from_count(int(c), n, seed) for k, c in counts.items()}
+    size = _block_episodes(_check_field_budget(params.lambda_b, r_field))
+    counts = np.zeros(3, dtype=np.int64)
+    for k in range(-(-n // size)):
+        episodes = min(size, n - k * size)
+        field = _FieldBlock(episodes, params.lambda_b, r_field,
+                            episode_rng(seed, k))
+        at = np.zeros(episodes)
+        los, _, _, serving = field.serve(at, at, np.full(episodes, z), params)
+        counts += _association_counts(los, serving)
+    return {key: _estimate_from_count(int(c), n, seed)
+            for key, c in zip(_SUMMARY_KEYS[2:], counts)}
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +502,23 @@ def _conditioned_field(params: SystemParams, r0: float, z: float,
             return field, latent, los, d
 
 
+def _conditioned_interference(params: SystemParams, r0: float, z: float,
+                              serving: LinkType, r_field: float, n: int,
+                              seed: int):
+    """Per episode e < n on episode_rng(seed, e): the stream, and the faded
+    path-loss interference at altitude z from the in-range stations of a
+    field conditioned on the pinned serving GBS winning."""
+    r_m = receiving_radius(z, params.h_b, params.antenna)
+    budget = _RejectionBudget()
+    for e in range(n):
+        rng = episode_rng(seed, e)
+        _, _, los, d = _conditioned_field(params, r0, z, serving, r_field,
+                                          rng, budget)
+        fading = _station_fading(los, params, rng)
+        gains = _pathloss_gains(d, los, (z - params.h_b) ** 2, params)
+        yield rng, float(np.sum((gains * fading)[d <= r_m]))
+
+
 def conditioned_oracles(params: SystemParams, r0: float, z_t: float,
                         serving: LinkType, n: int, seed: int) -> dict:
     """Conditional handover and conditional coverage frequencies with the
@@ -632,18 +562,11 @@ def conditioned_oracles(params: SystemParams, r0: float, z_t: float,
         handovers += got is not None and got[0] != len(aug) - 1
 
     cov_seed = (seed + 0x9E3779B97F4A7C15) & _MASK64
+    signal_gain = path_loss(serving, r0, z_t, ch, params.h_b)
     covered = 0
-    cov_budget = _RejectionBudget()
-    for e in range(n):
-        rng = episode_rng(cov_seed, e)
-        field, _, los, d = _conditioned_field(params, r0, z_t, serving,
-                                              r_field, rng, cov_budget)
-        in_range = d <= r_m_t
-        fading = _station_fading(los, params, rng)
-        gains = _pathloss_gains(d, los, (z_t - params.h_b) ** 2, params)
-        interference = float(np.sum((gains * fading)[in_range]))
-        omega = sample_fading(serving, ch, rng)
-        signal = path_loss(serving, r0, z_t, ch, params.h_b) * omega
+    for rng, interference in _conditioned_interference(
+            params, r0, z_t, serving, r_field, n, cov_seed):
+        signal = signal_gain * sample_fading(serving, ch, rng)
         covered += interference <= 0.0 or signal / interference > params.t_thresh
 
     return {
@@ -659,15 +582,8 @@ def laplace_estimate(params: SystemParams, serving: LinkType, r0: float,
     r_m = receiving_radius(z, params.h_b, params.antenna)
     _check_field_budget(params.lambda_b, r_m + 1.0)
     pg = params.p_t * params.g_tot
-    budget = _RejectionBudget()
     total = 0.0
-    for e in range(n):
-        rng = episode_rng(seed, e)
-        field, _, los, d = _conditioned_field(params, r0, z, serving,
-                                              r_m + 1.0, rng, budget)
-        in_range = d <= r_m
-        fading = _station_fading(los, params, rng)
-        gains = _pathloss_gains(d, los, (z - params.h_b) ** 2, params)
-        interference = pg * float(np.sum((gains * fading)[in_range]))
-        total += math.exp(-tau * interference)
+    for _, interference in _conditioned_interference(
+            params, r0, z, serving, r_m + 1.0, n, seed):
+        total += math.exp(-tau * (pg * interference))
     return total / n

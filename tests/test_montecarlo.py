@@ -48,6 +48,11 @@ ENGINE_CASES = [
     pytest.param({"lambda_b": 1e-12}, 500, id="empty"),
     pytest.param({"lambda_b": 1e-3, "antenna": OmniAntenna()}, 100, id="dense"),
 ]
+# and a sparse omni field of about 290 stations, 13 episodes per block
+REPLAY_CASES = ENGINE_CASES + [
+    pytest.param({"lambda_b": 1e-5, "antenna": OmniAntenna()}, 500,
+                 id="sparse-omni"),
+]
 
 
 class TestSamplePpp:
@@ -230,29 +235,129 @@ class TestSegmentArgmax:
         assert _segment_argmax(np.empty(0), none, none).tolist() == [-1, -1, -1]
 
 
+class _Recorder:
+    """A Generator that logs each draw: method, arguments and result."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        def draw(*args):
+            out = getattr(self._rng, name)(*args)
+            # a copy: the engine may work on its draws in place
+            self.calls.append((name, args, np.copy(out)))
+            return out
+        return draw
+
+
+class _Replay:
+    """Serves one episode's share of a block's draws, in order; each call
+    must name the method and arguments the share records."""
+
+    def __init__(self, share):
+        self.share = list(share)
+
+    def __getattr__(self, name):
+        def draw(*args):
+            want, want_args, value = self.share.pop(0)
+            assert want == name and len(args) == len(want_args)
+            assert all(np.array_equal(a, b) for a, b in zip(args, want_args))
+            return value
+        return draw
+
+
+def _record_blocks(monkeypatch) -> list:
+    """Make the estimators draw through recorders, one per block."""
+    blocks = []
+
+    def recording_rng(seed, k):
+        blocks.append(_Recorder(episode_rng(seed, k)))
+        return blocks[-1]
+
+    monkeypatch.setattr(montecarlo, "episode_rng", recording_rng)
+    return blocks
+
+
+def _field_shares(calls):
+    """Per episode of a block, its share of the block's field draws (counts,
+    then radii, angles and LoS latents in one call) and its rows among the
+    block's stations."""
+    (_, (mean, _), sizes), (_, _, u) = calls
+    radius, angle, latent = np.split(u, 3)
+    ends = np.cumsum(sizes)
+    for n_b, s, e in zip(sizes, ends - sizes, ends):
+        yield [("poisson", (mean,), n_b), ("random", (n_b,), radius[s:e]),
+               ("random", (n_b,), angle[s:e]), ("random", (n_b,), latent[s:e])
+               ], slice(s, e)
+
+
+def _summary_counts(outcomes) -> dict:
+    serving = [o.associated_pre and o.associated_pre[1] for o in outcomes]
+    return {
+        "coverage": sum(o.covered for o in outcomes),
+        "handover": sum(o.handover for o in outcomes),
+        "association_los": serving.count(LinkType.LOS),
+        "association_nlos": serving.count(LinkType.NLOS),
+        "void": sum(o.void_pre for o in outcomes),
+    }
+
+
+def _assert_summary(summary: dict, counts: dict, n: int, seed: int):
+    assert set(summary) == set(counts)
+    for key, count in counts.items():
+        est = summary[key]
+        assert (est.mean, est.n, est.seed) == (count / n, n, seed)
+        assert (est.ci_low, est.ci_high) == wilson_interval(count, n)
+
+
+def _static_association(field, latent, uav, params) -> str:
+    los = classify_links(field, uav, params.env, params.h_b, latent)
+    got = associate(field, los, uav, params)
+    return ("void" if got is None else "association_los"
+            if got[1] is LinkType.LOS else "association_nlos")
+
+
 class TestSummaryEstimates:
     @pytest.mark.parametrize("overrides, n", ENGINE_CASES)
-    def test_matches_single_metric_estimates(self, params, overrides, n):
-        # each metric counted by a plain loop of simulate_episode over the
-        # same episodes; n is no multiple of a block's episode count
+    def test_matches_single_metric_estimates(self, params, overrides, n,
+                                             monkeypatch):
+        # with one episode per block, block e draws from episode_rng(seed, e)
+        # exactly as simulate_episode does, so each metric equals a plain
+        # loop of simulate_episode over the same streams
+        monkeypatch.setattr(montecarlo, "BLOCK_STATIONS", 1)
         seed = 16
         params = params.with_(**overrides)
         summary = summary_estimates(params, n, seed)
         outcomes = [simulate_episode(params, episode_rng(seed, e))
                     for e in range(n)]
-        serving = [o.associated_pre and o.associated_pre[1] for o in outcomes]
-        counts = {
-            "coverage": sum(o.covered for o in outcomes),
-            "handover": sum(o.handover for o in outcomes),
-            "association_los": serving.count(LinkType.LOS),
-            "association_nlos": serving.count(LinkType.NLOS),
-            "void": sum(o.void_pre for o in outcomes),
-        }
-        assert set(summary) == set(counts)
-        for key, count in counts.items():
-            est = summary[key]
-            assert (est.mean, est.n, est.seed) == (count / n, n, seed)
-            assert (est.ci_low, est.ci_high) == wilson_interval(count, n)
+        _assert_summary(summary, _summary_counts(outcomes), n, seed)
+
+    @pytest.mark.parametrize("overrides, n", REPLAY_CASES)
+    def test_blocks_replay_into_simulate_episode(self, params, overrides, n,
+                                                 monkeypatch):
+        # blocks of many episodes (one for omni at the baseline density and
+        # in the dense case); n is no multiple of a block's episode count.
+        # Each episode's share of its block's draws, replayed into
+        # simulate_episode, gives the same counts
+        seed = 16
+        params = params.with_(**overrides)
+        blocks = _record_blocks(monkeypatch)
+        summary = summary_estimates(params, n, seed)
+        outcomes = []
+        for block in blocks:
+            ((_, _, alt), (_, (scale, _), rho), (_, _, theta), *field,
+             (_, (m,), gamma), (_, _, coin)) = block.calls
+            for b, (share, rows) in enumerate(_field_shares(field)):
+                replay = _Replay(
+                    [("random", (2,), alt[b]), ("rayleigh", (scale,), rho[b]),
+                     ("random", (), theta[b])] + share
+                    + [("standard_gamma", (m[rows],), gamma[rows]),
+                       ("random", (), coin[b])])
+                outcomes.append(simulate_episode(params, replay))
+                assert replay.share == []
+        assert len(outcomes) == n
+        _assert_summary(summary, _summary_counts(outcomes), n, seed)
 
     @pytest.mark.slow
     def test_field_size_sufficiency(self, params):
@@ -278,8 +383,10 @@ class TestSummaryEstimates:
 
 class TestStaticAssociation:
     @pytest.mark.parametrize("overrides, n", ENGINE_CASES)
-    def test_matches_episode_loop(self, params, overrides, n):
-        # the block engine against a plain loop of the per-episode steps
+    def test_matches_episode_loop(self, params, overrides, n, monkeypatch):
+        # one episode per block: the block engine against a plain loop of
+        # the per-episode steps over episode_rng(seed, e)
+        monkeypatch.setattr(montecarlo, "BLOCK_STATIONS", 1)
         seed, z = 20, 120.0
         params = params.with_(**overrides)
         r_field = receiving_radius(z, params.h_b, params.antenna) + 1.0
@@ -288,13 +395,32 @@ class TestStaticAssociation:
         for e in range(n):
             rng = episode_rng(seed, e)
             field = sample_ppp(params.lambda_b, r_field, rng)
-            los = classify_links(field, uav, params.env, params.h_b,
-                                 rng.random(len(field)))
-            got = associate(field, los, uav, params)
-            key = ("void" if got is None else "association_los"
-                   if got[1] is LinkType.LOS else "association_nlos")
-            counts[key] += 1
+            counts[_static_association(field, rng.random(len(field)), uav,
+                                       params)] += 1
         estimates = association_estimate(params, z, n, seed)
+        assert {k: (e.mean, e.n, e.seed) for k, e in estimates.items()} == {
+            k: (c / n, n, seed) for k, c in counts.items()}
+
+    @pytest.mark.parametrize("overrides, n", REPLAY_CASES)
+    def test_blocks_replay_into_episode_steps(self, params, overrides, n,
+                                              monkeypatch):
+        # blocks of many episodes: each episode's share of its block's
+        # draws, replayed into sample_ppp and classify_links
+        seed, z = 20, 120.0
+        params = params.with_(**overrides)
+        r_field = receiving_radius(z, params.h_b, params.antenna) + 1.0
+        uav = Waypoint(0.0, 0.0, z)
+        blocks = _record_blocks(monkeypatch)
+        estimates = association_estimate(params, z, n, seed)
+        counts = {"association_los": 0, "association_nlos": 0, "void": 0}
+        for block in blocks:
+            for share, _ in _field_shares(block.calls):
+                replay = _Replay(share)
+                field = sample_ppp(params.lambda_b, r_field, replay)
+                counts[_static_association(
+                    field, replay.random(len(field)), uav, params)] += 1
+                assert replay.share == []
+        assert sum(counts.values()) == n
         assert {k: (e.mean, e.n, e.seed) for k, e in estimates.items()} == {
             k: (c / n, n, seed) for k, c in counts.items()}
 
