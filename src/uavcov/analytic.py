@@ -15,8 +15,13 @@ Layout of the computation:
   law. Transition length and pre-move altitude enter the region only through
   the horizontal speed, so their double integral is one integral over the
   law of that speed given the post-move altitude, on Gauss nodes placed
-  through its closed-form CDF (``model.horizontal_speed_nodes``); both
-  target types share the direction, speed and post-move distance grids;
+  through its closed-form CDF (``model.horizontal_speed_nodes``). A serving
+  distance whose region is empty at every speed up to V (target radius 0,
+  or post-move disk inside the pre-move one; most cross-type rows) is 0
+  without a grid; a same-type target, every target of the nearest rule,
+  takes the closed-form lens angles of two circles through the serving
+  GBS (``geometry.same_type_lens_complement_area``); the remaining
+  cross-type rows take the general lens formula;
 * conditional coverage: finite Nakagami sum over derivatives of the
   interference Laplace transform, with the exponent integrals evaluated on
   two-panel (linear + geometric) Gauss grids so both the near-serving peak
@@ -46,6 +51,7 @@ from .geometry import (
     displaced_distance,
     equal_power_radius,
     lens_complement_area,
+    same_type_lens_complement_area,
 )
 from .model import (
     AssociationPolicy,
@@ -130,13 +136,16 @@ def _cond_handover_grid(serving: LinkType, targets: tuple, r0, z_t: float,
 
     The movement reaches the handover region only through its direction
     theta and its horizontal speed v_h, so the expectation runs over theta
-    and over the law of v_h given z_t (``horizontal_speed_nodes``), and the
-    post-move serving distance is shared by the target types.
+    and over the law of v_h given z_t (``horizontal_speed_nodes``). A serving
+    distance whose region is empty at every v_h <= V is 0 without a grid:
+    either the target radius stays 0 or the post-move disk stays inside the
+    pre-move one. A same-type target takes the closed-form lens angles.
     """
     r0 = np.atleast_1d(np.asarray(r0, dtype=float))
+    out = np.zeros((len(targets), r0.size))
     if params.v == 0.0:
         # zero displacement: the post-move disk is contained in the pre-move one
-        return np.zeros((len(targets), r0.size))
+        return out
     ctx = height_context(params, z_t)
     ch = params.channel
     _, _, f_theta = mobility_pdfs(params)
@@ -144,15 +153,27 @@ def _cond_handover_grid(serving: LinkType, targets: tuple, r0, z_t: float,
     theta, w_th = gauss_nodes(0.0, np.pi, n_theta)
     v_h, w_v = horizontal_speed_nodes(z_t, params, n_v)
     w = (w_th * f_theta(theta))[:, None] * w_v
-    r_after = displaced_distance(r0[:, None, None], v_h, theta[:, None])
-    rows = []
-    for target in targets:
+    theta = theta[:, None]
+    for i, target in enumerate(targets):
         x_a = equal_power_radius(serving, target, r0, ctx.h_bar, ch)
-        y_b = np.minimum(equal_power_radius(serving, target, r_after, ctx.h_bar, ch),
-                         ctx.r_m)
-        area = lens_complement_area(x=x_a[:, None, None], y=y_b, v=v_h)
-        rows.append(1.0 - np.sum(np.exp(-params.lambda_b * area) * w, axis=(1, 2)))
-    return np.clip(np.array(rows), 0.0, 1.0)
+        # v_h <= V and r_after <= r0 + V bound the post-move disk; the
+        # general lens formula gives exactly 0 on the rows this rules out
+        y_hi = np.minimum(equal_power_radius(serving, target, r0 + params.v,
+                                             ctx.h_bar, ch), ctx.r_m)
+        live = (y_hi > 0.0) & (params.v + y_hi > x_a)
+        if not np.any(live):
+            continue
+        r = r0[live, None, None]
+        if target is serving:
+            area = same_type_lens_complement_area(r, v_h, theta, ctx.r_m)
+        else:
+            r_after = displaced_distance(r, v_h, theta)
+            y_b = np.minimum(equal_power_radius(serving, target, r_after,
+                                                ctx.h_bar, ch), ctx.r_m)
+            area = lens_complement_area(x=x_a[live, None, None], y=y_b, v=v_h)
+        out[i, live] = 1.0 - np.sum(np.exp(-params.lambda_b * area) * w,
+                                    axis=(1, 2))
+    return np.clip(out, 0.0, 1.0)
 
 
 def _stay_grid(serving: LinkType, r0, z_t: float, params: SystemParams) -> np.ndarray:

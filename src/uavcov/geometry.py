@@ -4,7 +4,8 @@ All radii are horizontal projections: the receiving range, the equal-mean-RSS
 radius map between link types, the cross-type exclusion radii, the post-move
 serving distance, and the area of the post-move disk not covered by the
 pre-move disk (the region whose PPP null probability gives the no-handover
-probability).
+probability): in general, and in closed form for a same-type target, whose
+two circles both pass through the serving GBS.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "exclusion_radius",
     "displaced_distance",
     "lens_complement_area",
+    "same_type_lens_complement_area",
 ]
 
 
@@ -98,4 +100,31 @@ def lens_complement_area(*, x, y, v):
     out = (y2 * (np.pi - np.arctan2(t, v2 + y2 - x2))
            - x2 * np.arctan2(t, v2 + x2 - y2) + 0.5 * t)
     out = np.where(v + y <= x, 0.0, np.maximum(out, 0.0))
+    return float(out) if out.ndim == 0 else out
+
+
+def same_type_lens_complement_area(r0, v, theta, r_m):
+    """lens_complement_area(x=r0, y=min(r_after, r_m), v=v), r_after being
+    displaced_distance(r0, v, theta); broadcastable arrays or scalars.
+
+    For a same-type target both circles pass through the serving GBS, so
+    the lens half-angles have a closed form: pi - theta at the pre-move
+    point and b = theta - d at the post-move one, d = atan2(v sin(theta),
+    r0 + v cos(theta)) being the angle the move turns the view of the GBS
+    by. The area r_after^2 (pi - b) - r0^2 (pi - theta) + r0 v sin(theta)
+    is then summed as r0^2 d + (r_after^2 - r0^2)(pi - b) + r0 v sin(theta),
+    which keeps its precision as v -> 0, where the general formula's
+    v^2 + y^2 - x^2 cancels. Only the elements whose post-move disk is
+    capped at r_m take the general formula.
+    """
+    r0, v, theta = (np.asarray(a, dtype=float) for a in (r0, v, theta))
+    cos, sin = np.cos(theta), np.sin(theta)
+    d = np.arctan2(v * sin, r0 + v * cos)
+    growth = v * (v + 2.0 * r0 * cos)            # r_after^2 - r0^2
+    out = np.asarray(r0 * r0 * d + growth * (np.pi - theta + d) + r0 * (v * sin))
+    capped = growth > r_m * r_m - r0 * r0
+    if np.any(capped):
+        out[capped] = lens_complement_area(x=np.broadcast_to(r0, out.shape)[capped],
+                                           y=r_m, v=np.broadcast_to(v, out.shape)[capped])
+    out = np.maximum(out, 0.0)
     return float(out) if out.ndim == 0 else out

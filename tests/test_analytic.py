@@ -1,10 +1,13 @@
 import functools
+import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uavcov import analytic
+from uavcov import analytic, cli
 from uavcov.analytic import (
     HandoverContext,
     N_R0,
@@ -21,14 +24,21 @@ from uavcov.analytic import (
     reset_coverage_drift_counter,
     _tau_threshold,
 )
-from uavcov.association import association_probability
+from uavcov.association import association_probability, height_context
 from uavcov.errors import GeometryError, ParameterError
+from uavcov.geometry import (
+    displaced_distance,
+    equal_power_radius,
+    lens_complement_area,
+)
 from uavcov.model import (
     AssociationPolicy,
     ChannelParams,
     DirectionalAntenna,
     LinkType,
     OmniAntenna,
+    horizontal_speed_nodes,
+    mobility_pdfs,
 )
 from uavcov.montecarlo import conditioned_oracles, laplace_estimate
 from uavcov.quadrature import gauss_nodes
@@ -285,6 +295,96 @@ class TestHandoverKernelGrid:
             analytic._cond_handover_grid, n_theta=48, n_v=64))
         refined = _policy_metrics.__wrapped__(key, N_Z, N_R0).handover
         assert abs(default - refined) <= 1e-5
+
+
+def general_lens_handover_grid(serving, targets, r0, z_t, params):
+    """The handover kernel as the general lens formula on the full
+    r0 x theta x v_h grid, every target type alike; returns the kernel's
+    rows, the lens areas behind them and the post-move serving distance."""
+    r0 = np.atleast_1d(np.asarray(r0, dtype=float))
+    ctx = height_context(params, z_t)
+    ch = params.channel
+    _, _, f_theta = mobility_pdfs(params)
+    theta, w_th = gauss_nodes(0.0, np.pi, analytic.N_THETA)
+    v_h, w_v = horizontal_speed_nodes(z_t, params, analytic.N_V)
+    w = (w_th * f_theta(theta))[:, None] * w_v
+    r_after = displaced_distance(r0[:, None, None], v_h, theta[:, None])
+    rows, areas = [], []
+    for target in targets:
+        x_a = equal_power_radius(serving, target, r0, ctx.h_bar, ch)
+        y_b = np.minimum(equal_power_radius(serving, target, r_after, ctx.h_bar, ch),
+                         ctx.r_m)
+        area = lens_complement_area(x=x_a[:, None, None], y=y_b, v=v_h)
+        rows.append(1.0 - np.sum(np.exp(-params.lambda_b * area) * w, axis=(1, 2)))
+        areas.append(area)
+    return np.clip(np.array(rows), 0.0, 1.0), areas, r_after
+
+
+class TestHandoverKernelEquivalence:
+    def test_matches_general_lens_grid(self, params):
+        # both antennas, every serving/target pair, sparse and dense
+        # networks, both altitude-band edges, r0 from 0 to r_m, a speed that
+        # caps same-type post-move disks at r_m, and the symmetric channel,
+        # whose cross-type radius maps are not trivial. The bound is 2e-12:
+        # near r_m with the smallest speed node the general formula's
+        # v^2 + y^2 - x^2 cancels, so at r0 = 3000 m, v_h = 0.7 m its area
+        # is off by 1.2e-6 m^2 (the closed form by 1e-13 m^2, both against
+        # 50-digit arithmetic), which moves the omni kernel at 1000/km^2 by
+        # 1.7e-12
+        paths = {"empty rows": 0, "live cross-type rows": 0, "capped": 0}
+        for antenna, channel, v, lam, edge in itertools.product(
+                (DirectionalAntenna(), OmniAntenna()),
+                (params.channel, SYM_CHANNEL), (20.0, 200.0), (10.0, 1000.0),
+                ("h_lb", "h_ub")):
+            p = params.with_(antenna=antenna, channel=channel, v=v,
+                             lambda_b=lam * 1e-6)
+            z = getattr(p, edge)
+            r_m = height_context(p, z).r_m
+            r0 = np.linspace(0.0, r_m, 33)
+            for serving in LinkType:
+                want, areas, r_after = general_lens_handover_grid(
+                    serving, tuple(LinkType), r0, z, p)
+                got = analytic._cond_handover_grid(serving, tuple(LinkType), r0,
+                                                   z, p)
+                assert np.max(np.abs(got - want)) <= 2e-12, (
+                    antenna, channel is SYM_CHANNEL, v, lam, edge, serving)
+                for target, area in zip(LinkType, areas):
+                    empty = ~np.any(area > 0.0, axis=(1, 2))
+                    paths["empty rows"] += int(np.count_nonzero(empty))
+                    if target is serving:
+                        paths["capped"] += int(np.count_nonzero(r_after > r_m))
+                    else:
+                        paths["live cross-type rows"] += int(np.count_nonzero(~empty))
+        assert all(count > 0 for count in paths.values()), paths
+
+
+class TestPinnedSweepPoints:
+    def test_matches_values_before_kernel_rewrite(self):
+        """The 28 points of the benchmark's analytic sweep (lambda_b 10 to
+        1000/km^2, both policies, both antennas, built-in defaults) keep
+        their five outputs within 1e-9.
+
+        tests/data/analytic_points.json was written at commit f58dea9, the
+        handover kernel before its empty-row skip and same-type closed form:
+        the sweep below was run there, each row's unrounded analytic value
+        stored by json (shortest round-trip repr, so at full precision).
+        """
+        pinned = json.loads((Path(__file__).parent / "data"
+                             / "analytic_points.json").read_text())["points"]
+        spec = cli.SweepSpec(
+            axis="lambda_b",
+            values=tuple(dict.fromkeys(p["lambda_b"] for p in pinned)),
+            metrics=("coverage", "handover", "association", "void"),
+            policies=("strongest_rss", "nearest"),
+            antennas=("directional", "omni"), engine="analytic")
+        rows = cli.run_sweep(spec, cli.load_config(None))
+        got = {(r.value, r.policy, r.antenna, r.metric): r.analytic for r in rows}
+        assert len(got) == 5 * len(pinned) == 140
+        for point in pinned:
+            for metric in ("coverage", "handover", "association_los",
+                           "association_nlos", "void"):
+                key = (point["lambda_b"], point["policy"], point["antenna"], metric)
+                assert abs(got[key] - point[metric]) <= 1e-9, key
 
 
 class TestAssociationMarginals:

@@ -14,6 +14,7 @@ from uavcov.geometry import (
     exclusion_radius,
     lens_complement_area,
     receiving_radius,
+    same_type_lens_complement_area,
 )
 from uavcov.model import ChannelParams, DirectionalAntenna, LinkType, OmniAntenna
 
@@ -212,3 +213,56 @@ class TestLensComplementArea:
     def test_negative_inputs_rejected(self):
         with pytest.raises(GeometryError):
             lens_complement_area(x=-1.0, y=2.0, v=3.0)
+
+
+class TestSameTypeLensComplementArea:
+    @given(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1e-9),
+                     st.floats(0.0, 1.0)),
+           st.one_of(st.floats(1e-9, 1e-3), st.floats(1e-3, 500.0)),
+           st.one_of(st.floats(0.0, 1e-6), st.floats(math.pi - 1e-6, math.pi),
+                     st.floats(0.0, math.pi)),
+           st.floats(1.0, 3000.0))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_general_formula(self, r0_frac, v, theta, r_m):
+        # r0 from 0 to r_m, v toward 0, theta at both ends; the general
+        # formula takes v^2 + y^2 - x^2 from squares of size (r0 + v)^2 and
+        # its lens angles amplify that rounding by about r0 / v
+        r0 = r0_frac * r_m
+        closed = same_type_lens_complement_area(r0, v, theta, r_m)
+        general = lens_complement_area(
+            x=r0, y=min(displaced_distance(r0, v, theta), r_m), v=v)
+        assert abs(closed - general) <= 1e-13 * (r0 + v) ** 2 * (1.0 + r0 / v)
+
+    def test_small_move_limit(self):
+        # to first order in v the region is r0 v (2 sin(theta) + 2 (pi -
+        # theta) cos(theta)); at v = 1e-6 r0 the general formula is off by
+        # about 1e-8 r0^2, more than the region itself near theta = pi
+        for r0 in (1.0, 100.0, 3000.0):
+            v = 1e-6 * r0
+            for theta in np.linspace(0.0, math.pi, 7):
+                first_order = r0 * v * (2.0 * math.sin(theta)
+                                        + 2.0 * (math.pi - theta) * math.cos(theta))
+                assert abs(same_type_lens_complement_area(r0, v, theta, 2.0 * r0)
+                           - first_order) <= 4.0 * v * v
+
+    def test_degenerate_moves(self):
+        # no move, a move from the serving GBS itself, straight toward it
+        # (B inside A, tangent at the GBS) and straight away (A inside B)
+        assert same_type_lens_complement_area(50.0, 0.0, 1.0, 100.0) == 0.0
+        assert same_type_lens_complement_area(0.0, 5.0, 1.0, 100.0) == pytest.approx(
+            25.0 * math.pi, rel=1e-12)
+        assert same_type_lens_complement_area(50.0, 5.0, math.pi, 100.0) == pytest.approx(
+            0.0, abs=1e-9)
+        assert same_type_lens_complement_area(50.0, 5.0, 0.0, 100.0) == pytest.approx(
+            math.pi * (55.0**2 - 50.0**2), rel=1e-12)
+
+    def test_broadcasts_like_the_kernel_grid(self):
+        r0 = np.array([0.0, 40.0, 100.0])[:, None, None]
+        theta = np.linspace(0.0, math.pi, 5)[:, None]
+        v = np.array([1.0, 20.0, 70.0])
+        got = same_type_lens_complement_area(r0, v, theta, 100.0)
+        assert got.shape == (3, 5, 3)
+        want = lens_complement_area(
+            x=np.broadcast_to(r0, got.shape),
+            y=np.minimum(displaced_distance(r0, v, theta), 100.0), v=v)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
