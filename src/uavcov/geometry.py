@@ -83,22 +83,25 @@ def lens_complement_area(*, x, y, v):
 
     Disk A of radius x sits at the pre-move point, disk B of radius y at the
     post-move point, their centers v apart; broadcastable arrays or scalars.
-    One lens formula covers every configuration: the half-angles a, b of the
-    lens at the centers of A and B satisfy 2vx (cos a, sin a) =
-    (v^2 + x^2 - y^2, t) and 2vy (cos b, sin b) = (v^2 + y^2 - x^2, t), t
-    being 4 times the area of the triangle of both centers and a crossing
-    point (Heron). atan2 thus needs no division by v, x or y, and t = 0
-    unless the circles cross, which gives the disjoint (pi*y^2) and A inside
-    B (pi*(y^2 - x^2)) limits. B inside A is pinned to exactly 0: at v = 0,
-    x = y the formula cannot tell it from disjoint disks.
+    With lens half-angles a, b at the centers of A and B the area is
+    y^2 (pi - b) - x^2 a + t/2, t being 4 times the area of the triangle of
+    both centers and a crossing point P (Heron). It is summed as
+    x^2 g + (y^2 - x^2) c + t/2 with c = pi - b and g = c - a, the angle
+    at P between its vectors to the centers. Both angles come from atan2
+    of those vectors' cross and dot products, (t, x^2 + y^2 - v^2) for g
+    and (t, x^2 - y^2 - v^2) for c, with y^2 - x^2 and the factors of t
+    formed from x - y: nothing cancels as v -> 0 with y near x. t = 0
+    unless the circles cross, which gives the disjoint (pi*y^2) and A
+    inside B (pi*(y^2 - x^2)) limits; B inside A is pinned to exactly 0.
     """
     x, y, v = (np.asarray(a, dtype=float) for a in (x, y, v))
     if np.any(x < 0) or np.any(y < 0) or np.any(v < 0):
         raise GeometryError("radii and separation must be nonnegative")
-    x2, y2, v2 = x * x, y * y, v * v
-    t = np.sqrt(np.maximum((x + y - v) * (v + x - y) * (v + y - x) * (v + x + y), 0.0))
-    out = (y2 * (np.pi - np.arctan2(t, v2 + y2 - x2))
-           - x2 * np.arctan2(t, v2 + x2 - y2) + 0.5 * t)
+    gap, x2, v2 = x - y, x * x, v * v
+    growth = -gap * (x + y)                                   # y^2 - x^2
+    t = np.sqrt(np.maximum((x + y - v) * (x + y + v) * (v + gap) * (v - gap), 0.0))
+    out = (x2 * np.arctan2(t, x2 + y * y - v2)
+           + growth * np.arctan2(t, -growth - v2) + 0.5 * t)
     out = np.where(v + y <= x, 0.0, np.maximum(out, 0.0))
     return float(out) if out.ndim == 0 else out
 
@@ -113,9 +116,9 @@ def same_type_lens_complement_area(r0, v, theta, r_m):
     r0 + v cos(theta)) being the angle the move turns the view of the GBS
     by. The area r_after^2 (pi - b) - r0^2 (pi - theta) + r0 v sin(theta)
     is then summed as r0^2 d + (r_after^2 - r0^2)(pi - b) + r0 v sin(theta),
-    which keeps its precision as v -> 0, where the general formula's
-    v^2 + y^2 - x^2 cancels. Only the elements whose post-move disk is
-    capped at r_m take the general formula.
+    which keeps its precision as v -> 0 with one arctan2 where the general
+    formula takes two. Only the elements whose post-move disk is capped at
+    r_m take the general formula.
     """
     r0, v, theta = (np.asarray(a, dtype=float) for a in (r0, v, theta))
     cos, sin = np.cos(theta), np.sin(theta)

@@ -3,17 +3,27 @@
 Each episode samples a GBS field, link types, fading and one 3D movement,
 then records association, handover, void and coverage events.
 `simulate_episode` runs one episode from a given stream and is the
-reference. The estimators `summary_estimates` and `association_estimate`
-run blocks of a fixed number of episodes, chosen from the inputs so that a
-block's fields hold about BLOCK_STATIONS stations (a denser field is a
-block of its own). Block k draws from one Philox stream keyed by
-(seed, k), each quantity in one vector call in simulate_episode's order,
-so a one-episode block consumes its stream as simulate_episode does.
-Workers get whole blocks, so estimates are bit-identical regardless of
-execution order or worker count. A block's stations sit in one array
-(episode b owns the rows starts[b] : starts[b] + sizes[b]); distances,
-link types, gains and serving stations are computed once per waypoint
-for the whole block, with simulate_episode's elementwise operations.
+reference. A field is drawn without trigonometry: a Poisson count of
+points uniform in the square [-r_field, r_field]^2, x and y from one draw,
+keeping those inside the disc (a PPP of the same intensity on the disc),
+then one LoS latent per kept station. Every distance is sqrt(dx*dx +
+dy*dy) and every squared height gap a product.
+
+The estimators `summary_estimates` and `association_estimate` run blocks
+of a fixed number of episodes, chosen from the inputs so that a block's
+fields hold about BLOCK_STATIONS stations (a denser field is a block of
+its own). Block k draws from one Philox stream keyed by (seed, k), each
+quantity in one vector call in simulate_episode's order (altitudes, rho,
+theta, square counts, x|y, latents, fading, coins), so a one-episode
+block consumes its stream as simulate_episode does. Workers get whole
+blocks, so estimates are bit-identical regardless of execution order or
+worker count. A block's stations sit in one array (episode b owns the
+rows starts[b] : starts[b] + sizes[b]); distances, link types, gains and
+serving stations are computed once per waypoint for the whole block, with
+simulate_episode's elementwise operations. The pre-move association, with
+the UAV above the origin, looks only at a disc of about ORIGIN_CANDIDATES
+stations and doubles its radius until the disc's winner provably beats
+every station outside it, so it picks the station the whole field would.
 
 The common factor P_t*G_tot multiplies the received power of the serving
 GBS and of every interferer alike, so it cancels from the SIR and from the
@@ -62,13 +72,20 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _Z95 = 1.959963984540054
 FIELD_MARGIN = 50.0
-# mean stations per sampled field beyond which an estimator refuses to run;
-# a block holds at least one whole field, some ten float arrays per station
+# mean stations per sampled field (on the disc) beyond which an estimator
+# refuses to run, before any draw; a block holds at least one whole field,
+# some ten float arrays per station, and the square it is drawn from holds
+# 4/pi times as many points while the field is built
 MAX_MEAN_STATIONS = 1e6
 # stations per block, counting one for each episode's own draws; a larger
 # field is a block of its own. At the baseline 4096 ran as fast as 8192
 # with 0.8 MB less peak memory, and 2048 ran slower
 BLOCK_STATIONS = 4096
+# mean stations in the first candidate disc of the pre-move association
+ORIGIN_CANDIDATES = 64
+# relative margin by which a candidate winner must beat any station outside
+# the disc; rounding moves a distance or a gain by some 1e-15
+DISC_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -149,12 +166,25 @@ def _check_field_budget(lambda_b: float, r_field: float) -> float:
 
 
 def sample_ppp(lambda_b: float, r_field: float, rng: np.random.Generator) -> GbsField:
-    """Homogeneous PPP restricted to a disc of radius r_field."""
-    n = rng.poisson(lambda_b * np.pi * r_field * r_field)
-    radii = r_field * np.sqrt(rng.random(n))
-    angles = 2.0 * np.pi * rng.random(n)
-    return GbsField(np.column_stack([radii * np.cos(angles),
-                                     radii * np.sin(angles)]))
+    """Homogeneous PPP restricted to a disc of radius r_field: a Poisson
+    count of points uniform in the square [-r_field, r_field]^2, x and y
+    from one draw, keeping the points inside the disc."""
+    n = rng.poisson(4.0 * lambda_b * r_field * r_field)
+    xy = (2.0 * rng.random(2 * n) - 1.0) * r_field
+    x, y = xy[:n], xy[n:]
+    inside = x * x + y * y <= r_field * r_field
+    return GbsField(np.column_stack([x[inside], y[inside]]))
+
+
+def _distance(x, y, px, py) -> np.ndarray:
+    """Horizontal distances sqrt(dx*dx + dy*dy) of the points (x, y) from
+    (px, py); every distance of this module, so all round alike."""
+    dx = x - px
+    dy = y - py
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def classify_links(field: GbsField, uav: Waypoint, env, h_b: float,
@@ -167,15 +197,14 @@ def classify_links(field: GbsField, uav: Waypoint, env, h_b: float,
     unchanged, while a GBS seen from the same point keeps the same state
     (no displacement implies no handover, for any seed).
     """
-    d = np.hypot(field.positions[:, 0] - uav.x, field.positions[:, 1] - uav.y)
+    d = _distance(field.positions[:, 0], field.positions[:, 1], uav.x, uav.y)
     return latent < los_probability(d, uav.z, env, h_b)
 
 
 def _pathloss_gains(d: np.ndarray, los: np.ndarray, dz2,
                     params: SystemParams) -> np.ndarray:
     """Path-loss gains at horizontal distances d, with dz2 the squared
-    height gap (z - h_b)**2 as a Python or numpy scalar power: the array
-    square may differ from it in the last bit."""
+    height gap dz * dz, dz = z - h_b."""
     ch = params.channel
     d2 = d * d + dz2
     return np.where(los,
@@ -202,14 +231,15 @@ def associate(field: GbsField, los: np.ndarray, uav: Waypoint,
     """
     if len(field) == 0:
         return None
-    d = np.hypot(field.positions[:, 0] - uav.x, field.positions[:, 1] - uav.y)
+    d = _distance(field.positions[:, 0], field.positions[:, 1], uav.x, uav.y)
     in_range = d <= receiving_radius(uav.z, params.h_b, params.antenna)
     if not np.any(in_range):
         return None
     if params.policy is AssociationPolicy.NEAREST:
         metric = np.where(in_range, -d, -np.inf)
     else:
-        gains = _pathloss_gains(d, los, (uav.z - params.h_b) ** 2, params)
+        dz = uav.z - params.h_b
+        gains = _pathloss_gains(d, los, dz * dz, params)
         metric = np.where(in_range, gains, -np.inf)
     idx = int(np.argmax(metric))
     link = LinkType.LOS if los[idx] else LinkType.NLOS
@@ -256,10 +286,10 @@ def simulate_episode(params: SystemParams, rng: np.random.Generator,
     sir = None
     covered = False
     if post is not None:
-        d = np.hypot(field.positions[:, 0] - end.x, field.positions[:, 1] - end.y)
+        d = _distance(field.positions[:, 0], field.positions[:, 1], end.x, end.y)
         in_range = d <= receiving_radius(z_post, params.h_b, params.antenna)
-        powers = _pathloss_gains(d, los_post, (z_post - params.h_b) ** 2,
-                                 params) * fading
+        dz = z_post - params.h_b
+        powers = _pathloss_gains(d, los_post, dz * dz, params) * fading
         signal = powers[post[0]]
         interference = float(np.sum(powers[in_range])) - signal
         sir = math.inf if interference <= 0.0 else float(signal / interference)
@@ -300,26 +330,31 @@ def _segment_argmax(metric: np.ndarray, starts: np.ndarray,
 
 class _FieldBlock:
     """The fields of a block's episodes in one array: episode b owns the
-    stations starts[b] : starts[b] + sizes[b]. Draws the station counts,
-    then the radii, angles and LoS latents of all stations, as sample_ppp
-    and simulate_episode draw them for one field."""
+    stations starts[b] : starts[b] + sizes[b]. Draws the square counts,
+    then x and y of all points in one call, then the LoS latents of the
+    kept stations, as sample_ppp and simulate_episode draw them for one
+    field; r2 is each station's squared distance from the origin."""
 
     def __init__(self, episodes: int, lambda_b: float, r_field: float,
                  rng: np.random.Generator):
-        self.sizes = rng.poisson(lambda_b * np.pi * r_field * r_field, episodes)
-        self.starts = np.cumsum(self.sizes) - self.sizes
-        n = int(self.sizes.sum())
-        # in-place products and u freed on return: a dense field faults less
-        u = rng.random(3 * n)
-        radii = np.sqrt(u[:n])
-        radii *= r_field
-        angles = u[n:2 * n]
-        angles *= 2.0 * np.pi
-        self.x = np.cos(angles)
-        self.x *= radii
-        self.y = np.sin(angles)
-        self.y *= radii
-        self.latent = u[2 * n:].copy()
+        self.lambda_b, self.r_field = lambda_b, r_field
+        counts = rng.poisson(4.0 * lambda_b * r_field * r_field, episodes)
+        n = int(counts.sum())
+        # in-place arithmetic and index gathers: a dense field faults and
+        # copies less than with fresh products and boolean masks
+        xy = rng.random(2 * n)
+        xy *= 2.0
+        xy -= 1.0
+        xy *= r_field
+        x, y = xy[:n], xy[n:]
+        r2 = x * x
+        r2 += y * y
+        keep = np.flatnonzero(r2 <= r_field * r_field)
+        self.x, self.y, self.r2 = x.take(keep), y.take(keep), r2.take(keep)
+        ends = np.searchsorted(keep, np.cumsum(counts))
+        self.sizes = np.diff(ends, prepend=0)
+        self.starts = ends - self.sizes
+        self.latent = rng.random(len(keep))
         self._seg = (None if episodes == 1
                      else np.repeat(np.arange(episodes), self.sizes))
 
@@ -332,29 +367,81 @@ class _FieldBlock:
         """Link types, in-range mask, path-loss gains and serving station
         (-1 when void) with each episode's UAV at (wx, wy, z)[b]; the same
         operations as classify_links and associate."""
-        d = np.hypot(self.x - self.spread(wx), self.y - self.spread(wy))
+        d = _distance(self.x, self.y, self.spread(wx), self.spread(wy))
         los = self.latent < los_probability(d, self.spread(z), params.env,
                                             params.h_b)
         in_range = d <= self.spread(receiving_radius(z, params.h_b,
                                                      params.antenna))
-        # scalar powers per episode, as _pathloss_gains asks
-        dz2 = np.array([(zb - params.h_b) ** 2 for zb in z.tolist()])
-        gains = _pathloss_gains(d, los, self.spread(dz2), params)
+        dz = z - params.h_b
+        gains = _pathloss_gains(d, los, self.spread(dz * dz), params)
         metric = -d if params.policy is AssociationPolicy.NEAREST else gains
         serving = _segment_argmax(np.where(in_range, metric, -np.inf),
                                   self.starts, self.sizes)
         return los, in_range, gains, serving
+
+    def serve_origin(self, z: np.ndarray, params: SystemParams):
+        """Serving station (-1 when void) and its LoS mark with each
+        episode's UAV above the origin at altitude z[b], as serve picks
+        them, from the stations of a disc r2 <= r_c^2 whose first radius
+        holds ORIGIN_CANDIDATES stations on average. An episode's pick
+        stands once no station outside the disc can be in range or beat it
+        (a gain above what a LoS or NLoS station at r_c could have, or a
+        distance below r_c), by DISC_MARGIN; the other episodes go round
+        again with r_c doubled. At r_c >= r_field the disc is the field."""
+        ch = params.channel
+        nearest = params.policy is AssociationPolicy.NEAREST
+        r_m = receiving_radius(z, params.h_b, params.antenna)
+        dz = z - params.h_b
+        dz2 = dz * dz
+        serving = np.full(len(z), -1, dtype=np.intp)
+        serving_los = np.zeros(len(z), dtype=bool)
+        todo = np.arange(len(z))
+        r_c = math.sqrt(ORIGIN_CANDIDATES / (math.pi * self.lambda_b))
+        while len(todo):
+            # the candidates of the episodes in todo, segment by segment
+            near = np.flatnonzero(self.r2 <= r_c * r_c)
+            lo = np.searchsorted(near, self.starts[todo])
+            sizes = np.searchsorted(near, self.starts[todo]
+                                    + self.sizes[todo]) - lo
+            starts = np.cumsum(sizes) - sizes
+            seg = np.repeat(np.arange(len(todo)), sizes)
+            rows = near[np.arange(len(seg)) + (lo - starts)[seg]]
+            ep = todo[seg]
+            # x - 0.0 == x, so this is _distance from the origin
+            d = np.sqrt(self.r2[rows])
+            los = self.latent[rows] < los_probability(d, z[ep], params.env,
+                                                      params.h_b)
+            metric = -d if nearest else _pathloss_gains(d, los, dz2[ep], params)
+            best = _segment_argmax(np.where(d <= r_m[ep], metric, -np.inf),
+                                   starts, sizes)
+            # the best metric a station outside the disc could have
+            if nearest:
+                outside = np.full(len(todo), -r_c * (1.0 - DISC_MARGIN))
+            else:
+                edge = r_c * r_c + dz2[todo]
+                outside = (1.0 + DISC_MARGIN) * np.maximum(
+                    ch.eta_l * edge ** (-0.5 * ch.alpha_l),
+                    ch.eta_n * edge ** (-0.5 * ch.alpha_n))
+            done = (r_c * (1.0 - DISC_MARGIN) > r_m[todo]) | (r_c >= self.r_field)
+            won = np.flatnonzero(best >= 0)
+            done[won] |= metric[best[won]] > outside[won]
+            won = won[done[won]]
+            serving[todo[won]] = rows[best[won]]
+            serving_los[todo[won]] = los[best[won]]
+            todo = todo[~done]
+            r_c *= 2.0
+        return serving, serving_los
 
 
 _SUMMARY_KEYS = ("coverage", "handover", "association_los", "association_nlos",
                  "void")
 
 
-def _association_counts(los: np.ndarray, serving: np.ndarray) -> tuple:
+def _association_counts(serving: np.ndarray, serving_los: np.ndarray) -> tuple:
     """Episodes served over LoS, over NLoS, and void."""
-    serving_los = los[serving[serving >= 0]]
+    served = np.count_nonzero(serving >= 0)
     n_los = np.count_nonzero(serving_los)
-    return n_los, len(serving_los) - n_los, len(serving) - len(serving_los)
+    return n_los, served - n_los, len(serving) - served
 
 
 def _tally_block(params: SystemParams, episodes: int, r_field: float,
@@ -367,9 +454,8 @@ def _tally_block(params: SystemParams, episodes: int, r_field: float,
     theta = np.pi * rng.random(episodes)
     field = _FieldBlock(episodes, params.lambda_b, r_field, rng)
 
-    origin = np.zeros(episodes)
-    los, _, _, pre = field.serve(origin, origin, z_pre, params)
-    association = _association_counts(los, pre)
+    pre, pre_los = field.serve_origin(z_pre, params)
+    association = _association_counts(pre, pre_los)
     has_pre = pre >= 0
 
     bearing = np.zeros(episodes)
@@ -444,9 +530,8 @@ def association_estimate(params: SystemParams, z: float, n: int, seed: int) -> d
         episodes = min(size, n - k * size)
         field = _FieldBlock(episodes, params.lambda_b, r_field,
                             episode_rng(seed, k))
-        at = np.zeros(episodes)
-        los, _, _, serving = field.serve(at, at, np.full(episodes, z), params)
-        counts += _association_counts(los, serving)
+        counts += _association_counts(*field.serve_origin(
+            np.full(episodes, z), params))
     return {key: _estimate_from_count(int(c), n, seed)
             for key, c in zip(_SUMMARY_KEYS[2:], counts)}
 
@@ -479,7 +564,8 @@ def _beats_pinned(d: np.ndarray, los: np.ndarray, pinned_gain: float,
     in_range = d <= receiving_radius(z, params.h_b, params.antenna)
     if params.policy is AssociationPolicy.NEAREST:
         return in_range & (d < pinned_r0)
-    gains = _pathloss_gains(d, los, (z - params.h_b) ** 2, params)
+    dz = z - params.h_b
+    gains = _pathloss_gains(d, los, dz * dz, params)
     return in_range & (gains > pinned_gain)
 
 
@@ -494,7 +580,7 @@ def _conditioned_field(params: SystemParams, r0: float, z: float,
         latent = rng.random(len(field))
         los = classify_links(field, Waypoint(0.0, 0.0, z), params.env,
                              params.h_b, latent)
-        d = np.hypot(field.positions[:, 0], field.positions[:, 1])
+        d = _distance(field.positions[:, 0], field.positions[:, 1], 0.0, 0.0)
         bad = _beats_pinned(d, los, pinned_gain, r0, z, params)
         ok = not np.any(bad)
         budget.tick(ok)
@@ -509,13 +595,14 @@ def _conditioned_interference(params: SystemParams, r0: float, z: float,
     path-loss interference at altitude z from the in-range stations of a
     field conditioned on the pinned serving GBS winning."""
     r_m = receiving_radius(z, params.h_b, params.antenna)
+    dz = z - params.h_b
     budget = _RejectionBudget()
     for e in range(n):
         rng = episode_rng(seed, e)
         _, _, los, d = _conditioned_field(params, r0, z, serving, r_field,
                                           rng, budget)
         fading = _station_fading(los, params, rng)
-        gains = _pathloss_gains(d, los, (z - params.h_b) ** 2, params)
+        gains = _pathloss_gains(d, los, dz * dz, params)
         yield rng, float(np.sum((gains * fading)[d <= r_m]))
 
 

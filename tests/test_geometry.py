@@ -224,19 +224,17 @@ class TestSameTypeLensComplementArea:
            st.floats(1.0, 3000.0))
     @settings(max_examples=500, deadline=None)
     def test_matches_general_formula(self, r0_frac, v, theta, r_m):
-        # r0 from 0 to r_m, v toward 0, theta at both ends; the general
-        # formula takes v^2 + y^2 - x^2 from squares of size (r0 + v)^2 and
-        # its lens angles amplify that rounding by about r0 / v
+        # r0 from 0 to r_m, v toward 0, theta at both ends; both formulas
+        # keep their precision as v / r0 -> 0
         r0 = r0_frac * r_m
         closed = same_type_lens_complement_area(r0, v, theta, r_m)
         general = lens_complement_area(
             x=r0, y=min(displaced_distance(r0, v, theta), r_m), v=v)
-        assert abs(closed - general) <= 1e-13 * (r0 + v) ** 2 * (1.0 + r0 / v)
+        assert abs(closed - general) <= 1e-13 * (r0 + v) ** 2
 
     def test_small_move_limit(self):
         # to first order in v the region is r0 v (2 sin(theta) + 2 (pi -
-        # theta) cos(theta)); at v = 1e-6 r0 the general formula is off by
-        # about 1e-8 r0^2, more than the region itself near theta = pi
+        # theta) cos(theta))
         for r0 in (1.0, 100.0, 3000.0):
             v = 1e-6 * r0
             for theta in np.linspace(0.0, math.pi, 7):
@@ -244,6 +242,17 @@ class TestSameTypeLensComplementArea:
                                         + 2.0 * (math.pi - theta) * math.cos(theta))
                 assert abs(same_type_lens_complement_area(r0, v, theta, 2.0 * r0)
                            - first_order) <= 4.0 * v * v
+
+    def test_general_formula_keeps_precision_for_tiny_moves(self):
+        # both circles through one point, v / x about 7.5e-9: summing the
+        # lens angles as the angle at the crossing point keeps the region
+        # (5.4e-3 m^2), which cancelling squares had put at 7.1e-4 m^2
+        r0, v, theta = 814.0, 6.1e-6, 1.90
+        closed = same_type_lens_complement_area(r0, v, theta, 2.0 * r0)
+        general = lens_complement_area(
+            x=r0, y=displaced_distance(r0, v, theta), v=v)
+        assert closed == pytest.approx(5.4113539e-3, rel=1e-7)
+        assert general == pytest.approx(closed, rel=1e-7)
 
     def test_degenerate_moves(self):
         # no move, a move from the serving GBS itself, straight toward it

@@ -17,6 +17,7 @@ from uavcov.model import (
 )
 from uavcov.montecarlo import (
     MAX_MEAN_STATIONS,
+    ORIGIN_CANDIDATES,
     GbsField,
     _segment_argmax,
     associate,
@@ -78,6 +79,19 @@ class TestSamplePpp:
         field = sample_ppp(1e-3, 500.0, rng)
         assert np.all(np.hypot(field.positions[:, 0], field.positions[:, 1])
                       <= 500.0)
+
+    def test_radial_and_angular_laws(self):
+        # uniform on the disc: a quarter of the points within r_field / 2 and
+        # a quarter in each quadrant, each within 4 binomial deviations
+        field = sample_ppp(1e-3, 5000.0, episode_rng(3, 1))
+        x, y = field.positions.T
+        n = len(field)
+        assert n > 70_000
+        bound = 4.0 * math.sqrt(0.25 * 0.75 / n)
+        assert abs(np.mean(x * x + y * y <= 2500.0**2) - 0.25) < bound
+        for sx in (1, -1):
+            for sy in (1, -1):
+                assert abs(np.mean((sx * x > 0) & (sy * y > 0)) - 0.25) < bound
 
 
 class TestClassifyLinks:
@@ -279,17 +293,23 @@ def _record_blocks(monkeypatch) -> list:
     return blocks
 
 
-def _field_shares(calls):
-    """Per episode of a block, its share of the block's field draws (counts,
-    then radii, angles and LoS latents in one call) and its rows among the
-    block's stations."""
-    (_, (mean, _), sizes), (_, _, u) = calls
-    radius, angle, latent = np.split(u, 3)
-    ends = np.cumsum(sizes)
-    for n_b, s, e in zip(sizes, ends - sizes, ends):
-        yield [("poisson", (mean,), n_b), ("random", (n_b,), radius[s:e]),
-               ("random", (n_b,), angle[s:e]), ("random", (n_b,), latent[s:e])
-               ], slice(s, e)
+def _field_shares(calls, lambda_b, r_field):
+    """Per episode of a block, its share of the block's field draws (square
+    counts, then x and y of all points in one call, then the LoS latents of
+    the kept stations) and its rows among the block's kept stations;
+    sample_ppp, replayed on the share, says how many stations it keeps."""
+    (_, (mean, _), counts), (_, _, u), (_, _, latent) = calls
+    x, y = np.split(u, 2)
+    ends = np.cumsum(counts)
+    kept = 0
+    for n_b, s, e in zip(counts, ends - counts, ends):
+        share = [("poisson", (mean,), n_b),
+                 ("random", (2 * n_b,), np.concatenate([x[s:e], y[s:e]]))]
+        rows = slice(kept, kept + len(sample_ppp(lambda_b, r_field,
+                                                 _Replay(share))))
+        kept = rows.stop
+        yield share + [("random", (rows.stop - rows.start,), latent[rows])], rows
+    assert kept == len(latent)
 
 
 def _summary_counts(outcomes) -> dict:
@@ -348,7 +368,8 @@ class TestSummaryEstimates:
         for block in blocks:
             ((_, _, alt), (_, (scale, _), rho), (_, _, theta), *field,
              (_, (m,), gamma), (_, _, coin)) = block.calls
-            for b, (share, rows) in enumerate(_field_shares(field)):
+            for b, (share, rows) in enumerate(_field_shares(
+                    field, params.lambda_b, field_radius(params))):
                 replay = _Replay(
                     [("random", (2,), alt[b]), ("rayleigh", (scale,), rho[b]),
                      ("random", (), theta[b])] + share
@@ -379,6 +400,59 @@ class TestSummaryEstimates:
                     for v in (0.0, 20.0, 40.0)]
         for a, b in zip(by_speed, by_speed[1:]):
             assert b.mean > a.mean - (a.half_width + b.half_width)
+
+
+class TestOriginCandidates:
+    """The pre-move association looks at a disc of about ORIGIN_CANDIDATES
+    stations around the UAV and grows it until its pick is provably the
+    whole field's; a huge ORIGIN_CANDIDATES makes the disc the field."""
+
+    @staticmethod
+    def _runs(params, n, monkeypatch):
+        # _segment_argmax runs once per disc per block, once more per
+        # block for the post-move association
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return _segment_argmax(*args)
+
+        monkeypatch.setattr(montecarlo, "_segment_argmax", counting)
+        out = []
+        for candidates in (ORIGIN_CANDIDATES, 1, 1e18):
+            monkeypatch.setattr(montecarlo, "ORIGIN_CANDIDATES", candidates)
+            calls.clear()
+            out.append((summary_estimates(params, n, 22),
+                        association_estimate(params, 120.0, n, 22),
+                        len(calls)))
+        return out
+
+    @pytest.mark.parametrize("policy", list(AssociationPolicy),
+                             ids=lambda p: p.value)
+    @pytest.mark.parametrize("antenna", [DirectionalAntenna(), OmniAntenna()],
+                             ids=("directional", "omni"))
+    def test_disc_matches_full_field(self, params, policy, antenna,
+                                     monkeypatch):
+        # a one-station disc grows nearly every episode; the default and
+        # the one-station disc pick what the whole field picks
+        tiny_grew = False
+        for density in (10.0, 100.0, 1000.0):
+            p = params.with_(lambda_b=density * 1e-6, policy=policy,
+                             antenna=antenna)
+            n = 100 if density == 1000.0 and antenna == OmniAntenna() else 500
+            default, tiny, full = self._runs(p, n, monkeypatch)
+            assert default[:2] == full[:2] and tiny[:2] == full[:2]
+            assert default[2] >= full[2]
+            tiny_grew |= tiny[2] > full[2]
+        assert tiny_grew
+
+    def test_default_disc_grows(self, params, monkeypatch):
+        # strongest RSS, omni at 10/km^2: now and then every station in the
+        # first disc is NLoS and a LoS one outside could still win
+        p = params.with_(lambda_b=10e-6, antenna=OmniAntenna())
+        default, _, full = self._runs(p, 500, monkeypatch)
+        assert default[:2] == full[:2]
+        assert default[2] > full[2]
 
 
 class TestStaticAssociation:
@@ -414,7 +488,8 @@ class TestStaticAssociation:
         estimates = association_estimate(params, z, n, seed)
         counts = {"association_los": 0, "association_nlos": 0, "void": 0}
         for block in blocks:
-            for share, _ in _field_shares(block.calls):
+            for share, _ in _field_shares(block.calls, params.lambda_b,
+                                          r_field):
                 replay = _Replay(share)
                 field = sample_ppp(params.lambda_b, r_field, replay)
                 counts[_static_association(
