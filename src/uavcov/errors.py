@@ -24,7 +24,3 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
-
-
-class ConditioningInfeasibleError(RuntimeError):
-    """Rejection sampling cannot realize the requested conditioning."""

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from uavcov.analytic import (
+    _policy_metrics,
     coverage_probability,
     coverage_drift_events,
     laplace_derivatives,
@@ -54,7 +55,6 @@ def report(name, ok, detail):
     return ok
 
 
-@pytest.mark.slow
 def test_ac1_oracle_agreement():
     """AC-1: |analytic - MC| <= max(0.02, 3*CI half-width) at baseline."""
     start = time.time()
@@ -258,7 +258,9 @@ def test_ac8_property_suite():
         assert rho == d
     checks.append("substitute-back ok")
 
-    # clamp drift stayed quiet through everything above
+    # clamp drift stays quiet at the baseline; the cache is cleared so
+    # that the evaluation runs, and counts, rather than hitting the cache
+    _policy_metrics.cache_clear()
     reset_coverage_drift_counter()
     coverage_probability(params)
     assert coverage_drift_events() == 0

@@ -14,6 +14,9 @@ from uavcov.model import (
     LinkType,
     OmniAntenna,
     Waypoint,
+    horizontal_speed,
+    path_loss,
+    sample_fading,
 )
 from uavcov.montecarlo import (
     MAX_MEAN_STATIONS,
@@ -380,7 +383,6 @@ class TestSummaryEstimates:
         assert len(outcomes) == n
         _assert_summary(summary, _summary_counts(outcomes), n, seed)
 
-    @pytest.mark.slow
     def test_field_size_sufficiency(self, params):
         base = summary_estimates(params, 20_000, 17)
         doubled = summary_estimates(params, 20_000, 17,
@@ -389,7 +391,6 @@ class TestSummaryEstimates:
             assert (abs(base[key].mean - doubled[key].mean)
                     < base[key].half_width)
 
-    @pytest.mark.slow
     def test_handover_nondecreasing_in_density_and_speed(self, params):
         by_density = [summary_estimates(params.with_(lambda_b=lam * 1e-6),
                                         20_000, 18)["handover"]
@@ -512,7 +513,118 @@ class TestStaticAssociation:
             assert abs(analytic - est.mean) < slack
 
 
+def _beaten(field, latent, uav, r0, serving, params) -> np.ndarray:
+    """Per station, whether associate picks it over the pinned GBS at
+    (r0, 0) of type serving on the two-station field {station, pinned}."""
+    los = classify_links(field, uav, params.env, params.h_b, latent)
+    out = []
+    for position, mark in zip(field.positions, los):
+        pair = GbsField(np.array([position, [r0, 0.0]]))
+        got = associate(pair, np.array([mark, serving is LinkType.LOS]), uav,
+                        params)
+        out.append(got is not None and got[0] == 0)
+    return np.array(out, dtype=bool)
+
+
+def _pinned_handover(params, r0, z_t, serving, rng) -> bool:
+    """One episode of the conditioned handover experiment, step by step."""
+    band = params.h_ub - params.h_lb
+    z_pre = params.h_lb + band * rng.random()
+    field = sample_ppp(params.lambda_b, field_radius(params), rng)
+    latent = rng.random(len(field))
+    rho = rng.rayleigh(1.0 / math.sqrt(2.0 * np.pi * params.mu))
+    theta = np.pi * rng.random()
+    keep = ~_beaten(field, latent, Waypoint(0.0, 0.0, z_pre), r0, serving,
+                    params)
+    v_h = horizontal_speed(params.v, rho, z_t - z_pre)
+    end = Waypoint(v_h * np.cos(theta), v_h * np.sin(theta), z_t)
+    kept = GbsField(field.positions[keep])
+    los = np.append(classify_links(kept, end, params.env, params.h_b,
+                                   latent[keep]), serving is LinkType.LOS)
+    got = associate(GbsField(np.vstack([kept.positions, [[r0, 0.0]]])), los,
+                    end, params)
+    return got is not None and got[0] != len(kept)
+
+
+def _pinned_interference(params, r0, z, serving, r_field, rng) -> float:
+    """One episode's interference under the pinned conditioning: faded
+    gains of the in-range stations that associate does not pick over the
+    pinned GBS, fading drawn for every station."""
+    field = sample_ppp(params.lambda_b, r_field, rng)
+    latent = rng.random(len(field))
+    uav = Waypoint(0.0, 0.0, z)
+    los = classify_links(field, uav, params.env, params.h_b, latent)
+    keep = ~_beaten(field, latent, uav, r0, serving, params)
+    ch = params.channel
+    m = np.where(los, float(ch.m_l), float(ch.m_n))
+    fading = rng.standard_gamma(m) / m
+    x, y = field.positions.T
+    d = np.sqrt(x * x + y * y)
+    gains = np.where(los, path_loss(LinkType.LOS, d, z, ch, params.h_b),
+                     path_loss(LinkType.NLOS, d, z, ch, params.h_b))
+    in_range = d <= receiving_radius(z, params.h_b, params.antenna)
+    return float(np.sum((gains * fading)[keep & in_range]))
+
+
 class TestConditionedOracles:
+    @pytest.mark.parametrize("serving", list(LinkType), ids=lambda t: t.value)
+    @pytest.mark.parametrize("policy", list(AssociationPolicy),
+                             ids=lambda p: p.value)
+    @pytest.mark.parametrize("overrides, r0", [
+        pytest.param({}, 50.0, id="directional"),
+        # a 1 km omni footprint at 10/km^2: about 36 stations per field
+        pytest.param({"antenna": OmniAntenna(1000.0), "lambda_b": 1e-5}, 200.0,
+                     id="omni"),
+    ])
+    def test_matches_episode_loop(self, params, overrides, r0, policy, serving,
+                                  monkeypatch):
+        # one episode per block: conditioning by restriction against a plain
+        # loop that drops, before the move, every station associate picks
+        # over the pinned GBS, and re-associates the rest with the pinned
+        # GBS after it
+        monkeypatch.setattr(montecarlo, "BLOCK_STATIONS", 1)
+        p = params.with_(policy=policy, **overrides)
+        n, seed, z_t = 300, 23, 120.0
+        signal_gain = path_loss(serving, r0, z_t, p.channel, p.h_b)
+        # exp(-tau P_t G I) = exp(-T I / signal gain)
+        tau = p.t_thresh / (p.p_t * p.g_tot * signal_gain)
+        oracles = conditioned_oracles(p, r0, z_t, serving, n, seed)
+        laplace = laplace_estimate(p, serving, r0, z_t, tau, n, seed)
+
+        handovers = sum(_pinned_handover(p, r0, z_t, serving,
+                                         episode_rng(seed, e))
+                        for e in range(n))
+        cov_seed = oracles["coverage"].seed
+        covered = 0
+        for e in range(n):
+            rng = episode_rng(cov_seed, e)
+            interference = _pinned_interference(p, r0, z_t, serving,
+                                                field_radius(p), rng)
+            signal = signal_gain * sample_fading(serving, p.channel, rng, 1)[0]
+            covered += (interference <= 0.0
+                        or signal / interference > p.t_thresh)
+        r_field = receiving_radius(z_t, p.h_b, p.antenna) + 1.0
+        interference = np.array([
+            _pinned_interference(p, r0, z_t, serving, r_field,
+                                 episode_rng(seed, e)) for e in range(n)])
+        terms = np.exp(-tau * (p.p_t * p.g_tot * interference))
+
+        assert 0 < handovers < n and 0 < covered < n and 0.0 < laplace < 1.0
+        assert (oracles["handover"].mean, oracles["handover"].seed) == (
+            handovers / n, seed)
+        assert oracles["coverage"].mean == covered / n
+        assert laplace == sum(terms.tolist()) / n
+
+    def test_runs_where_rejection_could_not(self, params):
+        # strongest RSS with an NLoS server at 50 m: a LoS station beats it
+        # in nearly every field, and rejection sampling gave up after 20 001
+        # draws; restriction needs no redraw (about 0.4 s on a 2-core machine)
+        start = time.perf_counter()
+        got = conditioned_oracles(params, 50.0, 120.0, LinkType.NLOS, 20_000, 5)
+        assert time.perf_counter() - start < 10.0
+        for est in got.values():
+            assert 0.0 < est.mean < 1.0 and est.n == 20_000
+
     def test_sparse_remainder_field(self, params):
         p = params.with_(lambda_b=1e-8)
         got = conditioned_oracles(p, 50.0, 120.0, LinkType.LOS, 500, 21)
@@ -536,6 +648,7 @@ class TestFieldBudget:
             raise AssertionError("sampled a field above the budget")
 
         monkeypatch.setattr(montecarlo, "sample_ppp", no_draw)
+        monkeypatch.setattr(montecarlo, "_FieldBlock", no_draw)
         calls = [
             lambda: summary_estimates(wide, 1000, 1),
             lambda: association_estimate(wide, 120.0, 1000, 1),
