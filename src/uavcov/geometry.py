@@ -90,18 +90,23 @@ def lens_complement_area(*, x, y, v):
     at P between its vectors to the centers. Both angles come from atan2
     of those vectors' cross and dot products, (t, x^2 + y^2 - v^2) for g
     and (t, x^2 - y^2 - v^2) for c, with y^2 - x^2 and the factors of t
-    formed from x - y: nothing cancels as v -> 0 with y near x. t = 0
+    formed from x - y, and x^2 - v^2 from x - v. As v -> 0 with y near x,
+    c's weight y^2 - x^2 is O(x v), so the area keeps an error of order
+    eps x^2; as y -> 0 with v near x (the post-move disc shrinking onto
+    the pre-move circle), c's argument is -y^2 with no squares of size x^2
+    cancelling, where the angle amplifies its rounding by 1/t. t = 0
     unless the circles cross, which gives the disjoint (pi*y^2) and A
     inside B (pi*(y^2 - x^2)) limits; B inside A is pinned to exactly 0.
     """
     x, y, v = (np.asarray(a, dtype=float) for a in (x, y, v))
     if np.any(x < 0) or np.any(y < 0) or np.any(v < 0):
         raise GeometryError("radii and separation must be nonnegative")
-    gap, x2, v2 = x - y, x * x, v * v
+    gap, y2 = x - y, y * y
     growth = -gap * (x + y)                                   # y^2 - x^2
+    shrink = (x - v) * (x + v)                                # x^2 - v^2
     t = np.sqrt(np.maximum((x + y - v) * (x + y + v) * (v + gap) * (v - gap), 0.0))
-    out = (x2 * np.arctan2(t, x2 + y * y - v2)
-           + growth * np.arctan2(t, -growth - v2) + 0.5 * t)
+    out = (x * x * np.arctan2(t, shrink + y2)
+           + growth * np.arctan2(t, shrink - y2) + 0.5 * t)
     out = np.where(v + y <= x, 0.0, np.maximum(out, 0.0))
     return float(out) if out.ndim == 0 else out
 

@@ -257,8 +257,15 @@ def los_probability(r, h_u, env: EnvironmentParams, h_b: float):
     """
     r = np.asarray(r, dtype=float)
     dh = h_u - h_b
-    angle_deg = np.degrees(np.arctan2(dh, r))
-    out = 1.0 / (1.0 + env.a * np.exp(-env.b * (angle_deg - env.a)))
+    # in place: the formula's temporaries held three result-sized arrays at once
+    out = np.asarray(np.arctan2(dh, r))
+    np.degrees(out, out=out)
+    out -= env.a
+    out *= -env.b
+    np.exp(out, out=out)
+    out *= env.a
+    out += 1.0
+    np.divide(1.0, out, out=out)
     return float(out) if out.ndim == 0 else out
 
 

@@ -14,16 +14,20 @@ the inputs so that a block's fields hold about BLOCK_STATIONS stations (a
 denser field is a block of its own). Block k draws from one Philox stream
 keyed by (seed, k), each quantity in one vector call; `summary_estimates`
 draws in simulate_episode's order (altitudes, rho, theta, square counts,
-x|y, latents, fading, coins), so a one-episode block consumes its stream
-as simulate_episode does. Workers get whole
-blocks, so estimates are bit-identical regardless of execution order or
-worker count. A block's stations sit in one array (episode b owns the
-rows starts[b] : starts[b] + sizes[b]); distances, link types, gains and
-serving stations are computed once per waypoint for the whole block, with
-simulate_episode's elementwise operations. The pre-move association, with
-the UAV above the origin, looks only at a disc of about ORIGIN_CANDIDATES
-stations and doubles its radius until the disc's winner provably beats
-every station outside it, so it picks the station the whole field would.
+x|y, latents, fading of the stations in range after the move, in row
+order, coins), so a one-episode block consumes its stream as
+simulate_episode does. Workers get whole blocks, so estimates are
+bit-identical regardless of execution order or worker count. A block's
+stations sit in one array (episode b owns the rows starts[b] : ends[b]).
+After the move, distances are computed for the whole block once; link
+types, gains, the serving argmax, fading and the per-episode interference
+sums then run on the stations in range only, compacted in row order, with
+simulate_episode's elementwise operations and its segment sum. The
+pre-move association, with the UAV above the origin, looks only at a disc
+of about ORIGIN_CANDIDATES stations, never wider than the block's largest
+receiving radius, and doubles its radius until the disc's winner provably
+beats every station outside it, so it picks the station the whole field
+would.
 
 The conditioned oracles pin the serving GBS and condition by restriction:
 a PPP with no point in a region is the PPP on the region's complement, so
@@ -208,19 +212,26 @@ def classify_links(field: GbsField, uav: Waypoint, env, h_b: float,
 def _pathloss_gains(d: np.ndarray, los: np.ndarray, dz2,
                     params: SystemParams) -> np.ndarray:
     """Path-loss gains at horizontal distances d, with dz2 the squared
-    height gap dz * dz, dz = z - h_b."""
+    height gap dz * dz, dz = z - h_b; both laws in place, as station-sized
+    temporaries cost dense fields page faults."""
     ch = params.channel
-    d2 = d * d + dz2
-    return np.where(los,
-                    ch.eta_l * d2 ** (-0.5 * ch.alpha_l),
-                    ch.eta_n * d2 ** (-0.5 * ch.alpha_n))
+    d2 = d * d
+    d2 += dz2
+    out = d2 ** (-0.5 * ch.alpha_l)
+    out *= ch.eta_l
+    d2 **= -0.5 * ch.alpha_n
+    d2 *= ch.eta_n
+    np.copyto(out, d2, where=~los)
+    return out
 
 
 def _station_fading(los: np.ndarray, params: SystemParams,
                     rng: np.random.Generator) -> np.ndarray:
     """Nakagami power gains per GBS, shape m_l on LoS and m_n on NLoS links."""
     m_arr = np.where(los, float(params.channel.m_l), float(params.channel.m_n))
-    return rng.standard_gamma(m_arr) / m_arr
+    out = rng.standard_gamma(m_arr)
+    out /= m_arr
+    return out
 
 
 def associate(field: GbsField, los: np.ndarray, uav: Waypoint,
@@ -283,19 +294,21 @@ def simulate_episode(params: SystemParams, rng: np.random.Generator,
     los_post = classify_links(field, end, params.env, params.h_b, latent)
     post = associate(field, los_post, end, params)
 
-    fading = _station_fading(los_post, params, rng)
+    # fading only for the stations in range, in index order
+    d = _distance(field.positions[:, 0], field.positions[:, 1], end.x, end.y)
+    near = np.flatnonzero(d <= receiving_radius(z_post, params.h_b,
+                                                params.antenna))
+    fading = _station_fading(los_post[near], params, rng)
     coin = rng.random()
 
     handover = pre is not None and post is not None and pre[0] != post[0]
     sir = None
     covered = False
     if post is not None:
-        d = _distance(field.positions[:, 0], field.positions[:, 1], end.x, end.y)
-        in_range = d <= receiving_radius(z_post, params.h_b, params.antenna)
         dz = z_post - params.h_b
-        powers = _pathloss_gains(d, los_post, dz * dz, params) * fading
-        signal = powers[post[0]]
-        interference = float(np.sum(powers[in_range])) - signal
+        powers = _pathloss_gains(d[near], los_post[near], dz * dz, params) * fading
+        signal = powers[np.searchsorted(near, post[0])]
+        interference = _segment_sums(powers, [len(near)])[0] - signal
         sir = math.inf if interference <= 0.0 else float(signal / interference)
         covered = sir > params.t_thresh and (
             not handover or coin <= 1.0 - params.kappa)
@@ -332,12 +345,25 @@ def _segment_argmax(metric: np.ndarray, starts: np.ndarray,
     return out
 
 
+def _segment_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per segment of values, segment b being the next sizes[b] of them
+    (the segments tile values), the sum of its values by one
+    np.add.reduceat over the non-empty segments; 0 for an empty one. A
+    segment sums the same wherever it sits, so simulate_episode, calling
+    this on its one segment, rounds as a block does."""
+    out = np.zeros(len(sizes))
+    full = np.flatnonzero(sizes)
+    if len(full):
+        out[full] = np.add.reduceat(values, (np.cumsum(sizes) - sizes)[full])
+    return out
+
+
 class _FieldBlock:
     """The fields of a block's episodes in one array: episode b owns the
-    stations starts[b] : starts[b] + sizes[b]. Draws the square counts,
-    then x and y of all points in one call, then the LoS latents of the
-    kept stations, as sample_ppp and simulate_episode draw them for one
-    field; r2 is each station's squared distance from the origin."""
+    stations starts[b] : ends[b]. Draws the square counts, then x and y of
+    all points in one call, then the LoS latents of the kept stations, as
+    sample_ppp and simulate_episode draw them for one field; r2 is each
+    station's squared distance from the origin."""
 
     def __init__(self, episodes: int, lambda_b: float, r_field: float,
                  rng: np.random.Generator):
@@ -355,9 +381,9 @@ class _FieldBlock:
         r2 += y * y
         keep = np.flatnonzero(r2 <= r_field * r_field)
         self.x, self.y, self.r2 = x.take(keep), y.take(keep), r2.take(keep)
-        ends = np.searchsorted(keep, np.cumsum(counts))
-        self.sizes = np.diff(ends, prepend=0)
-        self.starts = ends - self.sizes
+        self.ends = np.searchsorted(keep, np.cumsum(counts))
+        self.sizes = np.diff(self.ends, prepend=0)
+        self.starts = self.ends - self.sizes
         self.latent = rng.random(len(keep))
         self._seg = (None if episodes == 1
                      else np.repeat(np.arange(episodes), self.sizes))
@@ -366,21 +392,21 @@ class _FieldBlock:
         """One value per station; a one-episode block broadcasts instead."""
         return per_episode if self._seg is None else per_episode[self._seg]
 
-    def sums(self, values: np.ndarray, mask: np.ndarray,
-             episodes: np.ndarray) -> np.ndarray:
-        """Per listed episode, the sum of values over its stations where
-        mask holds, by np.add.reduce, whose pairwise order is np.sum's: a
-        reordered sum may round differently."""
-        kept = np.flatnonzero(mask)
-        lo = np.searchsorted(kept, self.starts[episodes]).tolist()
-        hi = np.searchsorted(kept, self.starts[episodes]
-                             + self.sizes[episodes]).tolist()
-        kept = values[kept]
-        return np.array([np.add.reduce(kept[a:b]) for a, b in zip(lo, hi)])
+    def compact(self, mask: np.ndarray):
+        """The stations where mask holds, in row order, and how many of
+        them each episode owns."""
+        rows = np.flatnonzero(mask)
+        return rows, np.diff(np.searchsorted(rows, self.ends), prepend=0)
+
+    def sums(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Per episode, the sum of values over its stations where mask
+        holds, by _segment_sums."""
+        rows, sizes = self.compact(mask)
+        return _segment_sums(values[rows], sizes)
 
     def links(self, wx: np.ndarray, wy: np.ndarray, z: np.ndarray,
               params: SystemParams):
-        """Distances, link types, in-range mask and path-loss gains of the
+        """Distances, link types, in-range mask and path-loss gains of all
         stations with each episode's UAV at (wx, wy, z)[b]; the same
         operations as classify_links and associate."""
         d = _distance(self.x, self.y, self.spread(wx), self.spread(wy))
@@ -394,38 +420,54 @@ class _FieldBlock:
 
     def serve(self, wx: np.ndarray, wy: np.ndarray, z: np.ndarray,
               params: SystemParams):
-        """Link types, in-range mask, path-loss gains and serving station
-        (-1 when void) with each episode's UAV at (wx, wy, z)[b]."""
-        d, los, in_range, gains = self.links(wx, wy, z, params)
+        """With each episode's UAV at (wx, wy, z)[b]: the rows of the
+        stations in range and how many each episode owns, their link types
+        and path-loss gains, and each episode's serving station as an index
+        into rows (-1 when void); classify_links's and associate's
+        operations, on the stations in range only."""
+        d = _distance(self.x, self.y, self.spread(wx), self.spread(wy))
+        rows, sizes = self.compact(
+            d <= self.spread(receiving_radius(z, params.h_b, params.antenna)))
+        d = d.take(rows)
+        if self._seg is not None:
+            # per-station altitudes; a one-episode block broadcasts its own
+            z = z.take(self._seg.take(rows))
+        los = self.latent.take(rows) < los_probability(d, z, params.env,
+                                                       params.h_b)
+        dz = z - params.h_b
+        gains = _pathloss_gains(d, los, dz * dz, params)
         metric = -d if params.policy is AssociationPolicy.NEAREST else gains
-        serving = _segment_argmax(np.where(in_range, metric, -np.inf),
-                                  self.starts, self.sizes)
-        return los, in_range, gains, serving
+        serving = _segment_argmax(metric, np.cumsum(sizes) - sizes, sizes)
+        return rows, sizes, los, gains, serving
 
     def serve_origin(self, z: np.ndarray, params: SystemParams):
         """Serving station (-1 when void) and its LoS mark with each
         episode's UAV above the origin at altitude z[b], as serve picks
         them, from the stations of a disc r2 <= r_c^2 whose first radius
-        holds ORIGIN_CANDIDATES stations on average. An episode's pick
-        stands once no station outside the disc can be in range or beat it
-        (a gain above what a LoS or NLoS station at r_c could have, or a
-        distance below r_c), by DISC_MARGIN; the other episodes go round
-        again with r_c doubled. At r_c >= r_field the disc is the field."""
+        holds ORIGIN_CANDIDATES stations on average, cut at r_out, the
+        block's largest receiving radius widened by DISC_MARGIN: no station
+        beyond r_out is in range of any episode. An episode's pick stands
+        once no station outside the disc can be in range or beat it (a gain
+        above what a LoS or NLoS station at r_c could have, or a distance
+        below r_c), by DISC_MARGIN; the other episodes go round again with
+        r_c doubled. At r_c >= r_out or r_c >= r_field no station outside
+        the disc can be in range."""
         ch = params.channel
         nearest = params.policy is AssociationPolicy.NEAREST
         r_m = receiving_radius(z, params.h_b, params.antenna)
+        r_out = float(np.max(r_m)) * (1.0 + DISC_MARGIN)
         dz = z - params.h_b
         dz2 = dz * dz
         serving = np.full(len(z), -1, dtype=np.intp)
         serving_los = np.zeros(len(z), dtype=bool)
         todo = np.arange(len(z))
-        r_c = math.sqrt(ORIGIN_CANDIDATES / (math.pi * self.lambda_b))
+        r_c = min(math.sqrt(ORIGIN_CANDIDATES / (math.pi * self.lambda_b)),
+                  r_out)
         while len(todo):
             # the candidates of the episodes in todo, segment by segment
             near = np.flatnonzero(self.r2 <= r_c * r_c)
             lo = np.searchsorted(near, self.starts[todo])
-            sizes = np.searchsorted(near, self.starts[todo]
-                                    + self.sizes[todo]) - lo
+            sizes = np.searchsorted(near, self.ends[todo]) - lo
             starts = np.cumsum(sizes) - sizes
             seg = np.repeat(np.arange(len(todo)), sizes)
             rows = near[np.arange(len(seg)) + (lo - starts)[seg]]
@@ -445,14 +487,15 @@ class _FieldBlock:
                 outside = (1.0 + DISC_MARGIN) * np.maximum(
                     ch.eta_l * edge ** (-0.5 * ch.alpha_l),
                     ch.eta_n * edge ** (-0.5 * ch.alpha_n))
-            done = (r_c * (1.0 - DISC_MARGIN) > r_m[todo]) | (r_c >= self.r_field)
+            done = ((r_c * (1.0 - DISC_MARGIN) > r_m[todo])
+                    | (r_c >= min(r_out, self.r_field)))
             won = np.flatnonzero(best >= 0)
             done[won] |= metric[best[won]] > outside[won]
             won = won[done[won]]
             serving[todo[won]] = rows[best[won]]
             serving_los[todo[won]] = los[best[won]]
             todo = todo[~done]
-            r_c *= 2.0
+            r_c = min(2.0 * r_c, r_out)
         return serving, serving_los
 
 
@@ -485,22 +528,22 @@ def _tally_block(params: SystemParams, episodes: int, r_field: float,
     bearing[has_pre] = np.arctan2(field.y[pre[has_pre]], field.x[pre[has_pre]])
     heading = bearing + theta
     v_h = horizontal_speed(params.v, rho, z_post - z_pre)
-    los, in_range, gains, post = field.serve(v_h * np.cos(heading),
-                                             v_h * np.sin(heading), z_post,
-                                             params)
-    powers = gains * _station_fading(los, params, rng)
+    rows, sizes, los, gains, post = field.serve(v_h * np.cos(heading),
+                                                v_h * np.sin(heading), z_post,
+                                                params)
+    powers = _station_fading(los, params, rng)
+    powers *= gains
     coin = rng.random(episodes)
 
     served = np.flatnonzero(post >= 0)
-    total = field.sums(powers, in_range, served)
     signal = powers[post[served]]
-    interference = total - signal
+    interference = _segment_sums(powers, sizes)[served] - signal
     sir = np.full(len(served), np.inf)
     np.divide(signal, interference, out=sir, where=interference > 0.0)
 
-    handover = has_pre & (post >= 0) & (pre != post)
+    handover = has_pre[served] & (pre[served] != rows[post[served]])
     covered = (sir > params.t_thresh) & (
-        ~handover[served] | (coin[served] <= 1.0 - params.kappa))
+        ~handover | (coin[served] <= 1.0 - params.kappa))
     return np.count_nonzero(covered), np.count_nonzero(handover), *association
 
 
@@ -599,7 +642,7 @@ def _conditioned_interference(params: SystemParams, r0: float, z: float,
         beats, los, in_range, gains = _beats_pinned(
             field, origin, origin, np.full(episodes, z), r0, serving, params)
         powers = gains * _station_fading(los, params, rng)
-        yield rng, field.sums(powers, in_range & ~beats, np.arange(episodes))
+        yield rng, field.sums(powers, in_range & ~beats)
 
 
 def conditioned_oracles(params: SystemParams, r0: float, z_t: float,
@@ -644,8 +687,7 @@ def conditioned_oracles(params: SystemParams, r0: float, z_t: float,
         # the pinned GBS sits at bearing zero, the movement at theta to it
         beats = _beats_pinned(field, v_h * np.cos(theta), v_h * np.sin(theta),
                               np.full(episodes, z_t), r0, serving, params)[0]
-        handovers += np.count_nonzero(field.sums(beats, ~dropped,
-                                                 np.arange(episodes)))
+        handovers += np.count_nonzero(field.sums(beats, ~dropped))
 
     cov_seed = (seed + 0x9E3779B97F4A7C15) & _MASK64
     signal_gain = path_loss(serving, r0, z_t, params.channel, params.h_b)

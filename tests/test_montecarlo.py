@@ -22,7 +22,9 @@ from uavcov.montecarlo import (
     MAX_MEAN_STATIONS,
     ORIGIN_CANDIDATES,
     GbsField,
+    _FieldBlock,
     _segment_argmax,
+    _segment_sums,
     associate,
     association_estimate,
     classify_links,
@@ -41,8 +43,10 @@ SYM_CHANNEL = ChannelParams(alpha_l=3.0, alpha_n=3.0, eta_l=1e-4, eta_n=1e-4,
 NEAREST = AssociationPolicy.NEAREST
 
 # (overrides, episodes): the policy x antenna grid at the baseline density,
-# an empty network (every block all-void) and a dense field of about 29,600
-# stations, above montecarlo.BLOCK_STATIONS, so each block is one episode
+# an empty network (every block all-void), a dense field of about 29,600
+# stations, above montecarlo.BLOCK_STATIONS, so each block is one episode,
+# and a 30-degree beam at 1000/km^2: about 33 stations per field, of which
+# 1-3 are in range, so most of each block is compacted away
 ENGINE_CASES = [
     pytest.param({}, 2000, id="strongest_rss-directional"),
     pytest.param({"policy": NEAREST}, 2000, id="nearest-directional"),
@@ -51,6 +55,8 @@ ENGINE_CASES = [
                  id="nearest-omni"),
     pytest.param({"lambda_b": 1e-12}, 500, id="empty"),
     pytest.param({"lambda_b": 1e-3, "antenna": OmniAntenna()}, 100, id="dense"),
+    pytest.param({"lambda_b": 1e-3, "antenna": DirectionalAntenna(30.0)}, 2000,
+                 id="narrow-beam"),
 ]
 # and a sparse omni field of about 290 stations, 13 episodes per block
 REPLAY_CASES = ENGINE_CASES + [
@@ -252,6 +258,65 @@ class TestSegmentArgmax:
         assert _segment_argmax(np.empty(0), none, none).tolist() == [-1, -1, -1]
 
 
+class TestSegmentSums:
+    @staticmethod
+    def _alone(values, sizes):
+        # each segment summed on its own, as simulate_episode sums its field
+        ends = np.cumsum(sizes)
+        return [_segment_sums(values[e - n:e], [n])[0] for n, e in zip(sizes, ends)]
+
+    def test_matches_each_segment_alone(self):
+        # empty segments anywhere, values over 15 decades
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            sizes = rng.integers(0, 40, size=rng.integers(1, 12))
+            sizes[rng.random(len(sizes)) < 0.3] = 0
+            values = rng.random(sizes.sum()) * 10.0 ** rng.uniform(-10, 5, sizes.sum())
+            got = _segment_sums(values, sizes)
+            assert got.tolist() == self._alone(values, sizes)
+            starts = np.cumsum(sizes) - sizes
+            for b, (start, n) in enumerate(zip(starts, sizes)):
+                assert got[b] == pytest.approx(math.fsum(values[start:start + n]),
+                                               rel=1e-14, abs=0.0)
+
+    def test_empty_segments_take_no_rows(self):
+        # np.add.reduceat at every start would give an empty segment the
+        # row at its start, and raise on a start past the end
+        values = np.array([1.0, 2.0, 4.0, 8.0])
+        assert _segment_sums(values, np.array([0, 2, 0, 1, 0, 1, 0])).tolist() == [
+            0.0, 3.0, 0.0, 4.0, 0.0, 8.0, 0.0]
+        assert _segment_sums(np.empty(0), np.zeros(3, dtype=int)).tolist() == [0.0] * 3
+
+    def test_block_sums_skip_unmasked_episodes(self):
+        # episodes with stations but none masked, between masked ones: the
+        # rows of an unmasked episode must not reach its neighbour's sum
+        field = _FieldBlock(40, 1e-4, 200.0, episode_rng(4, 0))
+        episode = np.repeat(np.arange(40), field.sizes)
+        mask = (field.r2 <= 100.0 ** 2) & (episode % 3 != 1)
+        values = np.arange(1.0, len(field.x) + 1.0)
+        want = [math.fsum(values[s:e][mask[s:e]])
+                for s, e in zip(field.starts, field.ends)]
+        assert np.all(field.sizes[1::3] > 0)
+        assert field.sums(values, mask).tolist() == want
+
+    def test_all_void_block(self):
+        field = _FieldBlock(5, 1e-12, 200.0, episode_rng(4, 0))
+        assert len(field.x) == 0
+        assert field.sums(np.empty(0), np.empty(0, dtype=bool)).tolist() == [0.0] * 5
+
+    def test_nothing_in_range_after_the_move(self, params):
+        # non-empty fields, every station out of range of the UAV
+        field = _FieldBlock(30, params.lambda_b, field_radius(params),
+                            episode_rng(4, 0))
+        assert np.all(field.sizes > 0)
+        far = np.full(30, 1e4)
+        rows, sizes, los, gains, serving = field.serve(far, far, np.full(30, 120.0),
+                                                       params)
+        assert len(rows) == len(los) == len(gains) == 0
+        assert sizes.tolist() == [0] * 30 and serving.tolist() == [-1] * 30
+        assert _segment_sums(gains, sizes).tolist() == [0.0] * 30
+
+
 class _Recorder:
     """A Generator that logs each draw: method, arguments and result."""
 
@@ -270,18 +335,37 @@ class _Recorder:
 
 class _Replay:
     """Serves one episode's share of a block's draws, in order; each call
-    must name the method and arguments the share records."""
+    must name the method and arguments the share records. An entry may
+    also be a _Slices, which records the next slice of a block's draw."""
 
     def __init__(self, share):
         self.share = list(share)
 
     def __getattr__(self, name):
         def draw(*args):
-            want, want_args, value = self.share.pop(0)
+            want = self.share.pop(0)
+            if isinstance(want, _Slices):
+                want = want.next(len(args[0]))
+            want, want_args, value = want
             assert want == name and len(args) == len(want_args)
             assert all(np.array_equal(a, b) for a, b in zip(args, want_args))
             return value
         return draw
+
+
+class _Slices:
+    """Consecutive slices of one recorded draw of a block, with per-element
+    arguments: the fading of the stations in range after the move, in row
+    order, whose count per episode only the episode's own steps say."""
+
+    def __init__(self, call):
+        self.name, (self.args,), self.out = call
+        self.used = 0
+
+    def next(self, n: int):
+        rows = slice(self.used, self.used + n)
+        self.used = rows.stop
+        return self.name, (self.args[rows],), self.out[rows]
 
 
 def _record_blocks(monkeypatch) -> list:
@@ -299,8 +383,8 @@ def _record_blocks(monkeypatch) -> list:
 def _field_shares(calls, lambda_b, r_field):
     """Per episode of a block, its share of the block's field draws (square
     counts, then x and y of all points in one call, then the LoS latents of
-    the kept stations) and its rows among the block's kept stations;
-    sample_ppp, replayed on the share, says how many stations it keeps."""
+    the kept stations); sample_ppp, replayed on the share, says how many
+    stations it keeps."""
     (_, (mean, _), counts), (_, _, u), (_, _, latent) = calls
     x, y = np.split(u, 2)
     ends = np.cumsum(counts)
@@ -311,7 +395,7 @@ def _field_shares(calls, lambda_b, r_field):
         rows = slice(kept, kept + len(sample_ppp(lambda_b, r_field,
                                                  _Replay(share))))
         kept = rows.stop
-        yield share + [("random", (rows.stop - rows.start,), latent[rows])], rows
+        yield share + [("random", (rows.stop - rows.start,), latent[rows])]
     assert kept == len(latent)
 
 
@@ -370,16 +454,19 @@ class TestSummaryEstimates:
         outcomes = []
         for block in blocks:
             ((_, _, alt), (_, (scale, _), rho), (_, _, theta), *field,
-             (_, (m,), gamma), (_, _, coin)) = block.calls
-            for b, (share, rows) in enumerate(_field_shares(
+             gamma, (_, _, coin)) = block.calls
+            # the block draws fading for its stations in range after the
+            # move, in row order: each episode takes as many as it has
+            fading = _Slices(gamma)
+            for b, share in enumerate(_field_shares(
                     field, params.lambda_b, field_radius(params))):
                 replay = _Replay(
                     [("random", (2,), alt[b]), ("rayleigh", (scale,), rho[b]),
                      ("random", (), theta[b])] + share
-                    + [("standard_gamma", (m[rows],), gamma[rows]),
-                       ("random", (), coin[b])])
+                    + [fading, ("random", (), coin[b])])
                 outcomes.append(simulate_episode(params, replay))
                 assert replay.share == []
+            assert fading.used == len(fading.out)
         assert len(outcomes) == n
         _assert_summary(summary, _summary_counts(outcomes), n, seed)
 
@@ -489,8 +576,7 @@ class TestStaticAssociation:
         estimates = association_estimate(params, z, n, seed)
         counts = {"association_los": 0, "association_nlos": 0, "void": 0}
         for block in blocks:
-            for share, _ in _field_shares(block.calls, params.lambda_b,
-                                          r_field):
+            for share in _field_shares(block.calls, params.lambda_b, r_field):
                 replay = _Replay(share)
                 field = sample_ppp(params.lambda_b, r_field, replay)
                 counts[_static_association(
@@ -563,7 +649,10 @@ def _pinned_interference(params, r0, z, serving, r_field, rng) -> float:
     gains = np.where(los, path_loss(LinkType.LOS, d, z, ch, params.h_b),
                      path_loss(LinkType.NLOS, d, z, ch, params.h_b))
     in_range = d <= receiving_radius(z, params.h_b, params.antenna)
-    return float(np.sum((gains * fading)[keep & in_range]))
+    # summed in the engine's order, which np.sum's differs from in the
+    # last bit for about a third of these episodes
+    powers = (gains * fading)[keep & in_range]
+    return float(_segment_sums(powers, [len(powers)])[0])
 
 
 class TestConditionedOracles:
