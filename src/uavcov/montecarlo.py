@@ -11,27 +11,30 @@ dy*dy) and every squared height gap a product.
 
 Every estimator runs blocks of a fixed number of episodes, chosen from
 the inputs so that a block's fields hold about BLOCK_STATIONS stations (a
-denser field is a block of its own). Block k draws from one Philox stream
-keyed by (seed, k), each quantity in one vector call; `summary_estimates`
-draws in simulate_episode's order (altitudes, rho, theta, square counts,
-x|y, latents, fading of the stations in range after the move, in row
-order, coins), so a one-episode block consumes its stream as
-simulate_episode does. Workers get whole blocks, so estimates are
-bit-identical regardless of execution order or worker count. A block's
-stations sit in one array (episode b owns the rows starts[b] : ends[b]).
-After the move, distances are computed for the whole block once; link
-types, gains, the serving argmax, fading and the per-episode interference
-sums then run on the stations in range only, compacted in row order, with
-simulate_episode's elementwise operations and its segment sum. The
-pre-move association, with the UAV above the origin, looks only at a disc
-of about ORIGIN_CANDIDATES stations, never wider than the block's largest
-receiving radius, and doubles its radius until the disc's winner provably
-beats every station outside it, so it picks the station the whole field
-would.
+denser field is a block of its own). Block k draws from one PCG64DXSM
+stream seeded by SeedSequence([seed, k]), each quantity in one vector
+call; `summary_estimates` draws in simulate_episode's order (altitudes,
+rho, theta, square counts, x|y, latents, the fading of the stations in
+range after the move, coins), so a one-episode block consumes its stream
+as simulate_episode does. Fading is two scalar-shape Nakagami draws: the
+NLoS law for every faded station, then the LoS law for the LoS ones, each
+in row order, the second written over the first at the LoS rows. Workers
+get whole blocks, so estimates are bit-identical regardless of execution
+order or worker count. A block's stations sit in one array (episode b
+owns the rows starts[b] : ends[b]). After the move, distances are
+computed for the whole block once; link types, gains, the serving argmax,
+fading and the per-episode interference sums then run on the stations in
+range only, compacted in row order, with simulate_episode's elementwise
+operations and its segment sum. The pre-move association, with the UAV
+above the origin, looks only at a disc of about ORIGIN_CANDIDATES
+stations, never wider than the block's largest receiving radius, and
+doubles its radius until the disc's winner provably beats every station
+outside it, so it picks the station the whole field would.
 
 The conditioned oracles pin the serving GBS and condition by restriction:
 a PPP with no point in a region is the PPP on the region's complement, so
-each field drops the stations that would beat the pinned GBS.
+each field drops the stations that would beat the pinned GBS. Their
+interference fades only the in-range stations that do not beat it.
 
 The common factor P_t*G_tot multiplies the received power of the serving
 GBS and of every interferer alike, so it cancels from the SIR and from the
@@ -151,9 +154,10 @@ def _estimate_from_count(successes: int, n: int, seed: int) -> McEstimate:
 
 
 def episode_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream for one episode or block, independent of all others."""
-    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """PCG64DXSM stream for one episode or block, seeded by the pair
+    (seed, index) through SeedSequence, independent of all others."""
+    return np.random.Generator(np.random.PCG64DXSM(
+        np.random.SeedSequence([seed & _MASK64, index & _MASK64])))
 
 
 def field_radius(params: SystemParams) -> float:
@@ -227,10 +231,13 @@ def _pathloss_gains(d: np.ndarray, los: np.ndarray, dz2,
 
 def _station_fading(los: np.ndarray, params: SystemParams,
                     rng: np.random.Generator) -> np.ndarray:
-    """Nakagami power gains per GBS, shape m_l on LoS and m_n on NLoS links."""
-    m_arr = np.where(los, float(params.channel.m_l), float(params.channel.m_n))
-    out = rng.standard_gamma(m_arr)
-    out /= m_arr
+    """Nakagami power gains per GBS, shape m_l on LoS and m_n on NLoS links:
+    the NLoS law for every station in one scalar-shape draw, then the LoS
+    law for the LoS rows, in row order, written over theirs. Index writes:
+    a boolean-mask scatter costs dense fields nearly twice as much."""
+    out = sample_fading(LinkType.NLOS, params.channel, rng, len(los))
+    rows = np.flatnonzero(los)
+    out[rows] = sample_fading(LinkType.LOS, params.channel, rng, len(rows))
     return out
 
 
@@ -446,7 +453,9 @@ class _FieldBlock:
         them, from the stations of a disc r2 <= r_c^2 whose first radius
         holds ORIGIN_CANDIDATES stations on average, cut at r_out, the
         block's largest receiving radius widened by DISC_MARGIN: no station
-        beyond r_out is in range of any episode. An episode's pick stands
+        beyond r_out is in range of any episode. Link types and gains are
+        evaluated only for the disc's stations in range of their own
+        episode, kept in row order. An episode's pick stands
         once no station outside the disc can be in range or beat it (a gain
         above what a LoS or NLoS station at r_c could have, or a distance
         below r_c), by DISC_MARGIN; the other episodes go round again with
@@ -471,14 +480,17 @@ class _FieldBlock:
             starts = np.cumsum(sizes) - sizes
             seg = np.repeat(np.arange(len(todo)), sizes)
             rows = near[np.arange(len(seg)) + (lo - starts)[seg]]
-            ep = todo[seg]
             # x - 0.0 == x, so this is _distance from the origin
             d = np.sqrt(self.r2[rows])
+            # only the candidates in range of their own episode, in row order
+            keep = np.flatnonzero(d <= r_m[todo[seg]])
+            rows, seg, d = rows.take(keep), seg.take(keep), d.take(keep)
+            sizes = np.bincount(seg, minlength=len(todo))
+            ep = todo[seg]
             los = self.latent[rows] < los_probability(d, z[ep], params.env,
                                                       params.h_b)
             metric = -d if nearest else _pathloss_gains(d, los, dz2[ep], params)
-            best = _segment_argmax(np.where(d <= r_m[ep], metric, -np.inf),
-                                   starts, sizes)
+            best = _segment_argmax(metric, np.cumsum(sizes) - sizes, sizes)
             # the best metric a station outside the disc could have
             if nearest:
                 outside = np.full(len(todo), -r_c * (1.0 - DISC_MARGIN))
@@ -634,15 +646,17 @@ def _conditioned_interference(params: SystemParams, r0: float, z: float,
     """Per block k of an n-episode run on episode_rng(seed, k): the stream,
     and each episode's faded path-loss interference at altitude z above
     the origin from the in-range stations that do not beat the pinned
-    GBS. Fading is drawn for every station of the block."""
+    GBS. Fading is drawn for those stations only, in row order."""
     size = _block_episodes(_check_field_budget(params.lambda_b, r_field))
     for episodes, rng in _blocks(n, seed, size):
         field = _FieldBlock(episodes, params.lambda_b, r_field, rng)
         origin = np.zeros(episodes)
         beats, los, in_range, gains = _beats_pinned(
             field, origin, origin, np.full(episodes, z), r0, serving, params)
-        powers = gains * _station_fading(los, params, rng)
-        yield rng, field.sums(powers, in_range & ~beats)
+        rows, sizes = field.compact(in_range & ~beats)
+        powers = _station_fading(los.take(rows), params, rng)
+        powers *= gains.take(rows)
+        yield rng, _segment_sums(powers, sizes)
 
 
 def conditioned_oracles(params: SystemParams, r0: float, z_t: float,

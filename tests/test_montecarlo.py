@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from uavcov import montecarlo
 from uavcov.errors import ParameterError
@@ -63,6 +64,47 @@ REPLAY_CASES = ENGINE_CASES + [
     pytest.param({"lambda_b": 1e-5, "antenna": OmniAntenna()}, 500,
                  id="sparse-omni"),
 ]
+
+
+class TestEpisodeRng:
+    def test_replays_and_separates_streams(self):
+        first = episode_rng(7, 3).random(4)
+        assert isinstance(episode_rng(7, 3).bit_generator, np.random.PCG64DXSM)
+        assert np.array_equal(episode_rng(7, 3).random(4), first)
+        for seed, k in ((7, 2), (7, 4), (6, 3), (8, 3), (3, 7)):
+            assert not np.any(episode_rng(seed, k).random(4) == first)
+
+    def test_keys_reduce_mod_two_to_the_64(self):
+        a = episode_rng(-1, 2**64 + 5).random(4)
+        assert np.array_equal(a, episode_rng(2**64 - 1, 5).random(4))
+
+
+class TestStationFading:
+    @pytest.mark.parametrize("los_fraction", [0.0, 0.04, 1.0])
+    def test_per_type_nakagami_laws(self, params, los_fraction):
+        # KS tests of each type's rows against its Gamma(m, 1/m) power law,
+        # on a field where each present type has at least 20 000 rows
+        ch = params.channel
+        n = 500_000 if 0.0 < los_fraction < 1.0 else 20_000
+        los = episode_rng(24, 0).permutation(n) < round(los_fraction * n)
+        fading = montecarlo._station_fading(los, params, episode_rng(24, 3))
+        assert fading.shape == (n,)
+        for mask, m in ((los, ch.m_l), (~los, ch.m_n)):
+            if mask.any():
+                assert mask.sum() >= 20_000
+                law = stats.gamma(m, scale=1.0 / m)
+                assert stats.kstest(fading[mask], law.cdf).pvalue > 1e-3
+
+    def test_nlos_draw_then_los_rows_overwritten(self, params):
+        # the NLoS law for every row, then the LoS law written over the
+        # LoS rows in row order
+        ch = params.channel
+        los = episode_rng(25, 0).random(1000) < 0.3
+        got = montecarlo._station_fading(los, params, episode_rng(25, 1))
+        rng = episode_rng(25, 1)
+        want = sample_fading(LinkType.NLOS, ch, rng, 1000)
+        want[los] = sample_fading(LinkType.LOS, ch, rng, int(los.sum()))
+        assert np.array_equal(got, want)
 
 
 class TestSamplePpp:
@@ -317,6 +359,11 @@ class TestSegmentSums:
         assert _segment_sums(gains, sizes).tolist() == [0.0] * 30
 
 
+def _draw_args(args, size):
+    """A draw's arguments, a size= keyword taken as the last of them."""
+    return args if size is None else (*args, size)
+
+
 class _Recorder:
     """A Generator that logs each draw: method, arguments and result."""
 
@@ -325,7 +372,8 @@ class _Recorder:
         self.calls = []
 
     def __getattr__(self, name):
-        def draw(*args):
+        def draw(*args, size=None):
+            args = _draw_args(args, size)
             out = getattr(self._rng, name)(*args)
             # a copy: the engine may work on its draws in place
             self.calls.append((name, args, np.copy(out)))
@@ -342,10 +390,11 @@ class _Replay:
         self.share = list(share)
 
     def __getattr__(self, name):
-        def draw(*args):
+        def draw(*args, size=None):
+            args = _draw_args(args, size)
             want = self.share.pop(0)
             if isinstance(want, _Slices):
-                want = want.next(len(args[0]))
+                want = want.next(args[-1])
             want, want_args, value = want
             assert want == name and len(args) == len(want_args)
             assert all(np.array_equal(a, b) for a, b in zip(args, want_args))
@@ -354,18 +403,19 @@ class _Replay:
 
 
 class _Slices:
-    """Consecutive slices of one recorded draw of a block, with per-element
-    arguments: the fading of the stations in range after the move, in row
-    order, whose count per episode only the episode's own steps say."""
+    """Consecutive slices of one recorded scalar-shape draw of a block,
+    draw(shape, size=n): the NLoS fading of the stations in range after
+    the move, or the LoS fading of the LoS ones among them, in row order;
+    how many each episode takes only the episode's own steps say."""
 
     def __init__(self, call):
-        self.name, (self.args,), self.out = call
+        self.name, (self.shape, _), self.out = call
         self.used = 0
 
     def next(self, n: int):
         rows = slice(self.used, self.used + n)
         self.used = rows.stop
-        return self.name, (self.args[rows],), self.out[rows]
+        return self.name, (self.shape, n), self.out[rows]
 
 
 def _record_blocks(monkeypatch) -> list:
@@ -454,19 +504,20 @@ class TestSummaryEstimates:
         outcomes = []
         for block in blocks:
             ((_, _, alt), (_, (scale, _), rho), (_, _, theta), *field,
-             gamma, (_, _, coin)) = block.calls
-            # the block draws fading for its stations in range after the
-            # move, in row order: each episode takes as many as it has
-            fading = _Slices(gamma)
+             nlos, los, (_, _, coin)) = block.calls
+            # the block draws NLoS fading for its stations in range after
+            # the move, then LoS fading for the LoS ones, each in row
+            # order: each episode takes as many of each as it has
+            fading = [_Slices(nlos), _Slices(los)]
             for b, share in enumerate(_field_shares(
                     field, params.lambda_b, field_radius(params))):
                 replay = _Replay(
                     [("random", (2,), alt[b]), ("rayleigh", (scale,), rho[b]),
                      ("random", (), theta[b])] + share
-                    + [fading, ("random", (), coin[b])])
+                    + fading + [("random", (), coin[b])])
                 outcomes.append(simulate_episode(params, replay))
                 assert replay.share == []
-            assert fading.used == len(fading.out)
+            assert all(f.used == len(f.out) for f in fading)
         assert len(outcomes) == n
         _assert_summary(summary, _summary_counts(outcomes), n, seed)
 
@@ -635,23 +686,26 @@ def _pinned_handover(params, r0, z_t, serving, rng) -> bool:
 def _pinned_interference(params, r0, z, serving, r_field, rng) -> float:
     """One episode's interference under the pinned conditioning: faded
     gains of the in-range stations that associate does not pick over the
-    pinned GBS, fading drawn for every station."""
+    pinned GBS. Fading is drawn for those stations only, in index order:
+    the NLoS law for all of them, then the LoS law for the LoS ones."""
     field = sample_ppp(params.lambda_b, r_field, rng)
     latent = rng.random(len(field))
     uav = Waypoint(0.0, 0.0, z)
     los = classify_links(field, uav, params.env, params.h_b, latent)
     keep = ~_beaten(field, latent, uav, r0, serving, params)
     ch = params.channel
-    m = np.where(los, float(ch.m_l), float(ch.m_n))
-    fading = rng.standard_gamma(m) / m
     x, y = field.positions.T
     d = np.sqrt(x * x + y * y)
     gains = np.where(los, path_loss(LinkType.LOS, d, z, ch, params.h_b),
                      path_loss(LinkType.NLOS, d, z, ch, params.h_b))
     in_range = d <= receiving_radius(z, params.h_b, params.antenna)
+    summed = np.flatnonzero(keep & in_range)
+    fading = sample_fading(LinkType.NLOS, ch, rng, len(summed))
+    summed_los = np.flatnonzero(los[summed])
+    fading[summed_los] = sample_fading(LinkType.LOS, ch, rng, len(summed_los))
     # summed in the engine's order, which np.sum's differs from in the
     # last bit for about a third of these episodes
-    powers = (gains * fading)[keep & in_range]
+    powers = gains[summed] * fading
     return float(_segment_sums(powers, [len(powers)])[0])
 
 
@@ -685,20 +739,30 @@ class TestConditionedOracles:
                         for e in range(n))
         cov_seed = oracles["coverage"].seed
         covered = 0
+        cov_interference = []
         for e in range(n):
             rng = episode_rng(cov_seed, e)
             interference = _pinned_interference(p, r0, z_t, serving,
                                                 field_radius(p), rng)
+            cov_interference.append(interference)
             signal = signal_gain * sample_fading(serving, p.channel, rng, 1)[0]
             covered += (interference <= 0.0
                         or signal / interference > p.t_thresh)
+        engine_interference = np.concatenate([
+            i for _, i in montecarlo._conditioned_interference(
+                p, r0, z_t, serving, field_radius(p), n, cov_seed)])
         r_field = receiving_radius(z_t, p.h_b, p.antenna) + 1.0
         interference = np.array([
             _pinned_interference(p, r0, z_t, serving, r_field,
                                  episode_rng(seed, e)) for e in range(n)])
         terms = np.exp(-tau * (p.p_t * p.g_tot * interference))
 
-        assert 0 < handovers < n and 0 < covered < n and 0.0 < laplace < 1.0
+        # with the nearest policy and an NLoS server coverage is about
+        # 0.002, so covered may be 0 here: the coverage experiment's
+        # interference is matched episode by episode as well
+        assert 0 < handovers < n and covered < n and 0.0 < laplace < 1.0
+        assert 0 < np.count_nonzero(cov_interference)
+        assert engine_interference.tolist() == cov_interference
         assert (oracles["handover"].mean, oracles["handover"].seed) == (
             handovers / n, seed)
         assert oracles["coverage"].mean == covered / n
