@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .association import cross_exclusion_limit, exclusion_factor, height_context
-from .errors import GeometryError, ParameterError
+from .errors import GeometryError
 from .geometry import (
     displaced_distance,
     equal_power_radius,
@@ -66,7 +66,6 @@ from .quadrature import gauss_nodes
 __all__ = [
     "HandoverContext",
     "CoverageBreakdown",
-    "conditional_handover",
     "conditional_handover_any",
     "laplace_interference",
     "laplace_derivatives",
@@ -196,22 +195,6 @@ def _check_ctx(ctx: HandoverContext, params: SystemParams) -> None:
     if not 0.0 <= ctx.r0 <= r_m:
         raise GeometryError(
             f"serving distance {ctx.r0} outside [0, {r_m:.3f}] at z={ctx.z_t}")
-
-
-def conditional_handover(ctx: HandoverContext, target: LinkType,
-                         params: SystemParams) -> float:
-    """Handover probability to a given target type, conditioned on the
-    serving type, the pre-move serving distance and the post-move altitude,
-    under strongest-average-RSS. The nearest rule picks the new station
-    regardless of type, so it has no such split and raises ParameterError;
-    conditional_handover_any serves both rules."""
-    if params.policy is AssociationPolicy.NEAREST:
-        raise ParameterError(
-            "handover to one target type is defined under strongest_rss; "
-            "use conditional_handover_any for the nearest policy")
-    _check_ctx(ctx, params)
-    return float(_cond_handover_grid(ctx.serving, (target,), ctx.r0, ctx.z_t,
-                                     params)[0, 0])
 
 
 def conditional_handover_any(ctx: HandoverContext, params: SystemParams) -> float:

@@ -257,7 +257,8 @@ def los_probability(r, h_u, env: EnvironmentParams, h_b: float):
     """
     r = np.asarray(r, dtype=float)
     dh = h_u - h_b
-    # in place: the formula's temporaries held three result-sized arrays at once
+    # in place: a few per cent faster on station-sized arrays than the
+    # formula's six fresh temporaries, with the same values
     out = np.asarray(np.arctan2(dh, r))
     np.degrees(out, out=out)
     out -= env.a
@@ -277,8 +278,13 @@ def uav_mainlobe_gain(antenna: AntennaModel) -> float:
 
 
 def sample_fading(link: LinkType, ch: ChannelParams, rng: np.random.Generator, size=None):
-    """Draw Nakagami-m channel power gains, Gamma(m, 1/m) with unit mean."""
+    """Draw Nakagami-m channel power gains, Gamma(m, 1/m) with unit mean.
+    At m = 1 the law is the standard exponential, which standard_gamma
+    draws the same way; asking for it directly skips the gamma dispatch
+    and the division."""
     m = ch.m(link)
+    if m == 1:
+        return rng.standard_exponential(size)
     return rng.standard_gamma(m, size=size) / m
 
 

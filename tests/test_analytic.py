@@ -15,7 +15,6 @@ from uavcov.analytic import (
     _policy_metrics,
     _breakdown,
     conditional_coverage,
-    conditional_handover,
     conditional_handover_any,
     coverage_drift_events,
     coverage_probability,
@@ -25,7 +24,7 @@ from uavcov.analytic import (
     _tau_threshold,
 )
 from uavcov.association import association_probability, height_context
-from uavcov.errors import GeometryError, ParameterError
+from uavcov.errors import GeometryError
 from uavcov.geometry import (
     displaced_distance,
     equal_power_radius,
@@ -51,11 +50,17 @@ def nearest(params):
     return params.with_(policy=AssociationPolicy.NEAREST)
 
 
+def _one_target(serving, target, r0, z_t, params) -> float:
+    """Strongest-RSS handover probability to one target type."""
+    return float(analytic._cond_handover_grid(serving, (target,), r0, z_t,
+                                              params)[0, 0])
+
+
 class TestConditionalHandover:
     def test_empty_network(self, params):
-        ctx = HandoverContext(LinkType.LOS, 50.0, 120.0)
-        assert conditional_handover(ctx, LinkType.LOS,
-                                    params.with_(lambda_b=1e-12)) < 1e-6
+        sparse = params.with_(lambda_b=1e-12)
+        for target in LinkType:
+            assert _one_target(LinkType.LOS, target, 50.0, 120.0, sparse) < 1e-6
 
     def test_no_displacement(self, params):
         still = params.with_(v=0.0, h_lb=119.999999, h_ub=120.000001)
@@ -64,17 +69,13 @@ class TestConditionalHandover:
 
     def test_out_of_range_conditioning(self, params):
         with pytest.raises(GeometryError):
-            conditional_handover(HandoverContext(LinkType.LOS, 1e4, 120.0),
-                                 LinkType.LOS, params)
+            conditional_handover_any(HandoverContext(LinkType.LOS, 1e4, 120.0),
+                                     params)
 
-    def test_nearest_policy_refused(self, params):
-        # the per-type split is the strongest-RSS expression: with nearest
-        # params and an NLoS server at 50 m it used to return 0.0 to LoS,
-        # although the nearest rule's new server is LoS about 0.997 of the time
+    def test_nearest_policy_any_target(self, params):
+        # the nearest rule picks the new server whatever its type, so its
+        # handover is to any target type
         ctx = HandoverContext(LinkType.NLOS, 50.0, 120.0)
-        for target in LinkType:
-            with pytest.raises(ParameterError, match="conditional_handover_any"):
-                conditional_handover(ctx, target, nearest(params))
         assert 0.0 < conditional_handover_any(ctx, nearest(params)) < 1.0
 
     def test_matches_conditioned_simulation(self, params):
@@ -96,8 +97,8 @@ class TestConditionalHandoverAny:
 
     def test_composition_structure(self, params):
         ctx = HandoverContext(LinkType.LOS, 50.0, 120.0)
-        p_l = conditional_handover(ctx, LinkType.LOS, params)
-        p_n = conditional_handover(ctx, LinkType.NLOS, params)
+        p_l, p_n = (_one_target(ctx.serving, target, ctx.r0, ctx.z_t, params)
+                    for target in (LinkType.LOS, LinkType.NLOS))
         combined = conditional_handover_any(ctx, params)
         assert combined == pytest.approx(1 - (1 - p_l) * (1 - p_n), abs=1e-12)
 

@@ -1,0 +1,77 @@
+"""The package's heap policy: on glibc, importing uavcov keeps freed numpy
+buffers in the heap, so repeated station- and grid-sized temporaries reuse
+memory instead of page-faulting fresh mappings in again."""
+
+import ctypes
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import uavcov
+
+
+def _on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# Minor faults of a fresh process, read by getrusage: a second analytic
+# point after a warm one, then dense omni episodes (1000/km^2, about 29,600
+# stations each) after five warm-up episodes.
+FAULTS = """
+import resource
+from uavcov import analytic, montecarlo
+from uavcov.model import OmniAntenna, default_params
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+analytic.coverage_probability(default_params())
+before = faults()
+analytic.coverage_probability(default_params(lambda_b=2e-4))
+point = faults() - before
+
+dense = default_params(lambda_b=1e-3, antenna=OmniAntenna())
+r_field = montecarlo.field_radius(dense)
+for k in range(25):
+    if k == 5:
+        before = faults()
+    montecarlo._tally_block(dense, 1, r_field, montecarlo.episode_rng(9, k))
+print(point, (faults() - before) / 20)
+"""
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the heap policy is glibc's")
+class TestFreedBuffersStayInHeap:
+    def test_thresholds_accepted(self):
+        assert uavcov._keep_freed_buffers()
+
+    def test_warm_work_does_not_fault(self):
+        # under glibc's defaults the point takes about 3800 faults and each
+        # dense episode about 370
+        src = str(Path(uavcov.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        run = subprocess.run([sys.executable, "-c", FAULTS], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        point, per_episode = map(float, run.stdout.split())
+        assert point < 50
+        assert per_episode < 35
+
+
+@pytest.mark.parametrize("error", [ValueError, OSError])
+def test_no_glibc_leaves_ctypes_alone(monkeypatch, error):
+    def confstr(name):
+        raise error(name)
+
+    loaded = []
+    monkeypatch.setattr(os, "confstr", confstr)
+    monkeypatch.setattr(ctypes, "CDLL", lambda *args: loaded.append(args))
+    assert uavcov._keep_freed_buffers() is False
+    assert loaded == []

@@ -95,6 +95,18 @@ class TestStationFading:
                 law = stats.gamma(m, scale=1.0 / m)
                 assert stats.kstest(fading[mask], law.cdf).pvalue > 1e-3
 
+    @pytest.mark.parametrize("size", [28_000, 0, None])
+    def test_unit_shape_is_the_gamma_draw(self, size):
+        # m = 1 draws standard_exponential: the values standard_gamma(1)
+        # gives, leaving the stream where it leaves it
+        ch = ChannelParams(m_l=1, m_n=1)
+        got, want = episode_rng(26, 0), episode_rng(26, 0)
+        fading = sample_fading(LinkType.NLOS, ch, got, size)
+        gamma = want.standard_gamma(1, size) / 1
+        assert type(fading) is type(gamma)
+        assert np.array_equal(fading, gamma)
+        assert np.array_equal(got.random(8), want.random(8))
+
     def test_nlos_draw_then_los_rows_overwritten(self, params):
         # the NLoS law for every row, then the LoS law written over the
         # LoS rows in row order
@@ -403,19 +415,19 @@ class _Replay:
 
 
 class _Slices:
-    """Consecutive slices of one recorded scalar-shape draw of a block,
-    draw(shape, size=n): the NLoS fading of the stations in range after
+    """Consecutive slices of one recorded scalar-parameter draw of a block,
+    draw(*law, size=n): the NLoS fading of the stations in range after
     the move, or the LoS fading of the LoS ones among them, in row order;
     how many each episode takes only the episode's own steps say."""
 
     def __init__(self, call):
-        self.name, (self.shape, _), self.out = call
+        self.name, (*self.law, _), self.out = call
         self.used = 0
 
     def next(self, n: int):
         rows = slice(self.used, self.used + n)
         self.used = rows.stop
-        return self.name, (self.shape, n), self.out[rows]
+        return self.name, (*self.law, n), self.out[rows]
 
 
 def _record_blocks(monkeypatch) -> list:
