@@ -25,9 +25,12 @@ Layout of the computation:
 * conditional coverage: finite Nakagami sum over derivatives of the
   interference Laplace transform, with the exponent integrals evaluated on
   two-panel (linear + geometric) Gauss grids so both the near-serving peak
-  and the slowly decaying far tail are resolved;
+  and the slowly decaying far tail are resolved; one call per serving type
+  covers the whole altitude x serving-distance grid, each row carrying its
+  own altitude;
 * totals: serving-type sum of double integrals over serving distance and
-  altitude; the serving-distance integral is transformed through the
+  altitude, the nodes, weights and handover built one altitude at a time;
+  the serving-distance integral is transformed through the
   type-nearest CDF so nodes concentrate where the serving-distance density
   actually lives (this matters for the omni antenna, whose receiving radius
   is orders of magnitude larger than the typical serving distance).
@@ -45,12 +48,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .association import cross_exclusion_limit, exclusion_factor, height_context
+from .association import exclusion_factor, height_context
 from .errors import GeometryError
 from .geometry import (
     displaced_distance,
     equal_power_radius,
+    exclusion_radius,
     lens_complement_area,
+    receiving_radius,
     same_type_lens_complement_area,
 )
 from .model import (
@@ -58,6 +63,7 @@ from .model import (
     LinkType,
     SystemParams,
     horizontal_speed_nodes,
+    los_probability,
     mobility_pdfs,
     path_loss,
 )
@@ -170,8 +176,10 @@ def _cond_handover_grid(serving: LinkType, targets: tuple, r0, z_t: float,
             y_b = np.minimum(equal_power_radius(serving, target, r_after,
                                                 ctx.h_bar, ch), ctx.r_m)
             area = lens_complement_area(x=x_a[live, None, None], y=y_b, v=v_h)
-        out[i, live] = 1.0 - np.sum(np.exp(-params.lambda_b * area) * w,
-                                    axis=(1, 2))
+        area *= -params.lambda_b        # in place: the same sum, faster
+        np.exp(area, out=area)
+        area *= w
+        out[i, live] = 1.0 - area.sum(axis=(1, 2))
     return np.clip(out, 0.0, 1.0)
 
 
@@ -209,29 +217,29 @@ def conditional_handover_any(ctx: HandoverContext, params: SystemParams) -> floa
 # interference Laplace transform and conditional coverage
 # ---------------------------------------------------------------------------
 
-def _interference_nodes(serving: LinkType, r0: np.ndarray, z: float,
+def _interference_nodes(serving: LinkType, r0: np.ndarray, z,
                         params: SystemParams, n_x=N_X):
     """Quadrature nodes for the Laplace exponent integrals.
 
     Returns, per interferer type, (x nodes, dx weights) of shape
     (len(r0), 2*n_x): a linear panel from the exclusion radius to a
     mid-point around twice the effective height, then a geometric panel to
-    the receiving radius. Under the nearest policy every interferer lies
-    beyond the serving distance, whatever its type.
+    the receiving radius, both at each r0's altitude z (or one z for all).
+    Under the nearest policy every interferer lies beyond the serving
+    distance, whatever its type.
     """
     nearest = params.policy is AssociationPolicy.NEAREST
-    ctx = height_context(params, z)
-    hi = ctx.r_m
+    h_bar = np.asarray(z, dtype=float) - params.h_b
+    hi = receiving_radius(z, params.h_b, params.antenna)
     t01, w01 = gauss_nodes(0.0, 1.0, n_x)
     panels = {}
     for xi in LinkType:
         if nearest or xi is serving:
             lo = r0.astype(float)
         else:
-            lo = np.asarray(cross_exclusion_limit(serving, r0, ctx, params),
-                            dtype=float)
+            lo = exclusion_radius(serving, r0, h_bar, params.channel)
         lo = np.minimum(lo, hi)
-        mid = np.clip(np.maximum(2.0 * ctx.h_bar, 2.0 * lo), lo, hi)
+        mid = np.clip(np.maximum(2.0 * h_bar, 2.0 * lo), lo, hi)
         # linear panel [lo, mid]
         span = mid - lo
         x_lin = lo[:, None] + span[:, None] * t01[None, :]
@@ -246,24 +254,27 @@ def _interference_nodes(serving: LinkType, r0: np.ndarray, z: float,
 
 
 def _exponent_derivatives(tau: np.ndarray, serving: LinkType, r0: np.ndarray,
-                          z: float, params: SystemParams, max_order: int,
+                          z, params: SystemParams, max_order: int,
                           n_x=N_X) -> list[np.ndarray]:
     """g(tau) and its tau-derivatives, g being the Laplace exponent
-    -2 pi lam sum_xi int P_xi gamma_xi x dx. Vectorized over (tau, r0) pairs."""
+    -2 pi lam sum_xi int P_xi gamma_xi x dx. Vectorized over (tau, r0, z)
+    rows; a scalar z is every row's altitude."""
     ch = params.channel
     pg = params.p_t * params.g_tot
     panels = _interference_nodes(serving, r0, z, params, n_x)
-    ctx = height_context(params, z)
+    z = np.expand_dims(z, -1)                       # one altitude per node row
     ders = [np.zeros_like(tau) for _ in range(max_order + 1)]
     for xi, (xs, ws) in panels.items():
         m = ch.m(xi)
-        base = ws * xs * ctx.p_type(xi, xs)          # dx weight * x * P_xi
+        p_los = los_probability(xs, z, params.env, params.h_b)
+        base = ws * xs * (p_los if xi is LinkType.LOS else 1.0 - p_los)
         c = pg * path_loss(xi, xs, z, ch, params.h_b)
         # powers of (m + tau c) in log space: c spans many orders of magnitude
         log1p_tc = np.log1p(tau[:, None] * c / m)
         gamma = -np.expm1(-m * log1p_tc)
         ders[0] += np.sum(base * gamma, axis=1)
-        log_c_over_m = np.log(c) - math.log(m)
+        if max_order:       # read by the derivatives only; NLoS serving has none
+            log_c_over_m = np.log(c) - math.log(m)
         rising = 1.0
         for k in range(1, max_order + 1):
             rising *= m + k - 1
@@ -275,7 +286,7 @@ def _exponent_derivatives(tau: np.ndarray, serving: LinkType, r0: np.ndarray,
 
 
 def _laplace_derivative_grid(tau: np.ndarray, serving: LinkType, r0: np.ndarray,
-                             z: float, params: SystemParams,
+                             z, params: SystemParams,
                              max_order: int) -> list[np.ndarray]:
     """L and its derivatives through the exponential-composition recursion
     L^(l) = sum_j C(l-1, j) L^(j) g^(l-j)."""
@@ -307,15 +318,16 @@ def laplace_derivatives(tau: float, serving: LinkType, r0: float, z: float,
     return [float(d[0]) for d in ders]
 
 
-def _tau_threshold(serving: LinkType, r0, z: float, params: SystemParams):
+def _tau_threshold(serving: LinkType, r0, z, params: SystemParams):
     zeta = path_loss(serving, r0, z, params.channel, params.h_b)
     return (params.channel.m(serving) * params.t_thresh
             / (params.p_t * params.g_tot * zeta))
 
 
-def _coverage_grid(serving: LinkType, r0: np.ndarray, z: float,
+def _coverage_grid(serving: LinkType, r0: np.ndarray, z,
                    params: SystemParams) -> np.ndarray:
-    """Conditional coverage on an array of serving distances."""
+    """Conditional coverage on an array of serving distances, z being the
+    altitude of each (an array aligned with r0) or of all (a scalar)."""
     global _drift_events
     m = params.channel.m(serving)
     tau = np.asarray(_tau_threshold(serving, r0, z, params), dtype=float)
@@ -403,13 +415,20 @@ def _policy_metrics(params: SystemParams, n_z: int, n_r0: int) -> _PolicyMetrics
     nodes = (_nearest_nodes if params.policy is AssociationPolicy.NEAREST
              else _strongest_nodes)
 
+    # nodes and handover per altitude; coverage in one call per serving type
+    # on the stacked (altitude, serving distance) rows
+    per_z = [{link: rest for link, *rest in
+              nodes(height_context(params, z), params, n_r0)} for z in z_nodes]
+    p_covs = {link: _coverage_grid(link, np.concatenate([nz[link][0] for nz in per_z]),
+                                   np.repeat(z_nodes, n_r0), params).reshape(n_z, -1)
+              for link in LinkType}
     cov1 = {link: 0.0 for link in LinkType}
     cov2 = {link: 0.0 for link in LinkType}
     assoc = {link: 0.0 for link in LinkType}
     handover = 0.0
-    for z, wz in zip(z_nodes, w_z):
-        for link, r0, weight, stay in nodes(height_context(params, z), params, n_r0):
-            p_cov = _coverage_grid(link, r0, z, params)
+    for i, wz in enumerate(w_z):
+        for link, (_, weight, stay) in per_z[i].items():
+            p_cov = p_covs[link][i]
             assoc[link] += wz * float(np.sum(weight))
             cov1[link] += wz * float(np.sum(weight * p_cov))
             cov2[link] += wz * float(np.sum(weight * p_cov * stay))

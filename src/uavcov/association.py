@@ -35,7 +35,6 @@ __all__ = [
     "association_probability",
     "serving_distance_pdf",
     "nearest_any_pdf",
-    "cross_exclusion_limit",
     "exclusion_factor",
     "height_context",
 ]
@@ -119,21 +118,14 @@ def height_context(params: SystemParams, z: float) -> HeightContext:
     return _height_context_cached(z, params.h_b, params.env, params.antenna)
 
 
-def cross_exclusion_limit(serving: LinkType, r0, ctx: HeightContext,
-                          params: SystemParams):
-    """Exclusion radius for opposite-type GBSs given a serving type, capped
-    at the receiving radius: a GBS of either type beyond the receiving range
-    is not received and cannot have won the association.
-    """
-    return np.minimum(exclusion_radius(serving, r0, ctx.h_bar, params.channel),
-                      ctx.r_m)
-
-
 def exclusion_factor(serving: LinkType, r0, ctx: HeightContext,
                      params: SystemParams):
     """Probability that no opposite-type GBS lies within the cross-type
-    exclusion limit of a serving GBS at r0, which it must to win."""
-    limit = cross_exclusion_limit(serving, r0, ctx, params)
+    exclusion radius of a serving GBS at r0, which it must to win. The
+    radius is capped at the receiving radius: a GBS of either type beyond
+    the receiving range is not received and cannot have won."""
+    limit = np.minimum(exclusion_radius(serving, r0, ctx.h_bar, params.channel),
+                       ctx.r_m)
     return np.exp(-2.0 * np.pi * params.lambda_b
                   * ctx.cum_intensity(serving.other, limit))
 

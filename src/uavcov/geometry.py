@@ -129,7 +129,10 @@ def same_type_lens_complement_area(r0, v, theta, r_m):
     cos, sin = np.cos(theta), np.sin(theta)
     d = np.arctan2(v * sin, r0 + v * cos)
     growth = v * (v + 2.0 * r0 * cos)            # r_after^2 - r0^2
-    out = np.asarray(r0 * r0 * d + growth * (np.pi - theta + d) + r0 * (v * sin))
+    # summed in place, in the formula's order: a few per cent faster
+    out = np.asarray(r0 * r0 * d)
+    out += growth * (np.pi - theta + d)
+    out += r0 * (v * sin)
     capped = growth > r_m * r_m - r0 * r0
     if np.any(capped):
         out[capped] = lens_complement_area(x=np.broadcast_to(r0, out.shape)[capped],

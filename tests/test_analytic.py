@@ -228,6 +228,48 @@ class TestConditionalCoverage:
         assert oracle["handover"].ci_low <= ho <= oracle["handover"].ci_high
 
 
+class TestStackedCoverageGrid:
+    """The marginal integrals call _coverage_grid once per serving type on
+    the stacked (altitude, serving distance) rows; each row must see its own
+    altitude, exactly as one call per altitude does."""
+
+    @staticmethod
+    def _stacked_and_per_altitude(serving, p):
+        z_nodes, _ = gauss_nodes(p.h_lb, p.h_ub, N_Z)
+        rows = [height_context(p, z).r_m * np.geomspace(1e-3, 1.0, N_R0)
+                for z in z_nodes]
+        reset_coverage_drift_counter()
+        per_z = np.stack([analytic._coverage_grid(serving, r0, z, p)
+                          for r0, z in zip(rows, z_nodes)])
+        per_z_drift = coverage_drift_events()
+        reset_coverage_drift_counter()
+        stacked = analytic._coverage_grid(serving, np.concatenate(rows),
+                                          np.repeat(z_nodes, N_R0), p)
+        return stacked.reshape(N_Z, N_R0), coverage_drift_events(), per_z, per_z_drift
+
+    @pytest.mark.parametrize("antenna", [DirectionalAntenna(), OmniAntenna()],
+                             ids=["directional", "omni"])
+    @pytest.mark.parametrize("policy", list(AssociationPolicy),
+                             ids=lambda p: p.value)
+    @pytest.mark.parametrize("serving", list(LinkType), ids=lambda l: l.name)
+    def test_matches_per_altitude_calls(self, params, serving, policy, antenna):
+        p = params.with_(policy=policy, antenna=antenna)
+        stacked, drift, per_z, per_z_drift = self._stacked_and_per_altitude(serving, p)
+        assert np.array_equal(stacked, per_z)
+        assert drift == per_z_drift
+
+    def test_drift_counts_match(self, params):
+        # a 24-term Nakagami sum at a 30 dB threshold overflows to inf on the
+        # far omni rows, which the counter counts: a case where it moves
+        p = params.with_(channel=ChannelParams(m_l=24, m_n=1), t_thresh=1e3,
+                         lambda_b=10e-6, antenna=OmniAntenna())
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked, drift, per_z, per_z_drift = self._stacked_and_per_altitude(
+                LinkType.LOS, p)
+        assert np.array_equal(stacked, per_z, equal_nan=True)
+        assert drift == per_z_drift > 0
+
+
 class TestCoverageProbability:
     def test_kappa_zero_is_handover_free_term(self, params):
         free = coverage_probability(params.with_(kappa=0.0))
