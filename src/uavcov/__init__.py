@@ -13,12 +13,6 @@ from .analytic import (
     laplace_derivatives,
     laplace_interference,
 )
-from .association import (
-    association_probability,
-    nearest_any_pdf,
-    nearest_type_pdf,
-    serving_distance_pdf,
-)
 from .geometry import (
     displaced_distance,
     equal_power_radius,
@@ -57,7 +51,6 @@ from .montecarlo import (
     simulate_episode,
     summary_estimates,
 )
-from .quadrature import QuadratureSpec, integrate
 
 __version__ = "0.1.0"
 

@@ -49,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from .association import exclusion_factor, height_context
-from .errors import GeometryError
+from .errors import GeometryError, ParameterError
 from .geometry import (
     displaced_distance,
     equal_power_radius,
@@ -333,10 +333,13 @@ def _coverage_grid(serving: LinkType, r0: np.ndarray, z,
     tau = np.asarray(_tau_threshold(serving, r0, z, params), dtype=float)
     ders = _laplace_derivative_grid(tau, serving, r0, z, params, m - 1)
     total = np.zeros_like(tau)
-    for l in range(m):
-        total += (-tau) ** l / math.factorial(l) * ders[l]
+    # a high-order sum can overflow; a non-finite total counts as drift,
+    # and coverage_probability refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(m):
+            total += (-tau) ** l / math.factorial(l) * ders[l]
     drift = np.maximum(total - 1.0, -total)
-    _drift_events += int(np.count_nonzero(drift > 1e-6))
+    _drift_events += int(np.count_nonzero(~(drift <= 1e-6)))
     return np.clip(total, 0.0, 1.0)
 
 
@@ -458,4 +461,11 @@ def coverage_probability(params: SystemParams) -> CoverageBreakdown:
     the marginal handover, association and void probabilities."""
     # the heavy integrals do not depend on kappa; key the cache without it
     metrics = _policy_metrics(replace(params, kappa=0.0), N_Z, N_R0)
+    marginals = [*metrics.cov_nohandover.values(), *metrics.cov_stay.values(),
+                 *metrics.assoc.values(), metrics.handover, metrics.void]
+    if not all(map(math.isfinite, marginals)):
+        raise ParameterError(
+            "the marginal integrals are not finite at these parameters (a "
+            f"Nakagami sum of up to m_l = {params.channel.m_l} terms at SIR "
+            f"threshold {params.t_thresh:.4g} can overflow)")
     return _breakdown(params, metrics)

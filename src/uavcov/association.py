@@ -1,25 +1,24 @@
-"""Serving-distance distributions and association probabilities.
+"""Cumulative type intensities per altitude, and the cross-type exclusion.
 
-The building blocks are the type-thinned nearest-GBS densities and the
-cross-type exclusion factors; combined they give the probability of
-associating with a LoS/NLoS GBS and the conditional serving-distance PDF
-under the strongest-average-RSS policy, plus the contact distance of the
-plain PPP for the nearest policy.
-
-The inner integrals int_0^r x P_type(x, z) dx appear inside every nested
-probability integral, so they are precomputed per (z, type) as cubic-spline
-antiderivatives and reused; beyond the precomputed span a fixed
-Gauss-Legendre panel extends them exactly where needed.
+A GBS at horizontal distance x is LoS with probability P_L(x, z), so each
+type-thinned field has radial intensity 2 pi lambda x P_type(x, z), and
+every nested probability integral needs G(r) = int_0^r x P_type(x, z) dx or
+its inverse. ``HeightContext`` keeps both per altitude as piecewise-cubic
+Hermite interpolants on one set of knots, dense across the elevation-angle
+transition and geometric beyond it, up to the receiving radius: G
+integrates the Hermite of f = x P_type built from f and its exact
+derivative, and the inverse interpolates the radius against sqrt(G), which
+is linear in the radius near the origin. ``exclusion_factor`` is the
+probability that no opposite-type GBS beats a serving one.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .errors import UndefinedConditionalError
 from .geometry import exclusion_radius, receiving_radius
 from .model import (
     AntennaModel,
@@ -27,21 +26,40 @@ from .model import (
     LinkType,
     SystemParams,
     los_probability,
+    los_probability_slope,
 )
-from .quadrature import QuadratureSpec, gauss_nodes, integrate
 
-__all__ = [
-    "nearest_type_pdf",
-    "association_probability",
-    "serving_distance_pdf",
-    "nearest_any_pdf",
-    "exclusion_factor",
-    "height_context",
-]
+__all__ = ["HeightContext", "exclusion_factor", "height_context"]
 
-_ASSOC_SPEC = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-12, max_depth=14)
-_SPLINE_POINTS = 384
-_EXTENSION_NODES = 48
+_KNOTS = 384    # per panel: linear across the elevation transition, geometric beyond
+
+
+def _hermite(t, h, y0, m0, y1, m1):
+    """Cubic Hermite through (y0, slope m0) and (y1, m1) on an interval of
+    width h, at the fraction t of the interval."""
+    t2 = t * t
+    t3 = t2 * t
+    return ((2.0 * t3 - 3.0 * t2 + 1.0) * y0 + (t3 - 2.0 * t2 + t) * h * m0
+            + (3.0 * t2 - 2.0 * t3) * y1 + (t3 - t2) * h * m1)
+
+
+def _hermite_integral(t, h, y0, m0, y1, m1):
+    """Integral of ``_hermite`` from the interval's start to the fraction t;
+    h (y0 + y1)/2 + h^2 (m0 - m1)/12 over the whole interval."""
+    t2 = t * t
+    t3 = t2 * t
+    t4 = t2 * t2
+    return h * ((t - t3 + 0.5 * t4) * y0
+                + (0.5 * t2 - 2.0 * t3 / 3.0 + 0.25 * t4) * h * m0
+                + (t3 - 0.5 * t4) * y1 + (0.25 * t4 - t3 / 3.0) * h * m1)
+
+
+def _interval(knots, x):
+    """Index of the knot interval holding each x (clamped to the first and
+    last interval) and the fraction of that interval at x."""
+    i = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(knots) - 2)
+    h = knots[i + 1] - knots[i]
+    return i, h, (x - knots[i]) / h
 
 
 class HeightContext:
@@ -55,22 +73,26 @@ class HeightContext:
         self.env = env
         self.h_bar = z - h_b
         self.r_m = receiving_radius(z, h_b, antenna)
-        self._span = self.r_m
         # resolve the elevation-angle transition densely, then stretch out
-        near = min(6.0 * self.h_bar, self._span)
-        if self._span > near * 1.001:
+        near = min(6.0 * self.h_bar, self.r_m)
+        if self.r_m > near * 1.001:
             xs = np.concatenate([
-                np.linspace(0.0, near, _SPLINE_POINTS + 1),
-                np.geomspace(near, self._span, _SPLINE_POINTS + 1)[1:],
+                np.linspace(0.0, near, _KNOTS + 1),
+                np.geomspace(near, self.r_m, _KNOTS + 1)[1:],
             ])
         else:
-            xs = np.linspace(0.0, self._span, 2 * _SPLINE_POINTS + 1)
+            xs = np.linspace(0.0, self.r_m, 2 * _KNOTS + 1)
         p_l = los_probability(xs, z, env, h_b)
+        dp_l = los_probability_slope(xs, z, env, h_b)
+        h = np.diff(xs)
         self._xs = xs
-        self._cum = {
-            LinkType.LOS: CubicSpline(xs, xs * p_l).antiderivative(),
-            LinkType.NLOS: CubicSpline(xs, xs * (1.0 - p_l)).antiderivative(),
-        }
+        # per link: f = x P_link, its slope, and int_0^x f at the knots
+        self._cum = {}
+        for link, p, dp in ((LinkType.LOS, p_l, dp_l),
+                            (LinkType.NLOS, 1.0 - p_l, -dp_l)):
+            f, df = xs * p, p + xs * dp
+            steps = _hermite_integral(1.0, h, f[:-1], df[:-1], f[1:], df[1:])
+            self._cum[link] = (f, df, np.concatenate([[0.0], np.cumsum(steps)]))
         self._inv: dict = {}
 
     def p_type(self, link: LinkType, r):
@@ -78,32 +100,39 @@ class HeightContext:
         return p if link is LinkType.LOS else 1.0 - p
 
     def cum_intensity(self, link: LinkType, r):
-        """int_0^r x P_link(x, z) dx, vectorized in r."""
-        scalar = np.ndim(r) == 0
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.asarray(self._cum[link](np.minimum(r, self._span)))
-        flat_r, flat_out = r.ravel(), out.ravel()
-        for i in np.nonzero(flat_r > self._span)[0]:
-            x, w = gauss_nodes(self._span, flat_r[i], _EXTENSION_NODES)
-            flat_out[i] += float(np.sum(w * x * self.p_type(link, x)))
-        return float(out[0]) if scalar else out
+        """int_0^r x P_link(x, z) dx, vectorized in r, for r in [0, receiving
+        radius]; r beyond it counts as the radius, since no GBS farther away
+        is received."""
+        f, df, cum = self._cum[link]
+        i, h, t = _interval(self._xs, np.clip(r, 0.0, self.r_m))
+        out = cum[i] + _hermite_integral(t, h, f[i], df[i], f[i + 1], df[i + 1])
+        return float(out) if np.ndim(out) == 0 else out
 
     def inverse_cum(self, link: LinkType, g):
         """Radius at which the cumulative type intensity reaches g, the
         inverse of cum_intensity on [0, receiving radius].
 
-        Interpolates radius against sqrt(cumulative): the cumulative is
-        quadratic near the origin, so the sqrt domain keeps the inverse
-        accurate there.
+        Interpolates radius against s = sqrt(cumulative), with slopes
+        dx/ds = 2 s / f: the cumulative is quadratic near the origin, so
+        the sqrt domain keeps the inverse accurate there; at the origin the
+        slope is its limit sqrt(2 / P_link(0)).
         """
-        spline = self._inv.get(link)
-        if spline is None:
-            vals = np.sqrt(self._cum[link](self._xs))
-            keep = np.concatenate([[True], np.diff(vals) > 0.0])
-            spline = CubicSpline(vals[keep], self._xs[keep])
-            self._inv[link] = spline
-        top = float(self._cum[link](self._span))
-        out = np.clip(spline(np.sqrt(np.clip(g, 0.0, top))), 0.0, self._span)
+        knots = self._inv.get(link)
+        if knots is None:
+            f, df, cum = self._cum[link]
+            s = np.sqrt(cum)
+            keep = np.concatenate([[True], np.diff(s) > 0.0])
+            s, x, f = s[keep], self._xs[keep], f[keep]
+            slope = np.empty_like(s)
+            slope[1:] = 2.0 * s[1:] / f[1:]
+            # P_link(0) underflows to 0 in a sharp sigmoid; take the secant
+            slope[0] = (math.sqrt(2.0 / df[0]) if df[0] > 0.0
+                        else x[1] / s[1])
+            knots = self._inv[link] = (s, x, slope)
+        s, x, slope = knots
+        i, h, t = _interval(s, np.minimum(np.sqrt(np.maximum(g, 0.0)), s[-1]))
+        out = np.clip(_hermite(t, h, x[i], slope[i], x[i + 1], slope[i + 1]),
+                      0.0, self.r_m)
         return float(out) if np.ndim(out) == 0 else out
 
 
@@ -128,73 +157,3 @@ def exclusion_factor(serving: LinkType, r0, ctx: HeightContext,
                        ctx.r_m)
     return np.exp(-2.0 * np.pi * params.lambda_b
                   * ctx.cum_intensity(serving.other, limit))
-
-
-def nearest_type_pdf(link: LinkType, r0, z: float, params: SystemParams):
-    """Density of the distance to the nearest GBS of the given link type.
-
-    The type-thinned GBS field is an inhomogeneous PPP with radial
-    intensity lambda_b * P_type(x, z), so the contact distance has density
-    2 pi lambda r P(r) exp(-2 pi lambda int_0^r x P dx).
-    """
-    ctx = height_context(params, z)
-    r0 = np.asarray(r0, dtype=float)
-    lam = params.lambda_b
-    out = (2.0 * np.pi * lam * r0 * ctx.p_type(link, r0)
-           * np.exp(-2.0 * np.pi * lam * ctx.cum_intensity(link, r0)))
-    return float(out) if out.ndim == 0 else out
-
-
-def _joint_weight(link: LinkType, r0, ctx: HeightContext, params: SystemParams):
-    """Joint density of {nearest link-type GBS at r0} and {it wins the
-    association}: f_{R0} times the opposite-type void factor. Equals
-    A(z) * f_tilde(r0, z)."""
-    lam = params.lambda_b
-    r0 = np.asarray(r0, dtype=float)
-    f_nearest = (2.0 * np.pi * lam * r0 * ctx.p_type(link, r0)
-                 * np.exp(-2.0 * np.pi * lam * ctx.cum_intensity(link, r0)))
-    return f_nearest * exclusion_factor(link, r0, ctx, params)
-
-
-@lru_cache(maxsize=2048)
-def _association_probability_cached(link: LinkType, z: float,
-                                    params: SystemParams) -> float:
-    ctx = height_context(params, z)
-
-    def integrand(r0):
-        return float(_joint_weight(link, np.asarray(r0), ctx, params))
-
-    return integrate(integrand, 0.0, ctx.r_m, _ASSOC_SPEC)
-
-
-def association_probability(link: LinkType, z: float, params: SystemParams) -> float:
-    """Probability that the UAV associates with a GBS of the given type.
-
-    Integrates the joint serving weight over [0, receiving radius]; the
-    remaining mass 1 - A_L - A_N is the void probability (no receivable
-    GBS at all, or none that wins within range).
-    """
-    return _association_probability_cached(link, z, params)
-
-
-def serving_distance_pdf(link: LinkType, r0, z: float, params: SystemParams):
-    """Conditional PDF of the serving distance given the serving type.
-
-    Raises when the conditioning event is numerically impossible (its
-    probability is below 1e-15).
-    """
-    a = association_probability(link, z, params)
-    if a < 1e-15:
-        raise UndefinedConditionalError(
-            f"association probability is {a:.2e} for {link} at z={z}; "
-            "the conditional distribution is undefined")
-    ctx = height_context(params, z)
-    return _joint_weight(link, r0, ctx, params) / a
-
-
-def nearest_any_pdf(r0, params: SystemParams):
-    """Contact-distance density of the full PPP, 2 pi lam r exp(-pi lam r^2)."""
-    r0 = np.asarray(r0, dtype=float)
-    lam = params.lambda_b
-    out = 2.0 * np.pi * lam * r0 * np.exp(-np.pi * lam * r0 * r0)
-    return float(out) if out.ndim == 0 else out

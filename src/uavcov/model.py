@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import GeometryError, ParameterError
 from .quadrature import gauss_nodes
@@ -33,6 +32,7 @@ __all__ = [
     "watts_from_dbm",
     "path_loss",
     "los_probability",
+    "los_probability_slope",
     "uav_mainlobe_gain",
     "sample_fading",
     "horizontal_speed",
@@ -270,6 +270,15 @@ def los_probability(r, h_u, env: EnvironmentParams, h_b: float):
     return float(out) if out.ndim == 0 else out
 
 
+def los_probability_slope(r, h_u, env: EnvironmentParams, h_b: float):
+    """d/dr of ``los_probability``: the sigmoid's slope b P (1 - P) per
+    degree times the elevation angle's -(180/pi) dh / (r^2 + dh^2) per metre."""
+    r = np.asarray(r, dtype=float)
+    dh = h_u - h_b
+    p = los_probability(r, h_u, env, h_b)
+    return -env.b * p * (1.0 - p) * np.degrees(dh / (r * r + dh * dh))
+
+
 def uav_mainlobe_gain(antenna: AntennaModel) -> float:
     """Main-lobe gain: 29000/beamwidth_deg^2 for the cone, 1 for omni."""
     if isinstance(antenna, DirectionalAntenna):
@@ -333,13 +342,17 @@ def mobility_pdfs(params: SystemParams):
     return f_rho, f_z, f_theta
 
 
+_erf = np.frompyfunc(math.erf, 1, 1)
+
+
 def _speed_ratio_cdf(t, z_t: float, mu: float, h_lb: float, h_ub: float):
     """P(v_h <= t V | z_t) for t in (0, 1]: the Rayleigh transition length
     gives P(v_h <= s | dz) = 1 - exp(-a^2 dz^2), a^2 = pi mu s^2/(V^2 - s^2),
     and the uniform pre-move altitude averages exp(-a^2 dz^2) in erf form."""
     with np.errstate(divide="ignore"):  # t = 1: a = inf, erf = 1, F = 1
         a = np.sqrt(np.pi * mu * t * t / ((1.0 - t) * (1.0 + t)))
-    spread = erf(a * (z_t - h_lb)) + erf(a * (h_ub - z_t))
+    spread = np.asarray(_erf(a * (z_t - h_lb)) + _erf(a * (h_ub - z_t)),
+                        dtype=float)
     return 1.0 - 0.5 * math.sqrt(math.pi) * spread / (a * (h_ub - h_lb))
 
 

@@ -30,7 +30,7 @@ from uavcov.analytic import (
     reset_coverage_drift_counter,
     _tau_threshold,
 )
-from uavcov.association import height_context, nearest_any_pdf, nearest_type_pdf, serving_distance_pdf
+from uavcov.association import height_context
 from uavcov.cli import SweepSpec, rows_to_csv, run_sweep, validate
 from uavcov.geometry import equal_power_radius, exclusion_radius, lens_complement_area
 from uavcov.model import (
@@ -42,8 +42,14 @@ from uavcov.model import (
     default_params,
 )
 from uavcov.montecarlo import summary_estimates
-from uavcov.quadrature import QuadratureSpec, integrate
 
+from quadpack import (
+    QuadratureSpec,
+    integrate,
+    nearest_any_pdf,
+    nearest_type_pdf,
+    serving_distance_pdf,
+)
 from test_geometry import lens_complement_by_slicing
 
 SEED = 20260809

@@ -23,7 +23,7 @@ from uavcov.analytic import (
     reset_coverage_drift_counter,
     _tau_threshold,
 )
-from uavcov.association import association_probability, height_context
+from uavcov.association import height_context
 from uavcov.errors import GeometryError
 from uavcov.geometry import (
     displaced_distance,
@@ -41,6 +41,8 @@ from uavcov.model import (
 )
 from uavcov.montecarlo import conditioned_oracles, laplace_estimate
 from uavcov.quadrature import gauss_nodes
+
+from quadpack import association_probability
 
 SYM_CHANNEL = ChannelParams(alpha_l=3.0, alpha_n=3.0, eta_l=1e-4, eta_n=1e-4,
                             m_l=2, m_n=2)

@@ -3,17 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from uavcov.association import (
+from uavcov.association import HeightContext, height_context
+from uavcov.geometry import exclusion_radius
+from uavcov.model import (
+    ChannelParams,
+    DirectionalAntenna,
+    EnvironmentParams,
+    LinkType,
+    OmniAntenna,
+)
+
+from quadpack import (
+    QuadratureSpec,
+    UndefinedConditionalError,
     association_probability,
-    height_context,
+    cum_intensity,
+    integrate,
     nearest_any_pdf,
     nearest_type_pdf,
     serving_distance_pdf,
 )
-from uavcov.errors import UndefinedConditionalError
-from uavcov.geometry import exclusion_radius
-from uavcov.model import ChannelParams, LinkType
-from uavcov.quadrature import QuadratureSpec, integrate
 
 TIGHT = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13, max_depth=14)
 
@@ -45,7 +54,7 @@ class TestNearestTypePdf:
             def f(r0):
                 rho = exclusion_radius(link, r0, ctx.h_bar, params.channel)
                 excl = math.exp(-2 * np.pi * params.lambda_b
-                                * float(ctx.cum_intensity(link.other, rho)))
+                                * cum_intensity(ctx, link.other, rho))
                 return nearest_type_pdf(link, r0, z, params) * excl
             return integrate(f, 0.0, np.inf, TIGHT)
 
@@ -146,7 +155,7 @@ class TestNearestAnyPdf:
 class TestInnerIntegralCache:
     def test_spline_matches_direct_quadrature(self, params):
         # the cumulative type intensities back every nested integral; their
-        # cached splines must track direct quadrature to 1e-7 relative
+        # cached interpolants must track direct quadrature to 1e-7 relative
         rng = np.random.default_rng(3)
         for z in (95.0, 120.0, 145.0):
             ctx = height_context(params, z)
@@ -166,3 +175,35 @@ class TestInnerIntegralCache:
             r = ctx.inverse_cum(link, g)
             back = ctx.cum_intensity(link, r)
             assert np.allclose(back, g, rtol=1e-6, atol=g_top * 1e-8)
+
+
+class TestHeightContext:
+    # QUADPACK at 1e-12 relative differs from the scipy cubic splines these
+    # interpolants replaced by at most 2.3e-11 of the span's cumulative, in
+    # cum(r) and in QUADPACK's cumulative up to inverse_cum(g) against g;
+    # near the origin (g at most 1e-6 of the span's) the splines' inverse
+    # missed by up to 2.3e-3 of g
+    TOL, NEAR_TOL = 1e-10, 5e-3
+    SPEC = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300, max_depth=14)
+
+    @pytest.mark.parametrize("z", [90.0, 120.0, 150.0, 300.0])
+    @pytest.mark.parametrize("antenna", [DirectionalAntenna(30.0),
+                                         DirectionalAntenna(120.0),
+                                         DirectionalAntenna(170.0),
+                                         OmniAntenna()],
+                             ids=["30deg", "120deg", "170deg", "omni"])
+    def test_matches_quadpack(self, antenna, z):
+        ctx = HeightContext(z, 30.0, EnvironmentParams(), antenna)
+        for link in LinkType:
+            def cum(r):
+                def f(x):
+                    return x * float(ctx.p_type(link, np.asarray(x)))
+                return integrate(f, 0.0, float(r), self.SPEC)
+
+            top = cum(ctx.r_m)
+            for r in ctx.r_m * np.array([1e-3, 0.02, 0.1, 0.3, 0.6, 1.0]):
+                assert abs(ctx.cum_intensity(link, r) - cum(r)) <= self.TOL * top
+            for g in top * np.array([1e-4, 1e-2, 0.1, 0.3, 0.6, 0.9, 1.0]):
+                assert abs(cum(ctx.inverse_cum(link, g)) - g) <= self.TOL * top
+            for g in top * np.array([1e-12, 1e-10, 1e-8, 1e-6]):
+                assert abs(cum(ctx.inverse_cum(link, g)) - g) <= self.NEAR_TOL * g

@@ -18,13 +18,15 @@ from uavcov.model import (
     horizontal_speed_nodes,
     linear_from_db,
     los_probability,
+    los_probability_slope,
     mobility_pdfs,
     path_loss,
     sample_fading,
     uav_mainlobe_gain,
     watts_from_dbm,
 )
-from uavcov.quadrature import QuadratureSpec, integrate
+
+from quadpack import QuadratureSpec, integrate
 
 TIGHT = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-12, max_depth=14)
 
@@ -100,6 +102,14 @@ class TestLosProbability:
         table = np.array([los_probability(r, h, params.env, 30.0) for h in heights])
         assert np.all(np.diff(table, axis=0) > 0)       # increasing in altitude
         assert np.all(np.diff(table, axis=1) < 0)       # decreasing in distance
+
+    def test_slope_matches_central_differences(self, params):
+        r = np.array([5.0, 50.0, 90.0, 300.0, 2000.0])
+        h = 1e-3
+        fd = (los_probability(r + h, 120.0, params.env, 30.0)
+              - los_probability(r - h, 120.0, params.env, 30.0)) / (2 * h)
+        slope = los_probability_slope(r, 120.0, params.env, 30.0)
+        assert np.allclose(slope, fd, rtol=1e-6, atol=1e-12)
 
 
 class TestAntennaGain:

@@ -650,7 +650,7 @@ class TestStaticAssociation:
             k: (c / n, n, seed) for k, c in counts.items()}
 
     def test_matches_analytic_association(self, params):
-        from uavcov.association import association_probability
+        from quadpack import association_probability
 
         got = association_estimate(params, 120.0, 20_000, 20)
         for link, key in ((LinkType.LOS, "association_los"),

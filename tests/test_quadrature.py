@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from uavcov.errors import QuadratureError
-from uavcov.quadrature import QuadratureSpec, gauss_nodes, integrate
+from uavcov.quadrature import gauss_nodes
+
+from quadpack import QuadratureError, QuadratureSpec, integrate
 
 
 def test_polynomial_exactness():
