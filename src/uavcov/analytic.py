@@ -22,12 +22,15 @@ Layout of the computation:
   takes the closed-form lens angles of two circles through the serving
   GBS (``geometry.same_type_lens_complement_area``); the remaining
   cross-type rows take the general lens formula;
-* conditional coverage: finite Nakagami sum over derivatives of the
-  interference Laplace transform, with the exponent integrals evaluated on
-  two-panel (linear + geometric) Gauss grids so both the near-serving peak
-  and the slowly decaying far tail are resolved; one call per serving type
-  covers the whole altitude x serving-distance grid, each row carrying its
-  own altitude;
+* conditional coverage: the finite Nakagami sum over derivatives of the
+  interference Laplace transform, taken as exp(g0) sum_{l<m} b_l from the
+  exponent g0 and the nonnegative coefficients t_k (negative-binomial
+  integrals), every term a probability (``_coverage_series``; the Monte
+  Carlo near field sums the same terms). The integrals run on two-panel
+  (linear + geometric) Gauss grids so both the near-serving peak and the
+  slowly decaying far tail are resolved; one call per serving type covers
+  the whole altitude x serving-distance grid, each row carrying its own
+  altitude;
 * totals: serving-type sum of double integrals over serving distance and
   altitude, the nodes, weights and handover built one altitude at a time;
   the serving-distance integral is transformed through the
@@ -217,105 +220,133 @@ def conditional_handover_any(ctx: HandoverContext, params: SystemParams) -> floa
 # interference Laplace transform and conditional coverage
 # ---------------------------------------------------------------------------
 
+def _radial_panel(lo, hi, h_bar, n_x=N_X):
+    """(x nodes, dx weights) of shape (rows, 2*n_x) on [lo, hi] per row: a
+    linear panel from lo to a mid-point around twice the effective height
+    h_bar, then a geometric panel to hi."""
+    t01, w01 = gauss_nodes(0.0, 1.0, n_x)
+    lo = np.minimum(lo, hi)
+    mid = np.clip(np.maximum(2.0 * h_bar, 2.0 * lo), lo, hi)
+    # linear panel [lo, mid]
+    span = mid - lo
+    x_lin = lo[:, None] + span[:, None] * t01[None, :]
+    w_lin = span[:, None] * w01[None, :]
+    # geometric panel (mid, hi]
+    ratio = np.log(np.maximum(hi / np.maximum(mid, 1e-300), 1.0))
+    x_geo = np.maximum(mid, 1e-300)[:, None] * np.exp(ratio[:, None] * t01[None, :])
+    w_geo = x_geo * ratio[:, None] * w01[None, :]
+    return (np.concatenate([x_lin, x_geo], axis=1),
+            np.concatenate([w_lin, w_geo], axis=1))
+
+
 def _interference_nodes(serving: LinkType, r0: np.ndarray, z,
                         params: SystemParams, n_x=N_X):
     """Quadrature nodes for the Laplace exponent integrals.
 
-    Returns, per interferer type, (x nodes, dx weights) of shape
-    (len(r0), 2*n_x): a linear panel from the exclusion radius to a
-    mid-point around twice the effective height, then a geometric panel to
-    the receiving radius, both at each r0's altitude z (or one z for all).
-    Under the nearest policy every interferer lies beyond the serving
-    distance, whatever its type.
+    Returns, per interferer type, the (x nodes, dx weights) of
+    ``_radial_panel`` from the exclusion radius to the receiving radius, at
+    each r0's altitude z (or one z for all). Under the nearest policy every
+    interferer lies beyond the serving distance, whatever its type.
     """
     nearest = params.policy is AssociationPolicy.NEAREST
     h_bar = np.asarray(z, dtype=float) - params.h_b
     hi = receiving_radius(z, params.h_b, params.antenna)
-    t01, w01 = gauss_nodes(0.0, 1.0, n_x)
     panels = {}
     for xi in LinkType:
         if nearest or xi is serving:
             lo = r0.astype(float)
         else:
             lo = exclusion_radius(serving, r0, h_bar, params.channel)
-        lo = np.minimum(lo, hi)
-        mid = np.clip(np.maximum(2.0 * h_bar, 2.0 * lo), lo, hi)
-        # linear panel [lo, mid]
-        span = mid - lo
-        x_lin = lo[:, None] + span[:, None] * t01[None, :]
-        w_lin = span[:, None] * w01[None, :]
-        # geometric panel (mid, hi]
-        ratio = np.log(np.maximum(hi / np.maximum(mid, 1e-300), 1.0))
-        x_geo = np.maximum(mid, 1e-300)[:, None] * np.exp(ratio[:, None] * t01[None, :])
-        w_geo = x_geo * ratio[:, None] * w01[None, :]
-        panels[xi] = (np.concatenate([x_lin, x_geo], axis=1),
-                      np.concatenate([w_lin, w_geo], axis=1))
+        panels[xi] = _radial_panel(lo, hi, h_bar, n_x)
     return panels
 
 
-def _exponent_derivatives(tau: np.ndarray, serving: LinkType, r0: np.ndarray,
-                          z, params: SystemParams, max_order: int,
-                          n_x=N_X) -> list[np.ndarray]:
-    """g(tau) and its tau-derivatives, g being the Laplace exponent
-    -2 pi lam sum_xi int P_xi gamma_xi x dx. Vectorized over (tau, r0, z)
-    rows; a scalar z is every row's altitude."""
+def _exponent_terms(s: np.ndarray, panels: dict, z, params: SystemParams,
+                    order: int):
+    """The Laplace exponent g0 = log L and the coefficients t_1..t_order of
+    g(tau - tau y) = g0 + sum_k t_k y^k, one value per row.
+
+    s scales each interferer's path-loss gain l(x) to u = s l(x) / m_xi, so
+    s = m T / S for a serving path-loss gain S (tau = s / (P_t G_tot)). Over
+    the panels {interferer type: (x, dx)}, with P_xi the type probability,
+
+        g0  = -2 pi lam sum_xi int P_xi (1 - (1 + u)^-m_xi) x dx,
+        t_k =  2 pi lam sum_xi int P_xi NB_k(u) x dx,
+
+    NB_k(u) = C(m+k-1, k) (u/(1+u))^k (1+u)^-m the negative-binomial pmf:
+    NB_0 from log1p(u), then NB_k = NB_(k-1) (m+k-1)/k u/(1+u). Every NB_k
+    is a probability, so none overflows. z is each row's altitude (or one
+    for all).
+    """
     ch = params.channel
-    pg = params.p_t * params.g_tot
-    panels = _interference_nodes(serving, r0, z, params, n_x)
     z = np.expand_dims(z, -1)                       # one altitude per node row
-    ders = [np.zeros_like(tau) for _ in range(max_order + 1)]
+    s = s[:, None]
+    g0 = np.zeros(s.shape[0])
+    t = [np.zeros(s.shape[0]) for _ in range(order)]
     for xi, (xs, ws) in panels.items():
         m = ch.m(xi)
         p_los = los_probability(xs, z, params.env, params.h_b)
         base = ws * xs * (p_los if xi is LinkType.LOS else 1.0 - p_los)
-        c = pg * path_loss(xi, xs, z, ch, params.h_b)
-        # powers of (m + tau c) in log space: c spans many orders of magnitude
-        log1p_tc = np.log1p(tau[:, None] * c / m)
-        gamma = -np.expm1(-m * log1p_tc)
-        ders[0] += np.sum(base * gamma, axis=1)
-        if max_order:       # read by the derivatives only; NLoS serving has none
-            log_c_over_m = np.log(c) - math.log(m)
-        rising = 1.0
-        for k in range(1, max_order + 1):
-            rising *= m + k - 1
-            d_gamma = ((-1.0) ** (k + 1) * rising
-                       * np.exp(k * log_c_over_m - (m + k) * log1p_tc))
-            ders[k] += np.sum(base * d_gamma, axis=1)
-    scale = -2.0 * np.pi * params.lambda_b
-    return [scale * d for d in ders]
+        u = s * path_loss(xi, xs, z, ch, params.h_b) / m
+        log1p_u = np.log1p(u)
+        nb = -m * log1p_u
+        g0 += np.sum(base * np.expm1(nb), axis=1)
+        if order:
+            np.exp(nb, out=nb)
+            u /= 1.0 + u
+            for k in range(1, order + 1):
+                nb *= u
+                nb *= (m + k - 1) / k
+                t[k - 1] += np.sum(base * nb, axis=1)
+    scale = 2.0 * np.pi * params.lambda_b
+    return scale * g0, [scale * tk for tk in t]
 
 
-def _laplace_derivative_grid(tau: np.ndarray, serving: LinkType, r0: np.ndarray,
-                             z, params: SystemParams,
-                             max_order: int) -> list[np.ndarray]:
-    """L and its derivatives through the exponential-composition recursion
-    L^(l) = sum_j C(l-1, j) L^(j) g^(l-j)."""
-    g = _exponent_derivatives(tau, serving, r0, z, params, max_order)
-    ders = [np.exp(g[0])]
-    for order in range(1, max_order + 1):
-        total = np.zeros_like(tau)
-        for j in range(order):
-            total += math.comb(order - 1, j) * ders[j] * g[order - j]
-        ders.append(total)
-    return ders
+def _coverage_series(g0: np.ndarray, t: list) -> list:
+    """exp(g0) b_l for l = 0..len(t), with b_0 = 1 and
+    b_l = (1/l) sum_{k=1}^{l} k t_k b_{l-k}: the terms (-tau)^l L^(l)(tau)
+    / l! of the Nakagami coverage sum, which for serving shape m is the sum
+    of the first m (the lower-triangular Toeplitz form of Yu, Zhang, Haenggi
+    and Letaief, IEEE JSAC 2017). Every term is >= 0; exp(g0) rides in b_0,
+    so each term is a probability and no product overflows."""
+    b = [np.exp(g0)]
+    for l in range(1, len(t) + 1):
+        b_l = t[0] * b[l - 1]
+        for k in range(2, l + 1):
+            b_l += k * t[k - 1] * b[l - k]
+        if l > 1:
+            b_l /= l
+        b.append(b_l)
+    return b
+
+
+def _laplace_terms(tau: float, serving: LinkType, r0: float, z: float,
+                   params: SystemParams, order: int):
+    s = np.asarray([tau * params.p_t * params.g_tot])
+    r0 = np.asarray([r0], dtype=float)
+    return _exponent_terms(s, _interference_nodes(serving, r0, z, params), z,
+                           params, order)
 
 
 def laplace_interference(tau: float, serving: LinkType, r0: float, z: float,
                          params: SystemParams) -> float:
     """Laplace transform of the aggregate interference at the given point,
     conditioned on the serving type and distance."""
-    ders = _laplace_derivative_grid(np.asarray([tau], dtype=float), serving,
-                                    np.asarray([r0], dtype=float), z, params, 0)
-    return float(ders[0][0])
+    g0, _ = _laplace_terms(tau, serving, r0, z, params, 0)
+    return float(np.exp(g0[0]))
 
 
 def laplace_derivatives(tau: float, serving: LinkType, r0: float, z: float,
                         params: SystemParams, max_order: int) -> list[float]:
-    """L^(0..max_order)(tau); the coverage sum uses orders up to m-1."""
-    ders = _laplace_derivative_grid(np.asarray([tau], dtype=float), serving,
-                                    np.asarray([r0], dtype=float), z, params,
-                                    max_order)
-    return [float(d[0]) for d in ders]
+    """L^(0..max_order)(tau); the coverage sum uses orders up to m-1. The
+    derivatives come from the coverage sum's terms, L^(k) = k! exp(g0) b_k
+    / (-tau)^k, so they need tau > 0."""
+    if max_order and not tau > 0.0:
+        raise ParameterError("Laplace derivatives need tau > 0")
+    terms = _coverage_series(*_laplace_terms(tau, serving, r0, z, params,
+                                             max_order))
+    return [float(math.factorial(k) * term[0] / (-tau) ** k)
+            for k, term in enumerate(terms)]
 
 
 def _tau_threshold(serving: LinkType, r0, z, params: SystemParams):
@@ -329,15 +360,11 @@ def _coverage_grid(serving: LinkType, r0: np.ndarray, z,
     """Conditional coverage on an array of serving distances, z being the
     altitude of each (an array aligned with r0) or of all (a scalar)."""
     global _drift_events
-    m = params.channel.m(serving)
-    tau = np.asarray(_tau_threshold(serving, r0, z, params), dtype=float)
-    ders = _laplace_derivative_grid(tau, serving, r0, z, params, m - 1)
-    total = np.zeros_like(tau)
-    # a high-order sum can overflow; a non-finite total counts as drift,
-    # and coverage_probability refuses it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for l in range(m):
-            total += (-tau) ** l / math.factorial(l) * ders[l]
+    s = (np.asarray(_tau_threshold(serving, r0, z, params), dtype=float)
+         * (params.p_t * params.g_tot))
+    total = sum(_coverage_series(*_exponent_terms(
+        s, _interference_nodes(serving, r0, z, params), z, params,
+        params.channel.m(serving) - 1)))
     drift = np.maximum(total - 1.0, -total)
     _drift_events += int(np.count_nonzero(~(drift <= 1e-6)))
     return np.clip(total, 0.0, 1.0)

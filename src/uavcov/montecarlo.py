@@ -3,33 +3,55 @@
 Each episode samples a GBS field, link types, fading and one 3D movement,
 then records association, handover, void and coverage events.
 `simulate_episode` runs one episode from a given stream and is the
-reference. A field is drawn without trigonometry: a Poisson count of
-points uniform in the square [-r_field, r_field]^2, x and y from one draw,
-keeping those inside the disc (a PPP of the same intensity on the disc),
-then one LoS latent per kept station. Every distance is sqrt(dx*dx +
-dy*dy) and every squared height gap a product.
+per-episode reference. A field is drawn without trigonometry: a Poisson
+count of points uniform in the square [-r, r]^2, x and y from one draw,
+keeping those inside the disc of radius r (a PPP of the same intensity on
+the disc), then one LoS latent per kept station. Every distance is
+sqrt(dx*dx + dy*dy) and every squared height gap a product.
 
 Every estimator runs blocks of a fixed number of episodes, chosen from
-the inputs so that a block's fields hold about BLOCK_STATIONS stations (a
-denser field is a block of its own). Block k draws from one PCG64DXSM
-stream seeded by SeedSequence([seed, k]), each quantity in one vector
-call; `summary_estimates` draws in simulate_episode's order (altitudes,
-rho, theta, square counts, x|y, latents, the fading of the stations in
-range after the move, coins), so a one-episode block consumes its stream
-as simulate_episode does. Fading is two scalar-shape Nakagami draws: the
-NLoS law for every faded station, then the LoS law for the LoS ones, each
-in row order, the second written over the first at the LoS rows. Workers
-get whole blocks, so estimates are bit-identical regardless of execution
-order or worker count. A block's stations sit in one array (episode b
-owns the rows starts[b] : ends[b]). After the move, distances are
-computed for the whole block once; link types, gains, the serving argmax,
-fading and the per-episode interference sums then run on the stations in
-range only, compacted in row order, with simulate_episode's elementwise
-operations and its segment sum. The pre-move association, with the UAV
-above the origin, looks only at a disc of about ORIGIN_CANDIDATES
-stations, never wider than the block's largest receiving radius, and
-doubles its radius until the disc's winner provably beats every station
-outside it, so it picks the station the whole field would.
+the inputs so that a block holds about BLOCK_STATIONS stations (a denser
+disc is a block of its own). Block k draws from one PCG64DXSM stream
+seeded by SeedSequence([seed, k]), each quantity in one vector call, and
+workers get whole blocks, so estimates are bit-identical regardless of
+execution order or worker count. A block's stations sit in one array
+(episode b owns the rows starts[b] : ends[b]); link types, gains, the
+serving argmax, fading and the per-episode interference sums run on the
+stations in range only, compacted in row order.
+
+`summary_estimates` simulates the near field only. A block draws, in
+order: altitudes, rho and theta; a first disc of radius
+min(sqrt(ORIGIN_CANDIDATES / (pi lambda)), r_field) (square counts, x|y,
+latents); the annulus out to twice its radius (at most r_field) of every
+episode whose pick does not stand yet, round after round; then the fading
+of the disc's stations in range after the move, the NLoS law for every
+one and then the LoS law written over the LoS rows. Blocks are sized by
+the first disc's mean count.
+
+* Near field. A pick stands once no station outside the episode's disc of
+  radius R, at least R (before the move, above the origin) or R - v_h
+  (after it) from the UAV, can be in range or beat it, bounded by the LoS
+  and NLoS laws at that distance (`_stands`). A disc grown this way is a
+  stopping set, so the stations outside it are a PPP again, independent
+  of those inside (Zuyev, Adv. Appl. Prob. 1999).
+* Exterior. Coverage integrates out the serving fading and the stations
+  outside the disc that are in range after the move: P(SIR > T | near
+  field) is analytic's Nakagami sum exp(g0) sum_{l<m} b_l, with g0 and t_k
+  from one quadrature row per episode in the distance from the UAV
+  (`_exterior_nodes`) and the near interferers' faded sum I_near adding
+  -s I_near to g0 and s I_near to t_1, s = m T / S. Where the disc is the
+  field, or R - v_h >= r_m, there is no row: at the baseline the first
+  disc is the whole field, so every draw up to the fading is the
+  full-field tally's.
+* Estimators. Association, handover and void are indicator means;
+  coverage is the mean of P(SIR > T | near field) (1 - kappa 1[handover]),
+  a conditional Monte Carlo estimate whose Wilson interval from (mean, n)
+  is conservative.
+
+`association_estimate` and the conditioned oracles draw whole fields.
+`serve_origin` associates from above the origin by a disc of about
+ORIGIN_CANDIDATES stations inside the drawn field, doubled until its pick
+stands by the same rule, so it picks the station the whole field would.
 
 The conditioned oracles pin the serving GBS and condition by restriction:
 a PPP with no point in a region is the PPP on the region's complement, so
@@ -50,6 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import N_X, _coverage_series, _exponent_terms, _radial_panel
 from .errors import ParameterError
 from .geometry import receiving_radius
 from .model import (
@@ -62,6 +85,7 @@ from .model import (
     path_loss,
     sample_fading,
 )
+from .quadrature import gauss_nodes
 
 __all__ = [
     "GbsField",
@@ -88,11 +112,13 @@ FIELD_MARGIN = 50.0
 # some ten float arrays per station, and the square it is drawn from holds
 # 4/pi times as many points while the field is built
 MAX_MEAN_STATIONS = 1e6
-# stations per block, counting one for each episode's own draws; a larger
-# field is a block of its own. At the baseline 4096 ran as fast as 8192
-# with 0.8 MB less peak memory, and 2048 ran slower
+# stations per block, counting one for each episode's own draws, by the
+# mean count of the first disc an episode draws; a larger disc is a block of
+# its own. At the baseline 4096 ran as fast as 8192 with 0.8 MB less peak
+# memory, and 2048 ran slower
 BLOCK_STATIONS = 4096
-# mean stations in the first candidate disc of the pre-move association
+# mean stations in the first disc an episode draws (summary_estimates) or
+# looks at (serve_origin's candidate disc)
 ORIGIN_CANDIDATES = 64
 # relative margin by which a candidate winner must beat any station outside
 # the disc; rounding moves a distance or a gain by some 1e-15
@@ -137,7 +163,7 @@ class McEstimate:
         return 0.5 * (self.ci_high - self.ci_low)
 
 
-def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, float]:
+def wilson_interval(successes: float, n: int, z: float = _Z95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if n < 1:
         raise ParameterError("need at least one trial")
@@ -148,7 +174,10 @@ def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, flo
     return max(center - hw, 0.0), min(center + hw, 1.0)
 
 
-def _estimate_from_count(successes: int, n: int, seed: int) -> McEstimate:
+def _estimate_from_count(successes: float, n: int, seed: int) -> McEstimate:
+    """The estimate of a sum of n per-episode values in [0, 1]; for values
+    other than 0 and 1 the Wilson interval is conservative, since such a
+    variable's variance is at most p (1 - p)."""
     lo, hi = wilson_interval(successes, n)
     return McEstimate(successes / n, lo, hi, n, seed)
 
@@ -366,16 +395,35 @@ def _segment_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stands(best: np.ndarray, clearance, r_m, dz2, params: SystemParams):
+    """Whether each episode's pick, of metric best (-inf when there is
+    none), stands against every station farther than clearance from the
+    UAV: none of them can be in range, or the pick beats the best metric any
+    of them could have (a gain above what a LoS or NLoS station at the
+    clearance could have, or a distance below it), by DISC_MARGIN."""
+    if params.policy is AssociationPolicy.NEAREST:
+        outside = -clearance * (1.0 - DISC_MARGIN)
+    else:
+        ch = params.channel
+        edge = clearance * clearance + dz2
+        outside = (1.0 + DISC_MARGIN) * np.maximum(
+            ch.eta_l * edge ** (-0.5 * ch.alpha_l),
+            ch.eta_n * edge ** (-0.5 * ch.alpha_n))
+    return (clearance * (1.0 - DISC_MARGIN) > r_m) | (best > outside)
+
+
 class _FieldBlock:
     """The fields of a block's episodes in one array: episode b owns the
-    stations starts[b] : ends[b]. Draws the square counts, then x and y of
-    all points in one call, then the LoS latents of the kept stations, as
-    sample_ppp and simulate_episode draw them for one field; r2 is each
-    station's squared distance from the origin."""
+    stations starts[b] : ends[b], those of the disc of radius radius[b]
+    about the origin. Draws the square counts, then x and y of all points
+    in one call, then the LoS latents of the kept stations, as sample_ppp
+    and simulate_episode draw them for one field; r2 is each station's
+    squared distance from the origin."""
 
     def __init__(self, episodes: int, lambda_b: float, r_field: float,
                  rng: np.random.Generator):
-        self.lambda_b, self.r_field = lambda_b, r_field
+        self.lambda_b = lambda_b
+        self.radius = np.full(episodes, float(r_field))
         counts = rng.poisson(4.0 * lambda_b * r_field * r_field, episodes)
         n = int(counts.sum())
         # in place: on a dense field this arithmetic runs about a fifth
@@ -389,12 +437,56 @@ class _FieldBlock:
         r2 += y * y
         keep = np.flatnonzero(r2 <= r_field * r_field)
         self.x, self.y, self.r2 = x.take(keep), y.take(keep), r2.take(keep)
-        self.ends = np.searchsorted(keep, np.cumsum(counts))
-        self.sizes = np.diff(self.ends, prepend=0)
-        self.starts = self.ends - self.sizes
+        self._index(np.diff(np.searchsorted(keep, np.cumsum(counts)), prepend=0))
         self.latent = rng.random(len(keep))
-        self._seg = (None if episodes == 1
-                     else np.repeat(np.arange(episodes), self.sizes))
+
+    def _index(self, sizes: np.ndarray) -> None:
+        self.sizes = sizes
+        self.ends = np.cumsum(sizes)
+        self.starts = self.ends - sizes
+        self._seg = (None if len(sizes) == 1
+                     else np.repeat(np.arange(len(sizes)), sizes))
+
+    def grow(self, todo: np.ndarray, r_field: float,
+             rng: np.random.Generator) -> np.ndarray:
+        """Adds to each episode in todo the stations of the annulus from its
+        disc out to twice its radius, at most r_field (annulus). Each
+        episode's new rows follow its old ones; returns the new row of each
+        old row."""
+        outer = np.minimum(2.0 * self.radius[todo], r_field)
+        episode, x, y, r2, latent = self.annulus(todo, outer, rng)
+        episode = np.concatenate([np.repeat(np.arange(len(self.sizes)), self.sizes),
+                                  episode])
+        order = np.argsort(episode, kind="stable")
+        self.x = np.concatenate([self.x, x]).take(order)
+        self.y = np.concatenate([self.y, y]).take(order)
+        self.r2 = np.concatenate([self.r2, r2]).take(order)
+        self.latent = np.concatenate([self.latent, latent]).take(order)
+        self._index(np.bincount(episode, minlength=len(self.sizes)))
+        self.radius[todo] = outer
+        where = np.empty_like(order)
+        where[order] = np.arange(len(order))
+        return where[:len(order) - len(x)]
+
+    def annulus(self, todo: np.ndarray, outer: np.ndarray,
+                rng: np.random.Generator):
+        """Episode, x, y, r2 and latent of the stations between each disc
+        in todo and radius outer[i]: square counts, x and y, then the
+        latents of the kept stations, each one call for all of todo."""
+        inner = self.radius[todo]
+        counts = rng.poisson(4.0 * self.lambda_b * outer * outer)
+        n = int(counts.sum())
+        half = np.repeat(outer, counts)
+        xy = rng.random(2 * n)
+        xy *= 2.0
+        xy -= 1.0
+        x, y = xy[:n] * half, xy[n:] * half
+        r2 = x * x
+        r2 += y * y
+        keep = np.flatnonzero((r2 > np.repeat(inner * inner, counts))
+                               & (r2 <= half * half))
+        return (np.repeat(todo, counts).take(keep), x.take(keep), y.take(keep),
+                r2.take(keep), rng.random(len(keep)))
 
     def spread(self, per_episode: np.ndarray) -> np.ndarray:
         """One value per station; a one-episode block broadcasts instead."""
@@ -448,6 +540,42 @@ class _FieldBlock:
         serving = _segment_argmax(metric, np.cumsum(sizes) - sizes, sizes)
         return rows, sizes, los, gains, serving
 
+    def settle(self, wx: np.ndarray, wy: np.ndarray, z: np.ndarray,
+               reach: np.ndarray, r_field: float, params: SystemParams,
+               rng: np.random.Generator, track: np.ndarray):
+        """serve's result with each episode's UAV at (wx, wy, z)[b], reach[b]
+        from the origin, once every pick stands: the episodes whose disc is
+        not the field and whose pick could still lose to a station outside
+        it, at least radius - reach from the UAV (_stands), grow their discs
+        (grow) and go round again. Also the rows track (-1 for none)
+        renumbered through the growth."""
+        r_m = None
+        while True:
+            served = self.serve(wx, wy, z, params)
+            open_ = np.flatnonzero(self.radius < r_field)
+            if not len(open_):
+                return served, track
+            if r_m is None:
+                r_m = receiving_radius(z, params.h_b, params.antenna)
+                dz2 = (z - params.h_b) ** 2
+            rows, _, _, gains, serving = served
+            pick = serving[open_]
+            won = pick >= 0
+            best = np.full(len(open_), -np.inf)
+            if params.policy is AssociationPolicy.NEAREST:
+                e, row = open_[won], rows[pick[won]]
+                best[won] = -_distance(self.x[row], self.y[row], wx[e], wy[e])
+            else:
+                best[won] = gains[pick[won]]
+            todo = open_[~_stands(best, np.maximum(self.radius[open_] - reach[open_], 0.0),
+                                  r_m[open_], dz2[open_], params)]
+            if not len(todo):
+                return served, track
+            where = self.grow(todo, r_field, rng)
+            track = track.copy()
+            kept = track >= 0
+            track[kept] = where[track[kept]]
+
     def serve_origin(self, z: np.ndarray, params: SystemParams):
         """Serving station (-1 when void) and its LoS mark with each
         episode's UAV above the origin at altitude z[b], as serve picks
@@ -456,13 +584,11 @@ class _FieldBlock:
         block's largest receiving radius widened by DISC_MARGIN: no station
         beyond r_out is in range of any episode. Link types and gains are
         evaluated only for the disc's stations in range of their own
-        episode, kept in row order. An episode's pick stands
-        once no station outside the disc can be in range or beat it (a gain
-        above what a LoS or NLoS station at r_c could have, or a distance
-        below r_c), by DISC_MARGIN; the other episodes go round again with
-        r_c doubled. At r_c >= r_out or r_c >= r_field no station outside
-        the disc can be in range."""
-        ch = params.channel
+        episode, kept in row order. An episode's pick stands once no
+        station outside the disc can be in range or beat it (_stands); the
+        other episodes go round again with r_c doubled. At r_c >= r_out or
+        beyond the episode's field no station outside the disc can be in
+        range."""
         nearest = params.policy is AssociationPolicy.NEAREST
         r_m = receiving_radius(z, params.h_b, params.antenna)
         r_out = float(np.max(r_m)) * (1.0 + DISC_MARGIN)
@@ -492,18 +618,12 @@ class _FieldBlock:
                                                       params.h_b)
             metric = -d if nearest else _pathloss_gains(d, los, dz2[ep], params)
             best = _segment_argmax(metric, np.cumsum(sizes) - sizes, sizes)
-            # the best metric a station outside the disc could have
-            if nearest:
-                outside = np.full(len(todo), -r_c * (1.0 - DISC_MARGIN))
-            else:
-                edge = r_c * r_c + dz2[todo]
-                outside = (1.0 + DISC_MARGIN) * np.maximum(
-                    ch.eta_l * edge ** (-0.5 * ch.alpha_l),
-                    ch.eta_n * edge ** (-0.5 * ch.alpha_n))
-            done = ((r_c * (1.0 - DISC_MARGIN) > r_m[todo])
-                    | (r_c >= min(r_out, self.r_field)))
             won = np.flatnonzero(best >= 0)
-            done[won] |= metric[best[won]] > outside[won]
+            value = np.full(len(todo), -np.inf)
+            value[won] = metric[best[won]]
+            done = (_stands(value, np.full(len(todo), r_c), r_m[todo], dz2[todo],
+                            params)
+                    | (r_c >= np.minimum(r_out, self.radius[todo])))
             won = won[done[won]]
             serving[todo[won]] = rows[best[won]]
             serving_los[todo[won]] = los[best[won]]
@@ -523,72 +643,162 @@ def _association_counts(serving: np.ndarray, serving_los: np.ndarray) -> tuple:
     return n_los, served - n_los, len(serving) - served
 
 
+def _near_radius(lambda_b: float, r_field: float) -> float:
+    """Radius of the first disc an episode draws: ORIGIN_CANDIDATES
+    stations on average, at most the field."""
+    return min(math.sqrt(ORIGIN_CANDIDATES / (math.pi * lambda_b)), r_field)
+
+
+def _exterior_nodes(radius: np.ndarray, v_h: np.ndarray, z: np.ndarray,
+                    params: SystemParams, n_x: int = N_X):
+    """(rho nodes, weights) of one row per episode over the stations outside
+    the disc |p| <= radius[b] in range of a UAV at altitude z[b], v_h[b] from
+    the disc's centre, rho being the distance from the UAV: the outside is
+    a PPP again (the disc is a stopping set), so each node weighs its
+    circle's share outside the disc, 1 - arccos((rho^2 + v_h^2 - radius^2)
+    / (2 rho v_h)) / pi. The share rises from 0 at radius - v_h and reaches
+    1 at radius + v_h, at each end as a square root; rho = lo + (hi - lo)(1
+    - cos phi) / 2 on Gauss nodes in phi takes both roots out. Beyond, up
+    to the receiving radius, analytic's radial panel. Needs radius > v_h."""
+    r_m = receiving_radius(z, params.h_b, params.antenna)
+    lo = radius - v_h
+    hi = np.minimum(radius + v_h, r_m)
+    phi, w_phi = gauss_nodes(0.0, np.pi, n_x)
+    half = 0.5 * (hi - lo)[:, None]
+    rho = lo[:, None] + half * (1.0 - np.cos(phi))
+    cos_gap = ((rho * rho + (v_h * v_h - radius * radius)[:, None])
+               / np.maximum(2.0 * rho * v_h[:, None], 1e-300))
+    share = 1.0 - np.arccos(np.clip(cos_gap, -1.0, 1.0)) / np.pi
+    x_tail, w_tail = _radial_panel(hi, r_m, z - params.h_b, n_x)
+    return (np.concatenate([rho, x_tail], axis=1),
+            np.concatenate([half * np.sin(phi) * w_phi * share, w_tail], axis=1))
+
+
+def _near_coverage(params: SystemParams, serving_los: np.ndarray,
+                   signal: np.ndarray, interference: np.ndarray,
+                   radius: np.ndarray, v_h: np.ndarray, z: np.ndarray,
+                   r_field: float) -> np.ndarray:
+    """P(SIR > T | near field) per served episode, the serving fading and
+    the stations outside the disc integrated out: signal is the serving
+    path-loss gain S, interference the faded sum over the disc's other
+    stations in range, I_near. With s = m T / S for the serving shape m,
+    the near field adds -s I_near to g0 and s I_near to t_1 of the
+    exterior's analytic._exponent_terms on _exterior_nodes (none where the
+    disc is the field or radius - v_h >= r_m), and the first m terms of
+    analytic._coverage_series add up to the probability."""
+    ch = params.channel
+    m = np.where(serving_los, ch.m_l, ch.m_n)
+    s = m * params.t_thresh / signal
+    x = s * interference
+    g0 = -x
+    order = ch.m_l - 1
+    t = [x, *(np.zeros(len(x)) for _ in range(1, order))][:order]
+    far = np.flatnonzero(radius < r_field)
+    if len(far):
+        far = far[radius[far] - v_h[far]
+                  < receiving_radius(z[far], params.h_b, params.antenna)]
+    if len(far):
+        nodes = _exterior_nodes(radius[far], v_h[far], z[far], params)
+        g_far, t_far = _exponent_terms(s[far], dict.fromkeys(LinkType, nodes),
+                                       z[far], params, order)
+        g0[far] += g_far
+        for tk, tk_far in zip(t, t_far):
+            tk[far] += tk_far
+    # b_l needs t_k for k <= l only, so the NLoS-served rows' first m_n
+    # terms are theirs
+    terms = _coverage_series(g0, t)
+    total = sum(terms[:ch.m_n])
+    if ch.m_l > ch.m_n:
+        total += sum(terms[ch.m_n:]) * serving_los
+    return np.minimum(total, 1.0, out=total)
+
+
 def _tally_block(params: SystemParams, episodes: int, r_field: float,
-                 rng: np.random.Generator):
-    """Summary counts of one block of episodes drawn from rng; its arrays
-    live only in this call, so the next block is drawn without them."""
+                 rng: np.random.Generator) -> np.ndarray:
+    """Summary sums of one block of episodes drawn from rng: coverage as
+    the sum of the episodes' conditional coverage, then the handover, LoS,
+    NLoS and void counts. Its arrays live only in this call, so the next
+    block is drawn without them."""
     band = params.h_ub - params.h_lb
     z_pre, z_post = (params.h_lb + band * rng.random((episodes, 2))).T
     rho = rng.rayleigh(1.0 / math.sqrt(2.0 * np.pi * params.mu), episodes)
     theta = np.pi * rng.random(episodes)
-    field = _FieldBlock(episodes, params.lambda_b, r_field, rng)
+    field = _FieldBlock(episodes, params.lambda_b,
+                        _near_radius(params.lambda_b, r_field), rng)
 
-    pre, pre_los = field.serve_origin(z_pre, params)
+    origin = np.zeros(episodes)
+    (rows, _, los, _, pick), _ = field.settle(
+        origin, origin, z_pre, origin, r_field, params, rng,
+        np.empty(0, dtype=np.intp))
+    has_pre = pick >= 0
+    pre = np.full(episodes, -1, dtype=np.intp)
+    pre[has_pre] = rows[pick[has_pre]]
+    pre_los = np.zeros(episodes, dtype=bool)
+    pre_los[has_pre] = los[pick[has_pre]]
     association = _association_counts(pre, pre_los)
-    has_pre = pre >= 0
 
     bearing = np.zeros(episodes)
     bearing[has_pre] = np.arctan2(field.y[pre[has_pre]], field.x[pre[has_pre]])
     heading = bearing + theta
     v_h = horizontal_speed(params.v, rho, z_post - z_pre)
-    rows, sizes, los, gains, post = field.serve(v_h * np.cos(heading),
-                                                v_h * np.sin(heading), z_post,
-                                                params)
+    (rows, sizes, los, gains, post), pre = field.settle(
+        v_h * np.cos(heading), v_h * np.sin(heading), z_post, v_h, r_field,
+        params, rng, pre)
     powers = _station_fading(los, params, rng)
     powers *= gains
-    coin = rng.random(episodes)
 
     served = np.flatnonzero(post >= 0)
-    signal = powers[post[served]]
-    interference = _segment_sums(powers, sizes)[served] - signal
-    sir = np.full(len(served), np.inf)
-    np.divide(signal, interference, out=sir, where=interference > 0.0)
-
-    handover = has_pre[served] & (pre[served] != rows[post[served]])
-    covered = (sir > params.t_thresh) & (
-        ~handover | (coin[served] <= 1.0 - params.kappa))
-    return np.count_nonzero(covered), np.count_nonzero(handover), *association
+    serving = post[served]
+    powers[serving] = 0.0
+    interference = _segment_sums(powers, sizes)[served]
+    handover = has_pre[served] & (pre[served] != rows[serving])
+    covered = _near_coverage(params, los[serving], gains[serving], interference,
+                             field.radius[served], v_h[served], z_post[served],
+                             r_field)
+    covered *= 1.0 - params.kappa * handover
+    return np.array([covered.sum(), np.count_nonzero(handover), *association])
 
 
 def _tally_blocks(args) -> np.ndarray:
-    """Summary counts over the given blocks of an n-episode run; block k
-    holds episodes k*size onwards and draws from episode_rng(seed, k)."""
+    """Summary sums of each of the given blocks of an n-episode run, one
+    row per block; block k holds episodes k*size onwards and draws from
+    episode_rng(seed, k)."""
     params, seed, n, size, blocks, r_field = args
-    return np.sum([_tally_block(params, min(size, n - k * size), r_field,
-                                episode_rng(seed, k)) for k in blocks], axis=0)
+    return np.array([_tally_block(params, min(size, n - k * size), r_field,
+                                  episode_rng(seed, k)) for k in blocks]
+                    ).reshape(-1, len(_SUMMARY_KEYS))
 
 
 def summary_estimates(params: SystemParams, n: int, seed: int,
                       workers: int = 1, r_field: float | None = None) -> dict:
     """All standard metrics from a single pass over n episodes, keyed like
-    the CSV metric column."""
+    the CSV metric column. Coverage is the mean of the episodes'
+    conditional coverage (_near_coverage) times 1 - kappa on a handover;
+    handover, association and void are indicator means. A given r_field
+    must be at least field_radius(params): the exterior integral takes the
+    network to cover every receiving disc of the movement."""
     if n < 100:
         raise ParameterError("need at least 100 trials")
     if r_field is None:
         r_field = field_radius(params)
-    size = _block_episodes(_check_field_budget(params.lambda_b, r_field))
+    elif not r_field >= field_radius(params):
+        raise ParameterError(f"r_field must be at least {field_radius(params):.4g} m")
+    _check_field_budget(params.lambda_b, r_field)
+    near = _near_radius(params.lambda_b, r_field)
+    size = _block_episodes(params.lambda_b * np.pi * near * near)
     blocks = range(-(-n // size))
     if workers <= 1:
-        counts = _tally_blocks((params, seed, n, size, blocks, r_field))
+        sums = _tally_blocks((params, seed, n, size, blocks, r_field))
     else:
-        # workers get whole blocks, so the counts do not depend on them
+        # workers get whole blocks, and the per-block sums add up in block
+        # order, so the estimates do not depend on them
         chunk = -(-len(blocks) // (4 * workers))
         jobs = [(params, seed, n, size, blocks[i:i + chunk], r_field)
                 for i in range(0, len(blocks), chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = sum(pool.map(_tally_blocks, jobs))
-    return {key: _estimate_from_count(int(c), n, seed)
-            for key, c in zip(_SUMMARY_KEYS, counts)}
+            sums = np.concatenate(list(pool.map(_tally_blocks, jobs)))
+    return {key: _estimate_from_count(float(total), n, seed)
+            for key, total in zip(_SUMMARY_KEYS, sums.sum(axis=0))}
 
 
 def _blocks(n: int, seed: int, size: int):

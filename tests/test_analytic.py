@@ -29,6 +29,7 @@ from uavcov.geometry import (
     displaced_distance,
     equal_power_radius,
     lens_complement_area,
+    receiving_radius,
 )
 from uavcov.model import (
     AssociationPolicy,
@@ -189,6 +190,49 @@ class TestLaplaceDerivatives:
             assert abs(fd - ders[2]) / abs(ders[2]) < 5e-3
 
 
+class TestCoverageSeries:
+    """exp(g0) * sum_{l<m} b_l from _exponent_terms and _coverage_series."""
+
+    def test_terms_are_probabilities(self, params):
+        # random shapes, thresholds, densities, antennas and policies, on
+        # random (serving distance, altitude) rows
+        rng = np.random.default_rng(11)
+        reset_coverage_drift_counter()
+        for _ in range(40):
+            m_l = int(rng.integers(1, 31))
+            antenna = (OmniAntenna() if rng.random() < 0.5
+                       else DirectionalAntenna(float(rng.uniform(10.0, 170.0))))
+            p = params.with_(channel=ChannelParams(m_l=m_l,
+                                                   m_n=int(rng.integers(1, m_l + 1))),
+                             t_thresh=10.0 ** rng.uniform(-3.0, 4.0),
+                             lambda_b=10.0 ** rng.uniform(-7.0, -2.0),
+                             antenna=antenna,
+                             policy=list(AssociationPolicy)[rng.integers(2)])
+            serving = list(LinkType)[rng.integers(2)]
+            z = rng.uniform(p.h_lb, p.h_ub, 64)
+            r0 = rng.uniform(0.0, 1.0, 64) * receiving_radius(z, p.h_b, antenna)
+            s = _tau_threshold(serving, r0, z, p) * (p.p_t * p.g_tot)
+            terms = analytic._coverage_series(*analytic._exponent_terms(
+                s, analytic._interference_nodes(serving, r0, z, p), z, p,
+                p.channel.m(serving) - 1))
+            assert len(terms) == p.channel.m(serving)
+            for b in terms:
+                assert np.all(np.isfinite(b) & (b >= 0.0))
+            assert np.all(sum(terms) <= 1.0 + 1e-12)
+            analytic._coverage_grid(serving, r0, z, p)
+        assert coverage_drift_events() == 0
+
+    def test_near_term_is_the_poisson_sum(self):
+        # t_1 = x alone gives exp(-x) x^l / l!, the Monte Carlo near
+        # field's term; where x^l overflows it is 0, not nan
+        x = np.array([0.0, 0.3, 2.0, 25.0, 1e200])
+        terms = analytic._coverage_series(-x, [x, np.zeros(5), np.zeros(5)])
+        for l, b in enumerate(terms):
+            assert np.allclose(b[:-1], np.exp(-x[:-1]) * x[:-1] ** l
+                               / math.factorial(l), rtol=1e-13, atol=0.0)
+            assert b[-1] == 0.0
+
+
 class TestConditionalCoverage:
     def test_single_term_reduces_to_laplace(self, params):
         # NLoS fading shape is 1, so the sum collapses to L(tau)
@@ -260,15 +304,23 @@ class TestStackedCoverageGrid:
         assert np.array_equal(stacked, per_z)
         assert drift == per_z_drift
 
-    def test_drift_counts_match(self, params):
-        # a 24-term Nakagami sum at a 30 dB threshold overflows to inf on the
-        # far omni rows, which the counter counts: a case where it moves
+    def test_drift_counts_match(self, params, monkeypatch):
+        # the coverage sum's terms are probabilities, so nothing drifts any
+        # more (a 24-term sum at 30 dB, which overflowed on the far omni
+        # rows of the alternating-sign form, included); doubled terms at
+        # the baseline make a case where the counter moves
         p = params.with_(channel=ChannelParams(m_l=24, m_n=1), t_thresh=1e3,
                          lambda_b=10e-6, antenna=OmniAntenna())
-        with np.errstate(over="ignore", invalid="ignore"):
-            stacked, drift, per_z, per_z_drift = self._stacked_and_per_altitude(
-                LinkType.LOS, p)
-        assert np.array_equal(stacked, per_z, equal_nan=True)
+        stacked, drift, per_z, per_z_drift = self._stacked_and_per_altitude(
+            LinkType.LOS, p)
+        assert np.array_equal(stacked, per_z)
+        assert drift == per_z_drift == 0
+        series = analytic._coverage_series
+        monkeypatch.setattr(analytic, "_coverage_series",
+                            lambda g0, t: [2.0 * b for b in series(g0, t)])
+        stacked, drift, per_z, per_z_drift = self._stacked_and_per_altitude(
+            LinkType.LOS, params)
+        assert np.array_equal(stacked, per_z)
         assert drift == per_z_drift > 0
 
 

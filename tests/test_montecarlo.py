@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from uavcov import montecarlo
+import full_field
+from uavcov import analytic, montecarlo
 from uavcov.errors import ParameterError
-from uavcov.geometry import receiving_radius
+from uavcov.geometry import lens_complement_area, receiving_radius
 from uavcov.model import (
     AssociationPolicy,
     ChannelParams,
     DirectionalAntenna,
+    EnvironmentParams,
     LinkType,
     OmniAntenna,
     Waypoint,
@@ -497,7 +499,7 @@ class TestSummaryEstimates:
         monkeypatch.setattr(montecarlo, "BLOCK_STATIONS", 1)
         seed = 16
         params = params.with_(**overrides)
-        summary = summary_estimates(params, n, seed)
+        summary = full_field.summary_estimates(params, n, seed)
         outcomes = [simulate_episode(params, episode_rng(seed, e))
                     for e in range(n)]
         _assert_summary(summary, _summary_counts(outcomes), n, seed)
@@ -512,7 +514,7 @@ class TestSummaryEstimates:
         seed = 16
         params = params.with_(**overrides)
         blocks = _record_blocks(monkeypatch)
-        summary = summary_estimates(params, n, seed)
+        summary = full_field.summary_estimates(params, n, seed)
         outcomes = []
         for block in blocks:
             ((_, _, alt), (_, (scale, _), rho), (_, _, theta), *field,
@@ -554,7 +556,8 @@ class TestSummaryEstimates:
 
 
 class TestOriginCandidates:
-    """The pre-move association looks at a disc of about ORIGIN_CANDIDATES
+    """serve_origin, the pre-move association of the full-field tally and
+    of association_estimate, looks at a disc of about ORIGIN_CANDIDATES
     stations around the UAV and grows it until its pick is provably the
     whole field's; a huge ORIGIN_CANDIDATES makes the disc the field."""
 
@@ -573,7 +576,7 @@ class TestOriginCandidates:
         for candidates in (ORIGIN_CANDIDATES, 1, 1e18):
             monkeypatch.setattr(montecarlo, "ORIGIN_CANDIDATES", candidates)
             calls.clear()
-            out.append((summary_estimates(params, n, 22),
+            out.append((full_field.summary_estimates(params, n, 22),
                         association_estimate(params, 120.0, n, 22),
                         len(calls)))
         return out
@@ -604,6 +607,216 @@ class TestOriginCandidates:
         default, _, full = self._runs(p, 500, monkeypatch)
         assert default[:2] == full[:2]
         assert default[2] > full[2]
+
+
+HIGH_RISE = EnvironmentParams(a=27.23, b=0.08)
+
+
+class TestNearField:
+    """summary_estimates draws a first disc of about ORIGIN_CANDIDATES
+    stations, grows it by annuli until the picks before and after the move
+    stand, and integrates the stations outside it; the full-field tally of
+    tests/full_field.py is its reference."""
+
+    @pytest.mark.parametrize("policy", list(AssociationPolicy),
+                             ids=lambda p: p.value)
+    def test_counts_equal_the_full_field_where_the_disc_is_the_field(
+            self, params, policy):
+        # at the baseline the first disc is the whole field, so every draw
+        # up to the fading is the full-field tally's
+        p = params.with_(policy=policy)
+        r_field = field_radius(p)
+        assert montecarlo._near_radius(p.lambda_b, r_field) == r_field
+        got = summary_estimates(p, 3000, 23)
+        want = full_field.summary_estimates(p, 3000, 23)
+        for key in ("handover", "association_los", "association_nlos", "void"):
+            assert got[key] == want[key]
+
+    @pytest.mark.parametrize("overrides, n, candidates", [
+        pytest.param({}, 10_000, ORIGIN_CANDIDATES, id="baseline"),
+        pytest.param({"policy": NEAREST}, 10_000, ORIGIN_CANDIDATES,
+                     id="nearest"),
+        pytest.param({"kappa": 1.0, "v": 60.0}, 10_000, ORIGIN_CANDIDATES,
+                     id="kappa-one"),
+        pytest.param({"lambda_b": 1e-3, "antenna": OmniAntenna()}, 1000,
+                     ORIGIN_CANDIDATES, id="dense-omni"),
+        pytest.param({"lambda_b": 1e-5, "antenna": OmniAntenna()}, 5000,
+                     ORIGIN_CANDIDATES, id="omni-10"),
+        pytest.param({"lambda_b": 1e-5, "antenna": OmniAntenna(),
+                      "policy": NEAREST}, 5000, ORIGIN_CANDIDATES,
+                     id="omni-10-nearest"),
+        # NLoS serves about 44 % of the episodes
+        pytest.param({"lambda_b": 1e-5, "antenna": OmniAntenna(),
+                      "env": HIGH_RISE, "h_lb": 40.0, "h_ub": 80.0}, 5000,
+                     ORIGIN_CANDIDATES, id="nlos-heavy"),
+        # a one-station first disc of 178 m: half the episodes grow it,
+        # by 0.84 doublings on average
+        pytest.param({"lambda_b": 1e-5, "antenna": OmniAntenna()}, 3000, 1,
+                     id="omni-10-one-station-disc"),
+    ])
+    def test_agrees_with_the_full_field(self, params, overrides, n,
+                                        candidates, monkeypatch):
+        # every column within the two estimates' joint interval: coverage
+        # is a mean of conditional probabilities, the rest indicators
+        monkeypatch.setattr(montecarlo, "ORIGIN_CANDIDATES", candidates)
+        p = params.with_(**overrides)
+        got = summary_estimates(p, n, 31)
+        want = full_field.summary_estimates(p, n, 31)
+        for key, est in got.items():
+            assert (abs(est.mean - want[key].mean)
+                    <= est.half_width + want[key].half_width), key
+
+    def test_grow_appends_each_episodes_annulus(self):
+        field = _FieldBlock(6, 1e-4, 100.0, episode_rng(5, 0))
+        old = [np.column_stack([field.x[a:b], field.y[a:b]])
+               for a, b in zip(field.starts, field.ends)]
+        latent = field.latent.copy()
+        where = field.grow(np.array([1, 4]), 250.0, episode_rng(5, 1))
+        assert field.radius.tolist() == [100.0, 200.0, 100.0, 100.0, 200.0, 100.0]
+        assert np.array_equal(field.latent[where], latent)
+        for b, (a, e) in enumerate(zip(field.starts, field.ends)):
+            xy = np.column_stack([field.x[a:e], field.y[a:e]])
+            assert np.array_equal(xy[:len(old[b])], old[b])
+            r = np.hypot(*xy[len(old[b]):].T)
+            assert np.all((r > 100.0) & (r <= 200.0))
+            assert (len(r) > 0) == (b in (1, 4))
+        assert np.allclose(field.r2, field.x ** 2 + field.y ** 2)
+        field.grow(np.array([4]), 250.0, episode_rng(5, 2))
+        assert field.radius[4] == 250.0
+
+    def test_grown_disc_is_a_ppp(self):
+        # 4000 discs of radius 100 m at 1e-4 per m^2 grown to 200 m: counts
+        # Poisson with mean 4 pi, uniform on the disc
+        field = _FieldBlock(4000, 1e-4, 100.0, episode_rng(6, 0))
+        field.grow(np.arange(4000), 1e3, episode_rng(6, 1))
+        mean = 1e-4 * np.pi * 200.0 ** 2
+        assert abs(field.sizes.mean() - mean) < 4.0 * math.sqrt(mean / 4000)
+        assert abs(field.sizes.var() / mean - 1.0) < 0.1
+        r = np.sqrt(field.r2) / 200.0
+        assert stats.kstest(r * r, "uniform").pvalue > 1e-3
+
+    @pytest.mark.parametrize("policy", list(AssociationPolicy),
+                             ids=lambda p: p.value)
+    def test_picks_stand_against_the_whole_field(self, params, policy):
+        # a near field whose annuli reveal a drawn whole field picks, before
+        # and after the move, the station the whole field picks; a first
+        # disc of 100 m and moves of up to 60 m put many picks near the
+        # disc's edge
+        class Revealed(_FieldBlock):
+            def __init__(self, whole, radius):
+                self.lambda_b, self.whole = whole.lambda_b, whole
+                self.radius = np.full(len(whole.sizes), radius)
+                rows = np.flatnonzero(whole.r2 <= radius * radius)
+                self.x, self.y, self.r2, self.latent = (
+                    whole.x[rows], whole.y[rows], whole.r2[rows],
+                    whole.latent[rows])
+                self._index(np.diff(np.searchsorted(rows, whole.ends), prepend=0))
+
+            def annulus(self, todo, outer, rng):
+                w = self.whole
+                grown = np.zeros(len(w.sizes))
+                grown[todo] = outer
+                new = np.flatnonzero(
+                    (w.r2 > np.repeat(self.radius, w.sizes) ** 2)
+                    & (w.r2 <= np.repeat(grown, w.sizes) ** 2))
+                episode = np.repeat(np.arange(len(w.sizes)), w.sizes)
+                return episode[new], w.x[new], w.y[new], w.r2[new], w.latent[new]
+
+        p = params.with_(lambda_b=1e-5, antenna=OmniAntenna(), policy=policy,
+                         v=60.0)
+        r_field, episodes = field_radius(p), 4000
+        rng = episode_rng(12, 0)
+        z_pre, z_post = p.h_lb + (p.h_ub - p.h_lb) * rng.random((2, episodes))
+        v_h = p.v * rng.random(episodes)
+        heading = 2.0 * np.pi * rng.random(episodes)
+        wx, wy = v_h * np.cos(heading), v_h * np.sin(heading)
+        whole = _FieldBlock(episodes, p.lambda_b, r_field, rng)
+        near = Revealed(whole, 100.0)
+        grew = 0
+        for x, y, z, reach in ((np.zeros(episodes), np.zeros(episodes), z_pre,
+                                np.zeros(episodes)), (wx, wy, z_post, v_h)):
+            rows, _, _, _, want = whole.serve(x, y, z, p)
+            (near_rows, *_, got), _ = near.settle(x, y, z, reach, r_field, p,
+                                                  None, np.empty(0, dtype=np.intp))
+            assert np.array_equal(got >= 0, want >= 0)
+            served = want >= 0
+            assert np.array_equal(near.x[near_rows[got[served]]],
+                                  whole.x[rows[want[served]]])
+            grew = np.count_nonzero(near.radius > 100.0)
+        assert 0 < grew < episodes
+
+    @pytest.mark.parametrize("antenna", [DirectionalAntenna(), OmniAntenna()],
+                             ids=("directional", "omni"))
+    @pytest.mark.parametrize("serving", list(LinkType), ids=lambda l: l.name)
+    def test_exterior_matches_the_analytic_rows(self, params, antenna, serving):
+        # a UAV above the disc's centre (v_h = 0) with the disc's radius the
+        # serving distance r0: the exterior is the analytic nearest rule's
+        # interferer field, on the same radial nodes
+        p = params.with_(policy=NEAREST, antenna=antenna)
+        z = np.repeat([95.0, 120.0, 145.0], 5)
+        r0 = receiving_radius(z, p.h_b, antenna) * np.tile(
+            [0.01, 0.1, 0.3, 0.6, 0.9], 3)
+        x, w = montecarlo._exterior_nodes(r0, np.zeros(15), z, p)
+        panels = analytic._interference_nodes(serving, r0, z, p)
+        for x_an, w_an in panels.values():
+            assert np.array_equal(x[:, analytic.N_X:], x_an)
+            assert np.array_equal(w[:, analytic.N_X:], w_an)
+        assert np.all(w[:, :analytic.N_X] == 0.0)
+        s = p.channel.m(serving) * p.t_thresh / path_loss(serving, r0, z,
+                                                          p.channel, p.h_b)
+        got = analytic._exponent_terms(s, dict.fromkeys(LinkType, (x, w)), z, p, 2)
+        want = analytic._exponent_terms(s, panels, z, p, 2)
+        for a, b in zip([got[0], *got[1]], [want[0], *want[1]]):
+            assert np.allclose(a, b, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("antenna", [DirectionalAntenna(170.0), OmniAntenna()],
+                             ids=("directional-170", "omni"))
+    def test_exterior_nodes_measure_the_exterior(self, params, antenna):
+        # the weights integrate 2 pi rho to the area of the receiving disc
+        # about the UAV outside the disc: discs inside the receiving one,
+        # cut by its edge, and v_h from 0 to 20 m
+        p = params.with_(antenna=antenna)
+        rng = np.random.default_rng(9)
+        z = rng.uniform(p.h_lb, p.h_ub, 300)
+        v_h = np.concatenate([np.zeros(50), rng.uniform(0.0, p.v, 250)])
+        r_m = receiving_radius(z, p.h_b, antenna)
+        radius = v_h + rng.uniform(1e-3, 1.0, 300) * r_m
+        x, w = montecarlo._exterior_nodes(radius, v_h, z, p)
+        area = lens_complement_area(x=radius, y=r_m, v=v_h)
+        assert np.allclose(2.0 * np.pi * np.sum(w * x, axis=1), area,
+                           rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("overrides", [
+        {"lambda_b": 1e-5, "antenna": OmniAntenna()},
+        {"lambda_b": 1e-3, "antenna": OmniAntenna()},
+        {"lambda_b": 1e-5, "antenna": DirectionalAntenna(170.0)},
+        {"lambda_b": 1e-5, "antenna": OmniAntenna(),
+         "channel": ChannelParams(m_l=8), "t_thresh": 100.0},
+    ], ids=("omni-10", "dense-omni", "directional-170", "omni-m8-20dB"))
+    def test_exterior_nodes_converged(self, params, overrides):
+        # doubling the nodes moves the conditional coverage by at most 1e-7
+        # on random rows: discs of the first radius times 1, 2 or 4, cut
+        # below r_m + v_h, serving LoS stations inside radius - v_h
+        p = params.with_(**overrides)
+        rng = np.random.default_rng(8)
+        z = rng.uniform(p.h_lb, p.h_ub, 200)
+        v_h = rng.uniform(0.0, p.v, 200)
+        r_m = receiving_radius(z, p.h_b, p.antenna)
+        radius = np.minimum(montecarlo._near_radius(p.lambda_b, field_radius(p))
+                            * 2.0 ** rng.integers(0, 3, 200), r_m + v_h - 1.0)
+        d = rng.uniform(0.0, 1.0, 200) * (radius - v_h)
+        s = p.channel.m_l * p.t_thresh / path_loss(LinkType.LOS, d, z,
+                                                   p.channel, p.h_b)
+        coverage = []
+        for n_x in (analytic.N_X, 2 * analytic.N_X):
+            nodes = montecarlo._exterior_nodes(radius, v_h, z, p, n_x)
+            coverage.append(sum(analytic._coverage_series(*analytic._exponent_terms(
+                s, dict.fromkeys(LinkType, nodes), z, p, p.channel.m_l - 1))))
+        assert np.max(np.abs(coverage[1] - coverage[0])) <= 1e-7
+
+    def test_rejects_a_field_short_of_the_movement(self, params):
+        with pytest.raises(ParameterError, match="r_field"):
+            summary_estimates(params, 100, 1, r_field=0.5 * field_radius(params))
 
 
 class TestStaticAssociation:
