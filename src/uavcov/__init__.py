@@ -4,15 +4,7 @@ the closed-form probabilities plus a Monte Carlo validation simulator."""
 
 import os
 
-from .analytic import (
-    CoverageBreakdown,
-    HandoverContext,
-    conditional_coverage,
-    conditional_handover_any,
-    coverage_probability,
-    laplace_derivatives,
-    laplace_interference,
-)
+from .analytic import CoverageBreakdown, coverage_probability
 from .geometry import (
     displaced_distance,
     equal_power_radius,
@@ -45,7 +37,6 @@ from .montecarlo import (
     McEstimate,
     associate,
     classify_links,
-    conditioned_oracles,
     episode_rng,
     sample_ppp,
     simulate_episode,

@@ -4,9 +4,10 @@
 quantities: coverage, handover, association and void. The association rule
 is ``params.policy``: strongest-average-RSS, or nearest GBS (type-blind
 handover, interference from beyond the serving distance). The conditional
-coverage, the Laplace transform and the handover to any type read it too;
-the handover to one target type is the strongest-average-RSS expression and
-refuses the nearest rule.
+quantities are private kernels on arrays of serving distances, which read
+the rule too: ``_stay_grid`` (no handover, composed from the per-target
+``_cond_handover_grid``) and ``_coverage_grid`` (coverage, from
+``_exponent_terms`` and ``_coverage_series``).
 
 Layout of the computation:
 
@@ -52,7 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from .association import exclusion_factor, height_context
-from .errors import GeometryError, ParameterError
+from .errors import ParameterError
 from .geometry import (
     displaced_distance,
     equal_power_radius,
@@ -73,12 +74,7 @@ from .model import (
 from .quadrature import gauss_nodes
 
 __all__ = [
-    "HandoverContext",
     "CoverageBreakdown",
-    "conditional_handover_any",
-    "laplace_interference",
-    "laplace_derivatives",
-    "conditional_coverage",
     "coverage_probability",
     "coverage_drift_events",
     "reset_coverage_drift_counter",
@@ -104,16 +100,6 @@ def coverage_drift_events() -> int:
 def reset_coverage_drift_counter() -> None:
     global _drift_events
     _drift_events = 0
-
-
-@dataclass(frozen=True)
-class HandoverContext:
-    """Conditioning of the handover event: serving type, pre-move serving
-    distance and post-move altitude."""
-
-    serving: LinkType
-    r0: float
-    z_t: float
 
 
 @dataclass(frozen=True)
@@ -199,21 +185,6 @@ def _stay_grid(serving: LinkType, r0, z_t: float, params: SystemParams) -> np.nd
         targets = tuple(LinkType)
     return np.prod(1.0 - _cond_handover_grid(serving, targets, r0, z_t, params),
                    axis=0)
-
-
-def _check_ctx(ctx: HandoverContext, params: SystemParams) -> None:
-    r_m = height_context(params, ctx.z_t).r_m
-    if not 0.0 <= ctx.r0 <= r_m:
-        raise GeometryError(
-            f"serving distance {ctx.r0} outside [0, {r_m:.3f}] at z={ctx.z_t}")
-
-
-def conditional_handover_any(ctx: HandoverContext, params: SystemParams) -> float:
-    """Handover probability to any target type; under strongest-average-RSS
-    composed across target types as independent thinnings."""
-    _check_ctx(ctx, params)
-    r0 = np.asarray([ctx.r0], dtype=float)
-    return 1.0 - float(_stay_grid(ctx.serving, r0, ctx.z_t, params)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -320,35 +291,6 @@ def _coverage_series(g0: np.ndarray, t: list) -> list:
     return b
 
 
-def _laplace_terms(tau: float, serving: LinkType, r0: float, z: float,
-                   params: SystemParams, order: int):
-    s = np.asarray([tau * params.p_t * params.g_tot])
-    r0 = np.asarray([r0], dtype=float)
-    return _exponent_terms(s, _interference_nodes(serving, r0, z, params), z,
-                           params, order)
-
-
-def laplace_interference(tau: float, serving: LinkType, r0: float, z: float,
-                         params: SystemParams) -> float:
-    """Laplace transform of the aggregate interference at the given point,
-    conditioned on the serving type and distance."""
-    g0, _ = _laplace_terms(tau, serving, r0, z, params, 0)
-    return float(np.exp(g0[0]))
-
-
-def laplace_derivatives(tau: float, serving: LinkType, r0: float, z: float,
-                        params: SystemParams, max_order: int) -> list[float]:
-    """L^(0..max_order)(tau); the coverage sum uses orders up to m-1. The
-    derivatives come from the coverage sum's terms, L^(k) = k! exp(g0) b_k
-    / (-tau)^k, so they need tau > 0."""
-    if max_order and not tau > 0.0:
-        raise ParameterError("Laplace derivatives need tau > 0")
-    terms = _coverage_series(*_laplace_terms(tau, serving, r0, z, params,
-                                             max_order))
-    return [float(math.factorial(k) * term[0] / (-tau) ** k)
-            for k, term in enumerate(terms)]
-
-
 def _tau_threshold(serving: LinkType, r0, z, params: SystemParams):
     zeta = path_loss(serving, r0, z, params.channel, params.h_b)
     return (params.channel.m(serving) * params.t_thresh
@@ -368,15 +310,6 @@ def _coverage_grid(serving: LinkType, r0: np.ndarray, z,
     drift = np.maximum(total - 1.0, -total)
     _drift_events += int(np.count_nonzero(~(drift <= 1e-6)))
     return np.clip(total, 0.0, 1.0)
-
-
-def conditional_coverage(serving: LinkType, r0: float, z: float,
-                         params: SystemParams) -> float:
-    """P(SIR > threshold | serving type, serving distance, altitude)."""
-    r_m = height_context(params, z).r_m
-    if not 0.0 <= r0 <= r_m:
-        raise GeometryError(f"serving distance {r0} outside [0, {r_m:.3f}]")
-    return float(_coverage_grid(serving, np.asarray([r0], dtype=float), z, params)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -158,10 +158,12 @@ def _config_values(path: str | None) -> dict:
                     raise ParameterError(f"{path}:{lineno}: unknown config key '{key}'")
                 if key in _STRING_KEYS:
                     values[key] = val
-                elif key in _INT_KEYS:
-                    values[key] = int(val)
-                else:
-                    values[key] = float(val)
+                    continue
+                try:
+                    values[key] = int(val) if key in _INT_KEYS else float(val)
+                except ValueError:
+                    raise ParameterError(f"{path}:{lineno}: bad value {val!r} "
+                                         f"for '{key}'") from None
     return values
 
 
@@ -314,7 +316,7 @@ def run_sweep(spec: SweepSpec, params: SystemParams, threads: int = 1) -> list:
         # one point: the threads go to its Monte Carlo episodes instead
         per_group = [_evaluate_group(groups[0], workers=threads)]
     elif threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(groups))) as pool:
             per_group = list(pool.map(_evaluate_group, groups))
     else:
         per_group = [_evaluate_group(g) for g in groups]
@@ -536,6 +538,16 @@ def main(argv=None) -> int:
             p.add_argument("preset", choices=("fig2a", "fig2b", "fig3a", "fig3b"))
 
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error("--threads must be at least 1")
+    try:
+        return _run(args)
+    except ParameterError as exc:
+        parser.error(str(exc))
+
+
+def _run(args) -> int:
+    """Runs the parsed command; its exit code."""
     params = load_config(args.config)
 
     if args.command in ("analytic", "simulate"):
@@ -548,10 +560,13 @@ def main(argv=None) -> int:
 
     if args.command == "sweep":
         def parse_value(text):
-            if args.axis == "height_band":
-                lo, _, hi = text.partition(":")
-                return (float(lo), float(hi))
-            return float(text)
+            try:
+                if args.axis == "height_band":
+                    lo, _, hi = text.partition(":")
+                    return (float(lo), float(hi))
+                return float(text)
+            except ValueError:
+                raise ParameterError(f"malformed --values entry '{text}'") from None
 
         spec = SweepSpec(
             axis=args.axis,

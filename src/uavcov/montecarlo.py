@@ -9,17 +9,18 @@ keeping those inside the disc of radius r (a PPP of the same intensity on
 the disc), then one LoS latent per kept station. Every distance is
 sqrt(dx*dx + dy*dy) and every squared height gap a product.
 
-Every estimator runs blocks of a fixed number of episodes, chosen from
-the inputs so that a block holds about BLOCK_STATIONS stations (a denser
-disc is a block of its own). Block k draws from one PCG64DXSM stream
-seeded by SeedSequence([seed, k]), each quantity in one vector call, and
-workers get whole blocks, so estimates are bit-identical regardless of
-execution order or worker count. A block's stations sit in one array
-(episode b owns the rows starts[b] : ends[b]); link types, gains, the
-serving argmax, fading and the per-episode interference sums run on the
-stations in range only, compacted in row order.
+`summary_estimates` runs blocks of a fixed number of episodes, chosen
+from the inputs so that a block holds about BLOCK_STATIONS stations (a
+denser disc is a block of its own). Block k draws from one PCG64DXSM
+stream seeded by SeedSequence([seed, k]), each quantity in one vector
+call, and workers get whole blocks, so estimates are bit-identical
+regardless of execution order or worker count. A block's stations sit in
+one array (episode b owns the rows starts[b] : ends[b]). One path picks
+the serving stations: `_FieldBlock.serve` runs link types, gains and the
+serving argmax on the stations in range only, compacted in row order, and
+`_FieldBlock.settle` calls it until every pick stands.
 
-`summary_estimates` simulates the near field only. A block draws, in
+The engine simulates the near field only. A block draws, in
 order: altitudes, rho and theta; a first disc of radius
 min(sqrt(ORIGIN_CANDIDATES / (pi lambda)), r_field) (square counts, x|y,
 latents); the annulus out to twice its radius (at most r_field) of every
@@ -48,16 +49,6 @@ the first disc's mean count.
   a conditional Monte Carlo estimate whose Wilson interval from (mean, n)
   is conservative.
 
-`association_estimate` and the conditioned oracles draw whole fields.
-`serve_origin` associates from above the origin by a disc of about
-ORIGIN_CANDIDATES stations inside the drawn field, doubled until its pick
-stands by the same rule, so it picks the station the whole field would.
-
-The conditioned oracles pin the serving GBS and condition by restriction:
-a PPP with no point in a region is the PPP on the region's complement, so
-each field drops the stations that would beat the pinned GBS. Their
-interference fades only the in-range stations that do not beat it.
-
 The common factor P_t*G_tot multiplies the received power of the serving
 GBS and of every interferer alike, so it cancels from the SIR and from the
 association argmax; episodes therefore work with the path-loss gains
@@ -82,7 +73,6 @@ from .model import (
     Waypoint,
     horizontal_speed,
     los_probability,
-    path_loss,
     sample_fading,
 )
 from .quadrature import gauss_nodes
@@ -98,9 +88,6 @@ __all__ = [
     "associate",
     "simulate_episode",
     "summary_estimates",
-    "association_estimate",
-    "conditioned_oracles",
-    "laplace_estimate",
     "wilson_interval",
 ]
 
@@ -117,8 +104,7 @@ MAX_MEAN_STATIONS = 1e6
 # its own. At the baseline 4096 ran as fast as 8192 with 0.8 MB less peak
 # memory, and 2048 ran slower
 BLOCK_STATIONS = 4096
-# mean stations in the first disc an episode draws (summary_estimates) or
-# looks at (serve_origin's candidate disc)
+# mean stations in the first disc an episode draws
 ORIGIN_CANDIDATES = 64
 # relative margin by which a candidate winner must beat any station outside
 # the disc; rounding moves a distance or a gain by some 1e-15
@@ -498,26 +484,6 @@ class _FieldBlock:
         rows = np.flatnonzero(mask)
         return rows, np.diff(np.searchsorted(rows, self.ends), prepend=0)
 
-    def sums(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Per episode, the sum of values over its stations where mask
-        holds, by _segment_sums."""
-        rows, sizes = self.compact(mask)
-        return _segment_sums(values[rows], sizes)
-
-    def links(self, wx: np.ndarray, wy: np.ndarray, z: np.ndarray,
-              params: SystemParams):
-        """Distances, link types, in-range mask and path-loss gains of all
-        stations with each episode's UAV at (wx, wy, z)[b]; the same
-        operations as classify_links and associate."""
-        d = _distance(self.x, self.y, self.spread(wx), self.spread(wy))
-        los = self.latent < los_probability(d, self.spread(z), params.env,
-                                            params.h_b)
-        in_range = d <= self.spread(receiving_radius(z, params.h_b,
-                                                     params.antenna))
-        dz = z - params.h_b
-        gains = _pathloss_gains(d, los, self.spread(dz * dz), params)
-        return d, los, in_range, gains
-
     def serve(self, wx: np.ndarray, wy: np.ndarray, z: np.ndarray,
               params: SystemParams):
         """With each episode's UAV at (wx, wy, z)[b]: the rows of the
@@ -576,71 +542,17 @@ class _FieldBlock:
             kept = track >= 0
             track[kept] = where[track[kept]]
 
-    def serve_origin(self, z: np.ndarray, params: SystemParams):
-        """Serving station (-1 when void) and its LoS mark with each
-        episode's UAV above the origin at altitude z[b], as serve picks
-        them, from the stations of a disc r2 <= r_c^2 whose first radius
-        holds ORIGIN_CANDIDATES stations on average, cut at r_out, the
-        block's largest receiving radius widened by DISC_MARGIN: no station
-        beyond r_out is in range of any episode. Link types and gains are
-        evaluated only for the disc's stations in range of their own
-        episode, kept in row order. An episode's pick stands once no
-        station outside the disc can be in range or beat it (_stands); the
-        other episodes go round again with r_c doubled. At r_c >= r_out or
-        beyond the episode's field no station outside the disc can be in
-        range."""
-        nearest = params.policy is AssociationPolicy.NEAREST
-        r_m = receiving_radius(z, params.h_b, params.antenna)
-        r_out = float(np.max(r_m)) * (1.0 + DISC_MARGIN)
-        dz = z - params.h_b
-        dz2 = dz * dz
-        serving = np.full(len(z), -1, dtype=np.intp)
-        serving_los = np.zeros(len(z), dtype=bool)
-        todo = np.arange(len(z))
-        r_c = min(math.sqrt(ORIGIN_CANDIDATES / (math.pi * self.lambda_b)),
-                  r_out)
-        while len(todo):
-            # the candidates of the episodes in todo, segment by segment
-            near = np.flatnonzero(self.r2 <= r_c * r_c)
-            lo = np.searchsorted(near, self.starts[todo])
-            sizes = np.searchsorted(near, self.ends[todo]) - lo
-            starts = np.cumsum(sizes) - sizes
-            seg = np.repeat(np.arange(len(todo)), sizes)
-            rows = near[np.arange(len(seg)) + (lo - starts)[seg]]
-            # x - 0.0 == x, so this is _distance from the origin
-            d = np.sqrt(self.r2[rows])
-            # only the candidates in range of their own episode, in row order
-            keep = np.flatnonzero(d <= r_m[todo[seg]])
-            rows, seg, d = rows.take(keep), seg.take(keep), d.take(keep)
-            sizes = np.bincount(seg, minlength=len(todo))
-            ep = todo[seg]
-            los = self.latent[rows] < los_probability(d, z[ep], params.env,
-                                                      params.h_b)
-            metric = -d if nearest else _pathloss_gains(d, los, dz2[ep], params)
-            best = _segment_argmax(metric, np.cumsum(sizes) - sizes, sizes)
-            won = np.flatnonzero(best >= 0)
-            value = np.full(len(todo), -np.inf)
-            value[won] = metric[best[won]]
-            done = (_stands(value, np.full(len(todo), r_c), r_m[todo], dz2[todo],
-                            params)
-                    | (r_c >= np.minimum(r_out, self.radius[todo])))
-            won = won[done[won]]
-            serving[todo[won]] = rows[best[won]]
-            serving_los[todo[won]] = los[best[won]]
-            todo = todo[~done]
-            r_c = min(2.0 * r_c, r_out)
-        return serving, serving_los
-
 
 _SUMMARY_KEYS = ("coverage", "handover", "association_los", "association_nlos",
                  "void")
 
 
-def _association_counts(serving: np.ndarray, serving_los: np.ndarray) -> tuple:
-    """Episodes served over LoS, over NLoS, and void."""
-    served = np.count_nonzero(serving >= 0)
-    n_los = np.count_nonzero(serving_los)
-    return n_los, served - n_los, len(serving) - served
+def _association_counts(los: np.ndarray, pick: np.ndarray) -> tuple:
+    """Episodes served over LoS, over NLoS, and void, from _FieldBlock.serve's
+    link types and picks."""
+    won = pick[pick >= 0]
+    n_los = np.count_nonzero(los[won])
+    return n_los, len(won) - n_los, len(pick) - len(won)
 
 
 def _near_radius(lambda_b: float, r_field: float) -> float:
@@ -733,9 +645,7 @@ def _tally_block(params: SystemParams, episodes: int, r_field: float,
     has_pre = pick >= 0
     pre = np.full(episodes, -1, dtype=np.intp)
     pre[has_pre] = rows[pick[has_pre]]
-    pre_los = np.zeros(episodes, dtype=bool)
-    pre_los[has_pre] = los[pick[has_pre]]
-    association = _association_counts(pre, pre_los)
+    association = _association_counts(los, pick)
 
     bearing = np.zeros(episodes)
     bearing[has_pre] = np.arctan2(field.y[pre[has_pre]], field.x[pre[has_pre]])
@@ -795,148 +705,7 @@ def summary_estimates(params: SystemParams, n: int, seed: int,
         chunk = -(-len(blocks) // (4 * workers))
         jobs = [(params, seed, n, size, blocks[i:i + chunk], r_field)
                 for i in range(0, len(blocks), chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             sums = np.concatenate(list(pool.map(_tally_blocks, jobs)))
     return {key: _estimate_from_count(float(total), n, seed)
             for key, total in zip(_SUMMARY_KEYS, sums.sum(axis=0))}
-
-
-def _blocks(n: int, seed: int, size: int):
-    """(episodes, stream) of each block of an n-episode run: block k holds
-    episodes k*size onwards and draws from episode_rng(seed, k)."""
-    for k in range(-(-n // size)):
-        yield min(size, n - k * size), episode_rng(seed, k)
-
-
-def association_estimate(params: SystemParams, z: float, n: int, seed: int) -> dict:
-    """Static association-type frequencies at a fixed altitude, block k of
-    episodes drawing its fields and link types from episode_rng(seed, k)."""
-    if n < 100:
-        raise ParameterError("need at least 100 trials")
-    r_field = receiving_radius(z, params.h_b, params.antenna) + 1.0
-    size = _block_episodes(_check_field_budget(params.lambda_b, r_field))
-    counts = np.zeros(3, dtype=np.int64)
-    for episodes, rng in _blocks(n, seed, size):
-        field = _FieldBlock(episodes, params.lambda_b, r_field, rng)
-        counts += _association_counts(*field.serve_origin(
-            np.full(episodes, z), params))
-    return {key: _estimate_from_count(int(c), n, seed)
-            for key, c in zip(_SUMMARY_KEYS[2:], counts)}
-
-
-# ---------------------------------------------------------------------------
-# conditioned experiments: a pinned serving GBS at (r0, 0) of forced type,
-# each field less the stations that would beat it
-# ---------------------------------------------------------------------------
-
-def _beats_pinned(field: _FieldBlock, wx: np.ndarray, wy: np.ndarray,
-                  z: np.ndarray, r0: float, serving: LinkType,
-                  params: SystemParams):
-    """Which stations of a block associate would pick over the pinned GBS,
-    with each episode's UAV at (wx, wy, z)[b]; an out-of-range pinned GBS
-    loses to every in-range station. Also the stations' link types,
-    in-range mask and path-loss gains there."""
-    d, los, in_range, gains = field.links(wx, wy, z, params)
-    pinned_d = _distance(r0, 0.0, wx, wy)
-    if params.policy is AssociationPolicy.NEAREST:
-        beats = d < field.spread(pinned_d)
-    else:
-        dz = z - params.h_b
-        pinned = _pathloss_gains(pinned_d, np.full(len(z), serving is LinkType.LOS),
-                                 dz * dz, params)
-        beats = gains > field.spread(pinned)
-    beats |= field.spread(pinned_d > receiving_radius(z, params.h_b,
-                                                      params.antenna))
-    beats &= in_range
-    return beats, los, in_range, gains
-
-
-def _conditioned_interference(params: SystemParams, r0: float, z: float,
-                              serving: LinkType, r_field: float, n: int,
-                              seed: int):
-    """Per block k of an n-episode run on episode_rng(seed, k): the stream,
-    and each episode's faded path-loss interference at altitude z above
-    the origin from the in-range stations that do not beat the pinned
-    GBS. Fading is drawn for those stations only, in row order."""
-    size = _block_episodes(_check_field_budget(params.lambda_b, r_field))
-    for episodes, rng in _blocks(n, seed, size):
-        field = _FieldBlock(episodes, params.lambda_b, r_field, rng)
-        origin = np.zeros(episodes)
-        beats, los, in_range, gains = _beats_pinned(
-            field, origin, origin, np.full(episodes, z), r0, serving, params)
-        rows, sizes = field.compact(in_range & ~beats)
-        powers = _station_fading(los.take(rows), params, rng)
-        powers *= gains.take(rows)
-        yield rng, _segment_sums(powers, sizes)
-
-
-def conditioned_oracles(params: SystemParams, r0: float, z_t: float,
-                        serving: LinkType, n: int, seed: int) -> dict:
-    """Conditional handover and conditional coverage frequencies with the
-    serving GBS pinned at (r0, 0) with the forced link type; keys
-    "handover", "coverage". Each field drops the stations that beat the
-    pinned GBS with the UAV above the origin.
-
-    The handover experiment drops them at the pre-move altitude, moves the
-    UAV at angle theta to the pinned GBS's bearing to altitude z_t, and
-    counts a handover when a kept station beats the pinned GBS there (link
-    types re-thresholded from the same latents, the pinned GBS keeping its
-    type). The coverage experiment is static at z_t: the pinned GBS's SIR
-    over the kept in-range stations, with independent fading.
-
-    With a directional antenna and r0 >= r_m(h_lb) (103.9 m at the
-    baseline) the pinned GBS is out of range at some pre-move altitudes,
-    where every in-range station is dropped, so the handover experiment
-    no longer conditions on the pinned GBS serving: at r0 = 120 m it reads
-    0.372 (20 000 episodes, seed 5) against an analytic 0.350.
-    """
-    if n < 100:
-        raise ParameterError("need at least 100 trials")
-    r_m_t = receiving_radius(z_t, params.h_b, params.antenna)
-    if not 0.0 < r0 < r_m_t:
-        raise ParameterError(f"r0 must lie inside (0, {r_m_t:.3f})")
-    band = params.h_ub - params.h_lb
-    r_field = field_radius(params)
-    size = _block_episodes(_check_field_budget(params.lambda_b, r_field))
-
-    handovers = 0
-    for episodes, rng in _blocks(n, seed, size):
-        z_pre = params.h_lb + band * rng.random(episodes)
-        field = _FieldBlock(episodes, params.lambda_b, r_field, rng)
-        rho = rng.rayleigh(1.0 / math.sqrt(2.0 * np.pi * params.mu), episodes)
-        theta = np.pi * rng.random(episodes)
-        origin = np.zeros(episodes)
-        dropped = _beats_pinned(field, origin, origin, z_pre, r0, serving,
-                                params)[0]
-        v_h = horizontal_speed(params.v, rho, z_t - z_pre)
-        # the pinned GBS sits at bearing zero, the movement at theta to it
-        beats = _beats_pinned(field, v_h * np.cos(theta), v_h * np.sin(theta),
-                              np.full(episodes, z_t), r0, serving, params)[0]
-        handovers += np.count_nonzero(field.sums(beats, ~dropped))
-
-    cov_seed = (seed + 0x9E3779B97F4A7C15) & _MASK64
-    signal_gain = path_loss(serving, r0, z_t, params.channel, params.h_b)
-    covered = 0
-    for rng, interference in _conditioned_interference(
-            params, r0, z_t, serving, r_field, n, cov_seed):
-        signal = signal_gain * sample_fading(serving, params.channel, rng,
-                                             len(interference))
-        sir = np.full(len(interference), np.inf)
-        np.divide(signal, interference, out=sir, where=interference > 0.0)
-        covered += np.count_nonzero(sir > params.t_thresh)
-
-    return {
-        "handover": _estimate_from_count(handovers, n, seed),
-        "coverage": _estimate_from_count(covered, n, cov_seed),
-    }
-
-
-def laplace_estimate(params: SystemParams, serving: LinkType, r0: float,
-                     z: float, tau: float, n: int, seed: int) -> float:
-    """Empirical Laplace functional E[exp(-tau I)] of the interference
-    (fading included) under the pinned-serving conditioning."""
-    r_field = receiving_radius(z, params.h_b, params.antenna) + 1.0
-    pg = params.p_t * params.g_tot
-    return sum(float(np.sum(np.exp(-tau * (pg * interference))))
-               for _, interference in _conditioned_interference(
-                   params, r0, z, serving, r_field, n, seed)) / n

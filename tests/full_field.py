@@ -1,8 +1,8 @@
 """The full-field block tally: the reference for montecarlo.summary_estimates.
 
 Every block draws every station of every episode's field of radius r_field,
-associates with the candidate disc of `_FieldBlock.serve_origin` before the
-move and with the whole field after it, draws the fading of every station
+associates with `_FieldBlock.serve` over the whole field before the move
+(the UAV above the origin) and after it, draws the fading of every station
 in range after the move and one coin per episode, and counts coverage as
 the indicator SIR > T and (no handover or the coin passes). It draws in
 `simulate_episode`'s order, so a one-episode block consumes its stream as
@@ -11,8 +11,8 @@ association, handover and void counts where the first disc is the whole
 field, agreement within the confidence intervals elsewhere.
 
 Every montecarlo name is looked up on the module at call time, so a test
-that patches `montecarlo.episode_rng`, `BLOCK_STATIONS` or
-`ORIGIN_CANDIDATES` patches this tally too.
+that patches `montecarlo.episode_rng` or `BLOCK_STATIONS` patches this
+tally too.
 """
 
 from __future__ import annotations
@@ -35,9 +35,12 @@ def tally_block(params: SystemParams, episodes: int, r_field: float,
     theta = np.pi * rng.random(episodes)
     field = mc._FieldBlock(episodes, params.lambda_b, r_field, rng)
 
-    pre, pre_los = field.serve_origin(z_pre, params)
-    association = mc._association_counts(pre, pre_los)
-    has_pre = pre >= 0
+    origin = np.zeros(episodes)
+    rows, _, los, _, pick = field.serve(origin, origin, z_pre, params)
+    association = mc._association_counts(los, pick)
+    has_pre = pick >= 0
+    pre = np.full(episodes, -1, dtype=np.intp)
+    pre[has_pre] = rows[pick[has_pre]]
 
     bearing = np.zeros(episodes)
     bearing[has_pre] = np.arctan2(field.y[pre[has_pre]], field.x[pre[has_pre]])

@@ -1,0 +1,198 @@
+"""Monte Carlo oracles that only the tests run: the static association
+estimate and the experiments conditioned on a pinned serving GBS.
+
+Each draws whole fields with `montecarlo._FieldBlock`, block k of an
+n-episode run from episode_rng(seed, k), and picks or drops stations with
+the block engine's operations. `association_estimate` picks with
+`_FieldBlock.serve`, the UAV above the origin, over the whole field, as
+`associate` picks for one field.
+
+The conditioned oracles pin the serving GBS at (r0, 0) and condition by
+restriction: a PPP with no point in a region is the PPP on the region's
+complement, so each field drops the stations that would beat the pinned
+GBS. Their interference fades only the in-range stations that do not beat
+it.
+
+Every montecarlo name is looked up on the module at call time, so a test
+that patches `montecarlo.episode_rng`, `BLOCK_STATIONS` or `_FieldBlock`
+patches these oracles too.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from uavcov import montecarlo as mc
+from uavcov.errors import ParameterError
+from uavcov.geometry import receiving_radius
+from uavcov.model import (
+    AssociationPolicy,
+    LinkType,
+    SystemParams,
+    horizontal_speed,
+    los_probability,
+    path_loss,
+    sample_fading,
+)
+
+
+def links(field, wx: np.ndarray, wy: np.ndarray, z: np.ndarray,
+          params: SystemParams):
+    """Distances, link types, in-range mask and path-loss gains of all
+    stations of a block with each episode's UAV at (wx, wy, z)[b]; the same
+    operations as classify_links and associate."""
+    d = mc._distance(field.x, field.y, field.spread(wx), field.spread(wy))
+    los = field.latent < los_probability(d, field.spread(z), params.env,
+                                         params.h_b)
+    in_range = d <= field.spread(receiving_radius(z, params.h_b,
+                                                  params.antenna))
+    dz = z - params.h_b
+    gains = mc._pathloss_gains(d, los, field.spread(dz * dz), params)
+    return d, los, in_range, gains
+
+
+def sums(field, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per episode of a block, the sum of values over its stations where
+    mask holds, by _segment_sums."""
+    rows, sizes = field.compact(mask)
+    return mc._segment_sums(values[rows], sizes)
+
+
+def _blocks(n: int, seed: int, size: int):
+    """(episodes, stream) of each block of an n-episode run: block k holds
+    episodes k*size onwards and draws from episode_rng(seed, k)."""
+    for k in range(-(-n // size)):
+        yield min(size, n - k * size), mc.episode_rng(seed, k)
+
+
+def association_estimate(params: SystemParams, z: float, n: int, seed: int) -> dict:
+    """Static association-type frequencies at a fixed altitude, block k of
+    episodes drawing its fields and link types from episode_rng(seed, k)."""
+    if n < 100:
+        raise ParameterError("need at least 100 trials")
+    r_field = receiving_radius(z, params.h_b, params.antenna) + 1.0
+    size = mc._block_episodes(mc._check_field_budget(params.lambda_b, r_field))
+    counts = np.zeros(3, dtype=np.int64)
+    for episodes, rng in _blocks(n, seed, size):
+        field = mc._FieldBlock(episodes, params.lambda_b, r_field, rng)
+        origin = np.zeros(episodes)
+        _, _, los, _, pick = field.serve(origin, origin, np.full(episodes, z),
+                                         params)
+        counts += mc._association_counts(los, pick)
+    return {key: mc._estimate_from_count(int(c), n, seed)
+            for key, c in zip(mc._SUMMARY_KEYS[2:], counts)}
+
+
+def _beats_pinned(field, wx: np.ndarray, wy: np.ndarray, z: np.ndarray,
+                  r0: float, serving: LinkType, params: SystemParams):
+    """Which stations of a block associate would pick over the pinned GBS,
+    with each episode's UAV at (wx, wy, z)[b]; an out-of-range pinned GBS
+    loses to every in-range station. Also the stations' link types,
+    in-range mask and path-loss gains there."""
+    d, los, in_range, gains = links(field, wx, wy, z, params)
+    pinned_d = mc._distance(r0, 0.0, wx, wy)
+    if params.policy is AssociationPolicy.NEAREST:
+        beats = d < field.spread(pinned_d)
+    else:
+        dz = z - params.h_b
+        pinned = mc._pathloss_gains(pinned_d,
+                                    np.full(len(z), serving is LinkType.LOS),
+                                    dz * dz, params)
+        beats = gains > field.spread(pinned)
+    beats |= field.spread(pinned_d > receiving_radius(z, params.h_b,
+                                                      params.antenna))
+    beats &= in_range
+    return beats, los, in_range, gains
+
+
+def _conditioned_interference(params: SystemParams, r0: float, z: float,
+                              serving: LinkType, r_field: float, n: int,
+                              seed: int):
+    """Per block k of an n-episode run on episode_rng(seed, k): the stream,
+    and each episode's faded path-loss interference at altitude z above
+    the origin from the in-range stations that do not beat the pinned
+    GBS. Fading is drawn for those stations only, in row order."""
+    size = mc._block_episodes(mc._check_field_budget(params.lambda_b, r_field))
+    for episodes, rng in _blocks(n, seed, size):
+        field = mc._FieldBlock(episodes, params.lambda_b, r_field, rng)
+        origin = np.zeros(episodes)
+        beats, los, in_range, gains = _beats_pinned(
+            field, origin, origin, np.full(episodes, z), r0, serving, params)
+        rows, sizes = field.compact(in_range & ~beats)
+        powers = mc._station_fading(los.take(rows), params, rng)
+        powers *= gains.take(rows)
+        yield rng, mc._segment_sums(powers, sizes)
+
+
+def conditioned_oracles(params: SystemParams, r0: float, z_t: float,
+                        serving: LinkType, n: int, seed: int) -> dict:
+    """Conditional handover and conditional coverage frequencies with the
+    serving GBS pinned at (r0, 0) with the forced link type; keys
+    "handover", "coverage". Each field drops the stations that beat the
+    pinned GBS with the UAV above the origin.
+
+    The handover experiment drops them at the pre-move altitude, moves the
+    UAV at angle theta to the pinned GBS's bearing to altitude z_t, and
+    counts a handover when a kept station beats the pinned GBS there (link
+    types re-thresholded from the same latents, the pinned GBS keeping its
+    type). The coverage experiment is static at z_t: the pinned GBS's SIR
+    over the kept in-range stations, with independent fading.
+
+    With a directional antenna and r0 >= r_m(h_lb) (103.9 m at the
+    baseline) the pinned GBS is out of range at some pre-move altitudes,
+    where every in-range station is dropped, so the handover experiment
+    no longer conditions on the pinned GBS serving: at r0 = 120 m it reads
+    0.372 (20 000 episodes, seed 5) against an analytic 0.350.
+    """
+    if n < 100:
+        raise ParameterError("need at least 100 trials")
+    r_m_t = receiving_radius(z_t, params.h_b, params.antenna)
+    if not 0.0 < r0 < r_m_t:
+        raise ParameterError(f"r0 must lie inside (0, {r_m_t:.3f})")
+    band = params.h_ub - params.h_lb
+    r_field = mc.field_radius(params)
+    size = mc._block_episodes(mc._check_field_budget(params.lambda_b, r_field))
+
+    handovers = 0
+    for episodes, rng in _blocks(n, seed, size):
+        z_pre = params.h_lb + band * rng.random(episodes)
+        field = mc._FieldBlock(episodes, params.lambda_b, r_field, rng)
+        rho = rng.rayleigh(1.0 / math.sqrt(2.0 * np.pi * params.mu), episodes)
+        theta = np.pi * rng.random(episodes)
+        origin = np.zeros(episodes)
+        dropped = _beats_pinned(field, origin, origin, z_pre, r0, serving,
+                                params)[0]
+        v_h = horizontal_speed(params.v, rho, z_t - z_pre)
+        # the pinned GBS sits at bearing zero, the movement at theta to it
+        beats = _beats_pinned(field, v_h * np.cos(theta), v_h * np.sin(theta),
+                              np.full(episodes, z_t), r0, serving, params)[0]
+        handovers += np.count_nonzero(sums(field, beats, ~dropped))
+
+    cov_seed = (seed + 0x9E3779B97F4A7C15) & mc._MASK64
+    signal_gain = path_loss(serving, r0, z_t, params.channel, params.h_b)
+    covered = 0
+    for rng, interference in _conditioned_interference(
+            params, r0, z_t, serving, r_field, n, cov_seed):
+        signal = signal_gain * sample_fading(serving, params.channel, rng,
+                                             len(interference))
+        sir = np.full(len(interference), np.inf)
+        np.divide(signal, interference, out=sir, where=interference > 0.0)
+        covered += np.count_nonzero(sir > params.t_thresh)
+
+    return {
+        "handover": mc._estimate_from_count(handovers, n, seed),
+        "coverage": mc._estimate_from_count(covered, n, cov_seed),
+    }
+
+
+def laplace_estimate(params: SystemParams, serving: LinkType, r0: float,
+                     z: float, tau: float, n: int, seed: int) -> float:
+    """Empirical Laplace functional E[exp(-tau I)] of the interference
+    (fading included) under the pinned-serving conditioning."""
+    r_field = receiving_radius(z, params.h_b, params.antenna) + 1.0
+    pg = params.p_t * params.g_tot
+    return sum(float(np.sum(np.exp(-tau * (pg * interference))))
+               for _, interference in _conditioned_interference(
+                   params, r0, z, serving, r_field, n, seed)) / n

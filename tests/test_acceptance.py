@@ -25,8 +25,6 @@ from uavcov.analytic import (
     _policy_metrics,
     coverage_probability,
     coverage_drift_events,
-    laplace_derivatives,
-    laplace_interference,
     reset_coverage_drift_counter,
     _tau_threshold,
 )
@@ -50,6 +48,7 @@ from quadpack import (
     nearest_type_pdf,
     serving_distance_pdf,
 )
+from test_analytic import laplace_derivatives, laplace_interference
 from test_geometry import lens_complement_by_slicing
 
 SEED = 20260809

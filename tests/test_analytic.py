@@ -9,22 +9,16 @@ import pytest
 
 from uavcov import analytic, cli
 from uavcov.analytic import (
-    HandoverContext,
     N_R0,
     N_Z,
     _policy_metrics,
     _breakdown,
-    conditional_coverage,
-    conditional_handover_any,
     coverage_drift_events,
     coverage_probability,
-    laplace_derivatives,
-    laplace_interference,
     reset_coverage_drift_counter,
     _tau_threshold,
 )
 from uavcov.association import height_context
-from uavcov.errors import GeometryError
 from uavcov.geometry import (
     displaced_distance,
     equal_power_radius,
@@ -40,9 +34,9 @@ from uavcov.model import (
     horizontal_speed_nodes,
     mobility_pdfs,
 )
-from uavcov.montecarlo import conditioned_oracles, laplace_estimate
 from uavcov.quadrature import gauss_nodes
 
+from oracles import conditioned_oracles, laplace_estimate
 from quadpack import association_probability
 
 SYM_CHANNEL = ChannelParams(alpha_l=3.0, alpha_n=3.0, eta_l=1e-4, eta_n=1e-4,
@@ -59,6 +53,34 @@ def _one_target(serving, target, r0, z_t, params) -> float:
                                               params)[0, 0])
 
 
+def handover_any(serving, r0, z_t, params) -> float:
+    """Handover probability to any target type at one serving distance."""
+    return 1.0 - float(analytic._stay_grid(serving, np.array([r0]), z_t,
+                                           params)[0])
+
+
+def conditional_coverage(serving, r0, z, params) -> float:
+    """P(SIR > threshold | serving type, serving distance, altitude)."""
+    return float(analytic._coverage_grid(serving, np.array([r0]), z, params)[0])
+
+
+def laplace_derivatives(tau, serving, r0, z, params, max_order) -> list:
+    """L^(0..max_order)(tau) of the interference at the given point,
+    conditioned on the serving type and distance, from the coverage sum's
+    terms: L^(k) = k! exp(g0) b_k / (-tau)^k."""
+    s = np.array([tau * params.p_t * params.g_tot])
+    panels = analytic._interference_nodes(serving, np.array([r0]), z, params)
+    terms = analytic._coverage_series(*analytic._exponent_terms(
+        s, panels, z, params, max_order))
+    return [float(math.factorial(k) * term[0] / (-tau) ** k)
+            for k, term in enumerate(terms)]
+
+
+def laplace_interference(tau, serving, r0, z, params) -> float:
+    """Laplace transform of the aggregate interference at the given point."""
+    return laplace_derivatives(tau, serving, r0, z, params, 0)[0]
+
+
 class TestConditionalHandover:
     def test_empty_network(self, params):
         sparse = params.with_(lambda_b=1e-12)
@@ -67,25 +89,17 @@ class TestConditionalHandover:
 
     def test_no_displacement(self, params):
         still = params.with_(v=0.0, h_lb=119.999999, h_ub=120.000001)
-        ctx = HandoverContext(LinkType.LOS, 50.0, 120.0)
-        assert conditional_handover_any(ctx, still) == 0.0
-
-    def test_out_of_range_conditioning(self, params):
-        with pytest.raises(GeometryError):
-            conditional_handover_any(HandoverContext(LinkType.LOS, 1e4, 120.0),
-                                     params)
+        assert handover_any(LinkType.LOS, 50.0, 120.0, still) == 0.0
 
     def test_nearest_policy_any_target(self, params):
         # the nearest rule picks the new server whatever its type, so its
         # handover is to any target type
-        ctx = HandoverContext(LinkType.NLOS, 50.0, 120.0)
-        assert 0.0 < conditional_handover_any(ctx, nearest(params)) < 1.0
+        assert 0.0 < handover_any(LinkType.NLOS, 50.0, 120.0, nearest(params)) < 1.0
 
     def test_matches_conditioned_simulation(self, params):
         # pinned LoS serving GBS at 50 m, post-move altitude 120 m; the
         # oracle counts a handover to a station of either type
-        ctx = HandoverContext(LinkType.LOS, 50.0, 120.0)
-        analytic = conditional_handover_any(ctx, params)
+        analytic = handover_any(LinkType.LOS, 50.0, 120.0, params)
         oracle = conditioned_oracles(params, 50.0, 120.0, LinkType.LOS,
                                      100_000, seed=7)["handover"]
         se = math.sqrt(oracle.mean * (1 - oracle.mean) / oracle.n)
@@ -94,15 +108,13 @@ class TestConditionalHandover:
 
 class TestConditionalHandoverAny:
     def test_zero_targets_compose_to_zero(self, params):
-        ctx = HandoverContext(LinkType.LOS, 50.0, 120.0)
         sparse = params.with_(lambda_b=1e-12)
-        assert conditional_handover_any(ctx, sparse) < 1e-6
+        assert handover_any(LinkType.LOS, 50.0, 120.0, sparse) < 1e-6
 
     def test_composition_structure(self, params):
-        ctx = HandoverContext(LinkType.LOS, 50.0, 120.0)
-        p_l, p_n = (_one_target(ctx.serving, target, ctx.r0, ctx.z_t, params)
+        p_l, p_n = (_one_target(LinkType.LOS, target, 50.0, 120.0, params)
                     for target in (LinkType.LOS, LinkType.NLOS))
-        combined = conditional_handover_any(ctx, params)
+        combined = handover_any(LinkType.LOS, 50.0, 120.0, params)
         assert combined == pytest.approx(1 - (1 - p_l) * (1 - p_n), abs=1e-12)
 
     def test_dense_network_saturates(self, params):
@@ -110,8 +122,7 @@ class TestConditionalHandoverAny:
         # the residual mass is the near-collinear move toward the serving
         # GBS, where the newly uncovered region shrinks to a sliver
         dense = params.with_(lambda_b=5e-3)
-        ctx = HandoverContext(LinkType.LOS, 150.0, 120.0)
-        assert conditional_handover_any(ctx, dense) > 0.8
+        assert handover_any(LinkType.LOS, 150.0, 120.0, dense) > 0.8
 
 
 class TestHandoverProbability:
@@ -269,7 +280,7 @@ class TestConditionalCoverage:
         p = nearest(params)
         oracle = conditioned_oracles(p, 50.0, 120.0, LinkType.NLOS, 2000, seed=17)
         cov = conditional_coverage(LinkType.NLOS, 50.0, 120.0, p)
-        ho = conditional_handover_any(HandoverContext(LinkType.NLOS, 50.0, 120.0), p)
+        ho = handover_any(LinkType.NLOS, 50.0, 120.0, p)
         assert oracle["coverage"].ci_low <= cov <= oracle["coverage"].ci_high
         assert oracle["handover"].ci_low <= ho <= oracle["handover"].ci_high
 

@@ -303,3 +303,81 @@ class TestMainEntry:
                      "--output", str(out)])
         assert code == 0
         assert "overall: PASS" in out.read_text()
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no pool is started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, list(jobs))
+
+
+class TestWorkerPools:
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        monkeypatch.setattr(_SerialPool, "sizes", [])
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(cli.montecarlo, "ProcessPoolExecutor", _SerialPool)
+        return _SerialPool.sizes
+
+    def test_sweep_pool_holds_at_most_one_worker_per_group(self, params, sizes):
+        spec = SweepSpec(axis="lambda_b", values=(50.0, 100.0),
+                         metrics=("void",), engine="analytic")
+        rows = run_sweep(spec, params, threads=5000)
+        assert sizes == [2]
+        assert rows == run_sweep(spec, params, threads=1)
+
+    def test_episode_pool_holds_at_most_one_worker_per_job(self, params, sizes):
+        # 1000 baseline episodes are 7 blocks of 162, so 7 jobs
+        got = cli.montecarlo.summary_estimates(params, 1000, 3, workers=5000)
+        assert sizes == [7]
+        assert got == cli.montecarlo.summary_estimates(params, 1000, 3)
+
+    def test_simulate_threads_are_capped(self, tmp_path, sizes):
+        out = tmp_path / "rows.csv"
+        assert main(["simulate", "--trials", "1000", "--seed", "3",
+                     "--threads", "5000", "--output", str(out)]) == 0
+        assert sizes == [7]
+
+
+class TestUsageErrors:
+    """Bad input ends in one `uavcov: error:` line and exit code 2."""
+
+    @pytest.mark.parametrize("config, argv", [
+        ("frequency = 3\n", ["analytic"]),
+        ("lambda_b = -5\n", ["analytic"]),
+        ("m_l = three\n", ["analytic"]),
+        (None, ["sweep", "--axis", "lambda_b", "--values", "100",
+                "--metrics", "bogus", "--engine", "analytic"]),
+        (None, ["validate", "--trials", "100"]),
+        (None, ["sweep", "--axis", "height_band", "--values", "100",
+                "--engine", "analytic"]),
+        (None, ["sweep", "--axis", "lambda_b", "--values", "1e,2",
+                "--engine", "analytic"]),
+        (None, ["simulate", "--threads", "0"]),
+        (None, ["analytic", "--threads", "-2"]),
+    ], ids=["config-key", "config-range", "config-value", "metric",
+            "validate-trials", "height-band-value", "lambda-value",
+            "threads-zero", "threads-negative"])
+    def test_reported_as_usage_error(self, tmp_path, capsys, config, argv):
+        if config is not None:
+            argv = [*argv, "--config", write_config(tmp_path, config)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines()
+                    if line.startswith("uavcov: error: ")]) == 1

@@ -6,6 +6,13 @@ import pytest
 from scipy import stats
 
 import full_field
+from oracles import (
+    _conditioned_interference,
+    association_estimate,
+    conditioned_oracles,
+    laplace_estimate,
+    sums,
+)
 from uavcov import analytic, montecarlo
 from uavcov.errors import ParameterError
 from uavcov.geometry import lens_complement_area, receiving_radius
@@ -29,12 +36,9 @@ from uavcov.montecarlo import (
     _segment_argmax,
     _segment_sums,
     associate,
-    association_estimate,
     classify_links,
-    conditioned_oracles,
     episode_rng,
     field_radius,
-    laplace_estimate,
     sample_ppp,
     simulate_episode,
     summary_estimates,
@@ -353,12 +357,12 @@ class TestSegmentSums:
         want = [math.fsum(values[s:e][mask[s:e]])
                 for s, e in zip(field.starts, field.ends)]
         assert np.all(field.sizes[1::3] > 0)
-        assert field.sums(values, mask).tolist() == want
+        assert sums(field, values, mask).tolist() == want
 
     def test_all_void_block(self):
         field = _FieldBlock(5, 1e-12, 200.0, episode_rng(4, 0))
         assert len(field.x) == 0
-        assert field.sums(np.empty(0), np.empty(0, dtype=bool)).tolist() == [0.0] * 5
+        assert sums(field, np.empty(0), np.empty(0, dtype=bool)).tolist() == [0.0] * 5
 
     def test_nothing_in_range_after_the_move(self, params):
         # non-empty fields, every station out of range of the UAV
@@ -553,60 +557,6 @@ class TestSummaryEstimates:
                     for v in (0.0, 20.0, 40.0)]
         for a, b in zip(by_speed, by_speed[1:]):
             assert b.mean > a.mean - (a.half_width + b.half_width)
-
-
-class TestOriginCandidates:
-    """serve_origin, the pre-move association of the full-field tally and
-    of association_estimate, looks at a disc of about ORIGIN_CANDIDATES
-    stations around the UAV and grows it until its pick is provably the
-    whole field's; a huge ORIGIN_CANDIDATES makes the disc the field."""
-
-    @staticmethod
-    def _runs(params, n, monkeypatch):
-        # _segment_argmax runs once per disc per block, once more per
-        # block for the post-move association
-        calls = []
-
-        def counting(*args):
-            calls.append(1)
-            return _segment_argmax(*args)
-
-        monkeypatch.setattr(montecarlo, "_segment_argmax", counting)
-        out = []
-        for candidates in (ORIGIN_CANDIDATES, 1, 1e18):
-            monkeypatch.setattr(montecarlo, "ORIGIN_CANDIDATES", candidates)
-            calls.clear()
-            out.append((full_field.summary_estimates(params, n, 22),
-                        association_estimate(params, 120.0, n, 22),
-                        len(calls)))
-        return out
-
-    @pytest.mark.parametrize("policy", list(AssociationPolicy),
-                             ids=lambda p: p.value)
-    @pytest.mark.parametrize("antenna", [DirectionalAntenna(), OmniAntenna()],
-                             ids=("directional", "omni"))
-    def test_disc_matches_full_field(self, params, policy, antenna,
-                                     monkeypatch):
-        # a one-station disc grows nearly every episode; the default and
-        # the one-station disc pick what the whole field picks
-        tiny_grew = False
-        for density in (10.0, 100.0, 1000.0):
-            p = params.with_(lambda_b=density * 1e-6, policy=policy,
-                             antenna=antenna)
-            n = 100 if density == 1000.0 and antenna == OmniAntenna() else 500
-            default, tiny, full = self._runs(p, n, monkeypatch)
-            assert default[:2] == full[:2] and tiny[:2] == full[:2]
-            assert default[2] >= full[2]
-            tiny_grew |= tiny[2] > full[2]
-        assert tiny_grew
-
-    def test_default_disc_grows(self, params, monkeypatch):
-        # strongest RSS, omni at 10/km^2: now and then every station in the
-        # first disc is NLoS and a LoS one outside could still win
-        p = params.with_(lambda_b=10e-6, antenna=OmniAntenna())
-        default, _, full = self._runs(p, 500, monkeypatch)
-        assert default[:2] == full[:2]
-        assert default[2] > full[2]
 
 
 HIGH_RISE = EnvironmentParams(a=27.23, b=0.08)
@@ -974,7 +924,7 @@ class TestConditionedOracles:
             covered += (interference <= 0.0
                         or signal / interference > p.t_thresh)
         engine_interference = np.concatenate([
-            i for _, i in montecarlo._conditioned_interference(
+            i for _, i in _conditioned_interference(
                 p, r0, z_t, serving, field_radius(p), n, cov_seed)])
         r_field = receiving_radius(z_t, p.h_b, p.antenna) + 1.0
         interference = np.array([
