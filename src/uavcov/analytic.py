@@ -291,19 +291,13 @@ def _coverage_series(g0: np.ndarray, t: list) -> list:
     return b
 
 
-def _tau_threshold(serving: LinkType, r0, z, params: SystemParams):
-    zeta = path_loss(serving, r0, z, params.channel, params.h_b)
-    return (params.channel.m(serving) * params.t_thresh
-            / (params.p_t * params.g_tot * zeta))
-
-
 def _coverage_grid(serving: LinkType, r0: np.ndarray, z,
                    params: SystemParams) -> np.ndarray:
     """Conditional coverage on an array of serving distances, z being the
     altitude of each (an array aligned with r0) or of all (a scalar)."""
     global _drift_events
-    s = (np.asarray(_tau_threshold(serving, r0, z, params), dtype=float)
-         * (params.p_t * params.g_tot))
+    s = (params.channel.m(serving) * params.t_thresh
+         / path_loss(serving, r0, z, params.channel, params.h_b))
     total = sum(_coverage_series(*_exponent_terms(
         s, _interference_nodes(serving, r0, z, params), z, params,
         params.channel.m(serving) - 1)))

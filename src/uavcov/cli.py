@@ -30,7 +30,7 @@ import io
 import pathlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, replace
 
 from . import analytic, montecarlo
 from .errors import ParameterError
@@ -220,7 +220,7 @@ class FigureVariant:
 
     label: str
     spec: SweepSpec
-    overrides: dict = dataclass_field(default_factory=dict)
+    overrides: dict
 
 
 def _apply_axis(params: SystemParams, axis: str, value) -> SystemParams:
@@ -323,6 +323,26 @@ def run_sweep(spec: SweepSpec, params: SystemParams, threads: int = 1) -> list:
     return [row for rows in per_group for row in rows]
 
 
+# figure presets: id -> (sweep, {variant label: boundary-unit overrides})
+FIGURE_PRESETS = {
+    "fig2a": (SweepSpec(axis="lambda_b", values=LAMBDA_GRID,
+                        metrics=("coverage", "handover"),
+                        antennas=("directional", "omni")),
+              {"band90-150": {"h_lb": 90.0, "h_ub": 150.0},
+               "band120-180": {"h_lb": 120.0, "h_ub": 180.0}}),
+    "fig2b": (SweepSpec(axis="lambda_b", values=LAMBDA_GRID,
+                        policies=("strongest_rss", "nearest"),
+                        antennas=("directional", "omni")),
+              {"policies": {}}),
+    "fig3a": (SweepSpec(axis="beamwidth_deg", values=BEAMWIDTH_GRID,
+                        metrics=("handover",), antennas=("directional", "omni")),
+              {f"lam{int(lam)}": {"lambda_b": lam} for lam in (50.0, 100.0, 500.0)}),
+    "fig3b": (SweepSpec(axis="beamwidth_deg", values=BEAMWIDTH_GRID),
+              {f"lam{int(lam)}_kappa{kappa}": {"lambda_b": lam, "kappa": kappa}
+               for lam in (50.0, 100.0, 500.0) for kappa in (0.1, 0.3, 0.5)}),
+}
+
+
 def figure_preset(preset_id: str) -> list:
     """Sweep variants reproducing the headline result figures.
 
@@ -330,36 +350,11 @@ def figure_preset(preset_id: str) -> list:
     parameter families (height bands, densities, failure probabilities)
     that the fixed CSV schema cannot encode in a single file.
     """
-    if preset_id == "fig2a":
-        spec = SweepSpec(axis="lambda_b", values=LAMBDA_GRID,
-                         metrics=("coverage", "handover"),
-                         policies=("strongest_rss",),
-                         antennas=("directional", "omni"), engine="both")
-        return [
-            FigureVariant("band90-150", spec, {"h_lb": 90.0, "h_ub": 150.0}),
-            FigureVariant("band120-180", spec, {"h_lb": 120.0, "h_ub": 180.0}),
-        ]
-    if preset_id == "fig2b":
-        spec = SweepSpec(axis="lambda_b", values=LAMBDA_GRID,
-                         metrics=("coverage",),
-                         policies=("strongest_rss", "nearest"),
-                         antennas=("directional", "omni"), engine="both")
-        return [FigureVariant("policies", spec)]
-    if preset_id == "fig3a":
-        spec = SweepSpec(axis="beamwidth_deg", values=BEAMWIDTH_GRID,
-                         metrics=("handover",), policies=("strongest_rss",),
-                         antennas=("directional", "omni"), engine="both")
-        return [FigureVariant(f"lam{int(lam)}", spec, {"lambda_b": lam})
-                for lam in (50.0, 100.0, 500.0)]
-    if preset_id == "fig3b":
-        spec = SweepSpec(axis="beamwidth_deg", values=BEAMWIDTH_GRID,
-                         metrics=("coverage",), policies=("strongest_rss",),
-                         antennas=("directional",), engine="both")
-        return [FigureVariant(f"lam{int(lam)}_kappa{kappa}", spec,
-                              {"lambda_b": lam, "kappa": kappa})
-                for lam in (50.0, 100.0, 500.0)
-                for kappa in (0.1, 0.3, 0.5)]
-    raise ParameterError(f"unknown figure preset '{preset_id}'")
+    if preset_id not in FIGURE_PRESETS:
+        raise ParameterError(f"unknown figure preset '{preset_id}'")
+    spec, variants = FIGURE_PRESETS[preset_id]
+    return [FigureVariant(label, spec, overrides)
+            for label, overrides in variants.items()]
 
 
 def run_figure(preset_id: str, base, trials: int, seed: int, threads: int = 1,
@@ -457,15 +452,17 @@ def validate(params: SystemParams, trials: int, seed: int,
     """
     if trials < 10_000:
         raise ParameterError("validation needs at least 10^4 trials")
-    strongest = params.with_(policy=AssociationPolicy.STRONGEST_RSS)
-    nearest = params.with_(policy=AssociationPolicy.NEAREST)
-    an_s, an_n = _analytic_metrics(strongest), _analytic_metrics(nearest)
-    mc_s = montecarlo.summary_estimates(strongest, trials, seed, workers=threads)
-    mc_n = montecarlo.summary_estimates(nearest, trials, seed, workers=threads)
+    spec = _point_spec(params, policies=POLICIES, trials=trials, seed=seed)
+    results = {}
+    for r in run_sweep(spec, params, threads=threads):
+        if r.error:
+            raise ParameterError(r.error)
+        results[r.policy, r.metric] = r
 
-    def row(name, key, an=an_s, mc=mc_s):
-        est = mc[key]
-        return ValidationRow(name, an[key], est, max(0.02, 3.0 * est.half_width))
+    def row(name, metric, policy="strongest_rss"):
+        r = results[policy, metric]
+        est = montecarlo.McEstimate(r.mc_mean, r.mc_ci_low, r.mc_ci_high, r.n, r.seed)
+        return ValidationRow(name, r.analytic, est, max(0.02, 3.0 * est.half_width))
 
     rows = (
         row("assoc_los", "association_los"),
@@ -473,7 +470,7 @@ def validate(params: SystemParams, trials: int, seed: int,
         row("void", "void"),
         row("handover", "handover"),
         row("coverage_strongest", "coverage"),
-        row("coverage_nearest", "coverage", an_n, mc_n),
+        row("coverage_nearest", "coverage", "nearest"),
     )
     return ValidationReport(rows, trials, seed)
 
@@ -482,13 +479,14 @@ def validate(params: SystemParams, trials: int, seed: int,
 # command line front end
 # ---------------------------------------------------------------------------
 
-def _add_common(parser):
+def _add_common(parser, episodes: bool):
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--output", default=None,
                         help="output path (default stdout)")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--trials", type=int, default=20_000)
-    parser.add_argument("--threads", type=int, default=1)
+    if episodes:
+        parser.add_argument("--trials", type=int, default=20_000)
+        parser.add_argument("--threads", type=int, default=1)
 
 
 def _open_output(path):
@@ -498,13 +496,13 @@ def _open_output(path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _single_point_rows(params, engine, trials, seed, threads):
-    spec = SweepSpec(axis="lambda_b", values=(params.lambda_b * 1e6,),
-                     metrics=METRICS, policies=(params.policy.value,),
-                     antennas=("directional" if isinstance(
-                         params.antenna, DirectionalAntenna) else "omni",),
-                     engine=engine, trials=trials, seed=seed)
-    return run_sweep(spec, params, threads=threads)
+def _point_spec(params: SystemParams, policies=None, **options) -> SweepSpec:
+    """Every metric at params' own density and antenna, under params.policy
+    or the given policies; options (engine, trials, seed) go to SweepSpec."""
+    antenna = "directional" if isinstance(params.antenna, DirectionalAntenna) else "omni"
+    return SweepSpec(axis="lambda_b", values=(params.lambda_b * 1e6,),
+                     metrics=METRICS, policies=policies or (params.policy.value,),
+                     antennas=(antenna,), **options)
 
 
 def main(argv=None) -> int:
@@ -520,7 +518,7 @@ def main(argv=None) -> int:
             ("figure", "run a figure-reproduction preset"),
             ("validate", "analytic vs Monte Carlo agreement report")]:
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        _add_common(p, episodes=name != "analytic")
         if name == "sweep":
             p.add_argument("--axis", required=True, choices=SWEEP_AXES)
             p.add_argument("--values", required=True,
@@ -535,14 +533,15 @@ def main(argv=None) -> int:
             p.add_argument("--engine", default="both",
                            choices=("analytic", "mc", "both"))
         if name == "figure":
-            p.add_argument("preset", choices=("fig2a", "fig2b", "fig3a", "fig3b"))
+            p.add_argument("preset", choices=list(FIGURE_PRESETS))
 
     args = parser.parse_args(argv)
-    if args.threads < 1:
+    if getattr(args, "threads", 1) < 1:
         parser.error("--threads must be at least 1")
     try:
         return _run(args)
-    except ParameterError as exc:
+    except (ParameterError, OSError) as exc:
+        # bad input, or a config or output path that cannot be opened
         parser.error(str(exc))
 
 
@@ -550,32 +549,30 @@ def _run(args) -> int:
     """Runs the parsed command; its exit code."""
     params = load_config(args.config)
 
-    if args.command in ("analytic", "simulate"):
-        engine = "analytic" if args.command == "analytic" else "mc"
-        rows = _single_point_rows(params, engine, args.trials, args.seed,
-                                  args.threads)
-        with _open_output(args.output) as fh:
-            rows_to_csv(rows, fh)
-        return 0
+    if args.command in ("analytic", "simulate", "sweep"):
+        if args.command == "analytic":
+            spec = _point_spec(params, engine="analytic", seed=args.seed)
+        elif args.command == "simulate":
+            spec = _point_spec(params, engine="mc", trials=args.trials,
+                               seed=args.seed)
+        else:
+            def parse_value(text):
+                try:
+                    if args.axis == "height_band":
+                        lo, _, hi = text.partition(":")
+                        return (float(lo), float(hi))
+                    return float(text)
+                except ValueError:
+                    raise ParameterError(f"malformed --values entry '{text}'") from None
 
-    if args.command == "sweep":
-        def parse_value(text):
-            try:
-                if args.axis == "height_band":
-                    lo, _, hi = text.partition(":")
-                    return (float(lo), float(hi))
-                return float(text)
-            except ValueError:
-                raise ParameterError(f"malformed --values entry '{text}'") from None
-
-        spec = SweepSpec(
-            axis=args.axis,
-            values=tuple(parse_value(v) for v in args.values.split(",")),
-            metrics=tuple(args.metrics.split(",")),
-            policies=tuple(args.policies.split(",")),
-            antennas=tuple(args.antennas.split(",")),
-            engine=args.engine, trials=args.trials, seed=args.seed)
-        rows = run_sweep(spec, params, threads=args.threads)
+            spec = SweepSpec(
+                axis=args.axis,
+                values=tuple(parse_value(v) for v in args.values.split(",")),
+                metrics=tuple(args.metrics.split(",")),
+                policies=tuple(args.policies.split(",")),
+                antennas=tuple(args.antennas.split(",")),
+                engine=args.engine, trials=args.trials, seed=args.seed)
+        rows = run_sweep(spec, params, threads=getattr(args, "threads", 1))
         with _open_output(args.output) as fh:
             rows_to_csv(rows, fh)
         return 0
@@ -594,7 +591,3 @@ def _run(args) -> int:
         return 0 if report.passed else 1
 
     raise AssertionError(f"unhandled command {args.command}")
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -11,14 +11,16 @@ sqrt(dx*dx + dy*dy) and every squared height gap a product.
 
 `summary_estimates` runs blocks of a fixed number of episodes, chosen
 from the inputs so that a block holds about BLOCK_STATIONS stations (a
-denser disc is a block of its own). Block k draws from one PCG64DXSM
-stream seeded by SeedSequence([seed, k]), each quantity in one vector
-call, and workers get whole blocks, so estimates are bit-identical
-regardless of execution order or worker count. A block's stations sit in
-one array (episode b owns the rows starts[b] : ends[b]). One path picks
-the serving stations: `_FieldBlock.serve` runs link types, gains and the
-serving argmax on the stations in range only, compacted in row order, and
-`_FieldBlock.settle` calls it until every pick stands.
+first disc holds at most ORIGIN_CANDIDATES on average, so a block holds
+at least 63 episodes). Block k draws from one PCG64DXSM stream seeded by
+SeedSequence([seed, k]), each quantity in one vector call, and workers
+get whole blocks, so estimates are bit-identical regardless of execution
+order or worker count. A block's stations sit in one array (episode b
+owns the rows starts[b] : ends[b]). One path picks the serving stations:
+`_FieldBlock.serve` runs link types, gains and the serving argmax on the
+stations in range only, compacted in row order, and returns each pick's
+metric; `_FieldBlock.settle` calls it, and tests each pick's metric
+against the stations outside the disc, until every pick stands.
 
 The engine simulates the near field only. A block draws, in
 order: altitudes, rho and theta; a first disc of radius
@@ -284,15 +286,14 @@ def associate(field: GbsField, los: np.ndarray, uav: Waypoint,
     return idx, link, float(d[idx])
 
 
-def simulate_episode(params: SystemParams, rng: np.random.Generator,
-                     r_field: float | None = None) -> EpisodeOutcome:
+def simulate_episode(params: SystemParams,
+                     rng: np.random.Generator) -> EpisodeOutcome:
     """One movement: associate, move, re-associate, score SIR and coverage.
 
     The draw order is fixed and policy-independent so that episodes with
     the same stream are comparable across association policies.
     """
-    if r_field is None:
-        r_field = field_radius(params)
+    r_field = field_radius(params)
     band = params.h_ub - params.h_lb
     z_pre, z_post = params.h_lb + band * rng.random(2)
     rho = rng.rayleigh(1.0 / math.sqrt(2.0 * np.pi * params.mu))
@@ -403,8 +404,7 @@ class _FieldBlock:
     stations starts[b] : ends[b], those of the disc of radius radius[b]
     about the origin. Draws the square counts, then x and y of all points
     in one call, then the LoS latents of the kept stations, as sample_ppp
-    and simulate_episode draw them for one field; r2 is each station's
-    squared distance from the origin."""
+    and simulate_episode draw them for one field."""
 
     def __init__(self, episodes: int, lambda_b: float, r_field: float,
                  rng: np.random.Generator):
@@ -422,7 +422,7 @@ class _FieldBlock:
         r2 = x * x
         r2 += y * y
         keep = np.flatnonzero(r2 <= r_field * r_field)
-        self.x, self.y, self.r2 = x.take(keep), y.take(keep), r2.take(keep)
+        self.x, self.y = x.take(keep), y.take(keep)
         self._index(np.diff(np.searchsorted(keep, np.cumsum(counts)), prepend=0))
         self.latent = rng.random(len(keep))
 
@@ -430,8 +430,7 @@ class _FieldBlock:
         self.sizes = sizes
         self.ends = np.cumsum(sizes)
         self.starts = self.ends - sizes
-        self._seg = (None if len(sizes) == 1
-                     else np.repeat(np.arange(len(sizes)), sizes))
+        self._seg = np.repeat(np.arange(len(sizes)), sizes)
 
     def grow(self, todo: np.ndarray, r_field: float,
              rng: np.random.Generator) -> np.ndarray:
@@ -440,13 +439,11 @@ class _FieldBlock:
         episode's new rows follow its old ones; returns the new row of each
         old row."""
         outer = np.minimum(2.0 * self.radius[todo], r_field)
-        episode, x, y, r2, latent = self.annulus(todo, outer, rng)
-        episode = np.concatenate([np.repeat(np.arange(len(self.sizes)), self.sizes),
-                                  episode])
+        episode, x, y, latent = self.annulus(todo, outer, rng)
+        episode = np.concatenate([self._seg, episode])
         order = np.argsort(episode, kind="stable")
         self.x = np.concatenate([self.x, x]).take(order)
         self.y = np.concatenate([self.y, y]).take(order)
-        self.r2 = np.concatenate([self.r2, r2]).take(order)
         self.latent = np.concatenate([self.latent, latent]).take(order)
         self._index(np.bincount(episode, minlength=len(self.sizes)))
         self.radius[todo] = outer
@@ -456,7 +453,7 @@ class _FieldBlock:
 
     def annulus(self, todo: np.ndarray, outer: np.ndarray,
                 rng: np.random.Generator):
-        """Episode, x, y, r2 and latent of the stations between each disc
+        """Episode, x, y and latent of the stations between each disc
         in todo and radius outer[i]: square counts, x and y, then the
         latents of the kept stations, each one call for all of todo."""
         inner = self.radius[todo]
@@ -472,11 +469,11 @@ class _FieldBlock:
         keep = np.flatnonzero((r2 > np.repeat(inner * inner, counts))
                                & (r2 <= half * half))
         return (np.repeat(todo, counts).take(keep), x.take(keep), y.take(keep),
-                r2.take(keep), rng.random(len(keep)))
+                rng.random(len(keep)))
 
     def spread(self, per_episode: np.ndarray) -> np.ndarray:
-        """One value per station; a one-episode block broadcasts instead."""
-        return per_episode if self._seg is None else per_episode[self._seg]
+        """One value per station: its episode's."""
+        return per_episode[self._seg]
 
     def compact(self, mask: np.ndarray):
         """The stations where mask holds, in row order, and how many of
@@ -487,24 +484,23 @@ class _FieldBlock:
     def serve(self, wx: np.ndarray, wy: np.ndarray, z: np.ndarray,
               params: SystemParams):
         """With each episode's UAV at (wx, wy, z)[b]: the rows of the
-        stations in range and how many each episode owns, their link types
-        and path-loss gains, and each episode's serving station as an index
-        into rows (-1 when void); classify_links's and associate's
+        stations in range and how many each episode owns, their link types,
+        path-loss gains and pick metrics (the gain, or minus the distance
+        under the nearest policy), and each episode's serving station as an
+        index into rows (-1 when void); classify_links's and associate's
         operations, on the stations in range only."""
         d = _distance(self.x, self.y, self.spread(wx), self.spread(wy))
         rows, sizes = self.compact(
             d <= self.spread(receiving_radius(z, params.h_b, params.antenna)))
         d = d.take(rows)
-        if self._seg is not None:
-            # per-station altitudes; a one-episode block broadcasts its own
-            z = z.take(self._seg.take(rows))
+        z = z.take(self._seg.take(rows))
         los = self.latent.take(rows) < los_probability(d, z, params.env,
                                                        params.h_b)
         dz = z - params.h_b
         gains = _pathloss_gains(d, los, dz * dz, params)
         metric = -d if params.policy is AssociationPolicy.NEAREST else gains
         serving = _segment_argmax(metric, np.cumsum(sizes) - sizes, sizes)
-        return rows, sizes, los, gains, serving
+        return rows, sizes, los, gains, metric, serving
 
     def settle(self, wx: np.ndarray, wy: np.ndarray, z: np.ndarray,
                reach: np.ndarray, r_field: float, params: SystemParams,
@@ -524,15 +520,11 @@ class _FieldBlock:
             if r_m is None:
                 r_m = receiving_radius(z, params.h_b, params.antenna)
                 dz2 = (z - params.h_b) ** 2
-            rows, _, _, gains, serving = served
+            *_, metric, serving = served
             pick = serving[open_]
             won = pick >= 0
             best = np.full(len(open_), -np.inf)
-            if params.policy is AssociationPolicy.NEAREST:
-                e, row = open_[won], rows[pick[won]]
-                best[won] = -_distance(self.x[row], self.y[row], wx[e], wy[e])
-            else:
-                best[won] = gains[pick[won]]
+            best[won] = metric[pick[won]]
             todo = open_[~_stands(best, np.maximum(self.radius[open_] - reach[open_], 0.0),
                                   r_m[open_], dz2[open_], params)]
             if not len(todo):
@@ -639,7 +631,7 @@ def _tally_block(params: SystemParams, episodes: int, r_field: float,
                         _near_radius(params.lambda_b, r_field), rng)
 
     origin = np.zeros(episodes)
-    (rows, _, los, _, pick), _ = field.settle(
+    (rows, _, los, _, _, pick), _ = field.settle(
         origin, origin, z_pre, origin, r_field, params, rng,
         np.empty(0, dtype=np.intp))
     has_pre = pick >= 0
@@ -651,7 +643,7 @@ def _tally_block(params: SystemParams, episodes: int, r_field: float,
     bearing[has_pre] = np.arctan2(field.y[pre[has_pre]], field.x[pre[has_pre]])
     heading = bearing + theta
     v_h = horizontal_speed(params.v, rho, z_post - z_pre)
-    (rows, sizes, los, gains, post), pre = field.settle(
+    (rows, sizes, los, gains, _, post), pre = field.settle(
         v_h * np.cos(heading), v_h * np.sin(heading), z_post, v_h, r_field,
         params, rng, pre)
     powers = _station_fading(los, params, rng)
@@ -680,19 +672,14 @@ def _tally_blocks(args) -> np.ndarray:
 
 
 def summary_estimates(params: SystemParams, n: int, seed: int,
-                      workers: int = 1, r_field: float | None = None) -> dict:
+                      workers: int = 1) -> dict:
     """All standard metrics from a single pass over n episodes, keyed like
     the CSV metric column. Coverage is the mean of the episodes'
     conditional coverage (_near_coverage) times 1 - kappa on a handover;
-    handover, association and void are indicator means. A given r_field
-    must be at least field_radius(params): the exterior integral takes the
-    network to cover every receiving disc of the movement."""
+    handover, association and void are indicator means."""
     if n < 100:
         raise ParameterError("need at least 100 trials")
-    if r_field is None:
-        r_field = field_radius(params)
-    elif not r_field >= field_radius(params):
-        raise ParameterError(f"r_field must be at least {field_radius(params):.4g} m")
+    r_field = field_radius(params)
     _check_field_budget(params.lambda_b, r_field)
     near = _near_radius(params.lambda_b, r_field)
     size = _block_episodes(params.lambda_b * np.pi * near * near)

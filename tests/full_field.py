@@ -36,7 +36,7 @@ def tally_block(params: SystemParams, episodes: int, r_field: float,
     field = mc._FieldBlock(episodes, params.lambda_b, r_field, rng)
 
     origin = np.zeros(episodes)
-    rows, _, los, _, pick = field.serve(origin, origin, z_pre, params)
+    rows, _, los, _, _, pick = field.serve(origin, origin, z_pre, params)
     association = mc._association_counts(los, pick)
     has_pre = pick >= 0
     pre = np.full(episodes, -1, dtype=np.intp)
@@ -46,7 +46,7 @@ def tally_block(params: SystemParams, episodes: int, r_field: float,
     bearing[has_pre] = np.arctan2(field.y[pre[has_pre]], field.x[pre[has_pre]])
     heading = bearing + theta
     v_h = horizontal_speed(params.v, rho, z_post - z_pre)
-    rows, sizes, los, gains, post = field.serve(v_h * np.cos(heading),
+    rows, sizes, los, gains, _, post = field.serve(v_h * np.cos(heading),
                                                 v_h * np.sin(heading), z_post,
                                                 params)
     powers = mc._station_fading(los, params, rng)

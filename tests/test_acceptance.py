@@ -26,7 +26,6 @@ from uavcov.analytic import (
     coverage_probability,
     coverage_drift_events,
     reset_coverage_drift_counter,
-    _tau_threshold,
 )
 from uavcov.association import height_context
 from uavcov.cli import SweepSpec, rows_to_csv, run_sweep, validate
@@ -48,7 +47,7 @@ from quadpack import (
     nearest_type_pdf,
     serving_distance_pdf,
 )
-from test_analytic import laplace_derivatives, laplace_interference
+from test_analytic import _tau_threshold, laplace_derivatives, laplace_interference
 from test_geometry import lens_complement_by_slicing
 
 SEED = 20260809

@@ -16,7 +16,6 @@ from uavcov.analytic import (
     coverage_drift_events,
     coverage_probability,
     reset_coverage_drift_counter,
-    _tau_threshold,
 )
 from uavcov.association import height_context
 from uavcov.geometry import (
@@ -32,7 +31,9 @@ from uavcov.model import (
     LinkType,
     OmniAntenna,
     horizontal_speed_nodes,
+    los_probability,
     mobility_pdfs,
+    path_loss,
 )
 from uavcov.quadrature import gauss_nodes
 
@@ -64,6 +65,14 @@ def conditional_coverage(serving, r0, z, params) -> float:
     return float(analytic._coverage_grid(serving, np.array([r0]), z, params)[0])
 
 
+def _tau_threshold(serving, r0, z, params):
+    """The Laplace argument tau = m T / (P_t G_tot S) of the coverage sum,
+    S the serving path-loss gain at distance r0."""
+    return (params.channel.m(serving) * params.t_thresh
+            / (params.p_t * params.g_tot
+               * path_loss(serving, r0, z, params.channel, params.h_b)))
+
+
 def laplace_derivatives(tau, serving, r0, z, params, max_order) -> list:
     """L^(0..max_order)(tau) of the interference at the given point,
     conditioned on the serving type and distance, from the coverage sum's
@@ -79,6 +88,42 @@ def laplace_derivatives(tau, serving, r0, z, params, max_order) -> list:
 def laplace_interference(tau, serving, r0, z, params) -> float:
     """Laplace transform of the aggregate interference at the given point."""
     return laplace_derivatives(tau, serving, r0, z, params, 0)[0]
+
+
+def alternating_coverage(serving, r0, z, params) -> np.ndarray:
+    """The alternating-sign form of the conditional coverage that
+    _coverage_series replaced, on _coverage_grid's nodes:
+    sum_{l<m} (-tau)^l / l! L^(l)(tau), with L^(l) from the tau-derivatives
+    g^(k) of the Laplace exponent through L^(l) = sum_j C(l-1, j) L^(j)
+    g^(l-j). High orders overflow to inf or nan."""
+    ch = params.channel
+    order = ch.m(serving) - 1
+    tau = _tau_threshold(serving, r0, z, params)
+    pg = params.p_t * params.g_tot
+    z_rows = np.expand_dims(z, -1)
+    g = [np.zeros_like(tau) for _ in range(order + 1)]
+    for xi, (xs, ws) in analytic._interference_nodes(serving, r0, z, params).items():
+        m = ch.m(xi)
+        p_los = los_probability(xs, z_rows, params.env, params.h_b)
+        base = ws * xs * (p_los if xi is LinkType.LOS else 1.0 - p_los)
+        c = pg * path_loss(xi, xs, z_rows, ch, params.h_b)
+        log1p_tc = np.log1p(tau[:, None] * c / m)
+        g[0] += np.sum(base * -np.expm1(-m * log1p_tc), axis=1)
+        rising = 1.0
+        for k in range(1, order + 1):
+            rising *= m + k - 1
+            d_gamma = ((-1.0) ** (k + 1) * rising
+                       * np.exp(k * (np.log(c) - math.log(m)) - (m + k) * log1p_tc))
+            g[k] += np.sum(base * d_gamma, axis=1)
+    g = [-2.0 * np.pi * params.lambda_b * gk for gk in g]
+    ders = [np.exp(g[0])]
+    total = ders[0].copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(1, order + 1):
+            ders.append(sum(math.comb(l - 1, j) * ders[j] * g[l - j]
+                            for j in range(l)))
+            total += (-tau) ** l / math.factorial(l) * ders[l]
+    return total
 
 
 class TestConditionalHandover:
@@ -232,6 +277,28 @@ class TestCoverageSeries:
             assert np.all(sum(terms) <= 1.0 + 1e-12)
             analytic._coverage_grid(serving, r0, z, p)
         assert coverage_drift_events() == 0
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({}, id="baseline"),
+        pytest.param({"antenna": OmniAntenna(), "lambda_b": 1e-5}, id="omni-10"),
+        pytest.param({"antenna": OmniAntenna(), "lambda_b": 1e-5,
+                      "channel": ChannelParams(m_l=8)}, id="omni-10-m8"),
+    ])
+    @pytest.mark.parametrize("policy", list(AssociationPolicy),
+                             ids=lambda p: p.value)
+    @pytest.mark.parametrize("serving", list(LinkType), ids=lambda l: l.name)
+    def test_matches_the_alternating_sign_form(self, params, overrides, policy,
+                                               serving):
+        # the two forms of one sum, wherever the alternating one is finite
+        p = params.with_(policy=policy, **overrides)
+        z = np.repeat(np.linspace(p.h_lb, p.h_ub, 5), 24)
+        r0 = np.tile(np.linspace(0.0, 1.0, 24), 5) * receiving_radius(
+            z, p.h_b, p.antenna)
+        old = alternating_coverage(serving, r0, z, p)
+        finite = np.isfinite(old)
+        assert np.count_nonzero(finite) >= len(old) // 2
+        got = analytic._coverage_grid(serving, r0, z, p)
+        assert np.max(np.abs(got[finite] - np.clip(old[finite], 0.0, 1.0))) <= 1e-12
 
     def test_near_term_is_the_poisson_sum(self):
         # t_1 = x alone gives exp(-x) x^l / l!, the Monte Carlo near

@@ -367,11 +367,19 @@ class TestUsageErrors:
         (None, ["sweep", "--axis", "lambda_b", "--values", "1e,2",
                 "--engine", "analytic"]),
         (None, ["simulate", "--threads", "0"]),
-        (None, ["analytic", "--threads", "-2"]),
+        (None, ["validate", "--threads", "-2"]),
+        (None, ["analytic", "--trials", "10"]),
+        # paths that cannot be opened, relative to tmp_path
+        (None, ["analytic", "--config", "missing.cfg"]),
+        (None, ["analytic", "--output", "missing-dir/x.csv"]),
+        ("v = 10\n", ["figure", "fig2b", "--output", "scenario.cfg/fig"]),
     ], ids=["config-key", "config-range", "config-value", "metric",
             "validate-trials", "height-band-value", "lambda-value",
-            "threads-zero", "threads-negative"])
-    def test_reported_as_usage_error(self, tmp_path, capsys, config, argv):
+            "threads-zero", "threads-negative", "analytic-trials",
+            "config-missing", "output-dir-missing", "figure-dir-is-a-file"])
+    def test_reported_as_usage_error(self, tmp_path, monkeypatch, capsys, config,
+                                     argv):
+        monkeypatch.chdir(tmp_path)
         if config is not None:
             argv = [*argv, "--config", write_config(tmp_path, config)]
         with pytest.raises(SystemExit) as exit_info:

@@ -352,7 +352,7 @@ class TestSegmentSums:
         # rows of an unmasked episode must not reach its neighbour's sum
         field = _FieldBlock(40, 1e-4, 200.0, episode_rng(4, 0))
         episode = np.repeat(np.arange(40), field.sizes)
-        mask = (field.r2 <= 100.0 ** 2) & (episode % 3 != 1)
+        mask = (field.x ** 2 + field.y ** 2 <= 100.0 ** 2) & (episode % 3 != 1)
         values = np.arange(1.0, len(field.x) + 1.0)
         want = [math.fsum(values[s:e][mask[s:e]])
                 for s, e in zip(field.starts, field.ends)]
@@ -370,7 +370,7 @@ class TestSegmentSums:
                             episode_rng(4, 0))
         assert np.all(field.sizes > 0)
         far = np.full(30, 1e4)
-        rows, sizes, los, gains, serving = field.serve(far, far, np.full(30, 120.0),
+        rows, sizes, los, gains, _, serving = field.serve(far, far, np.full(30, 120.0),
                                                        params)
         assert len(rows) == len(los) == len(gains) == 0
         assert sizes.tolist() == [0] * 30 and serving.tolist() == [-1] * 30
@@ -539,10 +539,12 @@ class TestSummaryEstimates:
         assert len(outcomes) == n
         _assert_summary(summary, _summary_counts(outcomes), n, seed)
 
-    def test_field_size_sufficiency(self, params):
+    def test_field_size_sufficiency(self, params, monkeypatch):
         base = summary_estimates(params, 20_000, 17)
-        doubled = summary_estimates(params, 20_000, 17,
-                                    r_field=2.0 * field_radius(params))
+        # a field of twice the radius
+        monkeypatch.setattr(montecarlo, "FIELD_MARGIN",
+                            montecarlo.FIELD_MARGIN + field_radius(params))
+        doubled = summary_estimates(params, 20_000, 17)
         for key in ("coverage", "handover"):
             assert (abs(base[key].mean - doubled[key].mean)
                     < base[key].half_width)
@@ -630,7 +632,6 @@ class TestNearField:
             r = np.hypot(*xy[len(old[b]):].T)
             assert np.all((r > 100.0) & (r <= 200.0))
             assert (len(r) > 0) == (b in (1, 4))
-        assert np.allclose(field.r2, field.x ** 2 + field.y ** 2)
         field.grow(np.array([4]), 250.0, episode_rng(5, 2))
         assert field.radius[4] == 250.0
 
@@ -642,7 +643,7 @@ class TestNearField:
         mean = 1e-4 * np.pi * 200.0 ** 2
         assert abs(field.sizes.mean() - mean) < 4.0 * math.sqrt(mean / 4000)
         assert abs(field.sizes.var() / mean - 1.0) < 0.1
-        r = np.sqrt(field.r2) / 200.0
+        r = np.sqrt(field.x ** 2 + field.y ** 2) / 200.0
         assert stats.kstest(r * r, "uniform").pvalue > 1e-3
 
     @pytest.mark.parametrize("policy", list(AssociationPolicy),
@@ -656,21 +657,21 @@ class TestNearField:
             def __init__(self, whole, radius):
                 self.lambda_b, self.whole = whole.lambda_b, whole
                 self.radius = np.full(len(whole.sizes), radius)
-                rows = np.flatnonzero(whole.r2 <= radius * radius)
-                self.x, self.y, self.r2, self.latent = (
-                    whole.x[rows], whole.y[rows], whole.r2[rows],
-                    whole.latent[rows])
+                rows = np.flatnonzero(whole.x ** 2 + whole.y ** 2 <= radius * radius)
+                self.x, self.y, self.latent = (
+                    whole.x[rows], whole.y[rows], whole.latent[rows])
                 self._index(np.diff(np.searchsorted(rows, whole.ends), prepend=0))
 
             def annulus(self, todo, outer, rng):
                 w = self.whole
                 grown = np.zeros(len(w.sizes))
                 grown[todo] = outer
+                r2 = w.x ** 2 + w.y ** 2
                 new = np.flatnonzero(
-                    (w.r2 > np.repeat(self.radius, w.sizes) ** 2)
-                    & (w.r2 <= np.repeat(grown, w.sizes) ** 2))
+                    (r2 > np.repeat(self.radius, w.sizes) ** 2)
+                    & (r2 <= np.repeat(grown, w.sizes) ** 2))
                 episode = np.repeat(np.arange(len(w.sizes)), w.sizes)
-                return episode[new], w.x[new], w.y[new], w.r2[new], w.latent[new]
+                return episode[new], w.x[new], w.y[new], w.latent[new]
 
         p = params.with_(lambda_b=1e-5, antenna=OmniAntenna(), policy=policy,
                          v=60.0)
@@ -685,7 +686,7 @@ class TestNearField:
         grew = 0
         for x, y, z, reach in ((np.zeros(episodes), np.zeros(episodes), z_pre,
                                 np.zeros(episodes)), (wx, wy, z_post, v_h)):
-            rows, _, _, _, want = whole.serve(x, y, z, p)
+            rows, _, _, _, _, want = whole.serve(x, y, z, p)
             (near_rows, *_, got), _ = near.settle(x, y, z, reach, r_field, p,
                                                   None, np.empty(0, dtype=np.intp))
             assert np.array_equal(got >= 0, want >= 0)
@@ -763,10 +764,6 @@ class TestNearField:
             coverage.append(sum(analytic._coverage_series(*analytic._exponent_terms(
                 s, dict.fromkeys(LinkType, nodes), z, p, p.channel.m_l - 1))))
         assert np.max(np.abs(coverage[1] - coverage[0])) <= 1e-7
-
-    def test_rejects_a_field_short_of_the_movement(self, params):
-        with pytest.raises(ParameterError, match="r_field"):
-            summary_estimates(params, 100, 1, r_field=0.5 * field_radius(params))
 
 
 class TestStaticAssociation:
