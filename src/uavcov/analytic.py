@@ -254,9 +254,12 @@ def _exponent_terms(s: np.ndarray, panels: dict, z, params: SystemParams,
     s = s[:, None]
     g0 = np.zeros(s.shape[0])
     t = [np.zeros(s.shape[0]) for _ in range(order)]
+    los_of = {}                 # one evaluation per distinct node array
     for xi, (xs, ws) in panels.items():
         m = ch.m(xi)
-        p_los = los_probability(xs, z, params.env, params.h_b)
+        if id(xs) not in los_of:
+            los_of[id(xs)] = los_probability(xs, z, params.env, params.h_b)
+        p_los = los_of[id(xs)]
         base = ws * xs * (p_los if xi is LinkType.LOS else 1.0 - p_los)
         u = s * path_loss(xi, xs, z, ch, params.h_b) / m
         log1p_u = np.log1p(u)

@@ -225,6 +225,10 @@ class FigureVariant:
 
 def _apply_axis(params: SystemParams, axis: str, value) -> SystemParams:
     if axis == "lambda_b":
+        if float(value) == params.lambda_b * 1e6:
+            # params' own point (_point_spec): value * 1e-6 would move a
+            # quarter of the integer densities per km^2 by one ulp
+            return params
         return params.with_(lambda_b=float(value) * 1e-6)
     if axis == "beamwidth_deg":
         if isinstance(params.antenna, DirectionalAntenna):

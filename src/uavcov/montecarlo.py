@@ -12,15 +12,16 @@ sqrt(dx*dx + dy*dy) and every squared height gap a product.
 `summary_estimates` runs blocks of a fixed number of episodes, chosen
 from the inputs so that a block holds about BLOCK_STATIONS stations (a
 first disc holds at most ORIGIN_CANDIDATES on average, so a block holds
-at least 63 episodes). Block k draws from one PCG64DXSM stream seeded by
-SeedSequence([seed, k]), each quantity in one vector call, and workers
-get whole blocks, so estimates are bit-identical regardless of execution
-order or worker count. A block's stations sit in one array (episode b
-owns the rows starts[b] : ends[b]). One path picks the serving stations:
-`_FieldBlock.serve` runs link types, gains and the serving argmax on the
-stations in range only, compacted in row order, and returns each pick's
-metric; `_FieldBlock.settle` calls it, and tests each pick's metric
-against the stations outside the disc, until every pick stands.
+at least 504 episodes, 1297 at the baseline). Block k draws from one
+PCG64DXSM stream seeded by SeedSequence([seed, k]), each quantity in one
+vector call, and workers get whole blocks, so estimates are bit-identical
+regardless of execution order or worker count. A block's stations sit in
+one array (episode b owns the rows starts[b] : ends[b]). One path picks
+the serving stations: `_FieldBlock.serve` runs link types, gains and the
+serving argmax on the stations in range only, compacted in row order, and
+returns each pick's metric; `_FieldBlock.settle` calls it, and tests each
+pick's metric against the stations outside the disc, until every pick
+stands.
 
 The engine simulates the near field only. A block draws, in
 order: altitudes, rho and theta; a first disc of radius
@@ -103,9 +104,12 @@ FIELD_MARGIN = 50.0
 MAX_MEAN_STATIONS = 1e6
 # stations per block, counting one for each episode's own draws, by the
 # mean count of the first disc an episode draws; a larger disc is a block of
-# its own. At the baseline 4096 ran as fast as 8192 with 0.8 MB less peak
-# memory, and 2048 ran slower
-BLOCK_STATIONS = 4096
+# its own. On a 2-core Xeon a block costs some 0.2 ms plus about 70 ns per
+# baseline station, so at 32768 (1297 baseline episodes, 2.3 ms) the fixed
+# cost is a tenth of a block, against 40 % at 4096 (162). The baseline sweep
+# ran 42 % faster than at 4096 for 2 MB more peak memory, 16384 35 % faster
+# for 1 MB
+BLOCK_STATIONS = 1 << 15
 # mean stations in the first disc an episode draws
 ORIGIN_CANDIDATES = 64
 # relative margin by which a candidate winner must beat any station outside

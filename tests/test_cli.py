@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 from dataclasses import replace
 
 import pytest
@@ -65,6 +66,50 @@ class TestLoadConfig:
     def test_omni_selection(self, tmp_path):
         p = load_config(write_config(tmp_path, "antenna = omni\nr_max = 2000\n"))
         assert p.antenna.r_max == 2000.0
+
+
+class TestPointDensity:
+    """analytic, simulate and validate evaluate the configured density."""
+
+    def test_point_spec_keeps_every_integer_density(self):
+        # _point_spec writes lambda_b * 1e6; applied back as value * 1e-6,
+        # as a sweep value is, that moves 25 485 of these by one ulp
+        base = load_config(None)
+        moved = 0
+        for per_km2 in range(1, 100_001):
+            configured = float(per_km2) * 1e-6     # as params_from_boundary
+            p = base.with_(lambda_b=configured)
+            value, = cli._point_spec(p, engine="analytic", seed=1).values
+            assert cli._apply_axis(p, "lambda_b", value).lambda_b == configured
+            moved += value * 1e-6 != configured
+            # a sweep value on a configured base maps through value * 1e-6
+            assert (cli._apply_axis(base, "lambda_b", float(per_km2)).lambda_b
+                    == configured)
+        assert moved == 25_485
+
+    @pytest.mark.parametrize("per_km2", ["30", "100"])
+    def test_commands_evaluate_the_configured_density(self, tmp_path,
+                                                      monkeypatch, per_km2):
+        seen = []
+
+        def analytic_metrics(p):
+            seen.append(p.lambda_b)
+            return dict.fromkeys(cli.montecarlo._SUMMARY_KEYS, 0.5)
+
+        def summary_estimates(p, n, seed, workers=1):
+            seen.append(p.lambda_b)
+            est = cli.montecarlo.McEstimate(0.5, 0.49, 0.51, n, seed)
+            return dict.fromkeys(cli.montecarlo._SUMMARY_KEYS, est)
+
+        monkeypatch.setattr(cli, "_analytic_metrics", analytic_metrics)
+        monkeypatch.setattr(cli.montecarlo, "summary_estimates", summary_estimates)
+        cfg = write_config(tmp_path, f"lambda_b = {per_km2}\n")
+        out = str(tmp_path / "out")
+        for argv in (["analytic"], ["simulate", "--trials", "100"],
+                     ["validate", "--trials", "10000"]):
+            assert main([*argv, "--config", cfg, "--output", out]) == 0
+        # analytic, simulate, then validate's two policies on both engines
+        assert seen == [float(per_km2) * 1e-6] * 6
 
 
 class TestRunSweep:
@@ -340,16 +385,26 @@ class TestWorkerPools:
         assert rows == run_sweep(spec, params, threads=1)
 
     def test_episode_pool_holds_at_most_one_worker_per_job(self, params, sizes):
-        # 1000 baseline episodes are 7 blocks of 162, so 7 jobs
-        got = cli.montecarlo.summary_estimates(params, 1000, 3, workers=5000)
-        assert sizes == [7]
-        assert got == cli.montecarlo.summary_estimates(params, 1000, 3)
+        # with a worker for every job, each job is one block
+        blocks = _block_count(params, 4000)
+        assert blocks > 1
+        got = cli.montecarlo.summary_estimates(params, 4000, 3, workers=5000)
+        assert sizes == [blocks]
+        assert got == cli.montecarlo.summary_estimates(params, 4000, 3)
 
     def test_simulate_threads_are_capped(self, tmp_path, sizes):
         out = tmp_path / "rows.csv"
-        assert main(["simulate", "--trials", "1000", "--seed", "3",
+        assert main(["simulate", "--trials", "4000", "--seed", "3",
                      "--threads", "5000", "--output", str(out)]) == 0
-        assert sizes == [7]
+        assert sizes == [_block_count(load_config(None), 4000)]
+
+
+def _block_count(params, n):
+    """The number of blocks summary_estimates runs n episodes in."""
+    mc = cli.montecarlo
+    near = mc._near_radius(params.lambda_b, mc.field_radius(params))
+    size = mc._block_episodes(params.lambda_b * math.pi * near * near)
+    return -(-n // size)
 
 
 class TestUsageErrors:

@@ -51,9 +51,10 @@ NEAREST = AssociationPolicy.NEAREST
 
 # (overrides, episodes): the policy x antenna grid at the baseline density,
 # an empty network (every block all-void), a dense field of about 29,600
-# stations, above montecarlo.BLOCK_STATIONS, so each block is one episode,
-# and a 30-degree beam at 1000/km^2: about 33 stations per field, of which
-# 1-3 are in range, so most of each block is compacted away
+# stations, above half of montecarlo.BLOCK_STATIONS, so each full-field
+# block is one episode, and a 30-degree beam at 1000/km^2: about 33
+# stations per field, of which 1-3 are in range, so most of each block is
+# compacted away
 ENGINE_CASES = [
     pytest.param({}, 2000, id="strongest_rss-directional"),
     pytest.param({"policy": NEAREST}, 2000, id="nearest-directional"),
@@ -65,7 +66,8 @@ ENGINE_CASES = [
     pytest.param({"lambda_b": 1e-3, "antenna": DirectionalAntenna(30.0)}, 2000,
                  id="narrow-beam"),
 ]
-# and a sparse omni field of about 290 stations, 13 episodes per block
+# and a sparse omni field of about 296 stations, 110 episodes per full-field
+# block
 REPLAY_CASES = ENGINE_CASES + [
     pytest.param({"lambda_b": 1e-5, "antenna": OmniAntenna()}, 500,
                  id="sparse-omni"),
@@ -292,6 +294,27 @@ class TestEstimate:
         assert 0.0 <= lo <= 0.7 <= hi <= 1.0
 
 
+class TestBlockEpisodes:
+    def test_blocks_fill_the_station_budget(self):
+        # a block of several episodes holds at most BLOCK_STATIONS stations,
+        # counting one for each episode's own draws, and is as large as the
+        # budget allows up to rounding; a denser field is a block of its own
+        budget = montecarlo.BLOCK_STATIONS
+        means = np.concatenate([
+            [0.0, MAX_MEAN_STATIONS],
+            np.geomspace(1e-9, MAX_MEAN_STATIONS, 20_001),
+            np.arange(4 * budget, dtype=float),
+            budget / np.arange(1, 4 * budget) - 1.0,  # exact quotients
+        ])
+        means = means[(means >= 0.0) & (means <= MAX_MEAN_STATIONS)]
+        for mean in means:
+            size = montecarlo._block_episodes(float(mean))
+            assert size >= 1
+            if size > 1:
+                assert size * (mean + 1.0) <= budget
+            assert (size + 1) * (mean + 1.0) > budget * (1.0 - 1e-12)
+
+
 class TestSegmentArgmax:
     def test_matches_argmax_per_segment(self):
         # small integers make exact ties common; empty segments anywhere
@@ -511,7 +534,7 @@ class TestSummaryEstimates:
     @pytest.mark.parametrize("overrides, n", REPLAY_CASES)
     def test_blocks_replay_into_simulate_episode(self, params, overrides, n,
                                                  monkeypatch):
-        # blocks of many episodes (one for omni at the baseline density and
+        # blocks of many episodes (11 for omni at the baseline density, one
         # in the dense case); n is no multiple of a block's episode count.
         # Each episode's share of its block's draws, replayed into
         # simulate_episode, gives the same counts
