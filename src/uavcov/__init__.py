@@ -25,7 +25,6 @@ from .model import (
     horizontal_speed,
     linear_from_db,
     los_probability,
-    mobility_pdfs,
     path_loss,
     sample_fading,
     uav_mainlobe_gain,

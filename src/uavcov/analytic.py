@@ -68,7 +68,6 @@ from .model import (
     SystemParams,
     horizontal_speed_nodes,
     los_probability,
-    mobility_pdfs,
     path_loss,
 )
 from .quadrature import gauss_nodes
@@ -142,11 +141,11 @@ def _cond_handover_grid(serving: LinkType, targets: tuple, r0, z_t: float,
         return out
     ctx = height_context(params, z_t)
     ch = params.channel
-    _, _, f_theta = mobility_pdfs(params)
 
+    # uniform direction on [0, pi]
     theta, w_th = gauss_nodes(0.0, np.pi, n_theta)
     v_h, w_v = horizontal_speed_nodes(z_t, params, n_v)
-    w = (w_th * f_theta(theta))[:, None] * w_v
+    w = (w_th * (1.0 / np.pi))[:, None] * w_v
     theta = theta[:, None]
     for i, target in enumerate(targets):
         x_a = equal_power_radius(serving, target, r0, ctx.h_bar, ch)
@@ -369,9 +368,9 @@ def _nearest_nodes(ctx, params: SystemParams, n_r0: int):
 
 @lru_cache(maxsize=64)
 def _policy_metrics(params: SystemParams, n_z: int, n_r0: int) -> _PolicyMetrics:
-    _, f_z, _ = mobility_pdfs(params)
+    # uniform altitude on [h_lb, h_ub]
     z_nodes, w_z = gauss_nodes(params.h_lb, params.h_ub, n_z)
-    w_z = w_z * f_z(z_nodes)
+    w_z = w_z * (1.0 / (params.h_ub - params.h_lb))
     nodes = (_nearest_nodes if params.policy is AssociationPolicy.NEAREST
              else _strongest_nodes)
 

@@ -18,7 +18,8 @@ parameter names. Boundary units (converted on load, SI/linear inside):
 Sweep results are emitted as UTF-8 CSV with the fixed header
 axis,value,metric,policy,antenna,analytic,mc_mean,mc_ci_low,mc_ci_high,n,seed,error
 and 9-significant-digit floats, byte-deterministic for a given
-(config, spec, seed) regardless of worker count.
+(config, spec, seed) regardless of worker count. The mc_* columns, n and
+seed are empty on a row without a Monte Carlo estimate.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ from . import analytic, montecarlo
 from .errors import ParameterError
 from .model import (
     AssociationPolicy,
+    ChannelParams,
     DirectionalAntenna,
+    EnvironmentParams,
     OmniAntenna,
     SystemParams,
     linear_from_db,
@@ -52,7 +55,6 @@ __all__ = [
     "params_from_boundary",
     "run_sweep",
     "figure_preset",
-    "run_figure",
     "validate",
     "rows_to_csv",
     "main",
@@ -86,9 +88,6 @@ BOUNDARY_DEFAULTS = {
     "policy": "strongest_rss",
 }
 
-_STRING_KEYS = {"antenna", "policy"}
-_INT_KEYS = {"m_l", "m_n"}
-
 SWEEP_AXES = ("lambda_b", "beamwidth_deg", "v", "kappa", "height_band", "t_thresh")
 METRICS = ("coverage", "handover", "association", "void")
 POLICIES = tuple(p.value for p in AssociationPolicy)
@@ -99,8 +98,6 @@ BEAMWIDTH_GRID = (20.0, 50.0, 80.0, 110.0, 140.0, 170.0)
 
 def params_from_boundary(values: dict) -> SystemParams:
     """Build SystemParams from a complete boundary-unit value dict."""
-    from .model import ChannelParams, EnvironmentParams
-
     antenna_name = values["antenna"].strip().lower()
     if antenna_name == "directional":
         antenna = DirectionalAntenna(float(values["beamwidth_deg"]))
@@ -141,7 +138,8 @@ def load_config(path: str | None) -> SystemParams:
 
 
 def _config_values(path: str | None) -> dict:
-    """Boundary-unit values of a config file on top of the built-in defaults."""
+    """Boundary-unit values of a config file on top of the built-in defaults,
+    each of its default's type."""
     values = dict(BOUNDARY_DEFAULTS)
     if path is not None:
         with open(path, encoding="utf-8") as fh:
@@ -156,11 +154,8 @@ def _config_values(path: str | None) -> dict:
                 key, val = key.strip(), val.strip()
                 if key not in BOUNDARY_DEFAULTS:
                     raise ParameterError(f"{path}:{lineno}: unknown config key '{key}'")
-                if key in _STRING_KEYS:
-                    values[key] = val
-                    continue
                 try:
-                    values[key] = int(val) if key in _INT_KEYS else float(val)
+                    values[key] = type(BOUNDARY_DEFAULTS[key])(val)
                 except ValueError:
                     raise ParameterError(f"{path}:{lineno}: bad value {val!r} "
                                          f"for '{key}'") from None
@@ -304,7 +299,7 @@ def _evaluate_group(args, workers: int = 1) -> list:
                 mc_ci_low=est.ci_low if est else None,
                 mc_ci_high=est.ci_high if est else None,
                 n=spec.trials if est else None,
-                seed=spec.seed,
+                seed=spec.seed if est else None,
                 error=error,
             ))
     return rows
@@ -359,30 +354,6 @@ def figure_preset(preset_id: str) -> list:
     spec, variants = FIGURE_PRESETS[preset_id]
     return [FigureVariant(label, spec, overrides)
             for label, overrides in variants.items()]
-
-
-def run_figure(preset_id: str, base, trials: int, seed: int, threads: int = 1,
-               config: str | None = None):
-    """Run every variant of a figure preset, one CSV per variant.
-
-    Each variant's overrides apply on top of the config file's values (the
-    built-in defaults without one). Variant `label` is written next to
-    `base` as `<stem>_<label><suffix>`, the suffix defaulting to `.csv`.
-    Yields (path, rows) as each file is written.
-    """
-    values = _config_values(config)
-    base = pathlib.Path(base)
-    base.parent.mkdir(parents=True, exist_ok=True)
-    suffix = base.suffix or ".csv"
-    for variant in figure_preset(preset_id):
-        # figure overrides are boundary-unit values
-        params = params_from_boundary({**values, **variant.overrides})
-        spec = replace(variant.spec, trials=trials, seed=seed)
-        rows = run_sweep(spec, params, threads=threads)
-        path = base.with_name(f"{base.stem}_{variant.label}{suffix}")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            rows_to_csv(rows, fh)
-        yield path, rows
 
 
 def _format(x) -> str:
@@ -487,8 +458,8 @@ def _add_common(parser, episodes: bool):
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--output", default=None,
                         help="output path (default stdout)")
-    parser.add_argument("--seed", type=int, default=1)
     if episodes:
+        parser.add_argument("--seed", type=int, default=1)
         parser.add_argument("--trials", type=int, default=20_000)
         parser.add_argument("--threads", type=int, default=1)
 
@@ -551,11 +522,12 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     """Runs the parsed command; its exit code."""
-    params = load_config(args.config)
+    values = _config_values(args.config)
+    params = params_from_boundary(values)
 
     if args.command in ("analytic", "simulate", "sweep"):
         if args.command == "analytic":
-            spec = _point_spec(params, engine="analytic", seed=args.seed)
+            spec = _point_spec(params, engine="analytic")
         elif args.command == "simulate":
             spec = _point_spec(params, engine="mc", trials=args.trials,
                                seed=args.seed)
@@ -582,9 +554,17 @@ def _run(args) -> int:
         return 0
 
     if args.command == "figure":
-        base = args.output or f"{args.preset}.csv"
-        for path, _ in run_figure(args.preset, base, args.trials, args.seed,
-                                  threads=args.threads, config=args.config):
+        # variant <label> goes next to the output as <stem>_<label><suffix>
+        base = pathlib.Path(args.output or f"{args.preset}.csv")
+        base.parent.mkdir(parents=True, exist_ok=True)
+        for variant in figure_preset(args.preset):
+            # figure overrides are boundary-unit values
+            spec = replace(variant.spec, trials=args.trials, seed=args.seed)
+            rows = run_sweep(spec, params_from_boundary({**values, **variant.overrides}),
+                             threads=args.threads)
+            path = base.with_name(f"{base.stem}_{variant.label}{base.suffix or '.csv'}")
+            with _open_output(path) as fh:
+                rows_to_csv(rows, fh)
             print(f"wrote {path}", file=sys.stderr)
         return 0
 

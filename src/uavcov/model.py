@@ -36,8 +36,6 @@ __all__ = [
     "uav_mainlobe_gain",
     "sample_fading",
     "horizontal_speed",
-    "mobility_pdfs",
-    "horizontal_speed_cdf",
     "horizontal_speed_nodes",
 ]
 
@@ -314,63 +312,21 @@ def horizontal_speed(v: float, rho_t, dz):
     return float(out) if out.ndim == 0 else out
 
 
-def mobility_pdfs(params: SystemParams):
-    """Densities of the movement triple: transition length, height, direction.
-
-    Returns:
-        (f_rho, f_z, f_theta): transition-length density on [0, inf),
-        altitude density on [h_lb, h_ub], direction density on [0, pi].
-    """
-    mu = params.mu
-    band = params.h_ub - params.h_lb
-
-    def f_rho(x):
-        x = np.asarray(x, dtype=float)
-        out = 2.0 * np.pi * mu * x * np.exp(-np.pi * mu * x * x)
-        return np.where(x >= 0.0, out, 0.0)
-
-    def f_z(z):
-        z = np.asarray(z, dtype=float)
-        inside = (z >= params.h_lb) & (z <= params.h_ub)
-        return np.where(inside, 1.0 / band, 0.0)
-
-    def f_theta(theta):
-        theta = np.asarray(theta, dtype=float)
-        inside = (theta >= 0.0) & (theta <= np.pi)
-        return np.where(inside, 1.0 / np.pi, 0.0)
-
-    return f_rho, f_z, f_theta
-
-
 _erf = np.frompyfunc(math.erf, 1, 1)
 
 
 def _speed_ratio_cdf(t, z_t: float, mu: float, h_lb: float, h_ub: float):
-    """P(v_h <= t V | z_t) for t in (0, 1]: the Rayleigh transition length
-    gives P(v_h <= s | dz) = 1 - exp(-a^2 dz^2), a^2 = pi mu s^2/(V^2 - s^2),
-    and the uniform pre-move altitude averages exp(-a^2 dz^2) in erf form."""
+    """P(v_h <= t V | z_t) for t in (0, 1], the CDF of the horizontal speed
+    given the post-move altitude: the Rayleigh transition length gives
+    P(v_h <= s | dz) = 1 - exp(-a^2 dz^2), a^2 = pi mu s^2/(V^2 - s^2), and
+    the uniform pre-move altitude averages exp(-a^2 dz^2) in erf form:
+
+    F(s) = 1 - (1/band) (sqrt(pi)/(2a)) [erf(a (z_t - h_lb)) + erf(a (h_ub - z_t))]."""
     with np.errstate(divide="ignore"):  # t = 1: a = inf, erf = 1, F = 1
         a = np.sqrt(np.pi * mu * t * t / ((1.0 - t) * (1.0 + t)))
     spread = np.asarray(_erf(a * (z_t - h_lb)) + _erf(a * (h_ub - z_t)),
                         dtype=float)
     return 1.0 - 0.5 * math.sqrt(math.pi) * spread / (a * (h_ub - h_lb))
-
-
-def horizontal_speed_cdf(s, z_t: float, params: SystemParams):
-    """CDF of the horizontal speed v_h given the post-move altitude z_t:
-
-    F(s) = 1 - (1/band) (sqrt(pi)/(2a)) [erf(a (z_t - h_lb)) + erf(a (h_ub - z_t))],
-    a = sqrt(pi mu s^2 / (V^2 - s^2)), for the Rayleigh transition length
-    and the uniform pre-move altitude of ``mobility_pdfs``; 0 below s = 0
-    and 1 from s = V on.
-    """
-    s = np.asarray(s, dtype=float)
-    t = s / params.v if params.v > 0.0 else np.where(s >= 0.0, 1.0, 0.0)
-    inside = (t > 0.0) & (t < 1.0)
-    cdf = _speed_ratio_cdf(np.where(inside, t, 0.5), z_t, params.mu,
-                           params.h_lb, params.h_ub)
-    out = np.where(inside, cdf, np.where(t >= 1.0, 1.0, 0.0))
-    return float(out) if out.ndim == 0 else out
 
 
 @lru_cache(maxsize=256)

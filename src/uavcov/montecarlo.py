@@ -437,11 +437,11 @@ class _FieldBlock:
         self._seg = np.repeat(np.arange(len(sizes)), sizes)
 
     def grow(self, todo: np.ndarray, r_field: float,
-             rng: np.random.Generator) -> np.ndarray:
+             rng: np.random.Generator) -> None:
         """Adds to each episode in todo the stations of the annulus from its
         disc out to twice its radius, at most r_field (annulus). Each
-        episode's new rows follow its old ones; returns the new row of each
-        old row."""
+        episode's new rows follow its old ones, so a station keeps its
+        offset within its episode's rows."""
         outer = np.minimum(2.0 * self.radius[todo], r_field)
         episode, x, y, latent = self.annulus(todo, outer, rng)
         episode = np.concatenate([self._seg, episode])
@@ -451,9 +451,6 @@ class _FieldBlock:
         self.latent = np.concatenate([self.latent, latent]).take(order)
         self._index(np.bincount(episode, minlength=len(self.sizes)))
         self.radius[todo] = outer
-        where = np.empty_like(order)
-        where[order] = np.arange(len(order))
-        return where[:len(order) - len(x)]
 
     def annulus(self, todo: np.ndarray, outer: np.ndarray,
                 rng: np.random.Generator):
@@ -508,19 +505,18 @@ class _FieldBlock:
 
     def settle(self, wx: np.ndarray, wy: np.ndarray, z: np.ndarray,
                reach: np.ndarray, r_field: float, params: SystemParams,
-               rng: np.random.Generator, track: np.ndarray):
+               rng: np.random.Generator):
         """serve's result with each episode's UAV at (wx, wy, z)[b], reach[b]
         from the origin, once every pick stands: the episodes whose disc is
         not the field and whose pick could still lose to a station outside
         it, at least radius - reach from the UAV (_stands), grow their discs
-        (grow) and go round again. Also the rows track (-1 for none)
-        renumbered through the growth."""
+        (grow) and go round again."""
         r_m = None
         while True:
             served = self.serve(wx, wy, z, params)
             open_ = np.flatnonzero(self.radius < r_field)
             if not len(open_):
-                return served, track
+                return served
             if r_m is None:
                 r_m = receiving_radius(z, params.h_b, params.antenna)
                 dz2 = (z - params.h_b) ** 2
@@ -532,11 +528,8 @@ class _FieldBlock:
             todo = open_[~_stands(best, np.maximum(self.radius[open_] - reach[open_], 0.0),
                                   r_m[open_], dz2[open_], params)]
             if not len(todo):
-                return served, track
-            where = self.grow(todo, r_field, rng)
-            track = track.copy()
-            kept = track >= 0
-            track[kept] = where[track[kept]]
+                return served
+            self.grow(todo, r_field, rng)
 
 
 _SUMMARY_KEYS = ("coverage", "handover", "association_los", "association_nlos",
@@ -635,21 +628,23 @@ def _tally_block(params: SystemParams, episodes: int, r_field: float,
                         _near_radius(params.lambda_b, r_field), rng)
 
     origin = np.zeros(episodes)
-    (rows, _, los, _, _, pick), _ = field.settle(
-        origin, origin, z_pre, origin, r_field, params, rng,
-        np.empty(0, dtype=np.intp))
+    rows, _, los, _, _, pick = field.settle(origin, origin, z_pre, origin,
+                                            r_field, params, rng)
     has_pre = pick >= 0
-    pre = np.full(episodes, -1, dtype=np.intp)
-    pre[has_pre] = rows[pick[has_pre]]
+    pre = rows[pick[has_pre]]
     association = _association_counts(los, pick)
 
     bearing = np.zeros(episodes)
-    bearing[has_pre] = np.arctan2(field.y[pre[has_pre]], field.x[pre[has_pre]])
+    bearing[has_pre] = np.arctan2(field.y[pre], field.x[pre])
     heading = bearing + theta
     v_h = horizontal_speed(params.v, rho, z_post - z_pre)
-    (rows, sizes, los, gains, _, post), pre = field.settle(
+    # the pre-move pick by its offset in its episode's rows, which growing
+    # the disc leaves as it is
+    offset = np.full(episodes, -1, dtype=np.intp)
+    offset[has_pre] = pre - field.starts[has_pre]
+    rows, sizes, los, gains, _, post = field.settle(
         v_h * np.cos(heading), v_h * np.sin(heading), z_post, v_h, r_field,
-        params, rng, pre)
+        params, rng)
     powers = _station_fading(los, params, rng)
     powers *= gains
 
@@ -657,7 +652,7 @@ def _tally_block(params: SystemParams, episodes: int, r_field: float,
     serving = post[served]
     powers[serving] = 0.0
     interference = _segment_sums(powers, sizes)[served]
-    handover = has_pre[served] & (pre[served] != rows[serving])
+    handover = has_pre[served] & (offset[served] != rows[serving] - field.starts[served])
     covered = _near_coverage(params, los[serving], gains[serving], interference,
                              field.radius[served], v_h[served], z_post[served],
                              r_field)

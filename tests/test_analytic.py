@@ -32,9 +32,9 @@ from uavcov.model import (
     OmniAntenna,
     horizontal_speed_nodes,
     los_probability,
-    mobility_pdfs,
     path_loss,
 )
+from uavcov.montecarlo import summary_estimates
 from uavcov.quadrature import gauss_nodes
 
 from oracles import conditioned_oracles, laplace_estimate
@@ -184,6 +184,21 @@ class TestHandoverProbability:
         vals = [coverage_probability(params.with_(v=v)).handover_prob
                 for v in (0.0, 10.0, 20.0, 40.0)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    def test_hover_handover_is_a_model_boundary(self, params):
+        """At v = 0 the UAV still changes altitude, and the simulator's
+        serving station can change with it (MC 0.0090 [0.0086, 0.0094] at
+        200 000 episodes, seed 7), while the closed form evaluates the
+        pre-move disc at z_t and reads exactly 0; in a 2 um altitude band
+        both engines read 0, so the whole gap is the altitude change.
+        ROADMAP item 3 (z_pre in the stay kernel) owns this boundary: when
+        it lands the analytic value leaves 0 and this test flips."""
+        hover = params.with_(v=0.0)
+        assert coverage_probability(hover).handover_prob == 0.0
+        assert summary_estimates(hover, 20_000, 7)["handover"].ci_low > 0.005
+        thin = hover.with_(h_lb=120.0 - 1e-6, h_ub=120.0 + 1e-6)
+        assert coverage_probability(thin).handover_prob == 0.0
+        assert summary_estimates(thin, 20_000, 7)["handover"].mean == 0.0
 
     def test_policy_dispatch(self, params):
         strongest = coverage_probability(params)
@@ -477,10 +492,9 @@ def general_lens_handover_grid(serving, targets, r0, z_t, params):
     r0 = np.atleast_1d(np.asarray(r0, dtype=float))
     ctx = height_context(params, z_t)
     ch = params.channel
-    _, _, f_theta = mobility_pdfs(params)
     theta, w_th = gauss_nodes(0.0, np.pi, analytic.N_THETA)
     v_h, w_v = horizontal_speed_nodes(z_t, params, analytic.N_V)
-    w = (w_th * f_theta(theta))[:, None] * w_v
+    w = (w_th * (1.0 / np.pi))[:, None] * w_v
     r_after = displaced_distance(r0[:, None, None], v_h, theta[:, None])
     rows, areas = [], []
     for target in targets:

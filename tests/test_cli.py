@@ -122,7 +122,15 @@ class TestRunSweep:
         row = rows[0]
         assert row.analytic is not None and row.mc_mean is not None
         assert row.mc_ci_low <= row.mc_mean <= row.mc_ci_high
+        assert (row.n, row.seed) == (500, 3)
         assert row.error == ""
+
+    def test_seed_only_on_monte_carlo_rows(self, params):
+        spec = SweepSpec(axis="lambda_b", values=(100.0,), engine="analytic",
+                         seed=3)
+        [row] = run_sweep(spec, params)
+        assert row.analytic is not None
+        assert (row.mc_mean, row.n, row.seed) == (None, None, None)
 
     def test_cardinality(self, params):
         spec = SweepSpec(axis="lambda_b", values=(10.0, 100.0),
@@ -324,6 +332,21 @@ class TestMainEntry:
         assert all(a != b for a, b in zip(default, slow))
         assert csv_bytes("banded", "v = 5\nh_ub = 200\n") == slow
 
+    def test_figure_command_reads_config_once(self, tmp_path, monkeypatch):
+        # every variant's overrides apply to the values the command read
+        config = write_config(tmp_path, "v = 5\n")
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        monkeypatch.setattr(cli, "run_sweep", lambda spec, params, threads=1: [])
+        assert main(["figure", "fig2b", "--trials", "100", "--config", config,
+                     "--output", str(tmp_path / "fig")]) == 0
+        assert opened.count(config) == 1
+
     def test_simulate_threads_reach_the_episodes(self, tmp_path, monkeypatch):
         seen = []
         estimates = cli.montecarlo.summary_estimates
@@ -424,13 +447,14 @@ class TestUsageErrors:
         (None, ["simulate", "--threads", "0"]),
         (None, ["validate", "--threads", "-2"]),
         (None, ["analytic", "--trials", "10"]),
+        (None, ["analytic", "--seed", "1"]),
         # paths that cannot be opened, relative to tmp_path
         (None, ["analytic", "--config", "missing.cfg"]),
         (None, ["analytic", "--output", "missing-dir/x.csv"]),
         ("v = 10\n", ["figure", "fig2b", "--output", "scenario.cfg/fig"]),
     ], ids=["config-key", "config-range", "config-value", "metric",
             "validate-trials", "height-band-value", "lambda-value",
-            "threads-zero", "threads-negative", "analytic-trials",
+            "threads-zero", "threads-negative", "analytic-trials", "analytic-seed",
             "config-missing", "output-dir-missing", "figure-dir-is-a-file"])
     def test_reported_as_usage_error(self, tmp_path, monkeypatch, capsys, config,
                                      argv):

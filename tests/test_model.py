@@ -12,23 +12,18 @@ from uavcov.model import (
     LinkType,
     OmniAntenna,
     SystemParams,
+    _speed_ratio_cdf,
     default_params,
     horizontal_speed,
-    horizontal_speed_cdf,
     horizontal_speed_nodes,
     linear_from_db,
     los_probability,
     los_probability_slope,
-    mobility_pdfs,
     path_loss,
     sample_fading,
     uav_mainlobe_gain,
     watts_from_dbm,
 )
-
-from quadpack import QuadratureSpec, integrate
-
-TIGHT = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-12, max_depth=14)
 
 
 class TestUnitConversions:
@@ -176,40 +171,19 @@ class TestHorizontalSpeed:
         assert 0.0 <= horizontal_speed(v, rho, dz) <= v + 1e-9
 
 
-class TestMobilityPdfs:
-    def test_transition_length_normalizes(self, params):
-        f_rho, _, _ = mobility_pdfs(params)
-        assert integrate(lambda x: float(f_rho(x)), 0.0, np.inf, TIGHT) == pytest.approx(
-            1.0, abs=1e-8)
-
-    def test_rayleigh_mean(self, params):
-        f_rho, _, _ = mobility_pdfs(params)
-        mean = integrate(lambda x: x * float(f_rho(x)), 0.0, np.inf, TIGHT)
-        assert mean == pytest.approx(1.0 / (2.0 * math.sqrt(params.mu)), rel=1e-8)
-        assert mean == pytest.approx(28.867513459481287, rel=1e-8)
-
-    def test_height_and_direction_uniform(self, params):
-        _, f_z, f_theta = mobility_pdfs(params)
-        band = params.h_ub - params.h_lb
-        assert float(f_z(120.0)) == pytest.approx(1.0 / band)
-        assert float(f_z(89.0)) == 0.0
-        for theta in (0.0, math.pi / 2, math.pi):
-            assert float(f_theta(theta)) == pytest.approx(1.0 / math.pi)
-        assert integrate(lambda z: float(f_z(z)), params.h_lb, params.h_ub,
-                         TIGHT) == pytest.approx(1.0, abs=1e-8)
-
-
 class TestHorizontalSpeedLaw:
     @pytest.mark.parametrize("z_t", [90.0, 120.0, 150.0])
     def test_cdf_matches_sampled_speeds(self, params, z_t):
-        # Kolmogorov-Smirnov distance of the closed-form CDF from the
-        # empirical CDF of sampled (transition length, pre-move altitude)
+        # Kolmogorov-Smirnov distance of the closed-form CDF that the speed
+        # nodes invert, on v_h / V, from the empirical CDF of sampled
+        # (transition length, pre-move altitude)
         rng = np.random.default_rng(11)
         n = 200_000
         rho = rng.rayleigh(1.0 / math.sqrt(2.0 * np.pi * params.mu), n)
         z_prev = rng.uniform(params.h_lb, params.h_ub, n)
         speeds = np.sort(horizontal_speed(params.v, rho, z_t - z_prev))
-        cdf = horizontal_speed_cdf(speeds, z_t, params)
+        cdf = _speed_ratio_cdf(speeds / params.v, z_t, params.mu, params.h_lb,
+                               params.h_ub)
         steps = np.arange(1, n + 1) / n
         ks = max(np.max(steps - cdf), np.max(cdf - (steps - 1.0 / n)))
         assert ks < 1.95 / math.sqrt(n)   # 0.1 % level

@@ -645,13 +645,13 @@ class TestNearField:
         field = _FieldBlock(6, 1e-4, 100.0, episode_rng(5, 0))
         old = [np.column_stack([field.x[a:b], field.y[a:b]])
                for a, b in zip(field.starts, field.ends)]
-        latent = field.latent.copy()
-        where = field.grow(np.array([1, 4]), 250.0, episode_rng(5, 1))
+        old_latent = [field.latent[a:b] for a, b in zip(field.starts, field.ends)]
+        field.grow(np.array([1, 4]), 250.0, episode_rng(5, 1))
         assert field.radius.tolist() == [100.0, 200.0, 100.0, 100.0, 200.0, 100.0]
-        assert np.array_equal(field.latent[where], latent)
         for b, (a, e) in enumerate(zip(field.starts, field.ends)):
             xy = np.column_stack([field.x[a:e], field.y[a:e]])
             assert np.array_equal(xy[:len(old[b])], old[b])
+            assert np.array_equal(field.latent[a:e][:len(old[b])], old_latent[b])
             r = np.hypot(*xy[len(old[b]):].T)
             assert np.all((r > 100.0) & (r <= 200.0))
             assert (len(r) > 0) == (b in (1, 4))
@@ -710,8 +710,7 @@ class TestNearField:
         for x, y, z, reach in ((np.zeros(episodes), np.zeros(episodes), z_pre,
                                 np.zeros(episodes)), (wx, wy, z_post, v_h)):
             rows, _, _, _, _, want = whole.serve(x, y, z, p)
-            (near_rows, *_, got), _ = near.settle(x, y, z, reach, r_field, p,
-                                                  None, np.empty(0, dtype=np.intp))
+            near_rows, *_, got = near.settle(x, y, z, reach, r_field, p, None)
             assert np.array_equal(got >= 0, want >= 0)
             served = want >= 0
             assert np.array_equal(near.x[near_rows[got[served]]],
