@@ -22,7 +22,8 @@ Layout of the computation:
   without a grid; a same-type target, every target of the nearest rule,
   takes the closed-form lens angles of two circles through the serving
   GBS (``geometry.same_type_lens_complement_area``); the remaining
-  cross-type rows take the general lens formula;
+  cross-type rows take the general lens formula. The average over
+  (theta, v_h) is one matrix-vector product with the flattened weights;
 * conditional coverage: the finite Nakagami sum over derivatives of the
   interference Laplace transform, taken as exp(g0) sum_{l<m} b_l from the
   exponent g0 and the nonnegative coefficients t_k (negative-binomial
@@ -166,8 +167,7 @@ def _cond_handover_grid(serving: LinkType, targets: tuple, r0, z_t: float,
             area = lens_complement_area(x=x_a[live, None, None], y=y_b, v=v_h)
         area *= -params.lambda_b        # in place: the same sum, faster
         np.exp(area, out=area)
-        area *= w
-        out[i, live] = 1.0 - area.sum(axis=(1, 2))
+        out[i, live] = 1.0 - area.reshape(len(area), -1) @ w.ravel()
     return np.clip(out, 0.0, 1.0)
 
 

@@ -120,22 +120,31 @@ def same_type_lens_complement_area(r0, v, theta, r_m):
     point and b = theta - d at the post-move one, d = atan2(v sin(theta),
     r0 + v cos(theta)) being the angle the move turns the view of the GBS
     by. The area r_after^2 (pi - b) - r0^2 (pi - theta) + r0 v sin(theta)
-    is then summed as r0^2 d + (r_after^2 - r0^2)(pi - b) + r0 v sin(theta),
-    which keeps its precision as v -> 0 with one arctan2 where the general
-    formula takes two. Only the elements whose post-move disk is capped at
-    r_m take the general formula.
+    is then summed as d r_after^2 + r0 (2 v cos(theta) (pi - theta) + v
+    sin(theta)) + v^2 (pi - theta), r_after^2 taken from d's own arctan2
+    arguments; the bracketed factors live on the small theta x v grid, so
+    the full grid takes one arctan2 and a few in-place passes. As v -> 0
+    every term is O(r0 v) and none of size r0^2 cancels; as theta -> pi the
+    terms of size r0 v (pi - theta) cancel to the O((pi - theta)^3) area as
+    they do in r0^2 d + (r_after^2 - r0^2)(pi - b) + r0 v sin(theta), so the
+    error stays of order eps (r0 + v)^2. Only elements whose post-move disk
+    is capped at r_m take the general formula; as r_after <= r0 + v, none
+    can be when max(r0) + max(v) <= r_m.
     """
     r0, v, theta = (np.asarray(a, dtype=float) for a in (r0, v, theta))
-    cos, sin = np.cos(theta), np.sin(theta)
-    d = np.arctan2(v * sin, r0 + v * cos)
-    growth = v * (v + 2.0 * r0 * cos)            # r_after^2 - r0^2
-    # summed in place, in the formula's order: a few per cent faster
-    out = np.asarray(r0 * r0 * d)
-    out += growth * (np.pi - theta + d)
-    out += r0 * (v * sin)
-    capped = growth > r_m * r_m - r0 * r0
-    if np.any(capped):
-        out[capped] = lens_complement_area(x=np.broadcast_to(r0, out.shape)[capped],
-                                           y=r_m, v=np.broadcast_to(v, out.shape)[capped])
-    out = np.maximum(out, 0.0)
+    along, across = v * np.cos(theta), v * np.sin(theta)
+    r2 = np.asarray(r0 + along)
+    out = np.asarray(np.arctan2(across, r2))                  # d
+    r2 *= r2
+    r2 += across * across                                     # r_after^2
+    out *= r2
+    out += r0 * (2.0 * along * (np.pi - theta) + across)
+    out += v * v * (np.pi - theta)
+    if r0.max(initial=0.0) + v.max(initial=0.0) > r_m:   # else r_after <= r_m
+        capped = r2 > r_m * r_m
+        if np.any(capped):
+            out[capped] = lens_complement_area(
+                x=np.broadcast_to(r0, out.shape)[capped], y=r_m,
+                v=np.broadcast_to(v, out.shape)[capped])
+    np.maximum(out, 0.0, out=out)
     return float(out) if out.ndim == 0 else out

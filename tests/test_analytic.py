@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uavcov import analytic, cli
+from uavcov import analytic, cli, geometry
 from uavcov.analytic import (
     N_R0,
     N_Z,
@@ -543,6 +543,52 @@ class TestHandoverKernelEquivalence:
                     else:
                         paths["live cross-type rows"] += int(np.count_nonzero(~empty))
         assert all(count > 0 for count in paths.values()), paths
+
+
+class TestSameTypeCapSkip:
+    """Which handover-kernel calls reach the general lens formula: counts,
+    not times, so the same-type kernel's cap skip stays pinned."""
+
+    @staticmethod
+    def count_general_calls(params, monkeypatch):
+        """One cold pass; returns the general-formula calls made directly by
+        the kernel (cross-type rows) and, per same-type call, whether
+        max(r0) + max(v_h) > r_m and how many it made."""
+        cross, same_type = [], []
+        general = geometry.lens_complement_area
+        closed_form = geometry.same_type_lens_complement_area
+
+        def cross_type(**kw):
+            cross.append(kw)
+            return general(**kw)
+
+        def from_same_type(**kw):
+            same_type[-1][1] += 1
+            return general(**kw)
+
+        def recorded(r0, v, theta, r_m):
+            same_type.append([np.max(r0) + np.max(v) > r_m, 0])
+            return closed_form(r0, v, theta, r_m)
+
+        monkeypatch.setattr(analytic, "lens_complement_area", cross_type)
+        monkeypatch.setattr(geometry, "lens_complement_area", from_same_type)
+        monkeypatch.setattr(analytic, "same_type_lens_complement_area", recorded)
+        _policy_metrics.__wrapped__(params.with_(kappa=0.0), N_Z, N_R0)
+        return cross, same_type
+
+    def test_omni_reaches_general_formula_only_from_cross_type_rows(
+            self, params, monkeypatch):
+        cross, same_type = self.count_general_calls(
+            params.with_(antenna=OmniAntenna(), lambda_b=100e-6), monkeypatch)
+        assert cross and same_type
+        assert all(calls == 0 for _, calls in same_type)
+
+    def test_baseline_same_type_calls_reach_it_only_past_the_bound(
+            self, params, monkeypatch):
+        _, same_type = self.count_general_calls(params, monkeypatch)
+        reached = [beyond for beyond, calls in same_type if calls]
+        assert reached and all(reached)
+        assert not all(beyond for beyond, _ in same_type)
 
 
 class TestPinnedSweepPoints:

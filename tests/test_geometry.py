@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
+from uavcov import geometry
 from uavcov.errors import GeometryError
 from uavcov.geometry import (
     displaced_distance,
@@ -278,3 +279,29 @@ class TestSameTypeLensComplementArea:
             x=np.broadcast_to(r0, got.shape),
             y=np.minimum(displaced_distance(r0, v, theta), 100.0), v=v)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
+
+    @pytest.mark.parametrize("capped", [False, True], ids=["r_m=r0+v", "one-ulp-below"])
+    def test_cap_skip_boundary(self, monkeypatch, capped):
+        # r_after <= r0 + v, so no element is capped when max(r0) + max(v)
+        # <= r_m: at r_m == r0 + v the theta = 0 element reaches r_m exactly
+        # and the general formula is never called; one ulp below, that
+        # element takes it
+        r0 = np.array([3.0, 40.0, 100.0])[:, None, None]
+        theta = np.linspace(0.0, math.pi, 5)[:, None]
+        v = np.array([1.0, 7.5, 20.0])
+        r_m = 120.0
+        if capped:
+            r_m = float(np.nextafter(r_m, 0.0))
+        calls = []
+
+        def counted(**kw):
+            calls.append(kw)
+            return lens_complement_area(**kw)
+
+        monkeypatch.setattr(geometry, "lens_complement_area", counted)
+        got = same_type_lens_complement_area(r0, v, theta, r_m)
+        want = lens_complement_area(
+            x=np.broadcast_to(r0, got.shape),
+            y=np.minimum(displaced_distance(r0, v, theta), r_m), v=v)
+        assert np.all(np.abs(got - want) <= 1e-13 * (r0 + v) ** 2)
+        assert len(calls) == capped
