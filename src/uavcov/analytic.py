@@ -216,19 +216,17 @@ def _interference_nodes(serving: LinkType, r0: np.ndarray, z,
     Returns, per interferer type, the (x nodes, dx weights) of
     ``_radial_panel`` from the exclusion radius to the receiving radius, at
     each r0's altitude z (or one z for all). Under the nearest policy every
-    interferer lies beyond the serving distance, whatever its type.
+    interferer lies beyond the serving distance, whatever its type, so both
+    types share one panel (and _exponent_terms one LoS evaluation).
     """
-    nearest = params.policy is AssociationPolicy.NEAREST
     h_bar = np.asarray(z, dtype=float) - params.h_b
     hi = receiving_radius(z, params.h_b, params.antenna)
-    panels = {}
-    for xi in LinkType:
-        if nearest or xi is serving:
-            lo = r0.astype(float)
-        else:
-            lo = exclusion_radius(serving, r0, h_bar, params.channel)
-        panels[xi] = _radial_panel(lo, hi, h_bar, n_x)
-    return panels
+    own = _radial_panel(r0.astype(float), hi, h_bar, n_x)
+    if params.policy is AssociationPolicy.NEAREST:
+        return dict.fromkeys(LinkType, own)
+    other = _radial_panel(exclusion_radius(serving, r0, h_bar, params.channel),
+                          hi, h_bar, n_x)
+    return {xi: own if xi is serving else other for xi in LinkType}
 
 
 def _exponent_terms(s: np.ndarray, panels: dict, z, params: SystemParams,

@@ -37,8 +37,9 @@ def receiving_radius(z, h_b: float, antenna: AntennaModel):
     if isinstance(antenna, DirectionalAntenna):
         out = (z - h_b) * np.tan(np.radians(antenna.beamwidth_deg / 2.0))
         return float(out) if out.ndim == 0 else out
-    out = np.broadcast_to(antenna.r_max, z.shape).astype(float)
-    return float(antenna.r_max) if z.ndim == 0 else out.copy()
+    if z.ndim == 0:
+        return float(antenna.r_max)
+    return np.full(z.shape, float(antenna.r_max))
 
 
 def equal_power_radius(serving: LinkType, target: LinkType, x, h_bar: float,

@@ -12,7 +12,7 @@ sqrt(dx*dx + dy*dy) and every squared height gap a product.
 `summary_estimates` runs blocks of a fixed number of episodes, chosen
 from the inputs so that a block holds about BLOCK_STATIONS stations (a
 first disc holds at most ORIGIN_CANDIDATES on average, so a block holds
-at least 504 episodes, 1297 at the baseline). Block k draws from one
+at least 504 episodes, 1893 at the baseline). Block k draws from one
 PCG64DXSM stream seeded by SeedSequence([seed, k]), each quantity in one
 vector call, and workers get whole blocks, so estimates are bit-identical
 regardless of execution order or worker count. A block's stations sit in
@@ -24,13 +24,18 @@ pick's metric against the stations outside the disc, until every pick
 stands.
 
 The engine simulates the near field only. A block draws, in
-order: altitudes, rho and theta; a first disc of radius
-min(sqrt(ORIGIN_CANDIDATES / (pi lambda)), r_field) (square counts, x|y,
-latents); the annulus out to twice its radius (at most r_field) of every
-episode whose pick does not stand yet, round after round; then the fading
-of the disc's stations in range after the move, the NLoS law for every
-one and then the LoS law written over the LoS rows. Blocks are sized by
-the first disc's mean count.
+order: altitudes, rho and theta, which fix each episode's horizontal speed
+v_h and field radius R_b = max(r_m(z_pre), v_h + r_m(z_post)) (1 +
+DISC_MARGIN), beyond which no station is in range of either waypoint
+(`_episode_radius`); a first disc of radius min(sqrt(ORIGIN_CANDIDATES /
+(pi lambda)), r_field, R_b), r_field = r_m(h_ub) + v being the largest
+field (square counts, x|y, latents); the annulus out to twice its radius
+(at most R_b) of every episode whose pick does not stand yet, round after
+round; then the fading of the disc's stations in range after the move,
+the NLoS law for every one and then the LoS law written over the LoS
+rows. Blocks are sized by the mean count of a first disc capped at
+r_field rather than R_b (16.3 stations at the baseline, where an episode
+draws 10.6 on average).
 
 * Near field. A pick stands once no station outside the episode's disc of
   radius R, at least R (before the move, above the origin) or R - v_h
@@ -44,9 +49,9 @@ the first disc's mean count.
   from one quadrature row per episode in the distance from the UAV
   (`_exterior_nodes`) and the near interferers' faded sum I_near adding
   -s I_near to g0 and s I_near to t_1, s = m T / S. Where the disc is the
-  field, or R - v_h >= r_m, there is no row: at the baseline the first
-  disc is the whole field, so every draw up to the fading is the
-  full-field tally's.
+  episode's field (R = R_b), or R - v_h >= r_m, there is no row: at the
+  baseline the first disc is the whole field, so every draw up to the
+  fading is the full-field tally's.
 * Estimators. Association, handover and void are indicator means;
   coverage is the mean of P(SIR > T | near field) (1 - kappa 1[handover]),
   a conditional Monte Carlo estimate whose Wilson interval from (mean, n)
@@ -96,19 +101,20 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _Z95 = 1.959963984540054
-FIELD_MARGIN = 50.0
 # mean stations per sampled field (on the disc) beyond which an estimator
 # refuses to run, before any draw; a block holds at least one whole field,
 # some ten float arrays per station, and the square it is drawn from holds
 # 4/pi times as many points while the field is built
 MAX_MEAN_STATIONS = 1e6
 # stations per block, counting one for each episode's own draws, by the
-# mean count of the first disc an episode draws; a larger disc is a block of
-# its own. On a 2-core Xeon a block costs some 0.2 ms plus about 70 ns per
-# baseline station, so at 32768 (1297 baseline episodes, 2.3 ms) the fixed
-# cost is a tenth of a block, against 40 % at 4096 (162). The baseline sweep
-# ran 42 % faster than at 4096 for 2 MB more peak memory, 16384 35 % faster
-# for 1 MB
+# mean count of a first disc capped at field_radius rather than at each
+# episode's R_b (a baseline block of 1893 episodes draws some 20 000); a
+# larger disc is a block of its own. On a 2-core Xeon a block costs some
+# 0.2 ms plus about 1.1 us per baseline episode, so at 32768 (1893 baseline
+# episodes, 2.3 ms) the fixed cost is a tenth of a block, against 40 % at
+# 4096. On one field of r_m(h_ub) + v + 50 m for every episode, the baseline
+# sweep ran 42 % faster than at 4096 for 2 MB more peak memory, 16384 35 %
+# faster for 1 MB
 BLOCK_STATIONS = 1 << 15
 # mean stations in the first disc an episode draws
 ORIGIN_CANDIDATES = 64
@@ -182,9 +188,24 @@ def episode_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def field_radius(params: SystemParams) -> float:
-    """Sampling disc radius covering both receiving discs of one movement."""
+    """r_m(h_ub) + v, the largest field an episode draws (_episode_radius,
+    up to its margin): the radius the station budget is checked on, and the
+    cap of the first disc."""
     r_m = receiving_radius(params.h_ub, params.h_b, params.antenna)
-    return r_m + params.v + FIELD_MARGIN
+    return r_m + params.v
+
+
+def _episode_radius(params: SystemParams, z, v_h):
+    """The field radius of a movement from altitude z_pre above the origin
+    to altitude z_post, v_h away, with (z_pre, z_post) the last axis of z:
+    R_b = max(r_m(z_pre), v_h + r_m(z_post)) (1 + DISC_MARGIN). No station beyond it is in range of either waypoint,
+    so it can neither serve nor interfere, and a PPP restricted to disjoint
+    sets is independent PPPs: dropping those stations leaves every
+    estimator's law as it is. The margin keeps rounding from dropping a
+    station on the boundary and R_b - v_h >= r_m(z_post) true in floating
+    point."""
+    r_m = receiving_radius(z, params.h_b, params.antenna)
+    return np.maximum(r_m[..., 0], v_h + r_m[..., 1]) * (1.0 + DISC_MARGIN)
 
 
 def _check_field_budget(lambda_b: float, r_field: float) -> float:
@@ -297,19 +318,19 @@ def simulate_episode(params: SystemParams,
     The draw order is fixed and policy-independent so that episodes with
     the same stream are comparable across association policies.
     """
-    r_field = field_radius(params)
     band = params.h_ub - params.h_lb
-    z_pre, z_post = params.h_lb + band * rng.random(2)
+    z = params.h_lb + band * rng.random(2)
+    z_pre, z_post = z
     rho = rng.rayleigh(1.0 / math.sqrt(2.0 * np.pi * params.mu))
     theta = np.pi * rng.random()
-    field = sample_ppp(params.lambda_b, r_field, rng)
+    v_h = horizontal_speed(params.v, rho, z_post - z_pre)
+    field = sample_ppp(params.lambda_b, _episode_radius(params, z, v_h), rng)
 
     start = Waypoint(0.0, 0.0, z_pre)
     latent = rng.random(len(field))
     los_pre = classify_links(field, start, params.env, params.h_b, latent)
     pre = associate(field, los_pre, start, params)
 
-    v_h = horizontal_speed(params.v, rho, z_post - z_pre)
     if pre is not None:
         sx, sy = field.positions[pre[0]]
         bearing = np.arctan2(sy, sx)
@@ -406,29 +427,39 @@ def _stands(best: np.ndarray, clearance, r_m, dz2, params: SystemParams):
 class _FieldBlock:
     """The fields of a block's episodes in one array: episode b owns the
     stations starts[b] : ends[b], those of the disc of radius radius[b]
-    about the origin. Draws the square counts, then x and y of all points
-    in one call, then the LoS latents of the kept stations, as sample_ppp
-    and simulate_episode draw them for one field."""
+    about the origin (radius one value per episode, or one for all). Draws
+    the square counts, then x and y of all points in one call, then the LoS
+    latents of the kept stations, as sample_ppp and simulate_episode draw
+    them for one field."""
 
-    def __init__(self, episodes: int, lambda_b: float, r_field: float,
+    def __init__(self, episodes: int, lambda_b: float, radius,
                  rng: np.random.Generator):
         self.lambda_b = lambda_b
-        self.radius = np.full(episodes, float(r_field))
-        counts = rng.poisson(4.0 * lambda_b * r_field * r_field, episodes)
-        n = int(counts.sum())
-        # in place: on a dense field this arithmetic runs about a fifth
-        # faster than fresh products (2u - 1) r and x*x + y*y, same values
-        xy = rng.random(2 * n)
-        xy *= 2.0
-        xy -= 1.0
-        xy *= r_field
-        x, y = xy[:n], xy[n:]
-        r2 = x * x
-        r2 += y * y
-        keep = np.flatnonzero(r2 <= r_field * r_field)
+        self.radius = np.full(episodes, radius, dtype=float)
+        counts, x, y, r2, half = self._square(self.radius, rng)
+        keep = np.flatnonzero(r2 <= half * half)
         self.x, self.y = x.take(keep), y.take(keep)
         self._index(np.diff(np.searchsorted(keep, np.cumsum(counts)), prepend=0))
         self.latent = rng.random(len(keep))
+
+    def _square(self, radius: np.ndarray, rng: np.random.Generator):
+        """Counts of the squares [-radius[i], radius[i]]^2, then x, y,
+        squared distance from the origin and its square's radius of each
+        point: a Poisson count of mean 4 lambda radius[i]^2 per square, then
+        x and y of all points in one call, in place (on a dense field a
+        fifth faster than fresh products (2u - 1) r and x*x + y*y, same
+        values)."""
+        counts = rng.poisson(4.0 * self.lambda_b * radius * radius)
+        n = int(counts.sum())
+        half = np.repeat(radius, counts)
+        xy = rng.random(2 * n).reshape(2, n)
+        xy *= 2.0
+        xy -= 1.0
+        xy *= half
+        x, y = xy
+        r2 = x * x
+        r2 += y * y
+        return counts, x, y, r2, half
 
     def _index(self, sizes: np.ndarray) -> None:
         self.sizes = sizes
@@ -436,13 +467,13 @@ class _FieldBlock:
         self.starts = self.ends - sizes
         self._seg = np.repeat(np.arange(len(sizes)), sizes)
 
-    def grow(self, todo: np.ndarray, r_field: float,
-             rng: np.random.Generator) -> None:
+    def grow(self, todo: np.ndarray, limit, rng: np.random.Generator) -> None:
         """Adds to each episode in todo the stations of the annulus from its
-        disc out to twice its radius, at most r_field (annulus). Each
-        episode's new rows follow its old ones, so a station keeps its
-        offset within its episode's rows."""
-        outer = np.minimum(2.0 * self.radius[todo], r_field)
+        disc out to twice its radius, at most limit (one value per episode
+        of todo, or one for all; annulus). Each episode's new rows follow
+        its old ones, so a station keeps its offset within its episode's
+        rows."""
+        outer = np.minimum(2.0 * self.radius[todo], limit)
         episode, x, y, latent = self.annulus(todo, outer, rng)
         episode = np.concatenate([self._seg, episode])
         order = np.argsort(episode, kind="stable")
@@ -458,15 +489,7 @@ class _FieldBlock:
         in todo and radius outer[i]: square counts, x and y, then the
         latents of the kept stations, each one call for all of todo."""
         inner = self.radius[todo]
-        counts = rng.poisson(4.0 * self.lambda_b * outer * outer)
-        n = int(counts.sum())
-        half = np.repeat(outer, counts)
-        xy = rng.random(2 * n)
-        xy *= 2.0
-        xy -= 1.0
-        x, y = xy[:n] * half, xy[n:] * half
-        r2 = x * x
-        r2 += y * y
+        counts, x, y, r2, half = self._square(outer, rng)
         keep = np.flatnonzero((r2 > np.repeat(inner * inner, counts))
                                & (r2 <= half * half))
         return (np.repeat(todo, counts).take(keep), x.take(keep), y.take(keep),
@@ -504,17 +527,17 @@ class _FieldBlock:
         return rows, sizes, los, gains, metric, serving
 
     def settle(self, wx: np.ndarray, wy: np.ndarray, z: np.ndarray,
-               reach: np.ndarray, r_field: float, params: SystemParams,
+               reach: np.ndarray, limit: np.ndarray, params: SystemParams,
                rng: np.random.Generator):
         """serve's result with each episode's UAV at (wx, wy, z)[b], reach[b]
         from the origin, once every pick stands: the episodes whose disc is
-        not the field and whose pick could still lose to a station outside
-        it, at least radius - reach from the UAV (_stands), grow their discs
-        (grow) and go round again."""
+        smaller than their field, of radius limit[b], and whose pick could
+        still lose to a station outside it, at least radius - reach from the
+        UAV (_stands), grow their discs (grow) and go round again."""
         r_m = None
         while True:
             served = self.serve(wx, wy, z, params)
-            open_ = np.flatnonzero(self.radius < r_field)
+            open_ = np.flatnonzero(self.radius < limit)
             if not len(open_):
                 return served
             if r_m is None:
@@ -529,7 +552,7 @@ class _FieldBlock:
                                   r_m[open_], dz2[open_], params)]
             if not len(todo):
                 return served
-            self.grow(todo, r_field, rng)
+            self.grow(todo, limit[todo], rng)
 
 
 _SUMMARY_KEYS = ("coverage", "handover", "association_los", "association_nlos",
@@ -578,15 +601,16 @@ def _exterior_nodes(radius: np.ndarray, v_h: np.ndarray, z: np.ndarray,
 def _near_coverage(params: SystemParams, serving_los: np.ndarray,
                    signal: np.ndarray, interference: np.ndarray,
                    radius: np.ndarray, v_h: np.ndarray, z: np.ndarray,
-                   r_field: float) -> np.ndarray:
+                   limit: np.ndarray) -> np.ndarray:
     """P(SIR > T | near field) per served episode, the serving fading and
     the stations outside the disc integrated out: signal is the serving
     path-loss gain S, interference the faded sum over the disc's other
     stations in range, I_near. With s = m T / S for the serving shape m,
     the near field adds -s I_near to g0 and s I_near to t_1 of the
     exterior's analytic._exponent_terms on _exterior_nodes (none where the
-    disc is the field or radius - v_h >= r_m), and the first m terms of
-    analytic._coverage_series add up to the probability."""
+    disc is the episode's field, radius = limit, or radius - v_h >= r_m),
+    and the first m terms of analytic._coverage_series add up to the
+    probability."""
     ch = params.channel
     m = np.where(serving_los, ch.m_l, ch.m_n)
     s = m * params.t_thresh / signal
@@ -594,7 +618,7 @@ def _near_coverage(params: SystemParams, serving_los: np.ndarray,
     g0 = -x
     order = ch.m_l - 1
     t = [x, *(np.zeros(len(x)) for _ in range(1, order))][:order]
-    far = np.flatnonzero(radius < r_field)
+    far = np.flatnonzero(radius < limit)
     if len(far):
         far = far[radius[far] - v_h[far]
                   < receiving_radius(z[far], params.h_b, params.antenna)]
@@ -621,15 +645,19 @@ def _tally_block(params: SystemParams, episodes: int, r_field: float,
     NLoS and void counts. Its arrays live only in this call, so the next
     block is drawn without them."""
     band = params.h_ub - params.h_lb
-    z_pre, z_post = (params.h_lb + band * rng.random((episodes, 2))).T
+    z = params.h_lb + band * rng.random((episodes, 2))
+    z_pre, z_post = z.T
     rho = rng.rayleigh(1.0 / math.sqrt(2.0 * np.pi * params.mu), episodes)
     theta = np.pi * rng.random(episodes)
+    v_h = horizontal_speed(params.v, rho, z_post - z_pre)
+    limit = _episode_radius(params, z, v_h)
     field = _FieldBlock(episodes, params.lambda_b,
-                        _near_radius(params.lambda_b, r_field), rng)
+                        np.minimum(_near_radius(params.lambda_b, r_field), limit),
+                        rng)
 
     origin = np.zeros(episodes)
     rows, _, los, _, _, pick = field.settle(origin, origin, z_pre, origin,
-                                            r_field, params, rng)
+                                            limit, params, rng)
     has_pre = pick >= 0
     pre = rows[pick[has_pre]]
     association = _association_counts(los, pick)
@@ -637,13 +665,12 @@ def _tally_block(params: SystemParams, episodes: int, r_field: float,
     bearing = np.zeros(episodes)
     bearing[has_pre] = np.arctan2(field.y[pre], field.x[pre])
     heading = bearing + theta
-    v_h = horizontal_speed(params.v, rho, z_post - z_pre)
     # the pre-move pick by its offset in its episode's rows, which growing
     # the disc leaves as it is
     offset = np.full(episodes, -1, dtype=np.intp)
     offset[has_pre] = pre - field.starts[has_pre]
     rows, sizes, los, gains, _, post = field.settle(
-        v_h * np.cos(heading), v_h * np.sin(heading), z_post, v_h, r_field,
+        v_h * np.cos(heading), v_h * np.sin(heading), z_post, v_h, limit,
         params, rng)
     powers = _station_fading(los, params, rng)
     powers *= gains
@@ -655,7 +682,7 @@ def _tally_block(params: SystemParams, episodes: int, r_field: float,
     handover = has_pre[served] & (offset[served] != rows[serving] - field.starts[served])
     covered = _near_coverage(params, los[serving], gains[serving], interference,
                              field.radius[served], v_h[served], z_post[served],
-                             r_field)
+                             limit[served])
     covered *= 1.0 - params.kappa * handover
     return np.array([covered.sum(), np.count_nonzero(handover), *association])
 

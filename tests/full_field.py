@@ -1,8 +1,9 @@
 """The full-field block tally: the reference for montecarlo.summary_estimates.
 
-Every block draws every station of every episode's field of radius r_field,
-associates with `_FieldBlock.serve` over the whole field before the move
-(the UAV above the origin) and after it, draws the fading of every station
+Every block draws every station of every episode's field, of the radius
+R_b the engine gives it (`montecarlo._episode_radius`), associates with
+`_FieldBlock.serve` over the whole field before the move (the UAV above
+the origin) and after it, draws the fading of every station
 in range after the move and one coin per episode, and counts coverage as
 the indicator SIR > T and (no handover or the coin passes). It draws in
 `simulate_episode`'s order, so a one-episode block consumes its stream as
@@ -26,14 +27,17 @@ from uavcov.errors import ParameterError
 from uavcov.model import SystemParams, horizontal_speed
 
 
-def tally_block(params: SystemParams, episodes: int, r_field: float,
+def tally_block(params: SystemParams, episodes: int,
                 rng: np.random.Generator):
     """Coverage, handover, LoS, NLoS and void counts of one block."""
     band = params.h_ub - params.h_lb
-    z_pre, z_post = (params.h_lb + band * rng.random((episodes, 2))).T
+    z = params.h_lb + band * rng.random((episodes, 2))
+    z_pre, z_post = z.T
     rho = rng.rayleigh(1.0 / math.sqrt(2.0 * np.pi * params.mu), episodes)
     theta = np.pi * rng.random(episodes)
-    field = mc._FieldBlock(episodes, params.lambda_b, r_field, rng)
+    v_h = horizontal_speed(params.v, rho, z_post - z_pre)
+    field = mc._FieldBlock(episodes, params.lambda_b,
+                           mc._episode_radius(params, z, v_h), rng)
 
     origin = np.zeros(episodes)
     rows, _, los, _, _, pick = field.serve(origin, origin, z_pre, params)
@@ -45,7 +49,6 @@ def tally_block(params: SystemParams, episodes: int, r_field: float,
     bearing = np.zeros(episodes)
     bearing[has_pre] = np.arctan2(field.y[pre[has_pre]], field.x[pre[has_pre]])
     heading = bearing + theta
-    v_h = horizontal_speed(params.v, rho, z_post - z_pre)
     rows, sizes, los, gains, _, post = field.serve(v_h * np.cos(heading),
                                                 v_h * np.sin(heading), z_post,
                                                 params)
@@ -65,19 +68,18 @@ def tally_block(params: SystemParams, episodes: int, r_field: float,
     return np.count_nonzero(covered), np.count_nonzero(handover), *association
 
 
-def summary_estimates(params: SystemParams, n: int, seed: int,
-                      r_field: float | None = None) -> dict:
+def summary_estimates(params: SystemParams, n: int, seed: int) -> dict:
     """The summary metrics of n episodes, block k of a fixed episode count
-    (from the whole field's mean station count) drawing from
-    episode_rng(seed, k); keyed like montecarlo.summary_estimates."""
+    (from the mean station count of the largest field, field_radius)
+    drawing from episode_rng(seed, k); keyed like
+    montecarlo.summary_estimates."""
     if n < 100:
         raise ParameterError("need at least 100 trials")
-    if r_field is None:
-        r_field = mc.field_radius(params)
-    size = mc._block_episodes(mc._check_field_budget(params.lambda_b, r_field))
+    size = mc._block_episodes(
+        mc._check_field_budget(params.lambda_b, mc.field_radius(params)))
     counts = np.zeros(len(mc._SUMMARY_KEYS), dtype=np.int64)
     for k in range(-(-n // size)):
-        counts += tally_block(params, min(size, n - k * size), r_field,
+        counts += tally_block(params, min(size, n - k * size),
                               mc.episode_rng(seed, k))
     return {key: mc._estimate_from_count(int(c), n, seed)
             for key, c in zip(mc._SUMMARY_KEYS, counts)}

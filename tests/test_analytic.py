@@ -397,6 +397,31 @@ class TestStackedCoverageGrid:
         assert np.array_equal(stacked, per_z)
         assert drift == per_z_drift
 
+    @pytest.mark.parametrize("antenna", [DirectionalAntenna(), OmniAntenna()],
+                             ids=["directional", "omni"])
+    @pytest.mark.parametrize("policy, evaluations", [
+        (AssociationPolicy.NEAREST, 1), (AssociationPolicy.STRONGEST_RSS, 2)],
+        ids=lambda v: getattr(v, "value", v))
+    @pytest.mark.parametrize("serving", list(LinkType), ids=lambda l: l.name)
+    def test_one_los_evaluation_per_radial_panel(self, params, serving, policy,
+                                                 evaluations, antenna,
+                                                 monkeypatch):
+        # under the nearest policy both interferer types start at r0, so
+        # they share one panel and one LoS evaluation; under strongest RSS
+        # the other type starts at its exclusion radius
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return los_probability(*args)
+
+        monkeypatch.setattr(analytic, "los_probability", counted)
+        p = params.with_(policy=policy, antenna=antenna)
+        z = np.repeat([95.0, 145.0], 4)
+        r0 = receiving_radius(z, p.h_b, antenna) * np.tile([0.05, 0.2, 0.5, 0.9], 2)
+        analytic._coverage_grid(serving, r0, z, p)
+        assert len(calls) == evaluations
+
     def test_drift_counts_match(self, params, monkeypatch):
         # the coverage sum's terms are probabilities, so nothing drifts any
         # more (a 24-term sum at 30 dB, which overflowed on the far omni

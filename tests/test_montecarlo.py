@@ -446,8 +446,9 @@ class _Replay:
 class _Slices:
     """Consecutive slices of one recorded scalar-parameter draw of a block,
     draw(*law, size=n): the NLoS fading of the stations in range after
-    the move, or the LoS fading of the LoS ones among them, in row order;
-    how many each episode takes only the episode's own steps say."""
+    the move, the LoS fading of the LoS ones among them, or the LoS latents
+    of the kept stations, in row order; how many each episode takes only
+    the episode's own steps say."""
 
     def __init__(self, call):
         self.name, (*self.law, _), self.out = call
@@ -471,23 +472,20 @@ def _record_blocks(monkeypatch) -> list:
     return blocks
 
 
-def _field_shares(calls, lambda_b, r_field):
+def _field_shares(calls):
     """Per episode of a block, its share of the block's field draws (square
-    counts, then x and y of all points in one call, then the LoS latents of
-    the kept stations); sample_ppp, replayed on the share, says how many
-    stations it keeps."""
-    (_, (mean, _), counts), (_, _, u), (_, _, latent) = calls
+    counts, each episode's from its own Poisson mean, then x and y of all
+    points in one call, then the LoS latents of the kept stations, as many
+    as the episode's own steps keep)."""
+    (_, (mean,), counts), (_, _, u), latent = calls
     x, y = np.split(u, 2)
+    latent = _Slices(latent)
     ends = np.cumsum(counts)
-    kept = 0
-    for n_b, s, e in zip(counts, ends - counts, ends):
-        share = [("poisson", (mean,), n_b),
-                 ("random", (2 * n_b,), np.concatenate([x[s:e], y[s:e]]))]
-        rows = slice(kept, kept + len(sample_ppp(lambda_b, r_field,
-                                                 _Replay(share))))
-        kept = rows.stop
-        yield share + [("random", (rows.stop - rows.start,), latent[rows])]
-    assert kept == len(latent)
+    for m, n_b, s, e in zip(mean, counts, ends - counts, ends):
+        yield [("poisson", (m,), n_b),
+               ("random", (2 * n_b,), np.concatenate([x[s:e], y[s:e]])),
+               latent]
+    assert latent.used == len(latent.out)
 
 
 def _summary_counts(outcomes) -> dict:
@@ -550,8 +548,7 @@ class TestSummaryEstimates:
             # the move, then LoS fading for the LoS ones, each in row
             # order: each episode takes as many of each as it has
             fading = [_Slices(nlos), _Slices(los)]
-            for b, share in enumerate(_field_shares(
-                    field, params.lambda_b, field_radius(params))):
+            for b, share in enumerate(_field_shares(field)):
                 replay = _Replay(
                     [("random", (2,), alt[b]), ("rayleigh", (scale,), rho[b]),
                      ("random", (), theta[b])] + share
@@ -562,15 +559,45 @@ class TestSummaryEstimates:
         assert len(outcomes) == n
         _assert_summary(summary, _summary_counts(outcomes), n, seed)
 
-    def test_field_size_sufficiency(self, params, monkeypatch):
-        base = summary_estimates(params, 20_000, 17)
-        # a field of twice the radius
-        monkeypatch.setattr(montecarlo, "FIELD_MARGIN",
-                            montecarlo.FIELD_MARGIN + field_radius(params))
-        doubled = summary_estimates(params, 20_000, 17)
-        for key in ("coverage", "handover"):
-            assert (abs(base[key].mean - doubled[key].mean)
-                    < base[key].half_width)
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({}, id="baseline"),
+        pytest.param({"lambda_b": 1e-5, "antenna": OmniAntenna()}, id="omni-10"),
+        pytest.param({"antenna": DirectionalAntenna(30.0)}, id="beam-30"),
+        pytest.param({"v": 60.0}, id="v-60"),
+        pytest.param({"h_lb": 40.0, "h_ub": 300.0}, id="band-40-300"),
+    ])
+    def test_episode_field_holds_every_station_in_range(self, params,
+                                                        overrides):
+        # blocks drawn on the whole disc field_radius(p), served before and
+        # after the move once as drawn and once without the stations beyond
+        # each episode's R_b: the same stations in range, the same picks
+        p = params.with_(**overrides)
+        episodes = 1000
+        rng = episode_rng(17, 0)
+        z = p.h_lb + (p.h_ub - p.h_lb) * rng.random((episodes, 2))
+        z_pre, z_post = z.T
+        rho = rng.rayleigh(1.0 / math.sqrt(2.0 * np.pi * p.mu), episodes)
+        v_h = horizontal_speed(p.v, rho, z_post - z_pre)
+        heading = 2.0 * np.pi * rng.random(episodes)
+        whole = _FieldBlock(episodes, p.lambda_b, field_radius(p), rng)
+        radius = montecarlo._episode_radius(p, z, v_h)
+        kept, sizes = whole.compact(whole.x ** 2 + whole.y ** 2
+                                    <= whole.spread(radius) ** 2)
+        part = object.__new__(_FieldBlock)
+        part.x, part.y = whole.x[kept], whole.y[kept]
+        part.latent = whole.latent[kept]
+        part._index(sizes)
+        assert len(kept) < len(whole.x)
+        origin = np.zeros(episodes)
+        for wx, wy, alt in ((origin, origin, z_pre),
+                            (v_h * np.cos(heading), v_h * np.sin(heading), z_post)):
+            rows, *got, _, pick = whole.serve(wx, wy, alt, p)
+            part_rows, *part_got, _, part_pick = part.serve(wx, wy, alt, p)
+            assert np.array_equal(kept[part_rows], rows)
+            for a, b in zip(part_got, got):  # sizes, link types, gains
+                assert np.array_equal(a, b)
+            assert np.array_equal(part_pick, pick)
+            assert np.any(pick >= 0)
 
     def test_handover_nondecreasing_in_density_and_speed(self, params):
         by_density = [summary_estimates(params.with_(lambda_b=lam * 1e-6),
@@ -710,7 +737,8 @@ class TestNearField:
         for x, y, z, reach in ((np.zeros(episodes), np.zeros(episodes), z_pre,
                                 np.zeros(episodes)), (wx, wy, z_post, v_h)):
             rows, _, _, _, _, want = whole.serve(x, y, z, p)
-            near_rows, *_, got = near.settle(x, y, z, reach, r_field, p, None)
+            near_rows, *_, got = near.settle(x, y, z, reach,
+                                             np.full(episodes, r_field), p, None)
             assert np.array_equal(got >= 0, want >= 0)
             served = want >= 0
             assert np.array_equal(near.x[near_rows[got[served]]],
@@ -821,7 +849,7 @@ class TestStaticAssociation:
         estimates = association_estimate(params, z, n, seed)
         counts = {"association_los": 0, "association_nlos": 0, "void": 0}
         for block in blocks:
-            for share in _field_shares(block.calls, params.lambda_b, r_field):
+            for share in _field_shares(block.calls):
                 replay = _Replay(share)
                 field = sample_ppp(params.lambda_b, r_field, replay)
                 counts[_static_association(
