@@ -1,7 +1,9 @@
 """Configuration boundary, parameter sweeps, figure presets and validation.
 
 The config file is a flat key=value text file whose keys match the system
-parameter names. Boundary units (converted on load, SI/linear inside):
+parameter names. `load_config` returns its values in boundary units; each
+sweep point puts its axis value, antenna and policy on top of them and is
+converted to SI/linear once, by `params_from_boundary`:
 
     lambda_b, mu            per km^2
     p_t                     dBm
@@ -14,6 +16,9 @@ parameter names. Boundary units (converted on load, SI/linear inside):
     m_l, m_n                positive integers
     antenna                 directional | omni
     policy                  strongest_rss | nearest
+
+beamwidth_deg is the directional variants' beamwidth and r_max the omni
+variants' truncation radius, whichever kind `antenna` selects.
 
 Sweep results are emitted as UTF-8 CSV with the fixed header
 axis,value,metric,policy,antenna,analytic,mc_mean,mc_ci_low,mc_ci_high,n,seed,error
@@ -49,12 +54,10 @@ from .model import (
 __all__ = [
     "SweepSpec",
     "ResultRow",
-    "FigureVariant",
     "ValidationReport",
     "load_config",
     "params_from_boundary",
     "run_sweep",
-    "figure_preset",
     "validate",
     "rows_to_csv",
     "main",
@@ -97,17 +100,17 @@ BEAMWIDTH_GRID = (20.0, 50.0, 80.0, 110.0, 140.0, 170.0)
 
 
 def params_from_boundary(values: dict) -> SystemParams:
-    """Build SystemParams from a complete boundary-unit value dict."""
-    antenna_name = values["antenna"].strip().lower()
-    if antenna_name == "directional":
+    """Build SystemParams from a complete boundary-unit value dict with
+    lower-case antenna and policy names, as load_config returns it; the
+    one place a boundary value becomes SI/linear."""
+    if values["antenna"] == "directional":
         antenna = DirectionalAntenna(float(values["beamwidth_deg"]))
-    elif antenna_name == "omni":
+    elif values["antenna"] == "omni":
         antenna = OmniAntenna(float(values["r_max"]))
     else:
         raise ParameterError(f"unknown antenna '{values['antenna']}'")
-    policy_name = values["policy"].strip().lower()
     try:
-        policy = AssociationPolicy(policy_name)
+        policy = AssociationPolicy(values["policy"])
     except ValueError:
         raise ParameterError(f"unknown policy '{values['policy']}'") from None
     return SystemParams(
@@ -132,14 +135,11 @@ def params_from_boundary(values: dict) -> SystemParams:
     )
 
 
-def load_config(path: str | None) -> SystemParams:
-    """Parse a flat key=value config file on top of the built-in defaults."""
-    return params_from_boundary(_config_values(path))
-
-
-def _config_values(path: str | None) -> dict:
-    """Boundary-unit values of a config file on top of the built-in defaults,
-    each of its default's type."""
+def load_config(path: str | None) -> dict:
+    """Boundary-unit values of a flat key=value config file on top of the
+    built-in defaults, each of its default's type, with lower-case antenna
+    and policy names. The whole config is checked once, so a bad value is
+    rejected even where a sweep overrides its key."""
     values = dict(BOUNDARY_DEFAULTS)
     if path is not None:
         with open(path, encoding="utf-8") as fh:
@@ -159,6 +159,9 @@ def _config_values(path: str | None) -> dict:
                 except ValueError:
                     raise ParameterError(f"{path}:{lineno}: bad value {val!r} "
                                          f"for '{key}'") from None
+    values["antenna"] = values["antenna"].lower()
+    values["policy"] = values["policy"].lower()
+    params_from_boundary(values)
     return values
 
 
@@ -209,45 +212,6 @@ class ResultRow:
     error: str = ""
 
 
-@dataclass(frozen=True)
-class FigureVariant:
-    """A labeled sweep belonging to one figure preset."""
-
-    label: str
-    spec: SweepSpec
-    overrides: dict
-
-
-def _apply_axis(params: SystemParams, axis: str, value) -> SystemParams:
-    if axis == "lambda_b":
-        if float(value) == params.lambda_b * 1e6:
-            # params' own point (_point_spec): value * 1e-6 would move a
-            # quarter of the integer densities per km^2 by one ulp
-            return params
-        return params.with_(lambda_b=float(value) * 1e-6)
-    if axis == "beamwidth_deg":
-        if isinstance(params.antenna, DirectionalAntenna):
-            return params.with_(antenna=DirectionalAntenna(float(value)))
-        return params  # omni reference curves ignore the beamwidth axis
-    if axis == "v":
-        return params.with_(v=float(value))
-    if axis == "kappa":
-        return params.with_(kappa=float(value))
-    if axis == "t_thresh":
-        return params.with_(t_thresh=linear_from_db(float(value)))
-    if axis == "height_band":
-        lo, hi = value
-        return params.with_(h_lb=float(lo), h_ub=float(hi))
-    raise ParameterError(f"unknown sweep axis '{axis}'")
-
-
-def _apply_antenna(params: SystemParams, name: str) -> SystemParams:
-    """The configured antenna when it is of the named kind, else that kind's
-    default."""
-    kind = DirectionalAntenna if name == "directional" else OmniAntenna
-    return params if isinstance(params.antenna, kind) else params.with_(antenna=kind())
-
-
 def _analytic_metrics(params: SystemParams) -> dict:
     """The analytic value of every CSV metric row, under params.policy."""
     breakdown = analytic.coverage_probability(params)
@@ -267,10 +231,11 @@ def _metric_rows_for_spec(metric: str) -> tuple:
 
 
 def _evaluate_group(args, workers: int = 1) -> list:
-    spec, params, value, policy, antenna_name = args
-    p = _apply_axis(params, spec.axis, value)
-    p = _apply_antenna(p, antenna_name)
-    p = p.with_(policy=AssociationPolicy(policy))
+    spec, values, value, policy, antenna_name = args
+    point = (dict(zip(("h_lb", "h_ub"), value)) if spec.axis == "height_band"
+             else {spec.axis: value})
+    p = params_from_boundary({**values, **point, "antenna": antenna_name,
+                              "policy": policy})
     error = ""
     analytic_vals, mc_vals = {}, {}
     if spec.engine in ("analytic", "both"):
@@ -305,9 +270,11 @@ def _evaluate_group(args, workers: int = 1) -> list:
     return rows
 
 
-def run_sweep(spec: SweepSpec, params: SystemParams, threads: int = 1) -> list:
-    """Evaluate the sweep; rows come back in deterministic axis order."""
-    groups = [(spec, params, value, policy, antenna)
+def run_sweep(spec: SweepSpec, values: dict, threads: int = 1) -> list:
+    """Evaluate the sweep on load_config's boundary values, each point's
+    axis value, antenna and policy on top of them; rows come back in
+    deterministic axis order."""
+    groups = [(spec, values, value, policy, antenna)
               for value in spec.values
               for policy in spec.policies
               for antenna in spec.antennas]
@@ -322,7 +289,10 @@ def run_sweep(spec: SweepSpec, params: SystemParams, threads: int = 1) -> list:
     return [row for rows in per_group for row in rows]
 
 
-# figure presets: id -> (sweep, {variant label: boundary-unit overrides})
+# figure presets: id -> (sweep, {variant label: boundary-unit overrides}).
+# One figure can overlay several parameter families (height bands,
+# densities, failure probabilities) that the fixed CSV schema cannot encode
+# in one file, so each variant is a sweep of its own
 FIGURE_PRESETS = {
     "fig2a": (SweepSpec(axis="lambda_b", values=LAMBDA_GRID,
                         metrics=("coverage", "handover"),
@@ -340,20 +310,6 @@ FIGURE_PRESETS = {
               {f"lam{int(lam)}_kappa{kappa}": {"lambda_b": lam, "kappa": kappa}
                for lam in (50.0, 100.0, 500.0) for kappa in (0.1, 0.3, 0.5)}),
 }
-
-
-def figure_preset(preset_id: str) -> list:
-    """Sweep variants reproducing the headline result figures.
-
-    Returns a list of labeled sweeps because one figure can overlay several
-    parameter families (height bands, densities, failure probabilities)
-    that the fixed CSV schema cannot encode in a single file.
-    """
-    if preset_id not in FIGURE_PRESETS:
-        raise ParameterError(f"unknown figure preset '{preset_id}'")
-    spec, variants = FIGURE_PRESETS[preset_id]
-    return [FigureVariant(label, spec, overrides)
-            for label, overrides in variants.items()]
 
 
 def _format(x) -> str:
@@ -417,7 +373,7 @@ class ValidationReport:
         return out.getvalue()
 
 
-def validate(params: SystemParams, trials: int, seed: int,
+def validate(values: dict, trials: int, seed: int,
              threads: int = 1) -> ValidationReport:
     """Compare every analytic quantity against its Monte Carlo estimate.
 
@@ -427,9 +383,9 @@ def validate(params: SystemParams, trials: int, seed: int,
     """
     if trials < 10_000:
         raise ParameterError("validation needs at least 10^4 trials")
-    spec = _point_spec(params, policies=POLICIES, trials=trials, seed=seed)
+    spec = _point_spec(values, policies=POLICIES, trials=trials, seed=seed)
     results = {}
-    for r in run_sweep(spec, params, threads=threads):
+    for r in run_sweep(spec, values, threads=threads):
         if r.error:
             raise ParameterError(r.error)
         results[r.policy, r.metric] = r
@@ -471,13 +427,13 @@ def _open_output(path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _point_spec(params: SystemParams, policies=None, **options) -> SweepSpec:
-    """Every metric at params' own density and antenna, under params.policy
-    or the given policies; options (engine, trials, seed) go to SweepSpec."""
-    antenna = "directional" if isinstance(params.antenna, DirectionalAntenna) else "omni"
-    return SweepSpec(axis="lambda_b", values=(params.lambda_b * 1e6,),
-                     metrics=METRICS, policies=policies or (params.policy.value,),
-                     antennas=(antenna,), **options)
+def _point_spec(values: dict, policies=None, **options) -> SweepSpec:
+    """Every metric at the configured density and antenna, under the
+    configured policy or the given policies; options (engine, trials, seed)
+    go to SweepSpec."""
+    return SweepSpec(axis="lambda_b", values=(values["lambda_b"],),
+                     metrics=METRICS, policies=policies or (values["policy"],),
+                     antennas=(values["antenna"],), **options)
 
 
 def main(argv=None) -> int:
@@ -522,14 +478,13 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     """Runs the parsed command; its exit code."""
-    values = _config_values(args.config)
-    params = params_from_boundary(values)
+    values = load_config(args.config)
 
     if args.command in ("analytic", "simulate", "sweep"):
         if args.command == "analytic":
-            spec = _point_spec(params, engine="analytic")
+            spec = _point_spec(values, engine="analytic")
         elif args.command == "simulate":
-            spec = _point_spec(params, engine="mc", trials=args.trials,
+            spec = _point_spec(values, engine="mc", trials=args.trials,
                                seed=args.seed)
         else:
             def parse_value(text):
@@ -548,7 +503,7 @@ def _run(args) -> int:
                 policies=tuple(args.policies.split(",")),
                 antennas=tuple(args.antennas.split(",")),
                 engine=args.engine, trials=args.trials, seed=args.seed)
-        rows = run_sweep(spec, params, threads=getattr(args, "threads", 1))
+        rows = run_sweep(spec, values, threads=getattr(args, "threads", 1))
         with _open_output(args.output) as fh:
             rows_to_csv(rows, fh)
         return 0
@@ -557,19 +512,19 @@ def _run(args) -> int:
         # variant <label> goes next to the output as <stem>_<label><suffix>
         base = pathlib.Path(args.output or f"{args.preset}.csv")
         base.parent.mkdir(parents=True, exist_ok=True)
-        for variant in figure_preset(args.preset):
+        spec, variants = FIGURE_PRESETS[args.preset]
+        spec = replace(spec, trials=args.trials, seed=args.seed)
+        for label, overrides in variants.items():
             # figure overrides are boundary-unit values
-            spec = replace(variant.spec, trials=args.trials, seed=args.seed)
-            rows = run_sweep(spec, params_from_boundary({**values, **variant.overrides}),
-                             threads=args.threads)
-            path = base.with_name(f"{base.stem}_{variant.label}{base.suffix or '.csv'}")
+            rows = run_sweep(spec, {**values, **overrides}, threads=args.threads)
+            path = base.with_name(f"{base.stem}_{label}{base.suffix or '.csv'}")
             with _open_output(path) as fh:
                 rows_to_csv(rows, fh)
             print(f"wrote {path}", file=sys.stderr)
         return 0
 
     if args.command == "validate":
-        report = validate(params, args.trials, args.seed, threads=args.threads)
+        report = validate(values, args.trials, args.seed, threads=args.threads)
         with _open_output(args.output) as fh:
             fh.write(report.render())
         return 0 if report.passed else 1

@@ -195,16 +195,16 @@ def field_radius(params: SystemParams) -> float:
     return r_m + params.v
 
 
-def _episode_radius(params: SystemParams, z, v_h):
+def _episode_radius(r_m, v_h):
     """The field radius of a movement from altitude z_pre above the origin
-    to altitude z_post, v_h away, with (z_pre, z_post) the last axis of z:
+    to altitude z_post, v_h away, with the receiving radii (r_m(z_pre),
+    r_m(z_post)) the last axis of r_m:
     R_b = max(r_m(z_pre), v_h + r_m(z_post)) (1 + DISC_MARGIN). No station beyond it is in range of either waypoint,
     so it can neither serve nor interfere, and a PPP restricted to disjoint
     sets is independent PPPs: dropping those stations leaves every
     estimator's law as it is. The margin keeps rounding from dropping a
     station on the boundary and R_b - v_h >= r_m(z_post) true in floating
     point."""
-    r_m = receiving_radius(z, params.h_b, params.antenna)
     return np.maximum(r_m[..., 0], v_h + r_m[..., 1]) * (1.0 + DISC_MARGIN)
 
 
@@ -324,7 +324,8 @@ def simulate_episode(params: SystemParams,
     rho = rng.rayleigh(1.0 / math.sqrt(2.0 * np.pi * params.mu))
     theta = np.pi * rng.random()
     v_h = horizontal_speed(params.v, rho, z_post - z_pre)
-    field = sample_ppp(params.lambda_b, _episode_radius(params, z, v_h), rng)
+    r_m = receiving_radius(z, params.h_b, params.antenna)
+    field = sample_ppp(params.lambda_b, _episode_radius(r_m, v_h), rng)
 
     start = Waypoint(0.0, 0.0, z_pre)
     latent = rng.random(len(field))
@@ -345,8 +346,7 @@ def simulate_episode(params: SystemParams,
 
     # fading only for the stations in range, in index order
     d = _distance(field.positions[:, 0], field.positions[:, 1], end.x, end.y)
-    near = np.flatnonzero(d <= receiving_radius(z_post, params.h_b,
-                                                params.antenna))
+    near = np.flatnonzero(d <= r_m[1])
     fading = _station_fading(los_post[near], params, rng)
     coin = rng.random()
 
@@ -506,16 +506,16 @@ class _FieldBlock:
         return rows, np.diff(np.searchsorted(rows, self.ends), prepend=0)
 
     def serve(self, wx: np.ndarray, wy: np.ndarray, z: np.ndarray,
-              params: SystemParams):
-        """With each episode's UAV at (wx, wy, z)[b]: the rows of the
-        stations in range and how many each episode owns, their link types,
-        path-loss gains and pick metrics (the gain, or minus the distance
-        under the nearest policy), and each episode's serving station as an
-        index into rows (-1 when void); classify_links's and associate's
-        operations, on the stations in range only."""
+              r_m: np.ndarray, params: SystemParams):
+        """With each episode's UAV at (wx, wy, z)[b], of receiving radius
+        r_m[b]: the rows of the stations in range and how many each episode
+        owns, their link types, path-loss gains and pick metrics (the gain,
+        or minus the distance under the nearest policy), and each episode's
+        serving station as an index into rows (-1 when void);
+        classify_links's and associate's operations, on the stations in
+        range only."""
         d = _distance(self.x, self.y, self.spread(wx), self.spread(wy))
-        rows, sizes = self.compact(
-            d <= self.spread(receiving_radius(z, params.h_b, params.antenna)))
+        rows, sizes = self.compact(d <= self.spread(r_m))
         d = d.take(rows)
         z = z.take(self._seg.take(rows))
         los = self.latent.take(rows) < los_probability(d, z, params.env,
@@ -527,29 +527,27 @@ class _FieldBlock:
         return rows, sizes, los, gains, metric, serving
 
     def settle(self, wx: np.ndarray, wy: np.ndarray, z: np.ndarray,
-               reach: np.ndarray, limit: np.ndarray, params: SystemParams,
-               rng: np.random.Generator):
-        """serve's result with each episode's UAV at (wx, wy, z)[b], reach[b]
-        from the origin, once every pick stands: the episodes whose disc is
-        smaller than their field, of radius limit[b], and whose pick could
-        still lose to a station outside it, at least radius - reach from the
-        UAV (_stands), grow their discs (grow) and go round again."""
-        r_m = None
+               r_m: np.ndarray, reach: np.ndarray, limit: np.ndarray,
+               params: SystemParams, rng: np.random.Generator):
+        """serve's result with each episode's UAV at (wx, wy, z)[b], of
+        receiving radius r_m[b], reach[b] from the origin, once every pick
+        stands: the episodes whose disc is smaller than their field, of
+        radius limit[b], and whose pick could still lose to a station
+        outside it, at least radius - reach from the UAV (_stands), grow
+        their discs (grow) and go round again."""
         while True:
-            served = self.serve(wx, wy, z, params)
+            served = self.serve(wx, wy, z, r_m, params)
             open_ = np.flatnonzero(self.radius < limit)
             if not len(open_):
                 return served
-            if r_m is None:
-                r_m = receiving_radius(z, params.h_b, params.antenna)
-                dz2 = (z - params.h_b) ** 2
             *_, metric, serving = served
             pick = serving[open_]
             won = pick >= 0
             best = np.full(len(open_), -np.inf)
             best[won] = metric[pick[won]]
-            todo = open_[~_stands(best, np.maximum(self.radius[open_] - reach[open_], 0.0),
-                                  r_m[open_], dz2[open_], params)]
+            clearance = np.maximum(self.radius[open_] - reach[open_], 0.0)
+            dz2 = (z[open_] - params.h_b) ** 2
+            todo = open_[~_stands(best, clearance, r_m[open_], dz2, params)]
             if not len(todo):
                 return served
             self.grow(todo, limit[todo], rng)
@@ -574,17 +572,17 @@ def _near_radius(lambda_b: float, r_field: float) -> float:
 
 
 def _exterior_nodes(radius: np.ndarray, v_h: np.ndarray, z: np.ndarray,
-                    params: SystemParams, n_x: int = N_X):
+                    r_m: np.ndarray, params: SystemParams, n_x: int = N_X):
     """(rho nodes, weights) of one row per episode over the stations outside
-    the disc |p| <= radius[b] in range of a UAV at altitude z[b], v_h[b] from
-    the disc's centre, rho being the distance from the UAV: the outside is
-    a PPP again (the disc is a stopping set), so each node weighs its
-    circle's share outside the disc, 1 - arccos((rho^2 + v_h^2 - radius^2)
-    / (2 rho v_h)) / pi. The share rises from 0 at radius - v_h and reaches
-    1 at radius + v_h, at each end as a square root; rho = lo + (hi - lo)(1
-    - cos phi) / 2 on Gauss nodes in phi takes both roots out. Beyond, up
-    to the receiving radius, analytic's radial panel. Needs radius > v_h."""
-    r_m = receiving_radius(z, params.h_b, params.antenna)
+    the disc |p| <= radius[b] in range of a UAV at altitude z[b], of
+    receiving radius r_m[b], v_h[b] from the disc's centre, rho being the
+    distance from the UAV: the outside is a PPP again (the disc is a
+    stopping set), so each node weighs its circle's share outside the disc,
+    1 - arccos((rho^2 + v_h^2 - radius^2) / (2 rho v_h)) / pi. The share
+    rises from 0 at radius - v_h and reaches 1 at radius + v_h, at each end
+    as a square root; rho = lo + (hi - lo)(1 - cos phi) / 2 on Gauss nodes
+    in phi takes both roots out. Beyond, up to the receiving radius,
+    analytic's radial panel. Needs radius > v_h."""
     lo = radius - v_h
     hi = np.minimum(radius + v_h, r_m)
     phi, w_phi = gauss_nodes(0.0, np.pi, n_x)
@@ -601,16 +599,16 @@ def _exterior_nodes(radius: np.ndarray, v_h: np.ndarray, z: np.ndarray,
 def _near_coverage(params: SystemParams, serving_los: np.ndarray,
                    signal: np.ndarray, interference: np.ndarray,
                    radius: np.ndarray, v_h: np.ndarray, z: np.ndarray,
-                   limit: np.ndarray) -> np.ndarray:
+                   r_m: np.ndarray, limit: np.ndarray) -> np.ndarray:
     """P(SIR > T | near field) per served episode, the serving fading and
     the stations outside the disc integrated out: signal is the serving
     path-loss gain S, interference the faded sum over the disc's other
     stations in range, I_near. With s = m T / S for the serving shape m,
     the near field adds -s I_near to g0 and s I_near to t_1 of the
     exterior's analytic._exponent_terms on _exterior_nodes (none where the
-    disc is the episode's field, radius = limit, or radius - v_h >= r_m),
-    and the first m terms of analytic._coverage_series add up to the
-    probability."""
+    disc is the episode's field, radius = limit, or radius - v_h >= r_m, the
+    receiving radius at z), and the first m terms of
+    analytic._coverage_series add up to the probability."""
     ch = params.channel
     m = np.where(serving_los, ch.m_l, ch.m_n)
     s = m * params.t_thresh / signal
@@ -620,10 +618,9 @@ def _near_coverage(params: SystemParams, serving_los: np.ndarray,
     t = [x, *(np.zeros(len(x)) for _ in range(1, order))][:order]
     far = np.flatnonzero(radius < limit)
     if len(far):
-        far = far[radius[far] - v_h[far]
-                  < receiving_radius(z[far], params.h_b, params.antenna)]
+        far = far[radius[far] - v_h[far] < r_m[far]]
     if len(far):
-        nodes = _exterior_nodes(radius[far], v_h[far], z[far], params)
+        nodes = _exterior_nodes(radius[far], v_h[far], z[far], r_m[far], params)
         g_far, t_far = _exponent_terms(s[far], dict.fromkeys(LinkType, nodes),
                                        z[far], params, order)
         g0[far] += g_far
@@ -650,14 +647,15 @@ def _tally_block(params: SystemParams, episodes: int, r_field: float,
     rho = rng.rayleigh(1.0 / math.sqrt(2.0 * np.pi * params.mu), episodes)
     theta = np.pi * rng.random(episodes)
     v_h = horizontal_speed(params.v, rho, z_post - z_pre)
-    limit = _episode_radius(params, z, v_h)
+    r_m = receiving_radius(z, params.h_b, params.antenna)
+    limit = _episode_radius(r_m, v_h)
     field = _FieldBlock(episodes, params.lambda_b,
                         np.minimum(_near_radius(params.lambda_b, r_field), limit),
                         rng)
 
     origin = np.zeros(episodes)
-    rows, _, los, _, _, pick = field.settle(origin, origin, z_pre, origin,
-                                            limit, params, rng)
+    rows, _, los, _, _, pick = field.settle(origin, origin, z_pre, r_m[:, 0],
+                                            origin, limit, params, rng)
     has_pre = pick >= 0
     pre = rows[pick[has_pre]]
     association = _association_counts(los, pick)
@@ -670,8 +668,8 @@ def _tally_block(params: SystemParams, episodes: int, r_field: float,
     offset = np.full(episodes, -1, dtype=np.intp)
     offset[has_pre] = pre - field.starts[has_pre]
     rows, sizes, los, gains, _, post = field.settle(
-        v_h * np.cos(heading), v_h * np.sin(heading), z_post, v_h, limit,
-        params, rng)
+        v_h * np.cos(heading), v_h * np.sin(heading), z_post, r_m[:, 1], v_h,
+        limit, params, rng)
     powers = _station_fading(los, params, rng)
     powers *= gains
 
@@ -682,7 +680,7 @@ def _tally_block(params: SystemParams, episodes: int, r_field: float,
     handover = has_pre[served] & (offset[served] != rows[serving] - field.starts[served])
     covered = _near_coverage(params, los[serving], gains[serving], interference,
                              field.radius[served], v_h[served], z_post[served],
-                             limit[served])
+                             r_m[served, 1], limit[served])
     covered *= 1.0 - params.kappa * handover
     return np.array([covered.sum(), np.count_nonzero(handover), *association])
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from uavcov import montecarlo as mc
 from uavcov.errors import ParameterError
+from uavcov.geometry import receiving_radius
 from uavcov.model import SystemParams, horizontal_speed
 
 
@@ -36,11 +37,12 @@ def tally_block(params: SystemParams, episodes: int,
     rho = rng.rayleigh(1.0 / math.sqrt(2.0 * np.pi * params.mu), episodes)
     theta = np.pi * rng.random(episodes)
     v_h = horizontal_speed(params.v, rho, z_post - z_pre)
-    field = mc._FieldBlock(episodes, params.lambda_b,
-                           mc._episode_radius(params, z, v_h), rng)
+    r_m = receiving_radius(z, params.h_b, params.antenna)
+    field = mc._FieldBlock(episodes, params.lambda_b, mc._episode_radius(r_m, v_h),
+                           rng)
 
     origin = np.zeros(episodes)
-    rows, _, los, _, _, pick = field.serve(origin, origin, z_pre, params)
+    rows, _, los, _, _, pick = field.serve(origin, origin, z_pre, r_m[:, 0], params)
     association = mc._association_counts(los, pick)
     has_pre = pick >= 0
     pre = np.full(episodes, -1, dtype=np.intp)
@@ -51,7 +53,7 @@ def tally_block(params: SystemParams, episodes: int,
     heading = bearing + theta
     rows, sizes, los, gains, _, post = field.serve(v_h * np.cos(heading),
                                                 v_h * np.sin(heading), z_post,
-                                                params)
+                                                r_m[:, 1], params)
     powers = mc._station_fading(los, params, rng)
     powers *= gains
     coin = rng.random(episodes)

@@ -78,8 +78,10 @@ def association_estimate(params: SystemParams, z: float, n: int, seed: int) -> d
     for episodes, rng in _blocks(n, seed, size):
         field = mc._FieldBlock(episodes, params.lambda_b, r_field, rng)
         origin = np.zeros(episodes)
-        _, _, los, _, _, pick = field.serve(origin, origin, np.full(episodes, z),
-                                         params)
+        altitude = np.full(episodes, z)
+        _, _, los, _, _, pick = field.serve(
+            origin, origin, altitude,
+            receiving_radius(altitude, params.h_b, params.antenna), params)
         counts += mc._association_counts(los, pick)
     return {key: mc._estimate_from_count(int(c), n, seed)
             for key, c in zip(mc._SUMMARY_KEYS[2:], counts)}

@@ -28,7 +28,7 @@ from uavcov.analytic import (
     reset_coverage_drift_counter,
 )
 from uavcov.association import height_context
-from uavcov.cli import SweepSpec, rows_to_csv, run_sweep, validate
+from uavcov.cli import SweepSpec, load_config, rows_to_csv, run_sweep, validate
 from uavcov.geometry import equal_power_radius, exclusion_radius, lens_complement_area
 from uavcov.model import (
     AssociationPolicy,
@@ -62,8 +62,8 @@ def report(name, ok, detail):
 def test_ac1_oracle_agreement():
     """AC-1: |analytic - MC| <= max(0.02, 3*CI half-width) at baseline."""
     start = time.time()
-    params = default_params()  # baseline scenario, V = 20 m/s
-    rep = validate(params, TRIALS, seed=SEED, threads=2)
+    # baseline scenario, V = 20 m/s
+    rep = validate(load_config(None), TRIALS, seed=SEED, threads=2)
     elapsed = time.time() - start
     lines = ", ".join(f"{r.name} gap {r.gap:.4f}<=:{r.threshold:.4f}"
                       for r in rep.rows)
@@ -276,14 +276,13 @@ def test_ac8_property_suite():
 
 def test_ac9_reproducibility():
     """AC-9: sweep output is byte-identical across runs and thread counts."""
-    params = default_params()
     spec = SweepSpec(axis="lambda_b", values=(50.0, 100.0),
                      metrics=("coverage", "handover"), engine="both",
                      trials=2000, seed=SEED)
 
     def render(threads):
         buf = io.StringIO()
-        rows_to_csv(run_sweep(spec, params, threads=threads), buf)
+        rows_to_csv(run_sweep(spec, load_config(None), threads=threads), buf)
         return buf.getvalue().encode("utf-8")
 
     once, again, parallel = render(1), render(1), render(2)

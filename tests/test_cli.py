@@ -6,11 +6,12 @@ from dataclasses import replace
 import pytest
 
 from uavcov import cli
+from uavcov.analytic import coverage_probability
 from uavcov.cli import (
     BOUNDARY_DEFAULTS,
     CSV_HEADER,
+    FIGURE_PRESETS,
     SweepSpec,
-    figure_preset,
     load_config,
     main,
     params_from_boundary,
@@ -19,7 +20,12 @@ from uavcov.cli import (
     validate,
 )
 from uavcov.errors import ParameterError
-from uavcov.model import AssociationPolicy, ChannelParams, DirectionalAntenna
+from uavcov.model import (
+    AssociationPolicy,
+    DirectionalAntenna,
+    OmniAntenna,
+    default_params,
+)
 
 
 def write_config(tmp_path, text):
@@ -28,9 +34,19 @@ def write_config(tmp_path, text):
     return str(path)
 
 
+def cut_preset(monkeypatch, preset_id, **changes):
+    """Cuts a figure preset's sweep to the one density 100 per km^2, with
+    the given SweepSpec changes; returns the preset's variants."""
+    spec, variants = FIGURE_PRESETS[preset_id]
+    monkeypatch.setitem(FIGURE_PRESETS, preset_id,
+                        (replace(spec, values=(100.0,), **changes), variants))
+    return variants
+
+
 class TestLoadConfig:
     def test_empty_file_gives_defaults(self, tmp_path):
-        p = load_config(write_config(tmp_path, "# nothing here\n"))
+        p = params_from_boundary(load_config(write_config(tmp_path,
+                                                          "# nothing here\n")))
         assert p.lambda_b == pytest.approx(1e-4)
         assert isinstance(p.antenna, DirectionalAntenna)
         assert p.antenna.beamwidth_deg == 120.0
@@ -49,43 +65,49 @@ class TestLoadConfig:
         assert p.policy is AssociationPolicy.STRONGEST_RSS
 
     def test_no_file_gives_defaults(self):
-        assert load_config(None) == params_from_boundary(BOUNDARY_DEFAULTS)
+        assert load_config(None) == BOUNDARY_DEFAULTS
 
     def test_band_ordering_rejected(self, tmp_path):
         with pytest.raises(ParameterError, match="h_lb"):
             load_config(write_config(tmp_path, "h_lb = 200\n"))
 
     def test_unit_conversion(self, tmp_path):
-        p = load_config(write_config(tmp_path, "lambda_b = 50\n"))
-        assert p.lambda_b == pytest.approx(5e-5)
+        values = load_config(write_config(tmp_path, "lambda_b = 50\n"))
+        assert values["lambda_b"] == 50.0
+        assert params_from_boundary(values).lambda_b == pytest.approx(5e-5)
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ParameterError, match="frequency"):
             load_config(write_config(tmp_path, "frequency = 2.4\n"))
 
     def test_omni_selection(self, tmp_path):
-        p = load_config(write_config(tmp_path, "antenna = omni\nr_max = 2000\n"))
-        assert p.antenna.r_max == 2000.0
+        values = load_config(write_config(tmp_path, "antenna = omni\nr_max = 2000\n"))
+        assert params_from_boundary(values).antenna == OmniAntenna(2000.0)
+
+    def test_names_are_lower_cased(self, tmp_path):
+        values = load_config(write_config(tmp_path,
+                                          "antenna = Omni\npolicy = NEAREST\n"))
+        assert (values["antenna"], values["policy"]) == ("omni", "nearest")
 
 
 class TestPointDensity:
     """analytic, simulate and validate evaluate the configured density."""
 
-    def test_point_spec_keeps_every_integer_density(self):
-        # _point_spec writes lambda_b * 1e6; applied back as value * 1e-6,
-        # as a sweep value is, that moves 25 485 of these by one ulp
-        base = load_config(None)
-        moved = 0
-        for per_km2 in range(1, 100_001):
-            configured = float(per_km2) * 1e-6     # as params_from_boundary
-            p = base.with_(lambda_b=configured)
-            value, = cli._point_spec(p, engine="analytic", seed=1).values
-            assert cli._apply_axis(p, "lambda_b", value).lambda_b == configured
-            moved += value * 1e-6 != configured
-            # a sweep value on a configured base maps through value * 1e-6
-            assert (cli._apply_axis(base, "lambda_b", float(per_km2)).lambda_b
-                    == configured)
-        assert moved == 25_485
+    def test_sweep_points_evaluate_every_integer_density(self, monkeypatch):
+        # a sweep value v per km^2 is evaluated at float(v) * 1e-6, as
+        # params_from_boundary converts a configured density
+        seen = []
+
+        def analytic_metrics(p):
+            seen.append(p.lambda_b)
+            return {}
+
+        monkeypatch.setattr(cli, "_analytic_metrics", analytic_metrics)
+        densities = [float(v) for v in range(1, 100_001)]
+        spec = SweepSpec(axis="lambda_b", values=tuple(densities),
+                         metrics=("void",), engine="analytic")
+        run_sweep(spec, load_config(None))
+        assert seen == [v * 1e-6 for v in densities]
 
     @pytest.mark.parametrize("per_km2", ["30", "100"])
     def test_commands_evaluate_the_configured_density(self, tmp_path,
@@ -113,11 +135,11 @@ class TestPointDensity:
 
 
 class TestRunSweep:
-    def test_single_point_both_engines(self, params):
+    def test_single_point_both_engines(self):
         spec = SweepSpec(axis="lambda_b", values=(100.0,),
                          metrics=("coverage",), engine="both",
                          trials=500, seed=3)
-        rows = run_sweep(spec, params)
+        rows = run_sweep(spec, load_config(None))
         assert len(rows) == 1
         row = rows[0]
         assert row.analytic is not None and row.mc_mean is not None
@@ -125,51 +147,51 @@ class TestRunSweep:
         assert (row.n, row.seed) == (500, 3)
         assert row.error == ""
 
-    def test_seed_only_on_monte_carlo_rows(self, params):
+    def test_seed_only_on_monte_carlo_rows(self):
         spec = SweepSpec(axis="lambda_b", values=(100.0,), engine="analytic",
                          seed=3)
-        [row] = run_sweep(spec, params)
+        [row] = run_sweep(spec, load_config(None))
         assert row.analytic is not None
         assert (row.mc_mean, row.n, row.seed) == (None, None, None)
 
-    def test_cardinality(self, params):
+    def test_cardinality(self):
         spec = SweepSpec(axis="lambda_b", values=(10.0, 100.0),
                          metrics=("coverage", "handover"),
                          policies=("strongest_rss", "nearest"),
                          engine="analytic")
-        rows = run_sweep(spec, params)
+        rows = run_sweep(spec, load_config(None))
         assert len(rows) == 2 * 2 * 2  # values x metrics x policies
 
-    def test_association_metric_expands(self, params):
+    def test_association_metric_expands(self):
         spec = SweepSpec(axis="v", values=(20.0,), metrics=("association",),
                          engine="analytic")
-        rows = run_sweep(spec, params)
+        rows = run_sweep(spec, load_config(None))
         assert [r.metric for r in rows] == ["association_los", "association_nlos"]
 
-    def test_reproducible_csv_bytes(self, params):
+    def test_reproducible_csv_bytes(self):
         spec = SweepSpec(axis="lambda_b", values=(50.0, 100.0),
                          metrics=("coverage",), engine="mc",
                          trials=1000, seed=7)
 
         def render(threads):
             buf = io.StringIO()
-            rows_to_csv(run_sweep(spec, params, threads=threads), buf)
+            rows_to_csv(run_sweep(spec, load_config(None), threads=threads), buf)
             return buf.getvalue()
 
         first, second = render(1), render(1)
         assert first == second
         assert render(2) == first
 
-    def test_rows_within_unit_interval(self, params):
+    def test_rows_within_unit_interval(self):
         spec = SweepSpec(axis="kappa", values=(0.0, 0.5),
                          metrics=("coverage", "void"), engine="analytic")
-        for row in run_sweep(spec, params):
+        for row in run_sweep(spec, load_config(None)):
             assert 0.0 <= row.analytic <= 1.0
 
-    def test_height_band_axis(self, params):
+    def test_height_band_axis(self):
         spec = SweepSpec(axis="height_band", values=((90.0, 150.0),),
                          metrics=("void",), engine="analytic")
-        rows = run_sweep(spec, params)
+        rows = run_sweep(spec, load_config(None))
         assert rows[0].analytic == pytest.approx(0.00442, abs=2e-4)
 
     def test_spec_validation(self):
@@ -187,55 +209,55 @@ class TestRunSweep:
 
 class TestFigurePresets:
     def test_fig2a_contains_handover_and_two_bands(self):
-        variants = figure_preset("fig2a")
-        assert len(variants) == 2
-        assert all("handover" in v.spec.metrics for v in variants)
-        bands = {(v.overrides["h_lb"], v.overrides["h_ub"]) for v in variants}
-        assert len(bands) == 2
+        spec, variants = FIGURE_PRESETS["fig2a"]
+        assert "handover" in spec.metrics
+        bands = {(o["h_lb"], o["h_ub"]) for o in variants.values()}
+        assert len(bands) == len(variants) == 2
 
     def test_fig2b_compares_policies(self):
-        (variant,) = figure_preset("fig2b")
-        assert set(variant.spec.policies) == {"strongest_rss", "nearest"}
+        spec, variants = FIGURE_PRESETS["fig2b"]
+        assert len(variants) == 1
+        assert set(spec.policies) == {"strongest_rss", "nearest"}
 
     def test_fig3a_sweeps_beamwidth_with_omni_reference(self):
-        variants = figure_preset("fig3a")
-        assert {v.overrides["lambda_b"] for v in variants} == {50.0, 100.0, 500.0}
-        for v in variants:
-            assert v.spec.axis == "beamwidth_deg"
-            assert "omni" in v.spec.antennas
+        spec, variants = FIGURE_PRESETS["fig3a"]
+        assert {o["lambda_b"] for o in variants.values()} == {50.0, 100.0, 500.0}
+        assert spec.axis == "beamwidth_deg"
+        assert "omni" in spec.antennas
 
     def test_fig3b_varies_kappa(self):
-        variants = figure_preset("fig3b")
-        assert {v.overrides["kappa"] for v in variants} == {0.1, 0.3, 0.5}
+        _, variants = FIGURE_PRESETS["fig3b"]
+        assert {o["kappa"] for o in variants.values()} == {0.1, 0.3, 0.5}
 
     def test_all_presets_run_both_engines(self):
-        for preset in ("fig2a", "fig2b", "fig3a", "fig3b"):
-            assert all(v.spec.engine == "both" for v in figure_preset(preset))
+        assert set(FIGURE_PRESETS) == {"fig2a", "fig2b", "fig3a", "fig3b"}
+        assert all(spec.engine == "both" for spec, _ in FIGURE_PRESETS.values())
 
-    def test_unknown_preset(self):
-        with pytest.raises(ParameterError):
-            figure_preset("fig9z")
+    def test_unknown_preset(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["figure", "fig9z"])
+        assert exit_info.value.code == 2
+        assert "fig9z" in capsys.readouterr().err
 
 
 class TestValidate:
-    def test_symmetric_channel_policy_rows_agree(self, params):
-        p = params.with_(
-            channel=ChannelParams(alpha_l=3.0, alpha_n=3.0, eta_l=1e-4,
-                                  eta_n=1e-4, m_l=2, m_n=2),
-            kappa=0.0)
-        report = validate(p, 10_000, seed=23)
+    def test_symmetric_channel_policy_rows_agree(self):
+        values = {**load_config(None), "alpha_l": 3.0, "alpha_n": 3.0,
+                  "eta_l": -40.0, "eta_n": -40.0, "m_l": 2, "m_n": 2,
+                  "kappa": 0.0}
+        report = validate(values, 10_000, seed=23)
         by_name = {r.name: r for r in report.rows}
         assert abs(by_name["coverage_strongest"].analytic
                    - by_name["coverage_nearest"].analytic) < 2e-3
 
-    def test_kappa_zero_report(self, params):
-        report = validate(params.with_(kappa=0.0), 10_000, seed=24)
+    def test_kappa_zero_report(self):
+        report = validate({**load_config(None), "kappa": 0.0}, 10_000, seed=24)
         assert report.passed
         assert "coverage_strongest" in report.render()
 
-    def test_minimum_trials(self, params):
+    def test_minimum_trials(self):
         with pytest.raises(ParameterError):
-            validate(params, 100, seed=1)
+            validate(load_config(None), 100, seed=1)
 
 
 class TestCsvOutput:
@@ -244,11 +266,11 @@ class TestCsvOutput:
         rows_to_csv([], buf)
         assert buf.getvalue().splitlines()[0] == ",".join(CSV_HEADER)
 
-    def test_nine_significant_digits(self, params):
+    def test_nine_significant_digits(self):
         spec = SweepSpec(axis="v", values=(20.0,), metrics=("void",),
                          engine="analytic")
         buf = io.StringIO()
-        rows_to_csv(run_sweep(spec, params), buf)
+        rows_to_csv(run_sweep(spec, load_config(None)), buf)
         value = buf.getvalue().splitlines()[1].split(",")[5]
         assert 7 <= len(value.replace(".", "").replace("-", "").lstrip("0")) <= 10
 
@@ -296,36 +318,29 @@ class TestMainEntry:
     def test_figure_command_output_paths(self, tmp_path, monkeypatch, capsys,
                                          output, written):
         # the fig2a variants, cut to one directional point each
-        full = cli.figure_preset
-        monkeypatch.setattr(cli, "figure_preset", lambda preset_id: [
-            replace(v, spec=replace(v.spec, values=(100.0,),
-                                    antennas=("directional",)))
-            for v in full(preset_id)])
+        variants = cut_preset(monkeypatch, "fig2a", antennas=("directional",))
         monkeypatch.chdir(tmp_path)
         code = main(["figure", "fig2a", "--trials", "100", "--output", output])
         assert code == 0
         log = capsys.readouterr().err
-        for variant in full("fig2a"):
-            path = written.format(variant.label)
+        for label in variants:
+            path = written.format(label)
             assert (tmp_path / path).read_text().startswith(",".join(CSV_HEADER))
             assert f"wrote {path}\n" in log
 
     def test_figure_command_reads_config(self, tmp_path, monkeypatch):
         # the config sets the scenario; the preset's own keys (here the
         # height band) still override it
-        full = cli.figure_preset
-        monkeypatch.setattr(cli, "figure_preset", lambda preset_id: [
-            replace(v, spec=replace(v.spec, values=(100.0,),
-                                    antennas=("directional",), engine="analytic"))
-            for v in full(preset_id)])
+        variants = cut_preset(monkeypatch, "fig2a", antennas=("directional",),
+                              engine="analytic")
 
         def csv_bytes(name, config_text):
             argv = ["figure", "fig2a", "--output", str(tmp_path / name / "fig")]
             if config_text is not None:
                 argv += ["--config", write_config(tmp_path, config_text)]
             assert main(argv) == 0
-            return [(tmp_path / name / f"fig_{v.label}.csv").read_bytes()
-                    for v in full("fig2a")]
+            return [(tmp_path / name / f"fig_{label}.csv").read_bytes()
+                    for label in variants]
 
         default = csv_bytes("default", None)
         slow = csv_bytes("slow", "v = 5\n")
@@ -342,7 +357,7 @@ class TestMainEntry:
             return open(path, *args, **kwargs)
 
         monkeypatch.setattr(cli, "open", counting_open, raising=False)
-        monkeypatch.setattr(cli, "run_sweep", lambda spec, params, threads=1: [])
+        monkeypatch.setattr(cli, "run_sweep", lambda spec, values, threads=1: [])
         assert main(["figure", "fig2b", "--trials", "100", "--config", config,
                      "--output", str(tmp_path / "fig")]) == 0
         assert opened.count(config) == 1
@@ -373,6 +388,62 @@ class TestMainEntry:
         assert "overall: PASS" in out.read_text()
 
 
+class TestAntennaVariants:
+    """beamwidth_deg and r_max apply to the variants of their own antenna
+    kind, whichever kind the config's antenna selects."""
+
+    def sweep_bytes(self, tmp_path, config_text, antenna):
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, config_text),
+                     "--axis", "lambda_b", "--values", "10,100",
+                     "--antennas", antenna, "--metrics", "coverage,handover",
+                     "--engine", "analytic", "--output", str(out)]) == 0
+        return out.read_bytes()
+
+    def test_omni_variant_reads_r_max(self, tmp_path):
+        got = self.sweep_bytes(tmp_path, "r_max = 1000\n", "omni")
+        assert got == self.sweep_bytes(tmp_path, "antenna = omni\nr_max = 1000\n",
+                                       "omni")
+        assert got != self.sweep_bytes(tmp_path, "", "omni")
+
+    def test_directional_variant_reads_beamwidth(self, tmp_path):
+        got = self.sweep_bytes(tmp_path, "antenna = omni\nbeamwidth_deg = 60\n",
+                               "directional")
+        assert got == self.sweep_bytes(tmp_path, "beamwidth_deg = 60\n",
+                                       "directional")
+        assert got != self.sweep_bytes(tmp_path, "", "directional")
+
+    def test_beamwidth_axis_reaches_directional_variant(self, tmp_path):
+        def sweep(config_text):
+            out = tmp_path / "beam.csv"
+            assert main(["sweep", "--config", write_config(tmp_path, config_text),
+                         "--axis", "beamwidth_deg", "--values", "60,150",
+                         "--metrics", "handover", "--engine", "analytic",
+                         "--output", str(out)]) == 0
+            rows = csv.DictReader(io.StringIO(out.read_text()))
+            return [r["analytic"] for r in rows]
+
+        got = sweep("antenna = omni\n")
+        assert got == sweep("") and got[0] != got[1]
+
+    def test_figure_omni_rows_read_r_max(self, tmp_path, monkeypatch):
+        variants = cut_preset(monkeypatch, "fig2a", engine="analytic")
+        assert main(["figure", "fig2a", "--output", str(tmp_path / "fig"),
+                     "--config", write_config(tmp_path, "r_max = 1000\n")]) == 0
+        for label, overrides in variants.items():
+            text = (tmp_path / f"fig_{label}.csv").read_text()
+            rows = {r["metric"]: float(r["analytic"])
+                    for r in csv.DictReader(io.StringIO(text))
+                    if r["antenna"] == "omni"}
+            for r_max, match in ((1000.0, True), (3000.0, False)):
+                want = coverage_probability(default_params(
+                    antenna=OmniAntenna(r_max), h_lb=overrides["h_lb"],
+                    h_ub=overrides["h_ub"]))
+                assert (rows == pytest.approx(
+                    {"coverage": want.total, "handover": want.handover_prob},
+                    rel=1e-8, abs=0.0)) is match
+
+
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records max_workers and maps in
     this process, so no pool is started."""
@@ -400,12 +471,12 @@ class TestWorkerPools:
         monkeypatch.setattr(cli.montecarlo, "ProcessPoolExecutor", _SerialPool)
         return _SerialPool.sizes
 
-    def test_sweep_pool_holds_at_most_one_worker_per_group(self, params, sizes):
+    def test_sweep_pool_holds_at_most_one_worker_per_group(self, sizes):
         spec = SweepSpec(axis="lambda_b", values=(50.0, 100.0),
                          metrics=("void",), engine="analytic")
-        rows = run_sweep(spec, params, threads=5000)
+        rows = run_sweep(spec, load_config(None), threads=5000)
         assert sizes == [2]
-        assert rows == run_sweep(spec, params, threads=1)
+        assert rows == run_sweep(spec, load_config(None), threads=1)
 
     def test_episode_pool_holds_at_most_one_worker_per_job(self, params, sizes):
         # with a worker for every job, each job is one block
@@ -419,7 +490,7 @@ class TestWorkerPools:
         out = tmp_path / "rows.csv"
         assert main(["simulate", "--trials", "4000", "--seed", "3",
                      "--threads", "5000", "--output", str(out)]) == 0
-        assert sizes == [_block_count(load_config(None), 4000)]
+        assert sizes == [_block_count(params_from_boundary(load_config(None)), 4000)]
 
 
 def _block_count(params, n):
@@ -452,10 +523,16 @@ class TestUsageErrors:
         (None, ["analytic", "--config", "missing.cfg"]),
         (None, ["analytic", "--output", "missing-dir/x.csv"]),
         ("v = 10\n", ["figure", "fig2b", "--output", "scenario.cfg/fig"]),
+        # a bad config value is an error even where the sweep overrides it
+        ("antenna = dish\n", ["sweep", "--axis", "lambda_b", "--values", "100",
+                              "--antennas", "omni", "--engine", "analytic"]),
+        ("lambda_b = -5\n", ["sweep", "--axis", "lambda_b", "--values", "100",
+                             "--engine", "analytic"]),
     ], ids=["config-key", "config-range", "config-value", "metric",
             "validate-trials", "height-band-value", "lambda-value",
             "threads-zero", "threads-negative", "analytic-trials", "analytic-seed",
-            "config-missing", "output-dir-missing", "figure-dir-is-a-file"])
+            "config-missing", "output-dir-missing", "figure-dir-is-a-file",
+            "config-antenna-overridden", "config-density-overridden"])
     def test_reported_as_usage_error(self, tmp_path, monkeypatch, capsys, config,
                                      argv):
         monkeypatch.chdir(tmp_path)

@@ -392,9 +392,9 @@ class TestSegmentSums:
         field = _FieldBlock(30, params.lambda_b, field_radius(params),
                             episode_rng(4, 0))
         assert np.all(field.sizes > 0)
-        far = np.full(30, 1e4)
-        rows, sizes, los, gains, _, serving = field.serve(far, far, np.full(30, 120.0),
-                                                       params)
+        far, z = np.full(30, 1e4), np.full(30, 120.0)
+        r_m = receiving_radius(z, params.h_b, params.antenna)
+        rows, sizes, los, gains, _, serving = field.serve(far, far, z, r_m, params)
         assert len(rows) == len(los) == len(gains) == 0
         assert sizes.tolist() == [0] * 30 and serving.tolist() == [-1] * 30
         assert _segment_sums(gains, sizes).tolist() == [0.0] * 30
@@ -580,7 +580,8 @@ class TestSummaryEstimates:
         v_h = horizontal_speed(p.v, rho, z_post - z_pre)
         heading = 2.0 * np.pi * rng.random(episodes)
         whole = _FieldBlock(episodes, p.lambda_b, field_radius(p), rng)
-        radius = montecarlo._episode_radius(p, z, v_h)
+        r_m = receiving_radius(z, p.h_b, p.antenna)
+        radius = montecarlo._episode_radius(r_m, v_h)
         kept, sizes = whole.compact(whole.x ** 2 + whole.y ** 2
                                     <= whole.spread(radius) ** 2)
         part = object.__new__(_FieldBlock)
@@ -589,10 +590,11 @@ class TestSummaryEstimates:
         part._index(sizes)
         assert len(kept) < len(whole.x)
         origin = np.zeros(episodes)
-        for wx, wy, alt in ((origin, origin, z_pre),
-                            (v_h * np.cos(heading), v_h * np.sin(heading), z_post)):
-            rows, *got, _, pick = whole.serve(wx, wy, alt, p)
-            part_rows, *part_got, _, part_pick = part.serve(wx, wy, alt, p)
+        for wx, wy, alt, r in ((origin, origin, z_pre, r_m[:, 0]),
+                               (v_h * np.cos(heading), v_h * np.sin(heading),
+                                z_post, r_m[:, 1])):
+            rows, *got, _, pick = whole.serve(wx, wy, alt, r, p)
+            part_rows, *part_got, _, part_pick = part.serve(wx, wy, alt, r, p)
             assert np.array_equal(kept[part_rows], rows)
             for a, b in zip(part_got, got):  # sizes, link types, gains
                 assert np.array_equal(a, b)
@@ -609,6 +611,28 @@ class TestSummaryEstimates:
                     for v in (0.0, 20.0, 40.0)]
         for a, b in zip(by_speed, by_speed[1:]):
             assert b.mean > a.mean - (a.half_width + b.half_width)
+
+    @pytest.mark.parametrize("overrides, n", [
+        ({}, 4000),
+        ({"lambda_b": 1e-3, "antenna": OmniAntenna()}, 1200),
+    ], ids=("baseline", "dense-omni"))
+    def test_receiving_radius_once_per_block(self, params, monkeypatch,
+                                             overrides, n):
+        # field_radius's call, then one per block for both waypoints of
+        # all its episodes, whatever the disc grows through
+        p = params.with_(**overrides)
+        near = montecarlo._near_radius(p.lambda_b, field_radius(p))
+        blocks = -(-n // montecarlo._block_episodes(p.lambda_b * np.pi * near * near))
+        assert blocks > 1
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return receiving_radius(*args)
+
+        monkeypatch.setattr(montecarlo, "receiving_radius", counting)
+        summary_estimates(p, n, 5)
+        assert len(calls) == 1 + blocks
 
 
 HIGH_RISE = EnvironmentParams(a=27.23, b=0.08)
@@ -736,8 +760,9 @@ class TestNearField:
         grew = 0
         for x, y, z, reach in ((np.zeros(episodes), np.zeros(episodes), z_pre,
                                 np.zeros(episodes)), (wx, wy, z_post, v_h)):
-            rows, _, _, _, _, want = whole.serve(x, y, z, p)
-            near_rows, *_, got = near.settle(x, y, z, reach,
+            r_m = receiving_radius(z, p.h_b, p.antenna)
+            rows, _, _, _, _, want = whole.serve(x, y, z, r_m, p)
+            near_rows, *_, got = near.settle(x, y, z, r_m, reach,
                                              np.full(episodes, r_field), p, None)
             assert np.array_equal(got >= 0, want >= 0)
             served = want >= 0
@@ -755,9 +780,9 @@ class TestNearField:
         # interferer field, on the same radial nodes
         p = params.with_(policy=NEAREST, antenna=antenna)
         z = np.repeat([95.0, 120.0, 145.0], 5)
-        r0 = receiving_radius(z, p.h_b, antenna) * np.tile(
-            [0.01, 0.1, 0.3, 0.6, 0.9], 3)
-        x, w = montecarlo._exterior_nodes(r0, np.zeros(15), z, p)
+        r_m = receiving_radius(z, p.h_b, antenna)
+        r0 = r_m * np.tile([0.01, 0.1, 0.3, 0.6, 0.9], 3)
+        x, w = montecarlo._exterior_nodes(r0, np.zeros(15), z, r_m, p)
         panels = analytic._interference_nodes(serving, r0, z, p)
         for x_an, w_an in panels.values():
             assert np.array_equal(x[:, analytic.N_X:], x_an)
@@ -782,7 +807,7 @@ class TestNearField:
         v_h = np.concatenate([np.zeros(50), rng.uniform(0.0, p.v, 250)])
         r_m = receiving_radius(z, p.h_b, antenna)
         radius = v_h + rng.uniform(1e-3, 1.0, 300) * r_m
-        x, w = montecarlo._exterior_nodes(radius, v_h, z, p)
+        x, w = montecarlo._exterior_nodes(radius, v_h, z, r_m, p)
         area = lens_complement_area(x=radius, y=r_m, v=v_h)
         assert np.allclose(2.0 * np.pi * np.sum(w * x, axis=1), area,
                            rtol=1e-10, atol=0.0)
@@ -810,7 +835,7 @@ class TestNearField:
                                                    p.channel, p.h_b)
         coverage = []
         for n_x in (analytic.N_X, 2 * analytic.N_X):
-            nodes = montecarlo._exterior_nodes(radius, v_h, z, p, n_x)
+            nodes = montecarlo._exterior_nodes(radius, v_h, z, r_m, p, n_x)
             coverage.append(sum(analytic._coverage_series(*analytic._exponent_terms(
                 s, dict.fromkeys(LinkType, nodes), z, p, p.channel.m_l - 1))))
         assert np.max(np.abs(coverage[1] - coverage[0])) <= 1e-7
