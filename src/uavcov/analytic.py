@@ -22,8 +22,9 @@ Layout of the computation:
   without a grid; a same-type target, every target of the nearest rule,
   takes the closed-form lens angles of two circles through the serving
   GBS (``geometry.same_type_lens_complement_area``); the remaining
-  cross-type rows take the general lens formula. The average over
-  (theta, v_h) is one matrix-vector product with the flattened weights;
+  cross-type rows take the general lens formula. One call per serving
+  type covers every altitude; the lens grid, its exp and the average over
+  (theta, v_h), a matrix-vector product, run one altitude at a time;
 * conditional coverage: the finite Nakagami sum over derivatives of the
   interference Laplace transform, taken as exp(g0) sum_{l<m} b_l from the
   exponent g0 and the nonnegative coefficients t_k (negative-binomial
@@ -34,9 +35,9 @@ Layout of the computation:
   the whole altitude x serving-distance grid, each row carrying its own
   altitude;
 * totals: serving-type sum of double integrals over serving distance and
-  altitude, the nodes, weights and handover built one altitude at a time;
-  the serving-distance integral is transformed through the
-  type-nearest CDF so nodes concentrate where the serving-distance density
+  altitude, as row sums over (altitude, serving distance) arrays of nodes,
+  weights and handover; the serving-distance integral is transformed
+  through the type-nearest CDF so nodes concentrate where the density
   actually lives (this matters for the omni antenna, whose receiving radius
   is orders of magnitude larger than the typical serving distance).
 
@@ -122,57 +123,60 @@ class CoverageBreakdown:
 # conditional handover probability
 # ---------------------------------------------------------------------------
 
-def _cond_handover_grid(serving: LinkType, targets: tuple, r0, z_t: float,
+def _cond_handover_grid(serving: LinkType, targets: tuple, r0, z_t,
                         params: SystemParams, n_theta=N_THETA,
                         n_v=N_V) -> np.ndarray:
     """P(handover to each target type | serving type, r0, z_t), one row per
-    target type, vectorized in r0.
+    target type, vectorized in r0: a row of r0 per altitude in z_t (or r0 at
+    one z_t).
 
     The movement reaches the handover region only through its direction
     theta and its horizontal speed v_h, so the expectation runs over theta
     and over the law of v_h given z_t (``horizontal_speed_nodes``). A serving
     distance whose region is empty at every v_h <= V is 0 without a grid:
     either the target radius stays 0 or the post-move disk stays inside the
-    pre-move one. A same-type target takes the closed-form lens angles.
+    pre-move one. A same-type target takes the closed-form lens angles. Only
+    the lens grid runs per altitude, a slice that stays in cache.
     """
     r0 = np.atleast_1d(np.asarray(r0, dtype=float))
-    out = np.zeros((len(targets), r0.size))
+    rows = np.atleast_2d(r0)
+    out = np.zeros((len(targets), *rows.shape))
     if params.v == 0.0:
         # zero displacement: the post-move disk is contained in the pre-move one
-        return out
-    ctx = height_context(params, z_t)
+        return out.reshape(len(targets), *r0.shape)
+    ctx = height_context(params, np.atleast_1d(z_t))    # h_bar, r_m: a row per z_t
     ch = params.channel
 
     # uniform direction on [0, pi]
     theta, w_th = gauss_nodes(0.0, np.pi, n_theta)
-    v_h, w_v = horizontal_speed_nodes(z_t, params, n_v)
-    w = (w_th * (1.0 / np.pi))[:, None] * w_v
+    v_h, w_v = map(np.array, zip(*(horizontal_speed_nodes(z, params, n_v)
+                                   for z in np.ravel(z_t))))
+    w = (w_th * (1.0 / np.pi))[:, None] * w_v[:, None, :]
     theta = theta[:, None]
     for i, target in enumerate(targets):
-        x_a = equal_power_radius(serving, target, r0, ctx.h_bar, ch)
+        x_a = equal_power_radius(serving, target, rows, ctx.h_bar, ch)
         # v_h <= V and r_after <= r0 + V bound the post-move disk; the
         # general lens formula gives exactly 0 on the rows this rules out
-        y_hi = np.minimum(equal_power_radius(serving, target, r0 + params.v,
+        y_hi = np.minimum(equal_power_radius(serving, target, rows + params.v,
                                              ctx.h_bar, ch), ctx.r_m)
         live = (y_hi > 0.0) & (params.v + y_hi > x_a)
-        if not np.any(live):
-            continue
-        r = r0[live, None, None]
-        if target is serving:
-            area = same_type_lens_complement_area(r, v_h, theta, ctx.r_m)
-        else:
-            r_after = displaced_distance(r, v_h, theta)
-            y_b = np.minimum(equal_power_radius(serving, target, r_after,
-                                                ctx.h_bar, ch), ctx.r_m)
-            area = lens_complement_area(x=x_a[live, None, None], y=y_b, v=v_h)
-        area *= -params.lambda_b        # in place: the same sum, faster
-        np.exp(area, out=area)
-        out[i, live] = 1.0 - area.reshape(len(area), -1) @ w.ravel()
-    return np.clip(out, 0.0, 1.0)
+        for j in np.flatnonzero(np.any(live, axis=1)):
+            r = rows[j, live[j], None, None]
+            if target is serving:
+                area = same_type_lens_complement_area(r, v_h[j], theta, ctx.r_m[j, 0])
+            else:
+                r_after = displaced_distance(r, v_h[j], theta)
+                y_b = equal_power_radius(serving, target, r_after, ctx.h_bar[j, 0], ch)
+                area = lens_complement_area(x=x_a[j, live[j], None, None],
+                                            y=np.minimum(y_b, ctx.r_m[j, 0]), v=v_h[j])
+            area *= -params.lambda_b        # in place: the same sum, faster
+            np.exp(area, out=area)
+            out[i, j, live[j]] = 1.0 - area.reshape(len(area), -1) @ w[j].ravel()
+    return np.clip(out, 0.0, 1.0).reshape(len(targets), *r0.shape)
 
 
-def _stay_grid(serving: LinkType, r0, z_t: float, params: SystemParams) -> np.ndarray:
-    """P(no handover | serving type, r0, z_t), vectorized in r0.
+def _stay_grid(serving: LinkType, r0, z_t, params: SystemParams) -> np.ndarray:
+    """P(no handover | serving type, r0, z_t), shaped as the kernel's rows.
 
     Under strongest-average-RSS the two target types compose as independent
     thinnings; the nearest policy ignores type, so one same-type target (the
@@ -330,11 +334,9 @@ def _r0_nodes_type(ctx, link: LinkType, params: SystemParams, n_r0: int):
     """
     lam = params.lambda_b
     g_span = ctx.cum_intensity(link, ctx.r_m)
-    u_top = -math.expm1(-2.0 * np.pi * lam * g_span)
+    u_top = -np.expm1(-2.0 * np.pi * lam * g_span)
     u, w_u = gauss_nodes(0.0, u_top, n_r0)
-    g_vals = -np.log1p(-u) / (2.0 * np.pi * lam)
-    r0 = ctx.inverse_cum(link, g_vals)
-    return r0, w_u
+    return ctx.inverse_cum(link, -np.log1p(-u) / (2.0 * np.pi * lam)), w_u
 
 
 def _strongest_nodes(ctx, params: SystemParams, n_r0: int):
@@ -356,7 +358,7 @@ def _nearest_nodes(ctx, params: SystemParams, n_r0: int):
     and the type-blind handover; the weight thins by the type probability.
     """
     lam = params.lambda_b
-    u_top = -math.expm1(-np.pi * lam * ctx.r_m ** 2)
+    u_top = -np.expm1(-np.pi * lam * ctx.r_m ** 2)
     u, w_u = gauss_nodes(0.0, u_top, n_r0)
     r0 = np.sqrt(-np.log1p(-u) / (np.pi * lam))
     stay = _stay_grid(LinkType.LOS, r0, ctx.z, params)
@@ -372,24 +374,18 @@ def _policy_metrics(params: SystemParams, n_z: int, n_r0: int) -> _PolicyMetrics
     nodes = (_nearest_nodes if params.policy is AssociationPolicy.NEAREST
              else _strongest_nodes)
 
-    # nodes and handover per altitude; coverage in one call per serving type
-    # on the stacked (altitude, serving distance) rows
-    per_z = [{link: rest for link, *rest in
-              nodes(height_context(params, z), params, n_r0)} for z in z_nodes]
-    p_covs = {link: _coverage_grid(link, np.concatenate([nz[link][0] for nz in per_z]),
-                                   np.repeat(z_nodes, n_r0), params).reshape(n_z, -1)
-              for link in LinkType}
-    cov1 = {link: 0.0 for link in LinkType}
-    cov2 = {link: 0.0 for link in LinkType}
-    assoc = {link: 0.0 for link in LinkType}
+    # per serving type, nodes, weights and stay with one row per altitude
+    cov1, cov2, assoc = {}, {}, {}
     handover = 0.0
-    for i, wz in enumerate(w_z):
-        for link, (_, weight, stay) in per_z[i].items():
-            p_cov = p_covs[link][i]
-            assoc[link] += wz * float(np.sum(weight))
-            cov1[link] += wz * float(np.sum(weight * p_cov))
-            cov2[link] += wz * float(np.sum(weight * p_cov * stay))
-            handover += wz * float(np.sum(weight * (1.0 - stay)))
+    for link, r0, weight, stay in nodes(height_context(params, z_nodes),
+                                        params, n_r0):
+        p_cov = _coverage_grid(link, r0.ravel(), np.repeat(z_nodes, n_r0),
+                               params).reshape(r0.shape)
+        # summed in node order: void = 1 - both would show a reordering
+        assoc[link] = np.cumsum(w_z * np.sum(weight, axis=1))[-1]
+        cov1[link] = w_z @ np.sum(weight * p_cov, axis=1)
+        cov2[link] = w_z @ np.sum(weight * p_cov * stay, axis=1)
+        handover += w_z @ np.sum(weight * (1.0 - stay), axis=1)
     void = 1.0 - sum(assoc.values())
     return _PolicyMetrics(cov1, cov2, handover, assoc, void)
 

@@ -3,13 +3,13 @@
 A GBS at horizontal distance x is LoS with probability P_L(x, z), so each
 type-thinned field has radial intensity 2 pi lambda x P_type(x, z), and
 every nested probability integral needs G(r) = int_0^r x P_type(x, z) dx or
-its inverse. ``HeightContext`` keeps both per altitude as piecewise-cubic
-Hermite interpolants on one set of knots, dense across the elevation-angle
-transition and geometric beyond it, up to the receiving radius: G
-integrates the Hermite of f = x P_type built from f and its exact
-derivative, and the inverse interpolates the radius against sqrt(G), which
-is linear in the radius near the origin. ``exclusion_factor`` is the
-probability that no opposite-type GBS beats a serving one.
+its inverse. ``HeightContext`` keeps both for one altitude, or a stack of
+them row by row, as piecewise-cubic Hermite interpolants on knots dense
+across the elevation-angle transition and geometric beyond it, up to the
+receiving radius: G integrates the Hermite of f = x P_type built from f
+and its exact derivative, and the inverse interpolates the radius against
+sqrt(G), which is linear in the radius near the origin. ``exclusion_factor``
+is the probability that no opposite-type GBS beats a serving one.
 """
 
 from __future__ import annotations
@@ -54,19 +54,25 @@ def _hermite_integral(t, h, y0, m0, y1, m1):
                 + (t3 - 0.5 * t4) * y1 + (0.25 * t4 - t3 / 3.0) * h * m1)
 
 
-def _interval(knots, x):
-    """Index of the knot interval holding each x (clamped to the first and
-    last interval) and the fraction of that interval at x."""
-    i = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(knots) - 2)
-    h = knots[i + 1] - knots[i]
-    return i, h, (x - knots[i]) / h
+def _interval(knots, x, top):
+    """Flat index into the table knots of the interval holding each x, x
+    taken with a row per row of knots (clamped to columns 0 to top), its
+    width and the fraction of it at x."""
+    x = np.reshape(x, (len(knots), -1))
+    i = np.array([np.searchsorted(k, v, side="right") for k, v in zip(knots, x)])
+    i = np.clip(i - 1, 0, top) + np.arange(0, knots.size, knots.shape[1])[:, None]
+    lo = knots.take(i)
+    h = knots.take(i + 1) - lo
+    return i, h, (x - lo) / h
 
 
 class HeightContext:
     """Altitude-specific caches: receiving radius, LoS probability and the
-    cumulative type intensities int_0^r x P_type dx for both link types."""
+    cumulative type intensities int_0^r x P_type dx for both link types. z
+    is one altitude, or a column of n; then the methods take r (or g) with
+    one row per altitude, as the tables keep them."""
 
-    def __init__(self, z: float, h_b: float, env: EnvironmentParams,
+    def __init__(self, z, h_b: float, env: EnvironmentParams,
                  antenna: AntennaModel):
         self.z = z
         self.h_b = h_b
@@ -74,14 +80,12 @@ class HeightContext:
         self.h_bar = z - h_b
         self.r_m = receiving_radius(z, h_b, antenna)
         # resolve the elevation-angle transition densely, then stretch out
-        near = min(6.0 * self.h_bar, self.r_m)
-        if self.r_m > near * 1.001:
-            xs = np.concatenate([
-                np.linspace(0.0, near, _KNOTS + 1),
-                np.geomspace(near, self.r_m, _KNOTS + 1)[1:],
-            ])
-        else:
-            xs = np.linspace(0.0, self.r_m, 2 * _KNOTS + 1)
+        r_m = np.ravel(self.r_m)
+        xs = np.array([
+            np.concatenate([np.linspace(0.0, near, _KNOTS + 1),
+                            np.geomspace(near, r, _KNOTS + 1)[1:]])
+            if r > near * 1.001 else np.linspace(0.0, r, 2 * _KNOTS + 1)
+            for near, r in zip(np.minimum(6.0 * np.ravel(self.h_bar), r_m), r_m)])
         p_l = los_probability(xs, z, env, h_b)
         dp_l = los_probability_slope(xs, z, env, h_b)
         h = np.diff(xs)
@@ -91,8 +95,10 @@ class HeightContext:
         for link, p, dp in ((LinkType.LOS, p_l, dp_l),
                             (LinkType.NLOS, 1.0 - p_l, -dp_l)):
             f, df = xs * p, p + xs * dp
-            steps = _hermite_integral(1.0, h, f[:-1], df[:-1], f[1:], df[1:])
-            self._cum[link] = (f, df, np.concatenate([[0.0], np.cumsum(steps)]))
+            steps = _hermite_integral(1.0, h, f[:, :-1], df[:, :-1], f[:, 1:],
+                                      df[:, 1:])
+            self._cum[link] = (f, df, np.concatenate(
+                [np.zeros((len(xs), 1)), np.cumsum(steps, axis=1)], axis=1))
         self._inv: dict = {}
 
     def p_type(self, link: LinkType, r):
@@ -104,9 +110,12 @@ class HeightContext:
         radius]; r beyond it counts as the radius, since no GBS farther away
         is received."""
         f, df, cum = self._cum[link]
-        i, h, t = _interval(self._xs, np.clip(r, 0.0, self.r_m))
-        out = cum[i] + _hermite_integral(t, h, f[i], df[i], f[i + 1], df[i + 1])
-        return float(out) if np.ndim(out) == 0 else out
+        x = np.clip(r, 0.0, self.r_m)
+        i, h, t = _interval(self._xs, x, self._xs.shape[1] - 2)
+        out = cum.take(i) + _hermite_integral(t, h, f.take(i), df.take(i),
+                                              f.take(i + 1), df.take(i + 1))
+        out = out.reshape(np.shape(x))
+        return float(out) if out.ndim == 0 else out
 
     def inverse_cum(self, link: LinkType, g):
         """Radius at which the cumulative type intensity reaches g, the
@@ -115,36 +124,46 @@ class HeightContext:
         Interpolates radius against s = sqrt(cumulative), with slopes
         dx/ds = 2 s / f: the cumulative is quadratic near the origin, so
         the sqrt domain keeps the inverse accurate there; at the origin the
-        slope is its limit sqrt(2 / P_link(0)).
+        slope is its limit sqrt(2 / P_link(0)). Rows keep the knots where s
+        increases, padded with their last one, which no interval starts at.
         """
         knots = self._inv.get(link)
         if knots is None:
-            f, df, cum = self._cum[link]
-            s = np.sqrt(cum)
-            keep = np.concatenate([[True], np.diff(s) > 0.0])
-            s, x, f = s[keep], self._xs[keep], f[keep]
-            slope = np.empty_like(s)
-            slope[1:] = 2.0 * s[1:] / f[1:]
-            # P_link(0) underflows to 0 in a sharp sigmoid; take the secant
-            slope[0] = (math.sqrt(2.0 / df[0]) if df[0] > 0.0
-                        else x[1] / s[1])
-            knots = self._inv[link] = (s, x, slope)
-        s, x, slope = knots
-        i, h, t = _interval(s, np.minimum(np.sqrt(np.maximum(g, 0.0)), s[-1]))
-        out = np.clip(_hermite(t, h, x[i], slope[i], x[i + 1], slope[i + 1]),
-                      0.0, self.r_m)
-        return float(out) if np.ndim(out) == 0 else out
+            rows = []
+            for s, x, f, df in zip(np.sqrt(self._cum[link][2]), self._xs,
+                                   *self._cum[link][:2]):
+                keep = np.concatenate([[True], np.diff(s) > 0.0])
+                s, x, f = s[keep], x[keep], f[keep]
+                slope = np.empty_like(s)
+                slope[1:] = 2.0 * s[1:] / f[1:]
+                # P_link(0) underflows to 0 in a sharp sigmoid; take the secant
+                slope[0] = (math.sqrt(2.0 / df[0]) if df[0] > 0.0
+                            else x[1] / s[1])
+                rows.append([np.pad(a, (0, keep.size - s.size), mode="edge")
+                             for a in (s, x, slope)] + [[s.size - 2]])
+            knots = self._inv[link] = tuple(map(np.array, zip(*rows)))
+        s, x, slope, top = knots
+        v = np.minimum(np.sqrt(np.maximum(g, 0.0)),
+                       np.reshape(s[:, -1], np.shape(self.z)))
+        i, h, t = _interval(s, v, top)
+        out = np.clip(_hermite(t, h, x.take(i), slope.take(i), x.take(i + 1),
+                               slope.take(i + 1)), 0.0, self.r_m)
+        out = out.reshape(np.shape(v))
+        return float(out) if out.ndim == 0 else out
 
 
-@lru_cache(maxsize=512)
-def _height_context_cached(z: float, h_b: float, env: EnvironmentParams,
+# a context of the 12 altitude nodes keeps about 1 MB of tables
+@lru_cache(maxsize=32)
+def _height_context_cached(z, h_b: float, env: EnvironmentParams,
                            antenna) -> HeightContext:
-    return HeightContext(z, h_b, env, antenna)
+    return HeightContext(np.array(z)[:, None] if isinstance(z, tuple) else z,
+                         h_b, env, antenna)
 
 
-def height_context(params: SystemParams, z: float) -> HeightContext:
-    """Memoized altitude context for the given parameters."""
-    return _height_context_cached(z, params.h_b, params.env, params.antenna)
+def height_context(params: SystemParams, z) -> HeightContext:
+    """Memoized context of the altitude z, or of each altitude in it."""
+    key = float(z) if np.ndim(z) == 0 else tuple(np.ravel(z).tolist())
+    return _height_context_cached(key, params.h_b, params.env, params.antenna)
 
 
 def exclusion_factor(serving: LinkType, r0, ctx: HeightContext,

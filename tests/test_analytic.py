@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uavcov import analytic, cli, geometry
+from uavcov import analytic, association, cli, geometry
 from uavcov.analytic import (
     N_R0,
     N_Z,
@@ -37,7 +37,7 @@ from uavcov.model import (
 from uavcov.montecarlo import summary_estimates
 from uavcov.quadrature import gauss_nodes
 
-from oracles import conditioned_oracles, laplace_estimate
+from oracles import conditioned_oracles, laplace_estimate, per_altitude_metrics
 from quadpack import association_probability
 
 SYM_CHANNEL = ChannelParams(alpha_l=3.0, alpha_n=3.0, eta_l=1e-4, eta_n=1e-4,
@@ -614,6 +614,74 @@ class TestSameTypeCapSkip:
         reached = [beyond for beyond, calls in same_type if calls]
         assert reached and all(reached)
         assert not all(beyond for beyond, _ in same_type)
+
+
+def _recorded(fn, calls):
+    """fn, appending the positional arguments of each call to calls."""
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+class TestStackedAltitudes:
+    """The marginal integrals take every altitude node in one pass per
+    serving type; the per-altitude reference in tests/oracles.py holds
+    their values, and call counts (not times) hold the pass to its shape."""
+
+    @pytest.mark.parametrize("policy", list(AssociationPolicy),
+                             ids=lambda p: p.value)
+    @pytest.mark.parametrize("changes", [
+        {"antenna": DirectionalAntenna(), "lambda_b": 10e-6},
+        {"antenna": DirectionalAntenna(), "lambda_b": 1000e-6},
+        {"antenna": OmniAntenna(), "lambda_b": 10e-6},
+        {"antenna": OmniAntenna(), "lambda_b": 1000e-6},
+        {"v": 0.0},
+        {"v": 60.0},
+        {"h_lb": 120.0, "h_ub": 120.000002},
+        {"antenna": DirectionalAntenna(170.0)},
+        {"channel": SYM_CHANNEL},
+    ], ids=["directional-10", "directional-1000", "omni-10", "omni-1000",
+            "v0", "v60", "band-2um", "beam-170", "sym-channel"])
+    def test_matches_per_altitude_reference(self, params, policy, changes):
+        # the stacked pass sums its rows in another order and takes expm1
+        # on arrays, so the outputs may differ by an ulp or so
+        p = params.with_(policy=policy, kappa=0.0, **changes)
+        got = _policy_metrics.__wrapped__(p, N_Z, N_R0)
+        want = per_altitude_metrics(p, N_Z, N_R0)
+        for name in ("cov_nohandover", "cov_stay", "assoc"):
+            for link in LinkType:
+                gap = abs(getattr(got, name)[link] - getattr(want, name)[link])
+                assert gap <= 1e-15, (name, link)
+        assert abs(got.handover - want.handover) <= 1e-15
+        assert abs(got.void - want.void) <= 1e-15
+
+    @pytest.mark.parametrize("antenna", [DirectionalAntenna(), OmniAntenna()],
+                             ids=["directional", "omni"])
+    @pytest.mark.parametrize("policy, serving_types", [
+        (AssociationPolicy.STRONGEST_RSS, 2), (AssociationPolicy.NEAREST, 1)],
+        ids=lambda v: getattr(v, "value", v))
+    def test_cold_point_call_counts(self, params, antenna, policy,
+                                    serving_types, monkeypatch):
+        # one handover-kernel call per serving type (the nearest rule's
+        # type-blind handover is one), one context build for all altitudes,
+        # and at most one same-type lens grid per altitude and kernel call
+        kernel, builds, lenses = [], [], []
+        monkeypatch.setattr(association, "_height_context_cached",
+                            functools.cache(
+                                association._height_context_cached.__wrapped__))
+        monkeypatch.setattr(association.HeightContext, "__init__", _recorded(
+            association.HeightContext.__init__, builds))
+        monkeypatch.setattr(analytic, "_cond_handover_grid", _recorded(
+            analytic._cond_handover_grid, kernel))
+        monkeypatch.setattr(analytic, "same_type_lens_complement_area",
+                            _recorded(analytic.same_type_lens_complement_area,
+                                      lenses))
+        _policy_metrics.__wrapped__(
+            params.with_(antenna=antenna, policy=policy, kappa=0.0), N_Z, N_R0)
+        assert len(kernel) == serving_types
+        assert len(builds) == 1
+        assert 0 < len(lenses) <= N_Z * serving_types
 
 
 class TestPinnedSweepPoints:

@@ -207,3 +207,47 @@ class TestHeightContext:
                 assert abs(cum(ctx.inverse_cum(link, g)) - g) <= self.TOL * top
             for g in top * np.array([1e-12, 1e-10, 1e-8, 1e-6]):
                 assert abs(cum(ctx.inverse_cum(link, g)) - g) <= self.NEAR_TOL * g
+
+
+class TestStackedHeightContext:
+    """A context of several altitudes keeps a table row per altitude; each
+    row answers exactly as the context of that altitude alone."""
+
+    CASES = [
+        (DirectionalAntenna(), EnvironmentParams()),
+        (DirectionalAntenna(170.0), EnvironmentParams(a=20.0, b=1.0)),
+        (OmniAntenna(), EnvironmentParams()),
+        (OmniAntenna(), EnvironmentParams(b=10.0)),
+    ]
+
+    @pytest.mark.parametrize("antenna, env", CASES, ids=[
+        "directional", "wide-beam-steep", "omni", "omni-sharp"])
+    def test_rows_match_one_altitude_contexts(self, antenna, env):
+        z = np.linspace(90.0, 150.0, 7)
+        stacked = HeightContext(z[:, None], 30.0, env, antenna)
+        frac = np.linspace(-0.1, 1.1, 25)
+        for link in LinkType:
+            r = stacked.r_m * frac
+            g = stacked.cum_intensity(link, stacked.r_m) * frac
+            cum, inv, p = (stacked.cum_intensity(link, r),
+                           stacked.inverse_cum(link, g), stacked.p_type(link, r))
+            for j, z_j in enumerate(z):
+                ctx = HeightContext(float(z_j), 30.0, env, antenna)
+                assert np.array_equal(cum[j], ctx.cum_intensity(link, r[j]))
+                assert np.array_equal(inv[j], ctx.inverse_cum(link, g[j]))
+                assert np.array_equal(p[j], ctx.p_type(link, r[j]))
+
+    def test_sharp_sigmoid_keeps_uneven_inverse_rows(self):
+        # the inverse keeps only knots where sqrt(G) increases; in a sharp
+        # sigmoid the far LoS steps vanish at a different knot per altitude,
+        # so the rows above hold different knot counts
+        stacked = HeightContext(np.linspace(90.0, 150.0, 7)[:, None], 30.0,
+                                EnvironmentParams(b=10.0), OmniAntenna())
+        stacked.inverse_cum(LinkType.LOS, 0.0)
+        assert len(np.unique(stacked._inv[LinkType.LOS][-1])) > 1
+
+    def test_memoized_per_altitude_set(self, params):
+        z = np.linspace(90.0, 150.0, 7)
+        ctx = height_context(params, z)
+        assert height_context(params, z[:, None]) is ctx
+        assert ctx.z.shape == ctx.h_bar.shape == ctx.r_m.shape == (7, 1)
