@@ -133,12 +133,16 @@ class HeightContext:
             for s, x, f, df in zip(np.sqrt(self._cum[link][2]), self._xs,
                                    *self._cum[link][:2]):
                 keep = np.concatenate([[True], np.diff(s) > 0.0])
-                s, x, f = s[keep], x[keep], f[keep]
-                slope = np.empty_like(s)
-                slope[1:] = 2.0 * s[1:] / f[1:]
-                # P_link(0) underflows to 0 in a sharp sigmoid; take the secant
-                slope[0] = (math.sqrt(2.0 / df[0]) if df[0] > 0.0
-                            else x[1] / s[1])
+                if keep.sum() == 1:
+                    # no intensity of this type: every g maps to radius 0
+                    s, x, slope = np.array([0.0, 1.0]), np.zeros(2), np.zeros(2)
+                else:
+                    s, x, f = s[keep], x[keep], f[keep]
+                    slope = np.empty_like(s)
+                    slope[1:] = 2.0 * s[1:] / f[1:]
+                    # P_link(0) underflows to 0 in a sharp sigmoid: the secant
+                    slope[0] = (math.sqrt(2.0 / df[0]) if df[0] > 0.0
+                                else x[1] / s[1])
                 rows.append([np.pad(a, (0, keep.size - s.size), mode="edge")
                              for a in (s, x, slope)] + [[s.size - 2]])
             knots = self._inv[link] = tuple(map(np.array, zip(*rows)))

@@ -1,24 +1,12 @@
 """Configuration boundary, parameter sweeps, figure presets and validation.
 
-The config file is a flat key=value text file whose keys match the system
-parameter names. `load_config` returns its values in boundary units; each
-sweep point puts its axis value, antenna and policy on top of them and is
-converted to SI/linear once, by `params_from_boundary`:
-
-    lambda_b, mu            per km^2
-    p_t                     dBm
-    g_b, t_thresh,
-    eta_l, eta_n            dB
-    h_b, h_lb, h_ub, r_max  m
-    v                       m/s
-    beamwidth_deg           degrees
-    alpha_l, alpha_n, a, b, kappa   dimensionless
-    m_l, m_n                positive integers
-    antenna                 directional | omni
-    policy                  strongest_rss | nearest
-
-beamwidth_deg is the directional variants' beamwidth and r_max the omni
-variants' truncation radius, whichever kind `antenna` selects.
+The config file is a flat key=value text file whose keys and boundary
+units are those of `model.BOUNDARY_DEFAULTS`. `load_config` returns its
+values in boundary units; each sweep point puts its axis value, antenna and
+policy on top of them and is converted to SI/linear once, by
+`model.params_from_boundary`. beamwidth_deg is the directional variants'
+beamwidth and r_max the omni variants' truncation radius, whichever kind
+`antenna` selects.
 
 Sweep results are emitted as UTF-8 CSV with the fixed header
 axis,value,metric,policy,antenna,analytic,mc_mean,mc_ci_low,mc_ci_high,n,seed,error
@@ -41,14 +29,10 @@ from dataclasses import dataclass, replace
 from . import analytic, montecarlo
 from .errors import ParameterError
 from .model import (
+    BOUNDARY_DEFAULTS,
     AssociationPolicy,
-    ChannelParams,
-    DirectionalAntenna,
-    EnvironmentParams,
-    OmniAntenna,
     SystemParams,
-    linear_from_db,
-    watts_from_dbm,
+    params_from_boundary,
 )
 
 __all__ = [
@@ -56,7 +40,6 @@ __all__ = [
     "ResultRow",
     "ValidationReport",
     "load_config",
-    "params_from_boundary",
     "run_sweep",
     "validate",
     "rows_to_csv",
@@ -66,73 +49,12 @@ __all__ = [
 CSV_HEADER = ("axis", "value", "metric", "policy", "antenna", "analytic",
               "mc_mean", "mc_ci_low", "mc_ci_high", "n", "seed", "error")
 
-BOUNDARY_DEFAULTS = {
-    "lambda_b": 100.0,       # per km^2
-    "mu": 300.0,             # per km^2
-    "p_t": 46.0,             # dBm
-    "g_b": 0.0,              # dB
-    "t_thresh": -3.8,        # dB
-    "eta_l": -41.1,          # dB
-    "eta_n": -32.9,          # dB
-    "alpha_l": 2.09,
-    "alpha_n": 3.75,
-    "m_l": 3,
-    "m_n": 1,
-    "a": 9.61,
-    "b": 0.16,
-    "h_b": 30.0,
-    "h_lb": 90.0,
-    "h_ub": 150.0,
-    "v": 20.0,
-    "kappa": 0.3,
-    "antenna": "directional",
-    "beamwidth_deg": 120.0,
-    "r_max": 3000.0,
-    "policy": "strongest_rss",
-}
-
 SWEEP_AXES = ("lambda_b", "beamwidth_deg", "v", "kappa", "height_band", "t_thresh")
 METRICS = ("coverage", "handover", "association", "void")
 POLICIES = tuple(p.value for p in AssociationPolicy)
 ANTENNAS = ("directional", "omni")
 LAMBDA_GRID = (10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
 BEAMWIDTH_GRID = (20.0, 50.0, 80.0, 110.0, 140.0, 170.0)
-
-
-def params_from_boundary(values: dict) -> SystemParams:
-    """Build SystemParams from a complete boundary-unit value dict with
-    lower-case antenna and policy names, as load_config returns it; the
-    one place a boundary value becomes SI/linear."""
-    if values["antenna"] == "directional":
-        antenna = DirectionalAntenna(float(values["beamwidth_deg"]))
-    elif values["antenna"] == "omni":
-        antenna = OmniAntenna(float(values["r_max"]))
-    else:
-        raise ParameterError(f"unknown antenna '{values['antenna']}'")
-    try:
-        policy = AssociationPolicy(values["policy"])
-    except ValueError:
-        raise ParameterError(f"unknown policy '{values['policy']}'") from None
-    return SystemParams(
-        lambda_b=float(values["lambda_b"]) * 1e-6,
-        p_t=watts_from_dbm(float(values["p_t"])),
-        g_b=linear_from_db(float(values["g_b"])),
-        h_b=float(values["h_b"]),
-        h_lb=float(values["h_lb"]),
-        h_ub=float(values["h_ub"]),
-        mu=float(values["mu"]) * 1e-6,
-        v=float(values["v"]),
-        kappa=float(values["kappa"]),
-        t_thresh=linear_from_db(float(values["t_thresh"])),
-        antenna=antenna,
-        channel=ChannelParams(
-            alpha_l=float(values["alpha_l"]), alpha_n=float(values["alpha_n"]),
-            eta_l=linear_from_db(float(values["eta_l"])),
-            eta_n=linear_from_db(float(values["eta_n"])),
-            m_l=int(values["m_l"]), m_n=int(values["m_n"])),
-        env=EnvironmentParams(a=float(values["a"]), b=float(values["b"])),
-        policy=policy,
-    )
 
 
 def load_config(path: str | None) -> dict:

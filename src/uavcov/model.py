@@ -1,15 +1,17 @@
 """System parameters and physical-layer primitives.
 
-Everything here works in SI units and linear power ratios. dB / dBm /
-per-km^2 values are only accepted at the configuration boundary (see
-``uavcov.cli``) and converted once on the way in.
+Everything here works in SI units and linear power ratios. The baseline
+scenario is written once, in boundary units (dB, dBm, per km^2), as
+``BOUNDARY_DEFAULTS``; ``params_from_boundary`` is the one place a boundary
+value becomes SI/linear, and ``default_params`` is that conversion of the
+table with SI/linear overrides.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -27,6 +29,8 @@ __all__ = [
     "AntennaModel",
     "Waypoint",
     "SystemParams",
+    "BOUNDARY_DEFAULTS",
+    "params_from_boundary",
     "default_params",
     "linear_from_db",
     "watts_from_dbm",
@@ -70,12 +74,12 @@ class ChannelParams:
     used by the policy-equivalence checks).
     """
 
-    alpha_l: float = 2.09
-    alpha_n: float = 3.75
-    eta_l: float = 10.0 ** (-4.11)  # -41.1 dB at 1 m
-    eta_n: float = 10.0 ** (-3.29)  # -32.9 dB at 1 m
-    m_l: int = 3
-    m_n: int = 1
+    alpha_l: float
+    alpha_n: float
+    eta_l: float    # linear gain at 1 m
+    eta_n: float
+    m_l: int
+    m_n: int
 
     def __post_init__(self):
         if not (2.0 < self.alpha_l <= self.alpha_n):
@@ -103,8 +107,8 @@ class ChannelParams:
 class EnvironmentParams:
     """Sigmoid parameters of the elevation-angle LoS model."""
 
-    a: float = 9.61
-    b: float = 0.16  # per degree
+    a: float
+    b: float  # per degree
 
     def __post_init__(self):
         if self.a <= 0 or self.b <= 0:
@@ -115,7 +119,7 @@ class EnvironmentParams:
 class DirectionalAntenna:
     """Downward cone with full beamwidth in degrees; zero gain outside."""
 
-    beamwidth_deg: float = 120.0
+    beamwidth_deg: float
 
     def __post_init__(self):
         if not (0.0 < self.beamwidth_deg < 180.0):
@@ -132,7 +136,7 @@ class OmniAntenna:
     and the simulator share one model.
     """
 
-    r_max: float = 3000.0
+    r_max: float
 
     def __post_init__(self):
         if self.r_max <= 0:
@@ -155,20 +159,20 @@ class Waypoint:
 class SystemParams:
     """All scalars of the scenario, SI units and linear ratios only."""
 
-    lambda_b: float = 100e-6        # GBS density, per m^2
-    p_t: float = 10.0 ** 1.6        # transmit power, W (46 dBm)
-    g_b: float = 1.0                # GBS sidelobe gain, linear
-    h_b: float = 30.0               # GBS height, m
-    h_lb: float = 90.0              # lower UAV altitude bound, m
-    h_ub: float = 150.0             # upper UAV altitude bound, m
-    mu: float = 300e-6              # mobility parameter, per m^2
-    v: float = 20.0                 # UAV speed, m/s
-    kappa: float = 0.3              # handover connection-failure probability
-    t_thresh: float = 10.0 ** -0.38  # SIR threshold, linear (-3.8 dB)
-    antenna: AntennaModel = field(default_factory=DirectionalAntenna)
-    channel: ChannelParams = field(default_factory=ChannelParams)
-    env: EnvironmentParams = field(default_factory=EnvironmentParams)
-    policy: AssociationPolicy = AssociationPolicy.STRONGEST_RSS
+    lambda_b: float     # GBS density, per m^2
+    p_t: float          # transmit power, W
+    g_b: float          # GBS sidelobe gain, linear
+    h_b: float          # GBS height, m
+    h_lb: float         # lower UAV altitude bound, m
+    h_ub: float         # upper UAV altitude bound, m
+    mu: float           # mobility parameter, per m^2
+    v: float            # UAV speed, m/s
+    kappa: float        # handover connection-failure probability
+    t_thresh: float     # SIR threshold, linear
+    antenna: AntennaModel
+    channel: ChannelParams
+    env: EnvironmentParams
+    policy: AssociationPolicy
 
     def __post_init__(self):
         if self.lambda_b <= 0:
@@ -202,9 +206,73 @@ class SystemParams:
         return replace(self, **changes)
 
 
+# the baseline scenario in boundary units, the keys of a config file
+BOUNDARY_DEFAULTS = {
+    "lambda_b": 100.0,       # per km^2
+    "mu": 300.0,             # per km^2
+    "p_t": 46.0,             # dBm
+    "g_b": 0.0,              # dB
+    "t_thresh": -3.8,        # dB
+    "eta_l": -41.1,          # dB at 1 m
+    "eta_n": -32.9,          # dB at 1 m
+    "alpha_l": 2.09,
+    "alpha_n": 3.75,
+    "m_l": 3,                # positive integers
+    "m_n": 1,
+    "a": 9.61,
+    "b": 0.16,               # per degree
+    "h_b": 30.0,             # m
+    "h_lb": 90.0,            # m
+    "h_ub": 150.0,           # m
+    "v": 20.0,               # m/s
+    "kappa": 0.3,
+    "antenna": "directional",  # directional | omni
+    "beamwidth_deg": 120.0,  # degrees, the directional antenna's
+    "r_max": 3000.0,         # m, the omni antenna's
+    "policy": "strongest_rss",  # strongest_rss | nearest
+}
+
+
+def params_from_boundary(values: dict) -> SystemParams:
+    """Build SystemParams from a complete boundary-unit value dict with
+    lower-case antenna and policy names, keyed like BOUNDARY_DEFAULTS; the
+    one place a boundary value becomes SI/linear."""
+    if values["antenna"] == "directional":
+        antenna = DirectionalAntenna(float(values["beamwidth_deg"]))
+    elif values["antenna"] == "omni":
+        antenna = OmniAntenna(float(values["r_max"]))
+    else:
+        raise ParameterError(f"unknown antenna '{values['antenna']}'")
+    try:
+        policy = AssociationPolicy(values["policy"])
+    except ValueError:
+        raise ParameterError(f"unknown policy '{values['policy']}'") from None
+    return SystemParams(
+        lambda_b=float(values["lambda_b"]) / 1e6,
+        p_t=watts_from_dbm(float(values["p_t"])),
+        g_b=linear_from_db(float(values["g_b"])),
+        h_b=float(values["h_b"]),
+        h_lb=float(values["h_lb"]),
+        h_ub=float(values["h_ub"]),
+        mu=float(values["mu"]) / 1e6,
+        v=float(values["v"]),
+        kappa=float(values["kappa"]),
+        t_thresh=linear_from_db(float(values["t_thresh"])),
+        antenna=antenna,
+        channel=ChannelParams(
+            alpha_l=float(values["alpha_l"]), alpha_n=float(values["alpha_n"]),
+            eta_l=linear_from_db(float(values["eta_l"])),
+            eta_n=linear_from_db(float(values["eta_n"])),
+            m_l=int(values["m_l"]), m_n=int(values["m_n"])),
+        env=EnvironmentParams(a=float(values["a"]), b=float(values["b"])),
+        policy=policy,
+    )
+
+
 def default_params(**overrides) -> SystemParams:
-    """Baseline scenario parameters; keyword overrides are SI/linear."""
-    return SystemParams(**overrides)
+    """The baseline, BOUNDARY_DEFAULTS converted; keyword overrides are
+    SI/linear."""
+    return replace(params_from_boundary(BOUNDARY_DEFAULTS), **overrides)
 
 
 def linear_from_db(value_db) -> float:

@@ -35,7 +35,6 @@ from uavcov.model import (
     ChannelParams,
     DirectionalAntenna,
     LinkType,
-    OmniAntenna,
     default_params,
 )
 from uavcov.montecarlo import summary_estimates
@@ -47,7 +46,7 @@ from quadpack import (
     nearest_type_pdf,
     serving_distance_pdf,
 )
-from test_analytic import _tau_threshold, laplace_derivatives, laplace_interference
+from test_analytic import OMNI, _tau_threshold, laplace_derivatives, laplace_interference
 from test_geometry import lens_complement_by_slicing
 
 SEED = 20260809
@@ -78,7 +77,7 @@ def test_ac2_handover_gap_directional_vs_omni():
     """AC-2: handover(omni) - handover(directional 120) > 0.1 at 100/km^2,
     analytic and MC both."""
     params = default_params()
-    omni = params.with_(antenna=OmniAntenna())
+    omni = params.with_(antenna=OMNI)
     analytic_gap = (coverage_probability(omni).handover_prob
                     - coverage_probability(params).handover_prob)
     mc_dir = summary_estimates(params, 30_000, SEED, workers=2)["handover"]
@@ -113,7 +112,7 @@ def test_ac4_sparse_network_crossover():
     for lam in (10.0, 100.0):
         p = params.with_(lambda_b=lam * 1e-6)
         vals[lam] = (coverage_probability(p).total,
-                     coverage_probability(p.with_(antenna=OmniAntenna())).total)
+                     coverage_probability(p.with_(antenna=OMNI)).total)
     ok = vals[10.0][0] < vals[10.0][1] and vals[100.0][0] > vals[100.0][1]
     assert report(
         "AC-4", ok,
@@ -160,7 +159,7 @@ def test_ac6_beamwidth_coverage_peak():
 def test_ac7_policy_gap_shrinks_with_density():
     """AC-7: the strongest-RSS advantage over nearest narrows as the
     network densifies (omni antenna)."""
-    params = default_params().with_(antenna=OmniAntenna())
+    params = default_params().with_(antenna=OMNI)
     gaps = {}
     for lam in (50.0, 1000.0):
         p = params.with_(lambda_b=lam * 1e-6)

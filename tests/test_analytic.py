@@ -2,10 +2,13 @@ import functools
 import itertools
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uavcov import analytic, association, cli, geometry
 from uavcov.analytic import (
@@ -18,6 +21,7 @@ from uavcov.analytic import (
     reset_coverage_drift_counter,
 )
 from uavcov.association import height_context
+from uavcov.errors import ParameterError
 from uavcov.geometry import (
     displaced_distance,
     equal_power_radius,
@@ -25,13 +29,16 @@ from uavcov.geometry import (
     receiving_radius,
 )
 from uavcov.model import (
+    BOUNDARY_DEFAULTS,
     AssociationPolicy,
     ChannelParams,
     DirectionalAntenna,
     LinkType,
     OmniAntenna,
+    default_params,
     horizontal_speed_nodes,
     los_probability,
+    params_from_boundary,
     path_loss,
 )
 from uavcov.montecarlo import summary_estimates
@@ -42,6 +49,8 @@ from quadpack import association_probability
 
 SYM_CHANNEL = ChannelParams(alpha_l=3.0, alpha_n=3.0, eta_l=1e-4, eta_n=1e-4,
                             m_l=2, m_n=2)
+DIRECTIONAL = default_params().antenna
+OMNI = OmniAntenna(BOUNDARY_DEFAULTS["r_max"])
 
 
 def nearest(params):
@@ -271,10 +280,10 @@ class TestCoverageSeries:
         reset_coverage_drift_counter()
         for _ in range(40):
             m_l = int(rng.integers(1, 31))
-            antenna = (OmniAntenna() if rng.random() < 0.5
+            antenna = (OMNI if rng.random() < 0.5
                        else DirectionalAntenna(float(rng.uniform(10.0, 170.0))))
-            p = params.with_(channel=ChannelParams(m_l=m_l,
-                                                   m_n=int(rng.integers(1, m_l + 1))),
+            p = params.with_(channel=replace(params.channel, m_l=m_l,
+                                             m_n=int(rng.integers(1, m_l + 1))),
                              t_thresh=10.0 ** rng.uniform(-3.0, 4.0),
                              lambda_b=10.0 ** rng.uniform(-7.0, -2.0),
                              antenna=antenna,
@@ -295,9 +304,10 @@ class TestCoverageSeries:
 
     @pytest.mark.parametrize("overrides", [
         pytest.param({}, id="baseline"),
-        pytest.param({"antenna": OmniAntenna(), "lambda_b": 1e-5}, id="omni-10"),
-        pytest.param({"antenna": OmniAntenna(), "lambda_b": 1e-5,
-                      "channel": ChannelParams(m_l=8)}, id="omni-10-m8"),
+        pytest.param({"antenna": OMNI, "lambda_b": 1e-5}, id="omni-10"),
+        pytest.param({"antenna": OMNI, "lambda_b": 1e-5,
+                      "channel": replace(default_params().channel, m_l=8)},
+                     id="omni-10-m8"),
     ])
     @pytest.mark.parametrize("policy", list(AssociationPolicy),
                              ids=lambda p: p.value)
@@ -386,7 +396,7 @@ class TestStackedCoverageGrid:
                                           np.repeat(z_nodes, N_R0), p)
         return stacked.reshape(N_Z, N_R0), coverage_drift_events(), per_z, per_z_drift
 
-    @pytest.mark.parametrize("antenna", [DirectionalAntenna(), OmniAntenna()],
+    @pytest.mark.parametrize("antenna", [DIRECTIONAL, OMNI],
                              ids=["directional", "omni"])
     @pytest.mark.parametrize("policy", list(AssociationPolicy),
                              ids=lambda p: p.value)
@@ -397,7 +407,7 @@ class TestStackedCoverageGrid:
         assert np.array_equal(stacked, per_z)
         assert drift == per_z_drift
 
-    @pytest.mark.parametrize("antenna", [DirectionalAntenna(), OmniAntenna()],
+    @pytest.mark.parametrize("antenna", [DIRECTIONAL, OMNI],
                              ids=["directional", "omni"])
     @pytest.mark.parametrize("policy, evaluations", [
         (AssociationPolicy.NEAREST, 1), (AssociationPolicy.STRONGEST_RSS, 2)],
@@ -427,8 +437,8 @@ class TestStackedCoverageGrid:
         # more (a 24-term sum at 30 dB, which overflowed on the far omni
         # rows of the alternating-sign form, included); doubled terms at
         # the baseline make a case where the counter moves
-        p = params.with_(channel=ChannelParams(m_l=24, m_n=1), t_thresh=1e3,
-                         lambda_b=10e-6, antenna=OmniAntenna())
+        p = params.with_(channel=replace(params.channel, m_l=24, m_n=1), t_thresh=1e3,
+                         lambda_b=10e-6, antenna=OMNI)
         stacked, drift, per_z, per_z_drift = self._stacked_and_per_altitude(
             LinkType.LOS, p)
         assert np.array_equal(stacked, per_z)
@@ -482,7 +492,7 @@ class TestCoverageProbability:
     def test_drift_counter_stays_zero(self, params):
         reset_coverage_drift_counter()
         coverage_probability(params)
-        coverage_probability(params.with_(antenna=OmniAntenna()))
+        coverage_probability(params.with_(antenna=OMNI))
         assert coverage_drift_events() == 0
 
     def test_grid_convergence(self, params):
@@ -493,8 +503,76 @@ class TestCoverageProbability:
         assert abs(coarse.handover_prob - fine.handover_prob) < 5e-4
 
 
+class TestZeroTypeIntensity:
+    """b = 3 per degree: 1 - P_LoS is exactly 0 at every knot, so the NLoS
+    cumulative never increases and its inverse maps every g to radius 0."""
+
+    def test_los_certain_sigmoid(self, params):
+        p = params.with_(env=replace(params.env, b=3.0))
+        ctx = height_context(p, 120.0)
+        assert ctx.cum_intensity(LinkType.NLOS, ctx.r_m) == 0.0
+        assert np.all(ctx.inverse_cum(LinkType.NLOS,
+                                      np.array([0.0, 1.0, 1e6])) == 0.0)
+        got = coverage_probability(p)
+        assert got.association[1] == 0.0 and got.per_link[1] == 0.0
+        mc = summary_estimates(p, 20_000, 3)
+        for name, value in (("coverage", got.total),
+                            ("handover", got.handover_prob),
+                            ("association_los", got.association[0]),
+                            ("void", got.void_prob)):
+            assert mc[name].ci_low <= value <= mc[name].ci_high, name
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def _boundary_config(draw: dict) -> dict:
+    band = draw.pop("band")
+    return {**BOUNDARY_DEFAULTS, **draw, "h_ub": draw["h_lb"] + band}
+
+
+# boundary-unit configs over a wide box around the baseline; the keys not
+# drawn keep their table values
+ACCEPTED_BOX = st.fixed_dictionaries({
+    "lambda_b": _log_uniform(0.1, 5000.0),
+    "a": _log_uniform(0.5, 30.0),
+    "b": _log_uniform(0.02, 5.0),
+    "mu": _log_uniform(1.0, 3000.0),
+    "r_max": _log_uniform(100.0, 10_000.0),
+    "beamwidth_deg": st.floats(1.0, 179.9),
+    "h_lb": st.floats(31.0, 400.0),
+    "band": _log_uniform(1e-3, 500.0),
+    "v": st.one_of(st.just(0.0), st.floats(0.1, 200.0)),
+    "antenna": st.sampled_from(("directional", "omni")),
+    "policy": st.sampled_from(("strongest_rss", "nearest")),
+}).map(_boundary_config)
+
+
+class TestAcceptedBox:
+    # outputs are probabilities up to this much roundoff (a handover sum
+    # reaches 1 + 1.5e-12 in the box). LoS + NLoS association + void = 1
+    # is not asserted: the sum exceeds 1 by up to 2.4e-4 on a wider box
+    TOL = 1e-9
+
+    @given(values=ACCEPTED_BOX)
+    @example(values={**BOUNDARY_DEFAULTS, "b": 3.0})
+    @settings(max_examples=200, deadline=None)
+    def test_evaluates_or_is_a_parameter_error(self, values):
+        try:
+            got = coverage_probability(params_from_boundary(values))
+        except ParameterError:
+            return
+        outputs = (got.total, got.handover_prob, got.void_prob,
+                   *got.per_link, *got.association)
+        assert all(math.isfinite(x) and -self.TOL <= x <= 1.0 + self.TOL
+                   for x in outputs), outputs
+        for cov, assoc in zip(got.per_link, got.association):
+            assert cov <= assoc + self.TOL
+
+
 class TestHandoverKernelGrid:
-    @pytest.mark.parametrize("antenna", [DirectionalAntenna(), OmniAntenna()],
+    @pytest.mark.parametrize("antenna", [DIRECTIONAL, OMNI],
                              ids=["directional", "omni"])
     @pytest.mark.parametrize("lam", [10.0, 100.0, 1000.0])
     def test_default_grid_matches_refined(self, params, monkeypatch, lam,
@@ -545,7 +623,7 @@ class TestHandoverKernelEquivalence:
         # 1.7e-12
         paths = {"empty rows": 0, "live cross-type rows": 0, "capped": 0}
         for antenna, channel, v, lam, edge in itertools.product(
-                (DirectionalAntenna(), OmniAntenna()),
+                (DIRECTIONAL, OMNI),
                 (params.channel, SYM_CHANNEL), (20.0, 200.0), (10.0, 1000.0),
                 ("h_lb", "h_ub")):
             p = params.with_(antenna=antenna, channel=channel, v=v,
@@ -604,7 +682,7 @@ class TestSameTypeCapSkip:
     def test_omni_reaches_general_formula_only_from_cross_type_rows(
             self, params, monkeypatch):
         cross, same_type = self.count_general_calls(
-            params.with_(antenna=OmniAntenna(), lambda_b=100e-6), monkeypatch)
+            params.with_(antenna=OMNI, lambda_b=100e-6), monkeypatch)
         assert cross and same_type
         assert all(calls == 0 for _, calls in same_type)
 
@@ -632,10 +710,10 @@ class TestStackedAltitudes:
     @pytest.mark.parametrize("policy", list(AssociationPolicy),
                              ids=lambda p: p.value)
     @pytest.mark.parametrize("changes", [
-        {"antenna": DirectionalAntenna(), "lambda_b": 10e-6},
-        {"antenna": DirectionalAntenna(), "lambda_b": 1000e-6},
-        {"antenna": OmniAntenna(), "lambda_b": 10e-6},
-        {"antenna": OmniAntenna(), "lambda_b": 1000e-6},
+        {"antenna": DIRECTIONAL, "lambda_b": 10e-6},
+        {"antenna": DIRECTIONAL, "lambda_b": 1000e-6},
+        {"antenna": OMNI, "lambda_b": 10e-6},
+        {"antenna": OMNI, "lambda_b": 1000e-6},
         {"v": 0.0},
         {"v": 60.0},
         {"h_lb": 120.0, "h_ub": 120.000002},
@@ -656,7 +734,7 @@ class TestStackedAltitudes:
         assert abs(got.handover - want.handover) <= 1e-15
         assert abs(got.void - want.void) <= 1e-15
 
-    @pytest.mark.parametrize("antenna", [DirectionalAntenna(), OmniAntenna()],
+    @pytest.mark.parametrize("antenna", [DIRECTIONAL, OMNI],
                              ids=["directional", "omni"])
     @pytest.mark.parametrize("policy, serving_types", [
         (AssociationPolicy.STRONGEST_RSS, 2), (AssociationPolicy.NEAREST, 1)],
@@ -714,7 +792,7 @@ class TestPinnedSweepPoints:
 
 
 class TestAssociationMarginals:
-    @pytest.mark.parametrize("antenna", [DirectionalAntenna(), OmniAntenna()],
+    @pytest.mark.parametrize("antenna", [DIRECTIONAL, OMNI],
                              ids=["directional", "omni"])
     @pytest.mark.parametrize("lam", [10.0, 100.0, 1000.0])
     def test_gauss_sums_match_quadpack(self, params, lam, antenna):

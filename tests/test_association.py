@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ import pytest
 from uavcov.association import HeightContext, height_context
 from uavcov.geometry import exclusion_radius
 from uavcov.model import (
+    BOUNDARY_DEFAULTS,
     ChannelParams,
     DirectionalAntenna,
     EnvironmentParams,
     LinkType,
     OmniAntenna,
+    default_params,
 )
 
 from quadpack import (
@@ -25,6 +28,7 @@ from quadpack import (
 )
 
 TIGHT = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13, max_depth=14)
+OMNI = OmniAntenna(BOUNDARY_DEFAULTS["r_max"])
 
 
 class TestNearestTypePdf:
@@ -74,8 +78,9 @@ class TestAssociationProbability:
         assert 0.0 <= a_l <= 1.0 and 0.0 <= a_n <= 1.0
         assert a_l + a_n <= 1.0
 
-    @pytest.mark.parametrize("channel", [ChannelParams(),
-                                         ChannelParams(alpha_l=3.0, alpha_n=3.0)],
+    @pytest.mark.parametrize("channel", [
+        default_params().channel,
+        replace(default_params().channel, alpha_l=3.0, alpha_n=3.0)],
                              ids=["default", "equal_exponents"])
     def test_complement_is_void(self, params, channel):
         # both exclusion radii are capped at the receiving radius, so the
@@ -190,10 +195,10 @@ class TestHeightContext:
     @pytest.mark.parametrize("antenna", [DirectionalAntenna(30.0),
                                          DirectionalAntenna(120.0),
                                          DirectionalAntenna(170.0),
-                                         OmniAntenna()],
+                                         OMNI],
                              ids=["30deg", "120deg", "170deg", "omni"])
     def test_matches_quadpack(self, antenna, z):
-        ctx = HeightContext(z, 30.0, EnvironmentParams(), antenna)
+        ctx = HeightContext(z, 30.0, default_params().env, antenna)
         for link in LinkType:
             def cum(r):
                 def f(x):
@@ -214,10 +219,10 @@ class TestStackedHeightContext:
     row answers exactly as the context of that altitude alone."""
 
     CASES = [
-        (DirectionalAntenna(), EnvironmentParams()),
+        (default_params().antenna, default_params().env),
         (DirectionalAntenna(170.0), EnvironmentParams(a=20.0, b=1.0)),
-        (OmniAntenna(), EnvironmentParams()),
-        (OmniAntenna(), EnvironmentParams(b=10.0)),
+        (OMNI, default_params().env),
+        (OMNI, replace(default_params().env, b=10.0)),
     ]
 
     @pytest.mark.parametrize("antenna, env", CASES, ids=[
@@ -242,7 +247,7 @@ class TestStackedHeightContext:
         # sigmoid the far LoS steps vanish at a different knot per altitude,
         # so the rows above hold different knot counts
         stacked = HeightContext(np.linspace(90.0, 150.0, 7)[:, None], 30.0,
-                                EnvironmentParams(b=10.0), OmniAntenna())
+                                replace(default_params().env, b=10.0), OMNI)
         stacked.inverse_cum(LinkType.LOS, 0.0)
         assert len(np.unique(stacked._inv[LinkType.LOS][-1])) > 1
 

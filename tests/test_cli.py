@@ -1,7 +1,9 @@
 import csv
 import io
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +69,28 @@ class TestLoadConfig:
     def test_no_file_gives_defaults(self):
         assert load_config(None) == BOUNDARY_DEFAULTS
 
+    def test_library_and_cli_share_one_baseline(self):
+        assert default_params() == params_from_boundary(load_config(None))
+
+    def test_readme_table_matches_the_defaults(self):
+        # the README's "Configuration" table: key(s) | unit | default(s)
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        section = readme.read_text(encoding="utf-8").split(
+            "\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        documented = {}
+        for line in section.splitlines():
+            cells = re.split(r"(?<!\\)\|", line.strip().strip("|"))
+            if len(cells) != 3 or not cells[0].strip().startswith("`"):
+                continue
+            keys = [k.strip(" `") for k in cells[0].split(",")]
+            defaults = [d.strip() for d in cells[2].split(",")]
+            assert len(keys) == len(defaults), line
+            documented.update(zip(keys, defaults))
+        assert documented.keys() == BOUNDARY_DEFAULTS.keys()
+        for key, text in documented.items():
+            default = BOUNDARY_DEFAULTS[key]
+            assert type(default)(text) == default, key
+
     def test_band_ordering_rejected(self, tmp_path):
         with pytest.raises(ParameterError, match="h_lb"):
             load_config(write_config(tmp_path, "h_lb = 200\n"))
@@ -94,7 +118,7 @@ class TestPointDensity:
     """analytic, simulate and validate evaluate the configured density."""
 
     def test_sweep_points_evaluate_every_integer_density(self, monkeypatch):
-        # a sweep value v per km^2 is evaluated at float(v) * 1e-6, as
+        # a sweep value v per km^2 is evaluated at float(v) / 1e6, as
         # params_from_boundary converts a configured density
         seen = []
 
@@ -107,7 +131,7 @@ class TestPointDensity:
         spec = SweepSpec(axis="lambda_b", values=tuple(densities),
                          metrics=("void",), engine="analytic")
         run_sweep(spec, load_config(None))
-        assert seen == [v * 1e-6 for v in densities]
+        assert seen == [v / 1e6 for v in densities]
 
     @pytest.mark.parametrize("per_km2", ["30", "100"])
     def test_commands_evaluate_the_configured_density(self, tmp_path,
@@ -131,7 +155,7 @@ class TestPointDensity:
                      ["validate", "--trials", "10000"]):
             assert main([*argv, "--config", cfg, "--output", out]) == 0
         # analytic, simulate, then validate's two policies on both engines
-        assert seen == [float(per_km2) * 1e-6] * 6
+        assert seen == [float(per_km2) / 1e6] * 6
 
 
 class TestRunSweep:

@@ -17,7 +17,13 @@ from uavcov.geometry import (
     receiving_radius,
     same_type_lens_complement_area,
 )
-from uavcov.model import ChannelParams, DirectionalAntenna, LinkType, OmniAntenna
+from uavcov.model import (
+    ChannelParams,
+    DirectionalAntenna,
+    LinkType,
+    OmniAntenna,
+    default_params,
+)
 
 
 def lens_complement_by_slicing(x, y, v):
@@ -58,13 +64,13 @@ class TestReceivingRadius:
 
 class TestEqualPowerRadius:
     def test_identity_same_type(self):
-        ch = ChannelParams()
+        ch = default_params().channel
         for x in (0.0, 50.0, 300.0):
             assert equal_power_radius(LinkType.LOS, LinkType.LOS, x, 90.0, ch) == x
             assert equal_power_radius(LinkType.NLOS, LinkType.NLOS, x, 90.0, ch) == x
 
     def test_substitute_back(self):
-        ch = ChannelParams()
+        ch = default_params().channel
         d = equal_power_radius(LinkType.NLOS, LinkType.LOS, 100.0, 90.0, ch)
         assert d > 0
         target_rss = ch.eta_l * (d * d + 90.0**2) ** (-ch.alpha_l / 2)
@@ -79,14 +85,14 @@ class TestEqualPowerRadius:
                                       ch) == pytest.approx(x, rel=1e-12)
 
     def test_negative_radicand_clamped(self):
-        ch = ChannelParams()
+        ch = default_params().channel
         # an NLoS GBS can never match a close LoS serving GBS here
         assert equal_power_radius(LinkType.LOS, LinkType.NLOS, 10.0, 90.0, ch) == 0.0
 
     @given(st.floats(1.0, 500.0), st.floats(1.0, 501.0))
     @settings(max_examples=200, deadline=None)
     def test_strictly_increasing(self, x_lo, dx):
-        ch = ChannelParams()
+        ch = default_params().channel
         h = 90.0
         a = equal_power_radius(LinkType.NLOS, LinkType.LOS, x_lo, h, ch)
         b = equal_power_radius(LinkType.NLOS, LinkType.LOS, x_lo + dx, h, ch)

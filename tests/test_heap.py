@@ -26,7 +26,7 @@ def _on_glibc() -> bool:
 FAULTS = """
 import resource
 from uavcov import analytic, montecarlo
-from uavcov.model import OmniAntenna, default_params
+from uavcov.model import BOUNDARY_DEFAULTS, OmniAntenna, default_params
 
 def faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -36,7 +36,7 @@ before = faults()
 analytic.coverage_probability(default_params(lambda_b=2e-4))
 point = faults() - before
 
-dense = default_params(lambda_b=1e-3, antenna=OmniAntenna())
+dense = default_params(lambda_b=1e-3, antenna=OmniAntenna(BOUNDARY_DEFAULTS["r_max"]))
 r_field = montecarlo.field_radius(dense)
 for k in range(25):
     if k == 5:

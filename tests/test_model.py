@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,7 +46,8 @@ class TestUnitConversions:
 
 class TestPathLoss:
     def test_reference_distance_identity(self):
-        ch = ChannelParams(alpha_l=2.0 + 1e-12, alpha_n=3.75, eta_l=1.0, eta_n=1.0)
+        ch = replace(default_params().channel, alpha_l=2.0 + 1e-12,
+                     eta_l=1.0, eta_n=1.0)
         assert path_loss(LinkType.LOS, 0.0, 1.0, ch, 0.0) == pytest.approx(1.0)
 
     def test_sv_point_value(self, params):
@@ -66,7 +68,7 @@ class TestPathLoss:
 
     def test_los_to_nlos_ratio_grows_with_distance(self):
         # alpha ordering dominates once the intercepts are equal
-        ch = ChannelParams(eta_l=1e-4, eta_n=1e-4)
+        ch = replace(default_params().channel, eta_l=1e-4, eta_n=1e-4)
         r = np.linspace(1.0, 2000.0, 50)
         ratio = (path_loss(LinkType.LOS, r, 120.0, ch, 30.0)
                  / path_loss(LinkType.NLOS, r, 120.0, ch, 30.0))
@@ -139,7 +141,7 @@ class TestFading:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_mean_within_three_se(self, m):
-        ch = ChannelParams(m_l=m, m_n=1)
+        ch = replace(default_params().channel, m_l=m, m_n=1)
         rng = np.random.default_rng(m)
         draws = sample_fading(LinkType.LOS, ch, rng, size=10**6)
         se = math.sqrt(1.0 / m / 10**6)
@@ -213,9 +215,9 @@ class TestParamValidation:
 
     def test_channel_ordering(self):
         with pytest.raises(ParameterError):
-            ChannelParams(alpha_l=4.0, alpha_n=3.0)
+            replace(default_params().channel, alpha_l=4.0, alpha_n=3.0)
         with pytest.raises(ParameterError):
-            ChannelParams(m_l=1, m_n=2)
+            replace(default_params().channel, m_l=1, m_n=2)
 
     def test_symmetric_channel_allowed(self):
         ch = ChannelParams(alpha_l=3.0, alpha_n=3.0, eta_l=1e-4, eta_n=1e-4,

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from uavcov import analytic, montecarlo
 from uavcov.errors import ParameterError
 from uavcov.geometry import lens_complement_area, receiving_radius
 from uavcov.model import (
+    BOUNDARY_DEFAULTS,
     AssociationPolicy,
     ChannelParams,
     DirectionalAntenna,
@@ -24,6 +26,7 @@ from uavcov.model import (
     LinkType,
     OmniAntenna,
     Waypoint,
+    default_params,
     horizontal_speed,
     path_loss,
     sample_fading,
@@ -47,6 +50,7 @@ from uavcov.montecarlo import (
 
 SYM_CHANNEL = ChannelParams(alpha_l=3.0, alpha_n=3.0, eta_l=1e-4, eta_n=1e-4,
                             m_l=2, m_n=2)
+OMNI = OmniAntenna(BOUNDARY_DEFAULTS["r_max"])
 NEAREST = AssociationPolicy.NEAREST
 
 # (overrides, episodes): the policy x antenna grid at the baseline density,
@@ -58,18 +62,18 @@ NEAREST = AssociationPolicy.NEAREST
 ENGINE_CASES = [
     pytest.param({}, 2000, id="strongest_rss-directional"),
     pytest.param({"policy": NEAREST}, 2000, id="nearest-directional"),
-    pytest.param({"antenna": OmniAntenna()}, 500, id="strongest_rss-omni"),
-    pytest.param({"policy": NEAREST, "antenna": OmniAntenna()}, 500,
+    pytest.param({"antenna": OMNI}, 500, id="strongest_rss-omni"),
+    pytest.param({"policy": NEAREST, "antenna": OMNI}, 500,
                  id="nearest-omni"),
     pytest.param({"lambda_b": 1e-12}, 500, id="empty"),
-    pytest.param({"lambda_b": 1e-3, "antenna": OmniAntenna()}, 100, id="dense"),
+    pytest.param({"lambda_b": 1e-3, "antenna": OMNI}, 100, id="dense"),
     pytest.param({"lambda_b": 1e-3, "antenna": DirectionalAntenna(30.0)}, 2000,
                  id="narrow-beam"),
 ]
 # and a sparse omni field of about 296 stations, 110 episodes per full-field
 # block
 REPLAY_CASES = ENGINE_CASES + [
-    pytest.param({"lambda_b": 1e-5, "antenna": OmniAntenna()}, 500,
+    pytest.param({"lambda_b": 1e-5, "antenna": OMNI}, 500,
                  id="sparse-omni"),
 ]
 
@@ -107,7 +111,7 @@ class TestStationFading:
     def test_unit_shape_is_the_gamma_draw(self, size):
         # m = 1 draws standard_exponential: the values standard_gamma(1)
         # gives, leaving the stream where it leaves it
-        ch = ChannelParams(m_l=1, m_n=1)
+        ch = replace(default_params().channel, m_l=1, m_n=1)
         got, want = episode_rng(26, 0), episode_rng(26, 0)
         fading = sample_fading(LinkType.NLOS, ch, got, size)
         gamma = want.standard_gamma(1, size) / 1
@@ -561,7 +565,7 @@ class TestSummaryEstimates:
 
     @pytest.mark.parametrize("overrides", [
         pytest.param({}, id="baseline"),
-        pytest.param({"lambda_b": 1e-5, "antenna": OmniAntenna()}, id="omni-10"),
+        pytest.param({"lambda_b": 1e-5, "antenna": OMNI}, id="omni-10"),
         pytest.param({"antenna": DirectionalAntenna(30.0)}, id="beam-30"),
         pytest.param({"v": 60.0}, id="v-60"),
         pytest.param({"h_lb": 40.0, "h_ub": 300.0}, id="band-40-300"),
@@ -614,7 +618,7 @@ class TestSummaryEstimates:
 
     @pytest.mark.parametrize("overrides, n", [
         ({}, 4000),
-        ({"lambda_b": 1e-3, "antenna": OmniAntenna()}, 1200),
+        ({"lambda_b": 1e-3, "antenna": OMNI}, 1200),
     ], ids=("baseline", "dense-omni"))
     def test_receiving_radius_once_per_block(self, params, monkeypatch,
                                              overrides, n):
@@ -664,20 +668,20 @@ class TestNearField:
                      id="nearest"),
         pytest.param({"kappa": 1.0, "v": 60.0}, 10_000, ORIGIN_CANDIDATES,
                      id="kappa-one"),
-        pytest.param({"lambda_b": 1e-3, "antenna": OmniAntenna()}, 1000,
+        pytest.param({"lambda_b": 1e-3, "antenna": OMNI}, 1000,
                      ORIGIN_CANDIDATES, id="dense-omni"),
-        pytest.param({"lambda_b": 1e-5, "antenna": OmniAntenna()}, 5000,
+        pytest.param({"lambda_b": 1e-5, "antenna": OMNI}, 5000,
                      ORIGIN_CANDIDATES, id="omni-10"),
-        pytest.param({"lambda_b": 1e-5, "antenna": OmniAntenna(),
+        pytest.param({"lambda_b": 1e-5, "antenna": OMNI,
                       "policy": NEAREST}, 5000, ORIGIN_CANDIDATES,
                      id="omni-10-nearest"),
         # NLoS serves about 44 % of the episodes
-        pytest.param({"lambda_b": 1e-5, "antenna": OmniAntenna(),
+        pytest.param({"lambda_b": 1e-5, "antenna": OMNI,
                       "env": HIGH_RISE, "h_lb": 40.0, "h_ub": 80.0}, 5000,
                      ORIGIN_CANDIDATES, id="nlos-heavy"),
         # a one-station first disc of 178 m: half the episodes grow it,
         # by 0.84 doublings on average
-        pytest.param({"lambda_b": 1e-5, "antenna": OmniAntenna()}, 3000, 1,
+        pytest.param({"lambda_b": 1e-5, "antenna": OMNI}, 3000, 1,
                      id="omni-10-one-station-disc"),
     ])
     def test_agrees_with_the_full_field(self, params, overrides, n,
@@ -747,7 +751,7 @@ class TestNearField:
                 episode = np.repeat(np.arange(len(w.sizes)), w.sizes)
                 return episode[new], w.x[new], w.y[new], w.latent[new]
 
-        p = params.with_(lambda_b=1e-5, antenna=OmniAntenna(), policy=policy,
+        p = params.with_(lambda_b=1e-5, antenna=OMNI, policy=policy,
                          v=60.0)
         r_field, episodes = field_radius(p), 4000
         rng = episode_rng(12, 0)
@@ -771,7 +775,7 @@ class TestNearField:
             grew = np.count_nonzero(near.radius > 100.0)
         assert 0 < grew < episodes
 
-    @pytest.mark.parametrize("antenna", [DirectionalAntenna(), OmniAntenna()],
+    @pytest.mark.parametrize("antenna", [default_params().antenna, OMNI],
                              ids=("directional", "omni"))
     @pytest.mark.parametrize("serving", list(LinkType), ids=lambda l: l.name)
     def test_exterior_matches_the_analytic_rows(self, params, antenna, serving):
@@ -795,7 +799,7 @@ class TestNearField:
         for a, b in zip([got[0], *got[1]], [want[0], *want[1]]):
             assert np.allclose(a, b, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("antenna", [DirectionalAntenna(170.0), OmniAntenna()],
+    @pytest.mark.parametrize("antenna", [DirectionalAntenna(170.0), OMNI],
                              ids=("directional-170", "omni"))
     def test_exterior_nodes_measure_the_exterior(self, params, antenna):
         # the weights integrate 2 pi rho to the area of the receiving disc
@@ -813,11 +817,11 @@ class TestNearField:
                            rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("overrides", [
-        {"lambda_b": 1e-5, "antenna": OmniAntenna()},
-        {"lambda_b": 1e-3, "antenna": OmniAntenna()},
+        {"lambda_b": 1e-5, "antenna": OMNI},
+        {"lambda_b": 1e-3, "antenna": OMNI},
         {"lambda_b": 1e-5, "antenna": DirectionalAntenna(170.0)},
-        {"lambda_b": 1e-5, "antenna": OmniAntenna(),
-         "channel": ChannelParams(m_l=8), "t_thresh": 100.0},
+        {"lambda_b": 1e-5, "antenna": OMNI,
+         "channel": replace(default_params().channel, m_l=8), "t_thresh": 100.0},
     ], ids=("omni-10", "dense-omni", "directional-170", "omni-m8-20dB"))
     def test_exterior_nodes_converged(self, params, overrides):
         # doubling the nodes moves the conditional coverage by at most 1e-7
