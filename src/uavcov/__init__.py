@@ -32,7 +32,6 @@ from .model import (
 )
 from .montecarlo import (
     EpisodeOutcome,
-    GbsField,
     McEstimate,
     associate,
     classify_links,

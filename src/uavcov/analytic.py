@@ -41,9 +41,12 @@ Layout of the computation:
   actually lives (this matters for the omni antenna, whose receiving radius
   is orders of magnitude larger than the typical serving distance).
 
-Every probability leaving this module is clamped to [0, 1]; drift beyond
-1e-6 outside the interval increments a counter that the acceptance suite
-asserts to be zero.
+Of ``coverage_probability``'s outputs, ``total`` and ``void_prob`` are
+clamped to [0, 1]; ``handover_prob``, ``per_link`` and ``association`` are
+not, and can exceed 1 where the association integrals over-count. The
+conditional kernels clip their grids to [0, 1]; conditional coverage that
+drifts beyond 1e-6 outside the interval increments a counter that the
+acceptance suite asserts to be zero.
 """
 
 from __future__ import annotations

@@ -126,11 +126,7 @@ class ResultRow:
     policy: str
     antenna: str
     analytic: float | None = None
-    mc_mean: float | None = None
-    mc_ci_low: float | None = None
-    mc_ci_high: float | None = None
-    n: int | None = None
-    seed: int | None = None
+    mc: montecarlo.McEstimate | None = None
     error: str = ""
 
 
@@ -171,25 +167,10 @@ def _evaluate_group(args, workers: int = 1) -> list:
                                                    workers=workers)
         except Exception as exc:
             error = (error + "; " if error else "") + f"mc: {exc}"
-    rows = []
-    for metric in spec.metrics:
-        for name in _metric_rows_for_spec(metric):
-            est = mc_vals.get(name)
-            rows.append(ResultRow(
-                axis=spec.axis,
-                value=value,
-                metric=name,
-                policy=policy,
-                antenna=antenna_name,
-                analytic=analytic_vals.get(name),
-                mc_mean=est.mean if est else None,
-                mc_ci_low=est.ci_low if est else None,
-                mc_ci_high=est.ci_high if est else None,
-                n=spec.trials if est else None,
-                seed=spec.seed if est else None,
-                error=error,
-            ))
-    return rows
+    return [ResultRow(spec.axis, value, name, policy, antenna_name,
+                      analytic_vals.get(name), mc_vals.get(name), error)
+            for metric in spec.metrics
+            for name in _metric_rows_for_spec(metric)]
 
 
 def run_sweep(spec: SweepSpec, values: dict, threads: int = 1) -> list:
@@ -251,7 +232,12 @@ def rows_to_csv(rows, fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for r in rows:
-        writer.writerow([_format(getattr(r, name)) for name in CSV_HEADER])
+        # CSV_HEADER's columns in order, mc_mean to seed from the estimate
+        est = r.mc
+        mc = (est.mean, est.ci_low, est.ci_high, est.n, est.seed) if est else (None,) * 5
+        cells = (r.axis, r.value, r.metric, r.policy, r.antenna, r.analytic,
+                 *mc, r.error)
+        writer.writerow([_format(x) for x in cells])
 
 
 @dataclass(frozen=True)
@@ -273,8 +259,6 @@ class ValidationRow:
 @dataclass(frozen=True)
 class ValidationReport:
     rows: tuple
-    trials: int
-    seed: int
 
     @property
     def passed(self) -> bool:
@@ -282,8 +266,9 @@ class ValidationReport:
 
     def render(self) -> str:
         out = io.StringIO()
-        out.write(f"analytic vs Monte Carlo, {self.trials} episodes, "
-                  f"seed {self.seed}\n")
+        first = self.rows[0].mc
+        out.write(f"analytic vs Monte Carlo, {first.n} episodes, "
+                  f"seed {first.seed}\n")
         out.write(f"{'quantity':<22}{'analytic':>12}{'mc':>12}{'ci':>22}"
                   f"{'gap':>10}{'limit':>10}  status\n")
         for r in self.rows:
@@ -314,8 +299,7 @@ def validate(values: dict, trials: int, seed: int,
 
     def row(name, metric, policy="strongest_rss"):
         r = results[policy, metric]
-        est = montecarlo.McEstimate(r.mc_mean, r.mc_ci_low, r.mc_ci_high, r.n, r.seed)
-        return ValidationRow(name, r.analytic, est, max(0.02, 3.0 * est.half_width))
+        return ValidationRow(name, r.analytic, r.mc, max(0.02, 3.0 * r.mc.half_width))
 
     rows = (
         row("assoc_los", "association_los"),
@@ -325,7 +309,7 @@ def validate(values: dict, trials: int, seed: int,
         row("coverage_strongest", "coverage"),
         row("coverage_nearest", "coverage", "nearest"),
     )
-    return ValidationReport(rows, trials, seed)
+    return ValidationReport(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,6 @@ from .model import (
 from .quadrature import gauss_nodes
 
 __all__ = [
-    "GbsField",
     "EpisodeOutcome",
     "McEstimate",
     "episode_rng",
@@ -124,24 +123,13 @@ DISC_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
-class GbsField:
-    """GBS positions inside the sampling disc, one row per station."""
-
-    positions: np.ndarray  # shape (n, 2)
-
-    def __len__(self):
-        return len(self.positions)
-
-
-@dataclass(frozen=True)
 class EpisodeOutcome:
-    """Events of one simulated movement."""
+    """Events of one simulated movement; associated_pre or _post is None
+    at a void waypoint."""
 
     associated_pre: tuple[int, LinkType, float] | None
     associated_post: tuple[int, LinkType, float] | None
     handover: bool
-    void_pre: bool
-    void_post: bool
     sir: float | None
     covered: bool
 
@@ -219,15 +207,17 @@ def _check_field_budget(lambda_b: float, r_field: float) -> float:
     return mean
 
 
-def sample_ppp(lambda_b: float, r_field: float, rng: np.random.Generator) -> GbsField:
-    """Homogeneous PPP restricted to a disc of radius r_field: a Poisson
-    count of points uniform in the square [-r_field, r_field]^2, x and y
-    from one draw, keeping the points inside the disc."""
+def sample_ppp(lambda_b: float, r_field: float,
+               rng: np.random.Generator) -> np.ndarray:
+    """Homogeneous PPP restricted to a disc of radius r_field, one (x, y)
+    row per station: a Poisson count of points uniform in the square
+    [-r_field, r_field]^2, x and y from one draw, keeping the points inside
+    the disc."""
     n = rng.poisson(4.0 * lambda_b * r_field * r_field)
     xy = (2.0 * rng.random(2 * n) - 1.0) * r_field
     x, y = xy[:n], xy[n:]
     inside = x * x + y * y <= r_field * r_field
-    return GbsField(np.column_stack([x[inside], y[inside]]))
+    return np.column_stack([x[inside], y[inside]])
 
 
 def _distance(x, y, px, py) -> np.ndarray:
@@ -241,17 +231,17 @@ def _distance(x, y, px, py) -> np.ndarray:
     return np.sqrt(dx, out=dx)
 
 
-def classify_links(field: GbsField, uav: Waypoint, env, h_b: float,
+def classify_links(positions: np.ndarray, uav: Waypoint, env, h_b: float,
                    latent: np.ndarray) -> np.ndarray:
-    """LoS marks per GBS as seen from the UAV's position, from per-GBS
-    latent uniforms.
+    """LoS marks per GBS, positions one (x, y) row each, as seen from the
+    UAV's position, from per-GBS latent uniforms.
 
     Re-thresholding the same latent draw at both waypoints couples the
     marks of one episode: the marginal LoS probability at each position is
     unchanged, while a GBS seen from the same point keeps the same state
     (no displacement implies no handover, for any seed).
     """
-    d = _distance(field.positions[:, 0], field.positions[:, 1], uav.x, uav.y)
+    d = _distance(*positions.T, uav.x, uav.y)
     return latent < los_probability(d, uav.z, env, h_b)
 
 
@@ -284,19 +274,19 @@ def _station_fading(los: np.ndarray, params: SystemParams,
     return out
 
 
-def associate(field: GbsField, los: np.ndarray, uav: Waypoint,
+def associate(positions: np.ndarray, los: np.ndarray, uav: Waypoint,
               params: SystemParams):
-    """Pick the serving GBS under params.policy, or None when no station is
-    in range (void).
+    """Pick the serving GBS of positions (one (x, y) row each) under
+    params.policy, or None when no station is in range (void).
 
     Strongest-average-RSS maximizes the mean received power (the common
     P_t*G_tot factor is omitted; it cannot change the argmax), the nearest
     policy minimizes horizontal distance. Exact metric ties resolve to the
     lowest GBS index.
     """
-    if len(field) == 0:
+    if len(positions) == 0:
         return None
-    d = _distance(field.positions[:, 0], field.positions[:, 1], uav.x, uav.y)
+    d = _distance(*positions.T, uav.x, uav.y)
     in_range = d <= receiving_radius(uav.z, params.h_b, params.antenna)
     if not np.any(in_range):
         return None
@@ -325,15 +315,15 @@ def simulate_episode(params: SystemParams,
     theta = np.pi * rng.random()
     v_h = horizontal_speed(params.v, rho, z_post - z_pre)
     r_m = receiving_radius(z, params.h_b, params.antenna)
-    field = sample_ppp(params.lambda_b, _episode_radius(r_m, v_h), rng)
+    positions = sample_ppp(params.lambda_b, _episode_radius(r_m, v_h), rng)
 
     start = Waypoint(0.0, 0.0, z_pre)
-    latent = rng.random(len(field))
-    los_pre = classify_links(field, start, params.env, params.h_b, latent)
-    pre = associate(field, los_pre, start, params)
+    latent = rng.random(len(positions))
+    los_pre = classify_links(positions, start, params.env, params.h_b, latent)
+    pre = associate(positions, los_pre, start, params)
 
     if pre is not None:
-        sx, sy = field.positions[pre[0]]
+        sx, sy = positions[pre[0]]
         bearing = np.arctan2(sy, sx)
     else:
         bearing = 0.0
@@ -341,11 +331,11 @@ def simulate_episode(params: SystemParams,
     end = Waypoint(v_h * np.cos(bearing + theta),
                    v_h * np.sin(bearing + theta), z_post)
 
-    los_post = classify_links(field, end, params.env, params.h_b, latent)
-    post = associate(field, los_post, end, params)
+    los_post = classify_links(positions, end, params.env, params.h_b, latent)
+    post = associate(positions, los_post, end, params)
 
     # fading only for the stations in range, in index order
-    d = _distance(field.positions[:, 0], field.positions[:, 1], end.x, end.y)
+    d = _distance(*positions.T, end.x, end.y)
     near = np.flatnonzero(d <= r_m[1])
     fading = _station_fading(los_post[near], params, rng)
     coin = rng.random()
@@ -361,8 +351,7 @@ def simulate_episode(params: SystemParams,
         sir = math.inf if interference <= 0.0 else float(signal / interference)
         covered = sir > params.t_thresh and (
             not handover or coin <= 1.0 - params.kappa)
-    return EpisodeOutcome(pre, post, handover, pre is None, post is None,
-                          sir, covered)
+    return EpisodeOutcome(pre, post, handover, sir, covered)
 
 
 # ---------------------------------------------------------------------------
@@ -635,11 +624,12 @@ def _near_coverage(params: SystemParams, serving_los: np.ndarray,
     return np.minimum(total, 1.0, out=total)
 
 
-def _tally_block(params: SystemParams, episodes: int, r_field: float,
+def _tally_block(params: SystemParams, episodes: int, near: float,
                  rng: np.random.Generator) -> np.ndarray:
-    """Summary sums of one block of episodes drawn from rng: coverage as
-    the sum of the episodes' conditional coverage, then the handover, LoS,
-    NLoS and void counts. Its arrays live only in this call, so the next
+    """Summary sums of one block of episodes drawn from rng, near being the
+    first disc's radius (_near_radius): coverage as the sum of the
+    episodes' conditional coverage, then the handover, LoS, NLoS and void
+    counts. Its arrays live only in this call, so the next
     block is drawn without them."""
     band = params.h_ub - params.h_lb
     z = params.h_lb + band * rng.random((episodes, 2))
@@ -649,9 +639,7 @@ def _tally_block(params: SystemParams, episodes: int, r_field: float,
     v_h = horizontal_speed(params.v, rho, z_post - z_pre)
     r_m = receiving_radius(z, params.h_b, params.antenna)
     limit = _episode_radius(r_m, v_h)
-    field = _FieldBlock(episodes, params.lambda_b,
-                        np.minimum(_near_radius(params.lambda_b, r_field), limit),
-                        rng)
+    field = _FieldBlock(episodes, params.lambda_b, np.minimum(near, limit), rng)
 
     origin = np.zeros(episodes)
     rows, _, los, _, _, pick = field.settle(origin, origin, z_pre, r_m[:, 0],
@@ -689,8 +677,8 @@ def _tally_blocks(args) -> np.ndarray:
     """Summary sums of each of the given blocks of an n-episode run, one
     row per block; block k holds episodes k*size onwards and draws from
     episode_rng(seed, k)."""
-    params, seed, n, size, blocks, r_field = args
-    return np.array([_tally_block(params, min(size, n - k * size), r_field,
+    params, seed, n, size, blocks, near = args
+    return np.array([_tally_block(params, min(size, n - k * size), near,
                                   episode_rng(seed, k)) for k in blocks]
                     ).reshape(-1, len(_SUMMARY_KEYS))
 
@@ -709,12 +697,12 @@ def summary_estimates(params: SystemParams, n: int, seed: int,
     size = _block_episodes(params.lambda_b * np.pi * near * near)
     blocks = range(-(-n // size))
     if workers <= 1:
-        sums = _tally_blocks((params, seed, n, size, blocks, r_field))
+        sums = _tally_blocks((params, seed, n, size, blocks, near))
     else:
         # workers get whole blocks, and the per-block sums add up in block
         # order, so the estimates do not depend on them
         chunk = -(-len(blocks) // (4 * workers))
-        jobs = [(params, seed, n, size, blocks[i:i + chunk], r_field)
+        jobs = [(params, seed, n, size, blocks[i:i + chunk], near)
                 for i in range(0, len(blocks), chunk)]
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             sums = np.concatenate(list(pool.map(_tally_blocks, jobs)))

@@ -551,7 +551,8 @@ ACCEPTED_BOX = st.fixed_dictionaries({
 
 class TestAcceptedBox:
     # outputs are probabilities up to this much roundoff (a handover sum
-    # reaches 1 + 1.5e-12 in the box). LoS + NLoS association + void = 1
+    # reached 1 + 1.5e-12 over 3000 draws of the box, yet the inside-box
+    # point below breaks it by 6.2e-6). LoS + NLoS association + void = 1
     # is not asserted: the sum exceeds 1 by up to 2.4e-4 on a wider box
     TOL = 1e-9
 
@@ -569,6 +570,26 @@ class TestAcceptedBox:
                    for x in outputs), outputs
         for cov, assoc in zip(got.per_link, got.association):
             assert cov <= assoc + self.TOL
+
+    @pytest.mark.parametrize("overrides, excess", [
+        ({"alpha_l": 3.893, "alpha_n": 4.054, "m_l": 6, "m_n": 3,
+          "t_thresh": 17.41, "a": 26.78, "b": 0.5607, "h_lb": 245.79,
+          "h_ub": 246.04, "v": 111.9, "antenna": "omni", "r_max": 1490.0,
+          "mu": 16.4, "lambda_b": 4868.0}, 1e-3),
+        # a point of the box above, which its draws rarely reach
+        ({"lambda_b": math.exp(6.0), "a": math.exp(1.5), "b": math.e,
+          "mu": 1.0, "r_max": math.exp(6.0), "h_lb": 31.0, "h_ub": 32.0,
+          "v": 116.0, "antenna": "omni"}, 5e-6),
+    ], ids=["outside-box", "inside-box"])
+    def test_unclamped_outputs_exceed_one(self, overrides, excess):
+        # a known defect, ROADMAP item 7 (the association sum): on dense
+        # omni cells the 32-node serving-distance rule over-counts the
+        # association integrals, and handover_prob, which is not clamped,
+        # inherits the excess. Flip these asserts when item 7 closes
+        got = coverage_probability(params_from_boundary(
+            {**BOUNDARY_DEFAULTS, **overrides}))
+        assert got.handover_prob - 1.0 > excess
+        assert sum(got.association) - 1.0 > excess
 
 
 class TestHandoverKernelGrid:

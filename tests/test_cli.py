@@ -166,9 +166,9 @@ class TestRunSweep:
         rows = run_sweep(spec, load_config(None))
         assert len(rows) == 1
         row = rows[0]
-        assert row.analytic is not None and row.mc_mean is not None
-        assert row.mc_ci_low <= row.mc_mean <= row.mc_ci_high
-        assert (row.n, row.seed) == (500, 3)
+        assert row.analytic is not None and row.mc is not None
+        assert row.mc.ci_low <= row.mc.mean <= row.mc.ci_high
+        assert (row.mc.n, row.mc.seed) == (500, 3)
         assert row.error == ""
 
     def test_seed_only_on_monte_carlo_rows(self):
@@ -176,7 +176,7 @@ class TestRunSweep:
                          seed=3)
         [row] = run_sweep(spec, load_config(None))
         assert row.analytic is not None
-        assert (row.mc_mean, row.n, row.seed) == (None, None, None)
+        assert row.mc is None
 
     def test_cardinality(self):
         spec = SweepSpec(axis="lambda_b", values=(10.0, 100.0),
@@ -297,6 +297,42 @@ class TestCsvOutput:
         rows_to_csv(run_sweep(spec, load_config(None)), buf)
         value = buf.getvalue().splitlines()[1].split(",")[5]
         assert 7 <= len(value.replace(".", "").replace("-", "").lstrip("0")) <= 10
+
+    def test_sweep_bytes_with_stubbed_engines(self, tmp_path, monkeypatch):
+        # every cell kind: a tuple value, an expanded metric, both engines'
+        # columns, and an error cell (quoted for its comma) on a point whose
+        # analytic engine raises while its Monte Carlo rows stay filled
+        def analytic_metrics(p):
+            if p.h_lb == 100.0:
+                raise ParameterError("bad, point")
+            return {"coverage": 1 / 3, "association_los": 0.123456789012,
+                    "association_nlos": 2e-12}
+
+        def summary_estimates(p, n, seed, workers=1):
+            est = cli.montecarlo.McEstimate(0.25, 0.1234567891, 1.0, 400, 11)
+            return dict.fromkeys(cli.montecarlo._SUMMARY_KEYS, est)
+
+        monkeypatch.setattr(cli, "_analytic_metrics", analytic_metrics)
+        monkeypatch.setattr(cli.montecarlo, "summary_estimates", summary_estimates)
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--axis", "height_band", "--values", "90:150,100:110",
+                     "--metrics", "coverage,association", "--engine", "both",
+                     "--trials", "400", "--seed", "11", "--output", str(out)]) == 0
+        assert out.read_text() == (
+            "axis,value,metric,policy,antenna,analytic,mc_mean,mc_ci_low,"
+            "mc_ci_high,n,seed,error\n"
+            "height_band,90-150,coverage,strongest_rss,directional,"
+            "0.333333333,0.25,0.123456789,1,400,11,\n"
+            "height_band,90-150,association_los,strongest_rss,directional,"
+            "0.123456789,0.25,0.123456789,1,400,11,\n"
+            "height_band,90-150,association_nlos,strongest_rss,directional,"
+            "2e-12,0.25,0.123456789,1,400,11,\n"
+            "height_band,100-110,coverage,strongest_rss,directional,"
+            ",0.25,0.123456789,1,400,11,\"analytic: bad, point\"\n"
+            "height_band,100-110,association_los,strongest_rss,directional,"
+            ",0.25,0.123456789,1,400,11,\"analytic: bad, point\"\n"
+            "height_band,100-110,association_nlos,strongest_rss,directional,"
+            ",0.25,0.123456789,1,400,11,\"analytic: bad, point\"\n")
 
 
 class TestMainEntry:

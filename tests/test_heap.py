@@ -21,8 +21,8 @@ def _on_glibc() -> bool:
 
 
 # Minor faults of a fresh process, read by getrusage: a second analytic
-# point after a warm one, then dense omni episodes (1000/km^2, about 29,600
-# stations each) after five warm-up episodes.
+# point after a warm one, then dense omni episodes (1000/km^2, about 64
+# stations drawn each) after five warm-up episodes.
 FAULTS = """
 import resource
 from uavcov import analytic, montecarlo
@@ -37,11 +37,11 @@ analytic.coverage_probability(default_params(lambda_b=2e-4))
 point = faults() - before
 
 dense = default_params(lambda_b=1e-3, antenna=OmniAntenna(BOUNDARY_DEFAULTS["r_max"]))
-r_field = montecarlo.field_radius(dense)
+near = montecarlo._near_radius(dense.lambda_b, montecarlo.field_radius(dense))
 for k in range(25):
     if k == 5:
         before = faults()
-    montecarlo._tally_block(dense, 1, r_field, montecarlo.episode_rng(9, k))
+    montecarlo._tally_block(dense, 1, near, montecarlo.episode_rng(9, k))
 print(point, (faults() - before) / 20)
 """
 
@@ -52,8 +52,8 @@ class TestFreedBuffersStayInHeap:
         assert uavcov._keep_freed_buffers()
 
     def test_warm_work_does_not_fault(self):
-        # under glibc's defaults the point takes about 3800 faults and each
-        # dense episode about 370
+        # under glibc's defaults the point takes about 3200 faults and each
+        # dense episode about 1, so only the point tells the policy apart
         src = str(Path(uavcov.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH"))))}

@@ -34,7 +34,6 @@ from uavcov.model import (
 from uavcov.montecarlo import (
     MAX_MEAN_STATIONS,
     ORIGIN_CANDIDATES,
-    GbsField,
     _FieldBlock,
     _segment_argmax,
     _segment_sums,
@@ -152,14 +151,14 @@ class TestSamplePpp:
     def test_points_inside_disc(self):
         rng = episode_rng(3, 0)
         field = sample_ppp(1e-3, 500.0, rng)
-        assert np.all(np.hypot(field.positions[:, 0], field.positions[:, 1])
+        assert np.all(np.hypot(field[:, 0], field[:, 1])
                       <= 500.0)
 
     def test_radial_and_angular_laws(self):
         # uniform on the disc: a quarter of the points within r_field / 2 and
         # a quarter in each quadrant, each within 4 binomial deviations
         field = sample_ppp(1e-3, 5000.0, episode_rng(3, 1))
-        x, y = field.positions.T
+        x, y = field.T
         n = len(field)
         assert n > 70_000
         bound = 4.0 * math.sqrt(0.25 * 0.75 / n)
@@ -173,7 +172,7 @@ class TestClassifyLinks:
     def test_low_altitude_far_marks_mostly_nlos(self, params):
         rng = episode_rng(4, 0)
         n = 100_000
-        field = GbsField(np.column_stack([np.full(n, 2000.0), np.zeros(n)]))
+        field = np.column_stack([np.full(n, 2000.0), np.zeros(n)])
         los = classify_links(field, Waypoint(0, 0, 31.0), params.env,
                              params.h_b, rng.random(n))
         # elevation near zero: the LoS floor is 1/(1 + a e^{ab}) ~ 0.0219
@@ -182,7 +181,7 @@ class TestClassifyLinks:
     def test_frozen_fraction_at_45_degrees(self, params):
         rng = episode_rng(5, 0)
         n = 100_000
-        field = GbsField(np.column_stack([np.full(n, 90.0), np.zeros(n)]))
+        field = np.column_stack([np.full(n, 90.0), np.zeros(n)])
         los = classify_links(field, Waypoint(0, 0, 120.0), params.env,
                              params.h_b, rng.random(n))
         p = 0.9676918999472423
@@ -199,7 +198,7 @@ class TestClassifyLinks:
 
 class TestAssociate:
     def test_single_gbs_both_policies(self, params):
-        field = GbsField(np.array([[40.0, 10.0]]))
+        field = np.array([[40.0, 10.0]])
         los = np.array([True])
         uav = Waypoint(0, 0, 120.0)
         for policy in AssociationPolicy:
@@ -208,7 +207,7 @@ class TestAssociate:
             assert got[1] is LinkType.LOS
 
     def test_void_when_out_of_range(self, params):
-        field = GbsField(np.array([[3000.0, 0.0]]))
+        field = np.array([[3000.0, 0.0]])
         got = associate(field, np.array([True]), Waypoint(0, 0, 120.0), params)
         assert got is None
 
@@ -228,7 +227,7 @@ class TestAssociate:
                 assert a[0] == b[0]
 
     def test_exact_tie_resolves_to_lowest_index(self, params):
-        field = GbsField(np.array([[50.0, 0.0], [0.0, 50.0], [-50.0, 0.0]]))
+        field = np.array([[50.0, 0.0], [0.0, 50.0], [-50.0, 0.0]])
         los = np.array([True, True, True])
         got = associate(field, los, Waypoint(0, 0, 120.0), params)
         assert got[0] == 0
@@ -245,7 +244,8 @@ class TestSimulateEpisode:
     def test_empty_network_is_void(self, params):
         p = params.with_(lambda_b=1e-12)
         o = simulate_episode(p, episode_rng(9, 0))
-        assert o.void_pre and o.void_post and not o.covered
+        assert o.associated_pre is None and o.associated_post is None
+        assert not o.covered
         assert o.sir is None
 
     def test_no_motion_no_handover(self, params):
@@ -261,8 +261,6 @@ class TestSimulateEpisode:
                 assert o.associated_post is not None
             if o.covered:
                 assert o.sir is not None and o.sir > params.t_thresh
-            assert o.void_pre == (o.associated_pre is None)
-            assert o.void_post == (o.associated_post is None)
 
     def test_scale_invariance_per_episode(self, params):
         scaled = params.with_(p_t=params.p_t * 7.0, g_b=params.g_b * 31.0)
@@ -499,7 +497,7 @@ def _summary_counts(outcomes) -> dict:
         "handover": sum(o.handover for o in outcomes),
         "association_los": serving.count(LinkType.LOS),
         "association_nlos": serving.count(LinkType.NLOS),
-        "void": sum(o.void_pre for o in outcomes),
+        "void": sum(o.associated_pre is None for o in outcomes),
     }
 
 
@@ -906,8 +904,8 @@ def _beaten(field, latent, uav, r0, serving, params) -> np.ndarray:
     (r0, 0) of type serving on the two-station field {station, pinned}."""
     los = classify_links(field, uav, params.env, params.h_b, latent)
     out = []
-    for position, mark in zip(field.positions, los):
-        pair = GbsField(np.array([position, [r0, 0.0]]))
+    for position, mark in zip(field, los):
+        pair = np.array([position, [r0, 0.0]])
         got = associate(pair, np.array([mark, serving is LinkType.LOS]), uav,
                         params)
         out.append(got is not None and got[0] == 0)
@@ -926,10 +924,10 @@ def _pinned_handover(params, r0, z_t, serving, rng) -> bool:
                     params)
     v_h = horizontal_speed(params.v, rho, z_t - z_pre)
     end = Waypoint(v_h * np.cos(theta), v_h * np.sin(theta), z_t)
-    kept = GbsField(field.positions[keep])
+    kept = field[keep]
     los = np.append(classify_links(kept, end, params.env, params.h_b,
                                    latent[keep]), serving is LinkType.LOS)
-    got = associate(GbsField(np.vstack([kept.positions, [[r0, 0.0]]])), los,
+    got = associate(np.vstack([kept, [[r0, 0.0]]]), los,
                     end, params)
     return got is not None and got[0] != len(kept)
 
@@ -945,7 +943,7 @@ def _pinned_interference(params, r0, z, serving, r_field, rng) -> float:
     los = classify_links(field, uav, params.env, params.h_b, latent)
     keep = ~_beaten(field, latent, uav, r0, serving, params)
     ch = params.channel
-    x, y = field.positions.T
+    x, y = field.T
     d = np.sqrt(x * x + y * y)
     gains = np.where(los, path_loss(LinkType.LOS, d, z, ch, params.h_b),
                      path_loss(LinkType.NLOS, d, z, ch, params.h_b))
