@@ -43,10 +43,10 @@ Layout of the computation:
 
 Of ``coverage_probability``'s outputs, ``total`` and ``void_prob`` are
 clamped to [0, 1]; ``handover_prob``, ``per_link`` and ``association`` are
-not: where the handover or an association integral over-counts past 1, the
-serving-distance rule is doubled, up to 8-fold. The conditional kernels clip
-their grids to [0, 1]; conditional coverage drifting beyond 1e-6 outside the
-interval increments a counter that the acceptance suite asserts to be zero.
+not, and can exceed 1 where the association integrals over-count. The
+conditional kernels clip their grids to [0, 1]; conditional coverage that
+drifts beyond 1e-6 outside the interval increments a counter that the
+acceptance suite asserts to be zero.
 """
 
 from __future__ import annotations
@@ -412,12 +412,8 @@ def coverage_probability(params: SystemParams) -> CoverageBreakdown:
     """Coverage of the mobile user under the association policy of params,
     combining handover-free coverage with the handover-survival term, with
     the marginal handover, association and void probabilities."""
-    # the heavy integrals do not depend on kappa; key the cache without it.
-    # Where the serving-distance rule over-counts past 1, it is doubled
-    for n_r0 in (N_R0, 2 * N_R0, 4 * N_R0, 8 * N_R0):
-        metrics = _policy_metrics(replace(params, kappa=0.0), N_Z, n_r0)
-        if max(metrics.handover, *metrics.assoc.values()) <= 1.0 + 1e-12:
-            break
+    # the heavy integrals do not depend on kappa; key the cache without it
+    metrics = _policy_metrics(replace(params, kappa=0.0), N_Z, N_R0)
     marginals = [*metrics.cov_nohandover.values(), *metrics.cov_stay.values(),
                  *metrics.assoc.values(), metrics.handover, metrics.void]
     if not all(map(math.isfinite, marginals)):

@@ -48,6 +48,9 @@ __all__ = [
 
 CSV_HEADER = ("axis", "value", "metric", "policy", "antenna", "analytic",
               "mc_mean", "mc_ci_low", "mc_ci_high", "n", "seed", "error")
+# the CSV_HEADER columns that name an attribute of the row's McEstimate
+_MC_CELLS = {"mc_mean": "mean", "mc_ci_low": "ci_low", "mc_ci_high": "ci_high",
+             "n": "n", "seed": "seed"}
 
 SWEEP_AXES = ("lambda_b", "beamwidth_deg", "v", "kappa", "height_band", "t_thresh")
 METRICS = ("coverage", "handover", "association", "void")
@@ -232,12 +235,10 @@ def rows_to_csv(rows, fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for r in rows:
-        # CSV_HEADER's columns in order, mc_mean to seed from the estimate
-        est = r.mc
-        mc = (est.mean, est.ci_low, est.ci_high, est.n, est.seed) if est else (None,) * 5
-        cells = (r.axis, r.value, r.metric, r.policy, r.antenna, r.analytic,
-                 *mc, r.error)
-        writer.writerow([_format(x) for x in cells])
+        # an mc cell reads the row's estimate, and is empty without one
+        writer.writerow([_format(getattr(r.mc, _MC_CELLS[name], None)
+                                 if name in _MC_CELLS else getattr(r, name))
+                         for name in CSV_HEADER])
 
 
 @dataclass(frozen=True)

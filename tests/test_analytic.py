@@ -551,10 +551,9 @@ ACCEPTED_BOX = st.fixed_dictionaries({
 
 class TestAcceptedBox:
     # outputs are probabilities up to this much roundoff (a handover sum
-    # reached 1 + 1.5e-12 over 3000 draws of the box; the inside-box point
-    # below reaches 1 + 6.2e-6 on the default rule, which is refined
-    # there). LoS + NLoS association + void = 1 is not asserted: the sum
-    # exceeds 1 by up to 2.4e-4 on a wider box
+    # reached 1 + 1.5e-12 over 3000 draws of the box, yet the inside-box
+    # point below breaks it by 6.2e-6). LoS + NLoS association + void = 1
+    # is not asserted: the sum exceeds 1 by up to 2.4e-4 on a wider box
     TOL = 1e-9
 
     @given(values=ACCEPTED_BOX)
@@ -582,21 +581,15 @@ class TestAcceptedBox:
           "mu": 1.0, "r_max": math.exp(6.0), "h_lb": 31.0, "h_ub": 32.0,
           "v": 116.0, "antenna": "omni"}, 5e-6),
     ], ids=["outside-box", "inside-box"])
-    def test_default_rule_exceeds_one_and_is_refined(self, overrides,
-                                                     excess):
+    def test_unclamped_outputs_exceed_one(self, overrides, excess):
         # a known defect, ROADMAP item 7 (the association sum): on dense
         # omni cells the 32-node serving-distance rule over-counts the
-        # association integrals, and the handover inherits the excess. Flip
-        # the first two asserts when item 7 closes
-        params = params_from_boundary({**BOUNDARY_DEFAULTS, **overrides})
-        default = _policy_metrics.__wrapped__(params.with_(kappa=0.0), N_Z,
-                                              N_R0)
-        assert default.handover - 1.0 > excess
-        assert sum(default.assoc.values()) - 1.0 > excess
-        # coverage_probability refines the rule until neither exceeds 1
-        got = coverage_probability(params)
-        assert got.handover_prob <= 1.0
-        assert sum(got.association) <= 1.0
+        # association integrals, and handover_prob, which is not clamped,
+        # inherits the excess. Flip these asserts when item 7 closes
+        got = coverage_probability(params_from_boundary(
+            {**BOUNDARY_DEFAULTS, **overrides}))
+        assert got.handover_prob - 1.0 > excess
+        assert sum(got.association) - 1.0 > excess
 
 
 class TestHandoverKernelGrid:
