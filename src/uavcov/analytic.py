@@ -23,8 +23,11 @@ Layout of the computation:
   takes the closed-form lens angles of two circles through the serving
   GBS (``geometry.same_type_lens_complement_area``); the remaining
   cross-type rows take the general lens formula. One call per serving
-  type covers every altitude; the lens grid, its exp and the average over
-  (theta, v_h), a matrix-vector product, run one altitude at a time;
+  type covers every altitude: the speed nodes of all altitudes come from
+  one stacked inversion, and the same-type lens factors of the (theta,
+  v_h) grid (``geometry.same_type_lens``) are built once per call; only
+  the lens grid, its exp and the average over (theta, v_h), a
+  matrix-vector product, run one altitude at a time;
 * conditional coverage: the finite Nakagami sum over derivatives of the
   interference Laplace transform, taken as exp(g0) sum_{l<m} b_l from the
   exponent g0 and the nonnegative coefficients t_k (negative-binomial
@@ -65,6 +68,7 @@ from .geometry import (
     exclusion_radius,
     lens_complement_area,
     receiving_radius,
+    same_type_lens,
     same_type_lens_complement_area,
 )
 from .model import (
@@ -138,8 +142,9 @@ def _cond_handover_grid(serving: LinkType, targets: tuple, r0, z_t,
     and over the law of v_h given z_t (``horizontal_speed_nodes``). A serving
     distance whose region is empty at every v_h <= V is 0 without a grid:
     either the target radius stays 0 or the post-move disk stays inside the
-    pre-move one. A same-type target takes the closed-form lens angles. Only
-    the lens grid runs per altitude, a slice that stays in cache.
+    pre-move one. A same-type target takes the closed-form lens angles,
+    its (theta, v_h) factors built once for every altitude. Only the lens
+    grid runs per altitude, a slice that stays in cache.
     """
     r0 = np.atleast_1d(np.asarray(r0, dtype=float))
     rows = np.atleast_2d(r0)
@@ -150,12 +155,13 @@ def _cond_handover_grid(serving: LinkType, targets: tuple, r0, z_t,
     ctx = height_context(params, np.atleast_1d(z_t))    # h_bar, r_m: a row per z_t
     ch = params.channel
 
-    # uniform direction on [0, pi]
+    # uniform direction on [0, pi]; the speed nodes and the same-type lens
+    # factors of every altitude at once, sliced per altitude below
     theta, w_th = gauss_nodes(0.0, np.pi, n_theta)
-    v_h, w_v = map(np.array, zip(*(horizontal_speed_nodes(z, params, n_v)
-                                   for z in np.ravel(z_t))))
-    w = (w_th * (1.0 / np.pi))[:, None] * w_v[:, None, :]
     theta = theta[:, None]
+    v_h, w_v = horizontal_speed_nodes(np.ravel(z_t), params, n_v)
+    w = ((w_th * (1.0 / np.pi))[:, None] * w_v).ravel()
+    lens = same_type_lens(v_h[:, None, :], theta)
     for i, target in enumerate(targets):
         x_a = equal_power_radius(serving, target, rows, ctx.h_bar, ch)
         # v_h <= V and r_after <= r0 + V bound the post-move disk; the
@@ -164,17 +170,18 @@ def _cond_handover_grid(serving: LinkType, targets: tuple, r0, z_t,
                                              ctx.h_bar, ch), ctx.r_m)
         live = (y_hi > 0.0) & (params.v + y_hi > x_a)
         for j in np.flatnonzero(np.any(live, axis=1)):
-            r = rows[j, live[j], None, None]
+            r = rows[j, live[j]]
             if target is serving:
-                area = same_type_lens_complement_area(r, v_h[j], theta, ctx.r_m[j, 0])
+                area = same_type_lens_complement_area(
+                    r, tuple(f[j] for f in lens), ctx.r_m[j, 0])
             else:
-                r_after = displaced_distance(r, v_h[j], theta)
+                r_after = displaced_distance(r[:, None, None], v_h[j], theta)
                 y_b = equal_power_radius(serving, target, r_after, ctx.h_bar[j, 0], ch)
                 area = lens_complement_area(x=x_a[j, live[j], None, None],
                                             y=np.minimum(y_b, ctx.r_m[j, 0]), v=v_h[j])
             area *= -params.lambda_b        # in place: the same sum, faster
             np.exp(area, out=area)
-            out[i, j, live[j]] = 1.0 - area.reshape(len(area), -1) @ w[j].ravel()
+            out[i, j, live[j]] = 1.0 - area.reshape(len(area), -1) @ w
     return np.clip(out, 0.0, 1.0).reshape(len(targets), *r0.shape)
 
 
@@ -264,18 +271,27 @@ def _exponent_terms(s: np.ndarray, panels: dict, z, params: SystemParams,
         if id(xs) not in los_of:
             los_of[id(xs)] = los_probability(xs, z, params.env, params.h_b)
         p_los = los_of[id(xs)]
-        base = ws * xs * (p_los if xi is LinkType.LOS else 1.0 - p_los)
-        u = s * path_loss(xi, xs, z, ch, params.h_b) / m
-        log1p_u = np.log1p(u)
-        nb = -m * log1p_u
-        g0 += np.sum(base * np.expm1(nb), axis=1)
+        # the products and sums of the formulas above in their operation
+        # order, in place: term holds each summand in turn
+        base = ws * xs
+        base *= p_los if xi is LinkType.LOS else 1.0 - p_los
+        u = path_loss(xi, xs, z, ch, params.h_b)
+        u *= s
+        u /= m
+        nb = np.log1p(u)
+        nb *= -m
+        term = np.expm1(nb)
+        term *= base
+        g0 += np.sum(term, axis=1)
         if order:
             np.exp(nb, out=nb)
-            u /= 1.0 + u
+            np.add(u, 1.0, out=term)
+            u /= term
             for k in range(1, order + 1):
                 nb *= u
                 nb *= (m + k - 1) / k
-                t[k - 1] += np.sum(base * nb, axis=1)
+                np.multiply(base, nb, out=term)
+                t[k - 1] += np.sum(term, axis=1)
     scale = 2.0 * np.pi * params.lambda_b
     return scale * g0, [scale * tk for tk in t]
 

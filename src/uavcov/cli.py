@@ -12,7 +12,8 @@ Sweep results are emitted as UTF-8 CSV with the fixed header
 axis,value,metric,policy,antenna,analytic,mc_mean,mc_ci_low,mc_ci_high,n,seed,error
 and 9-significant-digit floats, byte-deterministic for a given
 (config, spec, seed) regardless of worker count. The mc_* columns, n and
-seed are empty on a row without a Monte Carlo estimate.
+seed are empty on a row without a Monte Carlo estimate. A sweep with
+threads > 1 imports its process pool when it starts one.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import csv
 import io
 import pathlib
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import analytic, montecarlo
@@ -188,6 +188,8 @@ def run_sweep(spec: SweepSpec, values: dict, threads: int = 1) -> list:
         # one point: the threads go to its Monte Carlo episodes instead
         per_group = [_evaluate_group(groups[0], workers=threads)]
     elif threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(threads, len(groups))) as pool:
             per_group = list(pool.map(_evaluate_group, groups))
     else:

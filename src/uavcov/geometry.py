@@ -21,6 +21,7 @@ __all__ = [
     "exclusion_radius",
     "displaced_distance",
     "lens_complement_area",
+    "same_type_lens",
     "same_type_lens_complement_area",
 ]
 
@@ -100,52 +101,95 @@ def lens_complement_area(*, x, y, v):
     inside B (pi*(y^2 - x^2)) limits; B inside A is pinned to exactly 0.
     """
     x, y, v = (np.asarray(a, dtype=float) for a in (x, y, v))
-    if np.any(x < 0) or np.any(y < 0) or np.any(v < 0):
+    if x.min(initial=0.0) < 0 or y.min(initial=0.0) < 0 or v.min(initial=0.0) < 0:
         raise GeometryError("radii and separation must be nonnegative")
-    gap, y2 = x - y, y * y
-    growth = -gap * (x + y)                                   # y^2 - x^2
-    shrink = (x - v) * (x + v)                                # x^2 - v^2
-    t = np.sqrt(np.maximum((x + y - v) * (x + y + v) * (v + gap) * (v - gap), 0.0))
-    out = (x * x * np.arctan2(t, shrink + y2)
-           + growth * np.arctan2(t, shrink - y2) + 0.5 * t)
-    out = np.where(v + y <= x, 0.0, np.maximum(out, 0.0))
+    # the expressions above in their operation order, reusing four
+    # full-size buffers (gap, s, growth and t) instead of one per operation
+    shape = np.broadcast_shapes(x.shape, y.shape, v.shape)
+    gap = np.subtract(x, y, out=np.empty(shape))
+    s = np.add(x, y, out=np.empty(shape))
+    growth = np.multiply(gap, s, out=np.empty(shape))
+    np.negative(growth, out=growth)                           # y^2 - x^2
+    shrink = np.subtract(x, v)
+    shrink *= x + v                                           # x^2 - v^2
+    t = np.subtract(s, v, out=np.empty(shape))
+    s += v
+    t *= s
+    np.add(v, gap, out=s)
+    t *= s
+    np.subtract(v, gap, out=s)
+    t *= s
+    np.maximum(t, 0.0, out=t)
+    np.sqrt(t, out=t)
+    y2 = y * y
+    out = np.add(shrink, y2, out=s)
+    np.arctan2(t, out, out=out)
+    out *= x * x
+    np.subtract(shrink, y2, out=gap)
+    np.arctan2(t, gap, out=gap)
+    gap *= growth
+    out += gap
+    np.multiply(t, 0.5, out=gap)
+    out += gap
+    np.maximum(out, 0.0, out=out)
+    np.add(v, y, out=gap)
+    out[gap <= x] = 0.0
     return float(out) if out.ndim == 0 else out
 
 
-def same_type_lens_complement_area(r0, v, theta, r_m):
-    """lens_complement_area(x=r0, y=min(r_after, r_m), v=v), r_after being
-    displaced_distance(r0, v, theta); broadcastable arrays or scalars.
+def same_type_lens(v, theta):
+    """The factors of ``same_type_lens_complement_area`` that depend on the
+    move alone, each on the broadcast grid of speeds v and directions
+    theta: (v, along, across, tilt, sweep) with along = v cos(theta),
+    across = v sin(theta), tilt = 2 along (pi - theta) + across and sweep =
+    v^2 (pi - theta). Built once, they serve every serving distance; a
+    slice of each along a leading axis is the lens of that slice's grid."""
+    v, theta = (np.asarray(a, dtype=float) for a in (v, theta))
+    along, across = v * np.cos(theta), v * np.sin(theta)
+    return (np.broadcast_to(v, along.shape), along, across,
+            2.0 * along * (np.pi - theta) + across, v * v * (np.pi - theta))
+
+
+def same_type_lens_complement_area(r0, lens, r_m):
+    """lens_complement_area(x=r0, y=min(r_after, r_m), v=v) for each serving
+    distance r0 (a scalar or an array) on the move grid of lens =
+    ``same_type_lens(v, theta)``, shaped r0's shape + the grid's, r_after
+    being displaced_distance(r0, v, theta).
 
     For a same-type target both circles pass through the serving GBS, so
     the lens half-angles have a closed form: pi - theta at the pre-move
     point and b = theta - d at the post-move one, d = atan2(v sin(theta),
     r0 + v cos(theta)) being the angle the move turns the view of the GBS
     by. The area r_after^2 (pi - b) - r0^2 (pi - theta) + r0 v sin(theta)
-    is then summed as d r_after^2 + r0 (2 v cos(theta) (pi - theta) + v
-    sin(theta)) + v^2 (pi - theta), r_after^2 taken from d's own arctan2
-    arguments; the bracketed factors live on the small theta x v grid, so
-    the full grid takes one arctan2 and a few in-place passes. As v -> 0
-    every term is O(r0 v) and none of size r0^2 cancels; as theta -> pi the
-    terms of size r0 v (pi - theta) cancel to the O((pi - theta)^3) area as
-    they do in r0^2 d + (r_after^2 - r0^2)(pi - b) + r0 v sin(theta), so the
-    error stays of order eps (r0 + v)^2. Only elements whose post-move disk
-    is capped at r_m take the general formula; as r_after <= r0 + v, none
-    can be when max(r0) + max(v) <= r_m.
+    is then summed as d r_after^2 + r0 tilt + sweep, r_after^2 taken from
+    d's own arctan2 arguments; tilt and sweep live on the small move grid,
+    so the full grid takes one arctan2 and a few in-place passes. As
+    v -> 0 every term is O(r0 v) and none of size r0^2 cancels; as
+    theta -> pi the terms of size r0 v (pi - theta) cancel to the
+    O((pi - theta)^3) area as they do in r0^2 d + (r_after^2 - r0^2)(pi - b)
+    + r0 v sin(theta), so the error stays of order eps (r0 + v)^2. Only
+    elements whose post-move disk is capped at r_m take the general
+    formula; as r_after <= r0 + v, only the serving distances from the
+    first with r0 + max(v) > r_m on are tested.
     """
-    r0, v, theta = (np.asarray(a, dtype=float) for a in (r0, v, theta))
-    along, across = v * np.cos(theta), v * np.sin(theta)
-    r2 = np.asarray(r0 + along)
+    v, along, across, tilt, sweep = lens
+    r0 = np.asarray(r0, dtype=float)
+    col = r0.reshape(r0.shape + (1,) * along.ndim)           # one row per r0
+    r2 = np.asarray(col + along)
     out = np.asarray(np.arctan2(across, r2))                  # d
     r2 *= r2
     r2 += across * across                                     # r_after^2
     out *= r2
-    out += r0 * (2.0 * along * (np.pi - theta) + across)
-    out += v * v * (np.pi - theta)
-    if r0.max(initial=0.0) + v.max(initial=0.0) > r_m:   # else r_after <= r_m
-        capped = r2 > r_m * r_m
+    out += col * tilt
+    out += sweep
+    reach = r0.ravel() + v.max(initial=0.0) > r_m            # else r_after <= r_m
+    if np.any(reach):
+        first = int(np.argmax(reach))
+        top = out.reshape(r0.size, -1)[first:]                # views
+        capped = r2.reshape(r0.size, -1)[first:] > r_m * r_m
         if np.any(capped):
-            out[capped] = lens_complement_area(
-                x=np.broadcast_to(r0, out.shape)[capped], y=r_m,
-                v=np.broadcast_to(v, out.shape)[capped])
+            top[capped] = lens_complement_area(
+                x=np.broadcast_to(r0.reshape(-1, 1)[first:], top.shape)[capped],
+                y=r_m, v=np.broadcast_to(v.ravel(), top.shape)[capped])
     np.maximum(out, 0.0, out=out)
     return float(out) if out.ndim == 0 else out

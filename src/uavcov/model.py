@@ -308,11 +308,12 @@ def path_loss(link: LinkType, r, h_u, ch: ChannelParams, h_b: float):
     """
     r = np.asarray(r, dtype=float)
     dh = h_u - h_b
-    d2 = r * r + dh * dh
-    if np.any(d2 == 0.0):
+    d2 = np.asarray(r * r + dh * dh)
+    if not d2.all():
         raise GeometryError("zero propagation distance (r=0 and h_u=h_b)")
-    out = ch.eta(link) * d2 ** (-0.5 * ch.alpha(link))
-    return float(out) if out.ndim == 0 else out
+    np.power(d2, -0.5 * ch.alpha(link), out=d2)
+    d2 *= ch.eta(link)                                # in place: eta d2^(-a/2)
+    return float(d2) if d2.ndim == 0 else d2
 
 
 def los_probability(r, h_u, env: EnvironmentParams, h_b: float):
@@ -383,9 +384,10 @@ def horizontal_speed(v: float, rho_t, dz):
 _erf = np.frompyfunc(math.erf, 1, 1)
 
 
-def _speed_ratio_cdf(t, z_t: float, mu: float, h_lb: float, h_ub: float):
+def _speed_ratio_cdf(t, z_t, mu: float, h_lb: float, h_ub: float):
     """P(v_h <= t V | z_t) for t in (0, 1], the CDF of the horizontal speed
-    given the post-move altitude: the Rayleigh transition length gives
+    given the post-move altitude z_t (or an array of them broadcasting
+    against t): the Rayleigh transition length gives
     P(v_h <= s | dz) = 1 - exp(-a^2 dz^2), a^2 = pi mu s^2/(V^2 - s^2), and
     the uniform pre-move altitude averages exp(-a^2 dz^2) in erf form:
 
@@ -397,15 +399,18 @@ def _speed_ratio_cdf(t, z_t: float, mu: float, h_lb: float, h_ub: float):
     return 1.0 - 0.5 * math.sqrt(math.pi) * spread / (a * (h_ub - h_lb))
 
 
-@lru_cache(maxsize=256)
-def _speed_ratio_nodes(z_t: float, mu: float, h_lb: float, h_ub: float, n: int):
-    """F^-1 at the n Gauss-Legendre nodes of (0, 1), as ratios v_h / V,
-    by a vectorised bisection to double precision."""
+@lru_cache(maxsize=64)
+def _speed_ratio_nodes(z_t: tuple, mu: float, h_lb: float, h_ub: float, n: int):
+    """F^-1 at the n Gauss-Legendre nodes of (0, 1), as ratios v_h / V, one
+    row per altitude of z_t, by one vectorised bisection to double precision
+    over every altitude at once; each element takes the steps its altitude
+    would take alone."""
     u, w = gauss_nodes(0.0, 1.0, n)
-    lo, hi = np.zeros(n), np.ones(n)
+    z = np.array(z_t)[:, None]
+    lo, hi = np.zeros((len(z_t), n)), np.ones((len(z_t), n))
     for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        below = _speed_ratio_cdf(mid, z_t, mu, h_lb, h_ub) < u
+        below = _speed_ratio_cdf(mid, z, mu, h_lb, h_ub) < u
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     t = 0.5 * (lo + hi)
@@ -414,16 +419,21 @@ def _speed_ratio_nodes(z_t: float, mu: float, h_lb: float, h_ub: float, n: int):
     return t, w
 
 
-def horizontal_speed_nodes(z_t: float, params: SystemParams, n: int):
-    """Gauss nodes of the horizontal-speed law given z_t.
+def horizontal_speed_nodes(z_t, params: SystemParams, n: int):
+    """Gauss nodes of the horizontal-speed law given z_t, a post-move
+    altitude or an array of them.
 
     Substituting u = F(v_h) makes the law the integration measure: the
     nodes are F^-1 at the Gauss-Legendre nodes of (0, 1) and the weights
     are the plain Gauss weights, which sum to 1. The ratios v_h / V do not
-    depend on V and are cached per (z_t, mu, band, n).
+    depend on V; all altitudes are inverted together, cached per (altitude
+    tuple, mu, band, n).
 
     Returns:
-        (v_h, weights): n increasing speeds in [0, V] and their weights.
+        (v_h, weights): n increasing speeds in [0, V] per altitude, shaped
+        z_t's shape + (n,), and their n weights.
     """
-    t, w = _speed_ratio_nodes(float(z_t), params.mu, params.h_lb, params.h_ub, n)
-    return params.v * t, w
+    z = np.asarray(z_t, dtype=float)
+    t, w = _speed_ratio_nodes(tuple(z.ravel().tolist()), params.mu,
+                              params.h_lb, params.h_ub, n)
+    return params.v * t.reshape(*z.shape, n), w

@@ -15,9 +15,10 @@ first disc holds at most ORIGIN_CANDIDATES on average, so a block holds
 at least 504 episodes, 1893 at the baseline). Block k draws from one
 PCG64DXSM stream seeded by SeedSequence([seed, k]), each quantity in one
 vector call, and workers get whole blocks, so estimates are bit-identical
-regardless of execution order or worker count. A block's stations sit in
-one array (episode b owns the rows starts[b] : ends[b]). One path picks
-the serving stations: `_FieldBlock.serve` runs link types, gains and the
+regardless of execution order or worker count; the worker pool's module is
+imported when a pool is started. A block's stations sit in one array
+(episode b owns the rows starts[b] : ends[b]). One path picks the serving
+stations: `_FieldBlock.serve` runs link types, gains and the
 serving argmax on the stations in range only, compacted in row order, and
 returns each pick's metric; `_FieldBlock.settle` calls it, and tests each
 pick's metric against the stations outside the disc, until every pick
@@ -66,7 +67,6 @@ directly, which makes the transmit-power scale invariance exact.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -701,6 +701,8 @@ def summary_estimates(params: SystemParams, n: int, seed: int,
     else:
         # workers get whole blocks, and the per-block sums add up in block
         # order, so the estimates do not depend on them
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = -(-len(blocks) // (4 * workers))
         jobs = [(params, seed, n, size, blocks[i:i + chunk], near)
                 for i in range(0, len(blocks), chunk)]

@@ -21,7 +21,10 @@ patches these oracles too.
 `per_altitude_metrics` computes `analytic._policy_metrics` one altitude
 node at a time: one `HeightContext`, node set, handover call and coverage
 call per node, accumulated node by node; the engine, which stacks the
-altitudes, is held to it.
+altitudes, is held to it. `per_call_same_type_area` and
+`speed_ratio_nodes_at` are the handover kernel's set-up done per call and
+per altitude, which the engine's shared factors and stacked inversion must
+match bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import math
 
 import numpy as np
 
-from uavcov import analytic
+from uavcov import analytic, geometry, model
 from uavcov import montecarlo as mc
 from uavcov.association import exclusion_factor, height_context
 from uavcov.errors import ParameterError
@@ -261,3 +264,41 @@ def per_altitude_metrics(params: SystemParams, n_z: int, n_r0: int):
             handover += wz * float(np.sum(weight * (1.0 - stay)))
     return analytic._PolicyMetrics(cov1, cov2, handover, assoc,
                                    1.0 - sum(assoc.values()))
+
+
+def per_call_same_type_area(r0, v, theta, r_m):
+    """geometry.same_type_lens_complement_area with its move factors built
+    inside the call, on broadcastable r0, v and theta, and the r_m cap
+    tested on every element once max(r0) + max(v) > r_m: the expression
+    the factor-fed form is held to bit for bit."""
+    r0, v, theta = (np.asarray(a, dtype=float) for a in (r0, v, theta))
+    along, across = v * np.cos(theta), v * np.sin(theta)
+    r2 = np.asarray(r0 + along)
+    out = np.asarray(np.arctan2(across, r2))
+    r2 *= r2
+    r2 += across * across
+    out *= r2
+    out += r0 * (2.0 * along * (np.pi - theta) + across)
+    out += v * v * (np.pi - theta)
+    if r0.max(initial=0.0) + v.max(initial=0.0) > r_m:
+        capped = r2 > r_m * r_m
+        if np.any(capped):
+            out[capped] = geometry.lens_complement_area(
+                x=np.broadcast_to(r0, out.shape)[capped], y=r_m,
+                v=np.broadcast_to(v, out.shape)[capped])
+    np.maximum(out, 0.0, out=out)
+    return float(out) if out.ndim == 0 else out
+
+
+def speed_ratio_nodes_at(z_t: float, mu: float, h_lb: float, h_ub: float,
+                         n: int) -> np.ndarray:
+    """model._speed_ratio_nodes' ratios v_h / V at one post-move altitude,
+    by a bisection of that altitude alone."""
+    u, _ = gauss_nodes(0.0, 1.0, n)
+    lo, hi = np.zeros(n), np.ones(n)
+    for _ in range(model._BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        below = model._speed_ratio_cdf(mid, z_t, mu, h_lb, h_ub) < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)

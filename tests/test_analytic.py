@@ -10,9 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uavcov import analytic, association, cli, geometry
+from uavcov import analytic, association, cli, geometry, model, montecarlo
 from uavcov.analytic import (
     N_R0,
+    N_V,
     N_Z,
     _policy_metrics,
     _breakdown,
@@ -571,6 +572,34 @@ class TestAcceptedBox:
         for cov, assoc in zip(got.per_link, got.association):
             assert cov <= assoc + self.TOL
 
+    @given(values=ACCEPTED_BOX)
+    # the box's densest, widest corner: 1.6e6 stations refused, 8e5 run
+    @example(values={**BOUNDARY_DEFAULTS, "lambda_b": 5000.0, "antenna": "omni",
+                     "r_max": 10_000.0, "h_lb": 400.0, "h_ub": 900.0, "v": 200.0})
+    @example(values={**BOUNDARY_DEFAULTS, "lambda_b": 5000.0, "antenna": "omni",
+                     "r_max": 7000.0, "h_lb": 400.0, "h_ub": 900.0, "v": 200.0})
+    @settings(max_examples=15, deadline=None)
+    def test_monte_carlo_estimates_or_is_a_parameter_error(self, values):
+        # the simulator's side of the same box: finite estimates in [0, 1],
+        # or a field too large for the station budget refused before any
+        # block draws
+        try:
+            p = params_from_boundary(values)
+        except ParameterError:
+            return
+        streams = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "episode_rng", _recorded(
+                montecarlo.episode_rng, streams))
+            try:
+                got = summary_estimates(p, 300, 1)
+            except ParameterError:
+                assert streams == []
+                return
+        for name, estimate in got.items():
+            assert math.isfinite(estimate.mean), name
+            assert 0.0 <= estimate.mean <= 1.0, name
+
     @pytest.mark.parametrize("overrides, excess", [
         ({"alpha_l": 3.893, "alpha_n": 4.054, "m_l": 6, "m_n": 3,
           "t_thresh": 17.41, "a": 26.78, "b": 0.5607, "h_lb": 245.79,
@@ -690,9 +719,9 @@ class TestSameTypeCapSkip:
             same_type[-1][1] += 1
             return general(**kw)
 
-        def recorded(r0, v, theta, r_m):
-            same_type.append([np.max(r0) + np.max(v) > r_m, 0])
-            return closed_form(r0, v, theta, r_m)
+        def recorded(r0, lens, r_m):
+            same_type.append([np.max(r0) + np.max(lens[0]) > r_m, 0])
+            return closed_form(r0, lens, r_m)
 
         monkeypatch.setattr(analytic, "lens_complement_area", cross_type)
         monkeypatch.setattr(geometry, "lens_complement_area", from_same_type)
@@ -781,6 +810,19 @@ class TestStackedAltitudes:
         assert len(kernel) == serving_types
         assert len(builds) == 1
         assert 0 < len(lenses) <= N_Z * serving_types
+
+    def test_cold_point_inverts_the_speed_law_once(self, params, monkeypatch):
+        # one bisection over every altitude node: its 60 CDF evaluations
+        # each take the whole (altitude, speed node) array, and the second
+        # serving type's kernel call finds the nodes cached
+        calls = []
+        monkeypatch.setattr(model, "_speed_ratio_nodes", functools.lru_cache(
+            model._speed_ratio_nodes.__wrapped__))
+        monkeypatch.setattr(model, "_speed_ratio_cdf", _recorded(
+            model._speed_ratio_cdf, calls))
+        _policy_metrics.__wrapped__(params.with_(kappa=0.0), N_Z, N_R0)
+        assert len(calls) == model._BISECTION_STEPS == 60
+        assert all(np.shape(args[0]) == (N_Z, N_V) for args in calls)
 
 
 class TestPinnedSweepPoints:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import io
 import math
@@ -526,9 +527,9 @@ class _SerialPool:
 class TestWorkerPools:
     @pytest.fixture
     def sizes(self, monkeypatch):
+        # the pool paths import the executor when they start a pool
         monkeypatch.setattr(_SerialPool, "sizes", [])
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
-        monkeypatch.setattr(cli.montecarlo, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
         return _SerialPool.sizes
 
     def test_sweep_pool_holds_at_most_one_worker_per_group(self, sizes):

@@ -15,6 +15,7 @@ from uavcov.geometry import (
     exclusion_radius,
     lens_complement_area,
     receiving_radius,
+    same_type_lens,
     same_type_lens_complement_area,
 )
 from uavcov.model import (
@@ -24,6 +25,13 @@ from uavcov.model import (
     OmniAntenna,
     default_params,
 )
+
+from oracles import per_call_same_type_area
+
+
+def closed_form(r0, v, theta, r_m):
+    """The same-type area of each r0 on the move grid of (v, theta)."""
+    return same_type_lens_complement_area(r0, same_type_lens(v, theta), r_m)
 
 
 def lens_complement_by_slicing(x, y, v):
@@ -237,7 +245,7 @@ class TestSameTypeLensComplementArea:
         # r0 from 0 to r_m, v toward 0, theta at both ends; both formulas
         # keep their precision as v / r0 -> 0
         r0 = r0_frac * r_m
-        closed = same_type_lens_complement_area(r0, v, theta, r_m)
+        closed = closed_form(r0, v, theta, r_m)
         general = lens_complement_area(
             x=r0, y=min(displaced_distance(r0, v, theta), r_m), v=v)
         assert abs(closed - general) <= 1e-13 * (r0 + v) ** 2
@@ -250,7 +258,7 @@ class TestSameTypeLensComplementArea:
             for theta in np.linspace(0.0, math.pi, 7):
                 first_order = r0 * v * (2.0 * math.sin(theta)
                                         + 2.0 * (math.pi - theta) * math.cos(theta))
-                assert abs(same_type_lens_complement_area(r0, v, theta, 2.0 * r0)
+                assert abs(closed_form(r0, v, theta, 2.0 * r0)
                            - first_order) <= 4.0 * v * v
 
     def test_general_formula_keeps_precision_for_tiny_moves(self):
@@ -258,7 +266,7 @@ class TestSameTypeLensComplementArea:
         # lens angles as the angle at the crossing point keeps the region
         # (5.4e-3 m^2), which cancelling squares had put at 7.1e-4 m^2
         r0, v, theta = 814.0, 6.1e-6, 1.90
-        closed = same_type_lens_complement_area(r0, v, theta, 2.0 * r0)
+        closed = closed_form(r0, v, theta, 2.0 * r0)
         general = lens_complement_area(
             x=r0, y=displaced_distance(r0, v, theta), v=v)
         assert closed == pytest.approx(5.4113539e-3, rel=1e-7)
@@ -267,24 +275,54 @@ class TestSameTypeLensComplementArea:
     def test_degenerate_moves(self):
         # no move, a move from the serving GBS itself, straight toward it
         # (B inside A, tangent at the GBS) and straight away (A inside B)
-        assert same_type_lens_complement_area(50.0, 0.0, 1.0, 100.0) == 0.0
-        assert same_type_lens_complement_area(0.0, 5.0, 1.0, 100.0) == pytest.approx(
+        assert closed_form(50.0, 0.0, 1.0, 100.0) == 0.0
+        assert closed_form(0.0, 5.0, 1.0, 100.0) == pytest.approx(
             25.0 * math.pi, rel=1e-12)
-        assert same_type_lens_complement_area(50.0, 5.0, math.pi, 100.0) == pytest.approx(
+        assert closed_form(50.0, 5.0, math.pi, 100.0) == pytest.approx(
             0.0, abs=1e-9)
-        assert same_type_lens_complement_area(50.0, 5.0, 0.0, 100.0) == pytest.approx(
+        assert closed_form(50.0, 5.0, 0.0, 100.0) == pytest.approx(
             math.pi * (55.0**2 - 50.0**2), rel=1e-12)
 
     def test_broadcasts_like_the_kernel_grid(self):
-        r0 = np.array([0.0, 40.0, 100.0])[:, None, None]
+        r0 = np.array([0.0, 40.0, 100.0])
         theta = np.linspace(0.0, math.pi, 5)[:, None]
         v = np.array([1.0, 20.0, 70.0])
-        got = same_type_lens_complement_area(r0, v, theta, 100.0)
+        got = closed_form(r0, v, theta, 100.0)
         assert got.shape == (3, 5, 3)
+        r0 = r0[:, None, None]
         want = lens_complement_area(
             x=np.broadcast_to(r0, got.shape),
             y=np.minimum(displaced_distance(r0, v, theta), 100.0), v=v)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 500.0), st.floats(0.0, math.pi),
+           st.floats(1.0, 3000.0))
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_is_the_per_call_expression(self, r0_frac, v, theta, r_m):
+        # the factors built apart from r0 leave every operation as it was
+        r0 = r0_frac * r_m
+        assert closed_form(r0, v, theta, r_m) == per_call_same_type_area(
+            r0, v, theta, r_m)
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_grid_is_the_per_call_expression(self, order):
+        # the kernel's use: factors built once on a stack of altitudes'
+        # speed nodes, one altitude's slice per call, serving distances
+        # from 0 to r_m of which only the top ones can reach r_m, in any
+        # row order
+        theta = np.linspace(0.0, math.pi, 24)[:, None]
+        v_h = np.linspace(0.5, 20.0, 32) * np.array([[0.5], [1.0]])
+        lens = same_type_lens(v_h[:, None, :], theta)
+        r_m = 100.0
+        r0 = np.linspace(0.0, r_m, 33)
+        r0 = {"ascending": r0, "descending": r0[::-1],
+              "shuffled": np.random.default_rng(1).permutation(r0)}[order]
+        for j, v in enumerate(v_h):
+            got = same_type_lens_complement_area(r0, tuple(f[j] for f in lens), r_m)
+            want = per_call_same_type_area(r0[:, None, None], v, theta, r_m)
+            assert np.any(got != per_call_same_type_area(
+                r0[:, None, None], v, theta, np.inf))      # some rows capped
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("capped", [False, True], ids=["r_m=r0+v", "one-ulp-below"])
     def test_cap_skip_boundary(self, monkeypatch, capped):
@@ -292,7 +330,8 @@ class TestSameTypeLensComplementArea:
         # <= r_m: at r_m == r0 + v the theta = 0 element reaches r_m exactly
         # and the general formula is never called; one ulp below, that
         # element takes it
-        r0 = np.array([3.0, 40.0, 100.0])[:, None, None]
+        rows = np.array([3.0, 40.0, 100.0])
+        r0 = rows[:, None, None]
         theta = np.linspace(0.0, math.pi, 5)[:, None]
         v = np.array([1.0, 7.5, 20.0])
         r_m = 120.0
@@ -305,7 +344,7 @@ class TestSameTypeLensComplementArea:
             return lens_complement_area(**kw)
 
         monkeypatch.setattr(geometry, "lens_complement_area", counted)
-        got = same_type_lens_complement_area(r0, v, theta, r_m)
+        got = closed_form(rows, v, theta, r_m)
         want = lens_complement_area(
             x=np.broadcast_to(r0, got.shape),
             y=np.minimum(displaced_distance(r0, v, theta), r_m), v=v)

@@ -1,5 +1,7 @@
 """numpy is the package's only runtime dependency, and no engine call
-imports a module lazily, inside the work it times."""
+imports a module lazily, inside the work it times; a sweep or a Monte
+Carlo run with more than one worker imports its process pool when it starts
+one, so a single-thread process never loads it."""
 
 import json
 import os
@@ -10,7 +12,8 @@ from pathlib import Path
 import uavcov
 
 # A cold interpreter: import the CLI, make a first analytic call, then run
-# the analytic and simulate commands; print what each step imported.
+# the analytic and simulate commands with one thread; print what each step
+# imported.
 COLD = """
 import io, json, sys
 from contextlib import redirect_stdout
@@ -25,7 +28,9 @@ with redirect_stdout(io.StringIO()):
     cli.main(["analytic"])
     cli.main(["simulate", "--trials", "200"])
 print(json.dumps({"added": added,
-                  "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+                  "scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
+                  "pool": sorted(m for m in sys.modules if m.startswith(
+                      ("concurrent.futures.process", "multiprocessing")))}))
 """
 
 
@@ -39,3 +44,4 @@ def test_cold_process_imports_numpy_only():
     got = json.loads(run.stdout)
     assert got["added"] == []
     assert got["scipy"] == []
+    assert got["pool"] == []

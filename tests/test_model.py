@@ -25,6 +25,9 @@ from uavcov.model import (
     uav_mainlobe_gain,
     watts_from_dbm,
 )
+from uavcov.quadrature import gauss_nodes
+
+from oracles import speed_ratio_nodes_at
 
 
 class TestUnitConversions:
@@ -196,6 +199,19 @@ class TestHorizontalSpeedLaw:
         assert np.all(v_h >= 0.0) and np.all(v_h <= params.v)
         assert np.all(np.diff(v_h) > 0.0)
         assert np.sum(w) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("band", [(90.0, 150.0), (120.0 - 5e-7, 120.0 + 5e-7)],
+                             ids=["default", "thin"])
+    def test_stacked_nodes_are_the_per_altitude_bisection(self, params, band):
+        # all altitudes inverted at once, each element by its own steps
+        p = params.with_(h_lb=band[0], h_ub=band[1])
+        z, _ = gauss_nodes(p.h_lb, p.h_ub, 12)
+        v_h, w = horizontal_speed_nodes(z, p, 32)
+        assert v_h.shape == (12, 32)
+        for row, z_t in zip(v_h, z):
+            want = p.v * speed_ratio_nodes_at(z_t, p.mu, p.h_lb, p.h_ub, 32)
+            assert np.array_equal(row, want)
+            assert np.array_equal(horizontal_speed_nodes(z_t, p, 32)[0], want)
 
     def test_thin_band_moves_horizontally(self, params):
         # a band 1e-6 m thick leaves no vertical motion: v_h = V
