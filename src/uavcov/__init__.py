@@ -1,45 +1,10 @@
 """Handover and SIR coverage analysis for a 3D-mobile aerial user with a
 directional antenna in a Poisson cellular network: numerical evaluation of
-the closed-form probabilities plus a Monte Carlo validation simulator."""
+the closed-form probabilities plus a Monte Carlo validation simulator.
+Nothing is re-exported: import each entry point from its module
+(`uavcov.analytic.coverage_probability`, `uavcov.cli.run_sweep`, ...)."""
 
 import os
-
-from .analytic import CoverageBreakdown, coverage_probability
-from .geometry import (
-    displaced_distance,
-    equal_power_radius,
-    exclusion_radius,
-    lens_complement_area,
-    receiving_radius,
-)
-from .model import (
-    AssociationPolicy,
-    ChannelParams,
-    DirectionalAntenna,
-    EnvironmentParams,
-    LinkType,
-    OmniAntenna,
-    SystemParams,
-    Waypoint,
-    default_params,
-    horizontal_speed,
-    linear_from_db,
-    los_probability,
-    path_loss,
-    sample_fading,
-    uav_mainlobe_gain,
-    watts_from_dbm,
-)
-from .montecarlo import (
-    EpisodeOutcome,
-    McEstimate,
-    associate,
-    classify_links,
-    episode_rng,
-    sample_ppp,
-    simulate_episode,
-    summary_estimates,
-)
 
 __version__ = "0.1.0"
 

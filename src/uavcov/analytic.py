@@ -149,9 +149,6 @@ def _cond_handover_grid(serving: LinkType, targets: tuple, r0, z_t,
     r0 = np.atleast_1d(np.asarray(r0, dtype=float))
     rows = np.atleast_2d(r0)
     out = np.zeros((len(targets), *rows.shape))
-    if params.v == 0.0:
-        # zero displacement: the post-move disk is contained in the pre-move one
-        return out.reshape(len(targets), *r0.shape)
     ctx = height_context(params, np.atleast_1d(z_t))    # h_bar, r_m: a row per z_t
     ch = params.channel
 

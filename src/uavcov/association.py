@@ -174,9 +174,9 @@ def exclusion_factor(serving: LinkType, r0, ctx: HeightContext,
                      params: SystemParams):
     """Probability that no opposite-type GBS lies within the cross-type
     exclusion radius of a serving GBS at r0, which it must to win. The
-    radius is capped at the receiving radius: a GBS of either type beyond
-    the receiving range is not received and cannot have won."""
-    limit = np.minimum(exclusion_radius(serving, r0, ctx.h_bar, params.channel),
-                       ctx.r_m)
+    cumulative intensity caps the radius at the receiving radius: a GBS of
+    either type beyond the receiving range is not received and cannot have
+    won."""
+    limit = exclusion_radius(serving, r0, ctx.h_bar, params.channel)
     return np.exp(-2.0 * np.pi * params.lambda_b
                   * ctx.cum_intensity(serving.other, limit))

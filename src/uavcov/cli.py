@@ -324,8 +324,8 @@ def _add_common(parser, episodes: bool):
     parser.add_argument("--output", default=None,
                         help="output path (default stdout)")
     if episodes:
-        parser.add_argument("--seed", type=int, default=1)
-        parser.add_argument("--trials", type=int, default=20_000)
+        parser.add_argument("--seed", type=int, default=SweepSpec.seed)
+        parser.add_argument("--trials", type=int, default=SweepSpec.trials)
         parser.add_argument("--threads", type=int, default=1)
 
 
@@ -364,13 +364,12 @@ def main(argv=None) -> int:
             p.add_argument("--values", required=True,
                            help="comma-separated axis values "
                                 "(height_band: lo:hi pairs)")
-            p.add_argument("--metrics", default="coverage",
-                           help=f"comma-separated subset of {METRICS}")
-            p.add_argument("--policies", default="strongest_rss",
-                           help=f"comma-separated subset of {POLICIES}")
-            p.add_argument("--antennas", default="directional",
-                           help=f"comma-separated subset of {ANTENNAS}")
-            p.add_argument("--engine", default="both",
+            for option, known in (("metrics", METRICS), ("policies", POLICIES),
+                                  ("antennas", ANTENNAS)):
+                p.add_argument(f"--{option}",
+                               default=",".join(getattr(SweepSpec, option)),
+                               help=f"comma-separated subset of {known}")
+            p.add_argument("--engine", default=SweepSpec.engine,
                            choices=("analytic", "mc", "both"))
         if name == "figure":
             p.add_argument("preset", choices=list(FIGURE_PRESETS))

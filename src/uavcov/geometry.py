@@ -37,10 +37,9 @@ def receiving_radius(z, h_b: float, antenna: AntennaModel):
         raise GeometryError(f"altitude {z} not above GBS height {h_b}")
     if isinstance(antenna, DirectionalAntenna):
         out = (z - h_b) * np.tan(np.radians(antenna.beamwidth_deg / 2.0))
-        return float(out) if out.ndim == 0 else out
-    if z.ndim == 0:
-        return float(antenna.r_max)
-    return np.full(z.shape, float(antenna.r_max))
+    else:
+        out = np.full(z.shape, float(antenna.r_max))
+    return float(out) if out.ndim == 0 else out
 
 
 def equal_power_radius(serving: LinkType, target: LinkType, x, h_bar: float,

@@ -286,11 +286,7 @@ def linear_from_db(value_db) -> float:
 
 def watts_from_dbm(value_dbm) -> float:
     """Convert dBm to watts."""
-    value_dbm = np.asarray(value_dbm, dtype=float)
-    if not np.all(np.isfinite(value_dbm)):
-        raise ParameterError(f"non-finite dBm value: {value_dbm}")
-    out = 10.0 ** ((value_dbm - 30.0) / 10.0)
-    return float(out) if out.ndim == 0 else out
+    return linear_from_db(np.asarray(value_dbm, dtype=float) - 30.0)
 
 
 def path_loss(link: LinkType, r, h_u, ch: ChannelParams, h_b: float):

@@ -81,6 +81,7 @@ from .model import (
     Waypoint,
     horizontal_speed,
     los_probability,
+    path_loss,
     sample_fading,
 )
 from .quadrature import gauss_nodes
@@ -284,8 +285,6 @@ def associate(positions: np.ndarray, los: np.ndarray, uav: Waypoint,
     policy minimizes horizontal distance. Exact metric ties resolve to the
     lowest GBS index.
     """
-    if len(positions) == 0:
-        return None
     d = _distance(*positions.T, uav.x, uav.y)
     in_range = d <= receiving_radius(uav.z, params.h_b, params.antenna)
     if not np.any(in_range):
@@ -396,20 +395,18 @@ def _segment_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stands(best: np.ndarray, clearance, r_m, dz2, params: SystemParams):
+def _stands(best: np.ndarray, clearance, r_m, z, params: SystemParams):
     """Whether each episode's pick, of metric best (-inf when there is
     none), stands against every station farther than clearance from the
-    UAV: none of them can be in range, or the pick beats the best metric any
-    of them could have (a gain above what a LoS or NLoS station at the
-    clearance could have, or a distance below it), by DISC_MARGIN."""
+    UAV at altitude z: none of them can be in range, or the pick beats the
+    best metric any of them could have (the larger path_loss of the two
+    link types at the clearance, or a distance below it), by DISC_MARGIN."""
     if params.policy is AssociationPolicy.NEAREST:
         outside = -clearance * (1.0 - DISC_MARGIN)
     else:
-        ch = params.channel
-        edge = clearance * clearance + dz2
         outside = (1.0 + DISC_MARGIN) * np.maximum(
-            ch.eta_l * edge ** (-0.5 * ch.alpha_l),
-            ch.eta_n * edge ** (-0.5 * ch.alpha_n))
+            *(path_loss(link, clearance, z, params.channel, params.h_b)
+              for link in LinkType))
     return (clearance * (1.0 - DISC_MARGIN) > r_m) | (best > outside)
 
 
@@ -535,8 +532,7 @@ class _FieldBlock:
             best = np.full(len(open_), -np.inf)
             best[won] = metric[pick[won]]
             clearance = np.maximum(self.radius[open_] - reach[open_], 0.0)
-            dz2 = (z[open_] - params.h_b) ** 2
-            todo = open_[~_stands(best, clearance, r_m[open_], dz2, params)]
+            todo = open_[~_stands(best, clearance, r_m[open_], z[open_], params)]
             if not len(todo):
                 return served
             self.grow(todo, limit[todo], rng)
@@ -619,8 +615,7 @@ def _near_coverage(params: SystemParams, serving_los: np.ndarray,
     # terms are theirs
     terms = _coverage_series(g0, t)
     total = sum(terms[:ch.m_n])
-    if ch.m_l > ch.m_n:
-        total += sum(terms[ch.m_n:]) * serving_los
+    total += sum(terms[ch.m_n:]) * serving_los
     return np.minimum(total, 1.0, out=total)
 
 

@@ -663,9 +663,12 @@ def general_lens_handover_grid(serving, targets, r0, z_t, params):
 class TestHandoverKernelEquivalence:
     def test_matches_general_lens_grid(self, params):
         # both antennas, every serving/target pair, sparse and dense
-        # networks, both altitude-band edges, r0 from 0 to r_m, a speed that
-        # caps same-type post-move disks at r_m, and the symmetric channel,
-        # whose cross-type radius maps are not trivial. The bound is 2e-12:
+        # networks, both altitude-band edges, r0 from 0 to r_m, no move, a
+        # speed that caps same-type post-move disks at r_m, and the symmetric
+        # channel, whose cross-type radius maps are not trivial. Without a
+        # move no row is live, so the kernel reads exactly 0 for every
+        # serving/target pair, the nearest rule's LoS/LoS pair included. The
+        # bound is 2e-12:
         # near r_m with the smallest speed node the general formula's
         # v^2 + y^2 - x^2 cancels, so at r0 = 3000 m, v_h = 0.7 m its area
         # is off by 1.2e-6 m^2 (the closed form by 1e-13 m^2, both against
@@ -674,7 +677,7 @@ class TestHandoverKernelEquivalence:
         paths = {"empty rows": 0, "live cross-type rows": 0, "capped": 0}
         for antenna, channel, v, lam, edge in itertools.product(
                 (DIRECTIONAL, OMNI),
-                (params.channel, SYM_CHANNEL), (20.0, 200.0), (10.0, 1000.0),
+                (params.channel, SYM_CHANNEL), (0.0, 20.0, 200.0), (10.0, 1000.0),
                 ("h_lb", "h_ub")):
             p = params.with_(antenna=antenna, channel=channel, v=v,
                              lambda_b=lam * 1e-6)
@@ -688,6 +691,8 @@ class TestHandoverKernelEquivalence:
                                                    z, p)
                 assert np.max(np.abs(got - want)) <= 2e-12, (
                     antenna, channel is SYM_CHANNEL, v, lam, edge, serving)
+                if v == 0.0:
+                    assert not np.any(got), (antenna, lam, edge, serving)
                 for target, area in zip(LinkType, areas):
                     empty = ~np.any(area > 0.0, axis=(1, 2))
                     paths["empty rows"] += int(np.count_nonzero(empty))

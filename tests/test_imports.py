@@ -1,7 +1,8 @@
 """numpy is the package's only runtime dependency, and no engine call
 imports a module lazily, inside the work it times; a sweep or a Monte
 Carlo run with more than one worker imports its process pool when it starts
-one, so a single-thread process never loads it."""
+one, so a single-thread process never loads it. The package itself
+re-exports nothing: importing it loads none of the engines."""
 
 import json
 import os
@@ -45,3 +46,11 @@ def test_cold_process_imports_numpy_only():
     assert got["added"] == []
     assert got["scipy"] == []
     assert got["pool"] == []
+
+
+def test_package_import_loads_no_engine(run_fresh):
+    loaded = json.loads(run_fresh(
+        "import json, sys, uavcov; "
+        "print(json.dumps([m for m in sys.modules if m.startswith('uavcov')]))"))
+    assert "uavcov" in loaded
+    assert not {"uavcov.analytic", "uavcov.montecarlo", "uavcov.cli"} & set(loaded)

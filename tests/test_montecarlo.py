@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import full_field
@@ -693,6 +695,26 @@ class TestNearField:
         for key, est in got.items():
             assert (abs(est.mean - want[key].mean)
                     <= est.half_width + want[key].half_width), key
+
+    @given(st.lists(st.tuples(st.floats(0.0, 1e4),
+                              st.floats(BOUNDARY_DEFAULTS["h_lb"],
+                                        BOUNDARY_DEFAULTS["h_ub"])),
+                    min_size=1, max_size=16))
+    @settings(max_examples=200, deadline=None)
+    def test_strongest_rss_bound_is_the_larger_law_at_the_clearance(self, points):
+        # the bound written out inline, on edge = c^2 + (z - h_b)^2, bit for
+        # bit: a pick of exactly that gain does not stand, one a float above
+        # it does
+        p = default_params()
+        ch = p.channel
+        c, z = np.array(points).T
+        edge = c * c + (z - p.h_b) ** 2
+        bound = (1.0 + montecarlo.DISC_MARGIN) * np.maximum(
+            ch.eta_l * edge ** (-0.5 * ch.alpha_l),
+            ch.eta_n * edge ** (-0.5 * ch.alpha_n))
+        assert not np.any(montecarlo._stands(bound, c, np.inf, z, p))
+        assert np.all(montecarlo._stands(np.nextafter(bound, np.inf), c,
+                                         np.inf, z, p))
 
     def test_grow_appends_each_episodes_annulus(self):
         field = _FieldBlock(6, 1e-4, 100.0, episode_rng(5, 0))
