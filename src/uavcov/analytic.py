@@ -15,11 +15,12 @@ Layout of the computation:
   lens-complement region, averaged over movement direction x horizontal-speed
   law. Transition length and pre-move altitude enter the region only through
   the horizontal speed, so their double integral is one integral over the
-  law of that speed given the post-move altitude, on Gauss nodes placed
-  through its closed-form CDF (``model.horizontal_speed_nodes``). A serving
-  distance whose region is empty at every speed up to V (target radius 0,
-  or post-move disk inside the pre-move one; most cross-type rows) is 0
-  without a grid; a same-type target, every target of the nearest rule,
+  law of that speed given the post-move altitude, on Gauss nodes in the
+  square root of its closed-form CDF, in which the law's F ~ v_h^2 start
+  is smooth (``model.horizontal_speed_nodes``). A serving distance whose
+  region is empty at every speed up to V (target radius 0, or post-move
+  disk inside the pre-move one; most cross-type rows) is 0 without a
+  grid; a same-type target, every target of the nearest rule,
   takes the closed-form lens angles of two circles through the serving
   GBS (``geometry.same_type_lens_complement_area``); the remaining
   cross-type rows take the general lens formula. One call per serving
@@ -93,7 +94,7 @@ __all__ = [
 N_Z = 12        # post-move altitude
 N_R0 = 32       # serving distance (transformed variable)
 N_THETA = 24    # movement direction
-N_V = 32        # horizontal speed (CDF-transformed variable)
+N_V = 12        # horizontal speed (square root of its CDF)
 N_X = 40        # interference distance, per panel
 
 _drift_events = 0
@@ -139,10 +140,11 @@ def _cond_handover_grid(serving: LinkType, targets: tuple, r0, z_t,
 
     The movement reaches the handover region only through its direction
     theta and its horizontal speed v_h, so the expectation runs over theta
-    and over the law of v_h given z_t (``horizontal_speed_nodes``). A serving
-    distance whose region is empty at every v_h <= V is 0 without a grid:
-    either the target radius stays 0 or the post-move disk stays inside the
-    pre-move one. A same-type target takes the closed-form lens angles,
+    and over the law of v_h given z_t, on nodes in the square root of its
+    CDF (``horizontal_speed_nodes``). A serving distance whose region is
+    empty at every v_h <= V is 0 without a grid: either the target radius
+    stays 0 or the post-move disk stays inside the pre-move one. A
+    same-type target takes the closed-form lens angles,
     its (theta, v_h) factors built once for every altitude. Only the lens
     grid runs per altitude, a slice that stays in cache.
     """

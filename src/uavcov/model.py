@@ -397,11 +397,13 @@ def _speed_ratio_cdf(t, z_t, mu: float, h_lb: float, h_ub: float):
 
 @lru_cache(maxsize=64)
 def _speed_ratio_nodes(z_t: tuple, mu: float, h_lb: float, h_ub: float, n: int):
-    """F^-1 at the n Gauss-Legendre nodes of (0, 1), as ratios v_h / V, one
-    row per altitude of z_t, by one vectorised bisection to double precision
-    over every altitude at once; each element takes the steps its altitude
-    would take alone."""
-    u, w = gauss_nodes(0.0, 1.0, n)
+    """F^-1 at the squares of the n Gauss-Legendre nodes x of (0, 1), as
+    ratios v_h / V, one row per altitude of z_t, and the weights 2 x w of
+    du = 2x dx; one vectorised bisection to double precision inverts every
+    altitude at once, each element taking the steps its altitude would alone."""
+    x, w = gauss_nodes(0.0, 1.0, n)
+    u = x * x
+    w = 2.0 * x * w
     z = np.array(z_t)[:, None]
     lo, hi = np.zeros((len(z_t), n)), np.ones((len(z_t), n))
     for _ in range(_BISECTION_STEPS):
@@ -419,11 +421,13 @@ def horizontal_speed_nodes(z_t, params: SystemParams, n: int):
     """Gauss nodes of the horizontal-speed law given z_t, a post-move
     altitude or an array of them.
 
-    Substituting u = F(v_h) makes the law the integration measure: the
-    nodes are F^-1 at the Gauss-Legendre nodes of (0, 1) and the weights
-    are the plain Gauss weights, which sum to 1. The ratios v_h / V do not
-    depend on V; all altitudes are inverted together, cached per (altitude
-    tuple, mu, band, n).
+    Substituting u = F(v_h) makes the law the integration measure, and
+    u = x^2 removes F^-1's sqrt(u) start (F grows as v_h^2 from 0), which
+    Gauss-Legendre in u resolves only algebraically: the nodes are F^-1 at
+    the squared Gauss-Legendre nodes x of (0, 1), the weights 2 x times the
+    Gauss weights, which sum to 1. The ratios v_h / V do not depend on V;
+    all altitudes are inverted together, cached per (altitude tuple, mu,
+    band, n).
 
     Returns:
         (v_h, weights): n increasing speeds in [0, V] per altitude, shaped

@@ -293,8 +293,9 @@ def per_call_same_type_area(r0, v, theta, r_m):
 def speed_ratio_nodes_at(z_t: float, mu: float, h_lb: float, h_ub: float,
                          n: int) -> np.ndarray:
     """model._speed_ratio_nodes' ratios v_h / V at one post-move altitude,
-    by a bisection of that altitude alone."""
-    u, _ = gauss_nodes(0.0, 1.0, n)
+    by a bisection of that altitude alone at the squared Gauss nodes."""
+    x, _ = gauss_nodes(0.0, 1.0, n)
+    u = x * x
     lo, hi = np.zeros(n), np.ones(n)
     for _ in range(model._BISECTION_STEPS):
         mid = 0.5 * (lo + hi)

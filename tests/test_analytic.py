@@ -628,14 +628,14 @@ class TestHandoverKernelGrid:
     def test_default_grid_matches_refined(self, params, monkeypatch, lam,
                                           antenna):
         # the direction x horizontal-speed grid of the handover kernel at
-        # twice its default node counts; the largest gap, about 3e-6, is at
-        # the densest network
+        # 48 directions and 64 speed nodes; the largest gap, about 6.6e-7,
+        # is at the densest network with either antenna
         key = params.with_(lambda_b=lam * 1e-6, antenna=antenna, kappa=0.0)
         default = _policy_metrics.__wrapped__(key, N_Z, N_R0).handover
         monkeypatch.setattr(analytic, "_cond_handover_grid", functools.partial(
             analytic._cond_handover_grid, n_theta=48, n_v=64))
         refined = _policy_metrics.__wrapped__(key, N_Z, N_R0).handover
-        assert abs(default - refined) <= 1e-5
+        assert abs(default - refined) <= 2e-6
 
 
 def general_lens_handover_grid(serving, targets, r0, z_t, params):
@@ -836,10 +836,12 @@ class TestPinnedSweepPoints:
         1000/km^2, both policies, both antennas, built-in defaults) keep
         their five outputs within 1e-9.
 
-        tests/data/analytic_points.json was written at commit f58dea9, the
-        handover kernel before its empty-row skip and same-type closed form:
-        the sweep below was run there, each row's unrounded analytic value
-        stored by json (shortest round-trip repr, so at full precision).
+        tests/data/analytic_points.json was written by the commit after
+        a9aa10b, the one that placed the handover kernel's speed nodes in the
+        square root of the speed law's CDF (12 nodes in place of 32 in the
+        CDF itself): the sweep below was run there, each row's unrounded
+        analytic value stored by json (shortest round-trip repr, so at full
+        precision).
         """
         pinned = json.loads((Path(__file__).parent / "data"
                              / "analytic_points.json").read_text())["points"]
