@@ -38,19 +38,20 @@ Layout of the computation:
   slowly decaying far tail are resolved; one call per serving type covers
   the whole altitude x serving-distance grid, each row carrying its own
   altitude;
-* totals: serving-type sum of double integrals over serving distance and
-  altitude, as row sums over (altitude, serving distance) arrays of nodes,
-  weights and handover; the serving-distance integral is transformed
-  through the type-nearest CDF so nodes concentrate where the density
-  actually lives (this matters for the omni antenna, whose receiving radius
-  is orders of magnitude larger than the typical serving distance).
+* totals: row sums over (altitude, serving distance) arrays of nodes,
+  weights and handover. Both serving types take their distances from one
+  set of nodes per altitude in the CDF of the serving process
+  (``association.serving_nodes``), whose nodes concentrate where the
+  server is (for the omni antenna, orders of magnitude inside the
+  receiving radius). The policy enters only as the law by which it ranks
+  each type (``_ranking_laws``), and at every node the weights of both
+  types add to the node's, so association + void = 1 and handover <= 1 -
+  void up to roundoff.
 
 Of ``coverage_probability``'s outputs, ``total`` and ``void_prob`` are
-clamped to [0, 1]; ``handover_prob``, ``per_link`` and ``association`` are
-not, and can exceed 1 where the association integrals over-count. The
-conditional kernels clip their grids to [0, 1]; conditional coverage that
-drifts beyond 1e-6 outside the interval increments a counter that the
-acceptance suite asserts to be zero.
+clamped to [0, 1]. The conditional kernels clip their grids to [0, 1];
+conditional coverage that drifts beyond 1e-6 outside the interval
+increments a counter that the acceptance suite asserts to be zero.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .association import exclusion_factor, height_context
+from .association import height_context, serving_nodes
 from .errors import ParameterError
 from .geometry import (
     displaced_distance,
@@ -92,7 +93,7 @@ __all__ = [
 # default node counts; doubled values change probabilities < 1e-4 at the
 # baseline scenario (see tests/test_analytic.py::test_grid_convergence)
 N_Z = 12        # post-move altitude
-N_R0 = 32       # serving distance (transformed variable)
+N_R0 = 32       # serving distance (the serving process's CDF), per altitude
 N_THETA = 24    # movement direction
 N_V = 12        # horizontal speed (square root of its CDF)
 N_X = 40        # interference distance, per panel
@@ -184,19 +185,20 @@ def _cond_handover_grid(serving: LinkType, targets: tuple, r0, z_t,
     return np.clip(out, 0.0, 1.0).reshape(len(targets), *r0.shape)
 
 
-def _stay_grid(serving: LinkType, r0, z_t, params: SystemParams) -> np.ndarray:
-    """P(no handover | serving type, r0, z_t), shaped as the kernel's rows.
-
-    Under strongest-average-RSS the two target types compose as independent
+def _handover_targets(serving: LinkType, params: SystemParams):
+    """The (serving, targets) pair of the handover kernel. Under
+    strongest-average-RSS the two target types compose as independent
     thinnings; the nearest policy ignores type, so one same-type target (the
-    identity radius map) covers every station.
-    """
+    identity radius map) covers every station."""
     if params.policy is AssociationPolicy.NEAREST:
-        serving, targets = LinkType.LOS, (LinkType.LOS,)
-    else:
-        targets = tuple(LinkType)
-    return np.prod(1.0 - _cond_handover_grid(serving, targets, r0, z_t, params),
-                   axis=0)
+        return LinkType.LOS, (LinkType.LOS,)
+    return serving, tuple(LinkType)
+
+
+def _stay_grid(serving: LinkType, r0, z_t, params: SystemParams) -> np.ndarray:
+    """P(no handover | serving type, r0, z_t), shaped as the kernel's rows."""
+    return np.prod(1.0 - _cond_handover_grid(*_handover_targets(serving, params),
+                                             r0, z_t, params), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,45 +345,15 @@ class _PolicyMetrics:
     void: float
 
 
-def _r0_nodes_type(ctx, link: LinkType, params: SystemParams, n_r0: int):
-    """Serving-distance nodes via the type-nearest CDF transform.
-
-    Substituting u = 1 - exp(-2 pi lam G_link(r0)) makes the type-nearest
-    density the integration measure, so du-weights need only the remaining
-    (bounded, smooth) cross-type exclusion factor.
-    """
-    lam = params.lambda_b
-    g_span = ctx.cum_intensity(link, ctx.r_m)
-    u_top = -np.expm1(-2.0 * np.pi * lam * g_span)
-    u, w_u = gauss_nodes(0.0, u_top, n_r0)
-    return ctx.inverse_cum(link, -np.log1p(-u) / (2.0 * np.pi * lam)), w_u
-
-
-def _strongest_nodes(ctx, params: SystemParams, n_r0: int):
-    """(link, r0, weight, stay) per serving type under strongest-average-RSS.
-
-    The weight integrates A * f_tilde dr0 (type-nearest density times the
-    opposite-type exclusion); stay composes both handover target types.
-    """
-    for link in LinkType:
-        r0, w_u = _r0_nodes_type(ctx, link, params, n_r0)
-        yield (link, r0, w_u * exclusion_factor(link, r0, ctx, params),
-               _stay_grid(link, r0, ctx.z, params))
-
-
-def _nearest_nodes(ctx, params: SystemParams, n_r0: int):
-    """(link, r0, weight, stay) per serving type under the nearest policy.
-
-    Both types share the contact-distance nodes (du is exactly f^n(r0) dr0)
-    and the type-blind handover; the weight thins by the type probability.
-    """
-    lam = params.lambda_b
-    u_top = -np.expm1(-np.pi * lam * ctx.r_m ** 2)
-    u, w_u = gauss_nodes(0.0, u_top, n_r0)
-    r0 = np.sqrt(-np.log1p(-u) / (np.pi * lam))
-    stay = _stay_grid(LinkType.LOS, r0, ctx.z, params)
-    for link in LinkType:
-        yield link, r0, w_u * ctx.p_type(link, r0), stay
+def _ranking_laws(params: SystemParams):
+    """(eta, alpha) of the loss by which each serving type is ranked, LoS
+    first: the channel's own law under strongest-average-RSS; under the
+    nearest policy one common law, (1, 2), whose loss d^2 ranks by distance
+    alone."""
+    if params.policy is AssociationPolicy.NEAREST:
+        return ((1.0, 2.0),) * 2
+    return tuple((params.channel.eta(link), params.channel.alpha(link))
+                 for link in LinkType)
 
 
 @lru_cache(maxsize=64)
@@ -389,23 +361,30 @@ def _policy_metrics(params: SystemParams, n_z: int, n_r0: int) -> _PolicyMetrics
     # uniform altitude on [h_lb, h_ub]
     z_nodes, w_z = gauss_nodes(params.h_lb, params.h_ub, n_z)
     w_z = w_z * (1.0 / (params.h_ub - params.h_lb))
-    nodes = (_nearest_nodes if params.policy is AssociationPolicy.NEAREST
-             else _strongest_nodes)
+    ctx = height_context(params, z_nodes)
+    nodes, void = serving_nodes(ctx, _ranking_laws(params), params.lambda_b, n_r0)
 
     # per serving type, nodes, weights and stay with one row per altitude
-    cov1, cov2, assoc = {}, {}, {}
+    cov1, cov2, assoc, stays = {}, {}, {}, {}
     handover = 0.0
-    for link, r0, weight, stay in nodes(height_context(params, z_nodes),
-                                        params, n_r0):
+    for link, (r0, weight) in nodes.items():
+        # rows of weight 0 take no handover grid: at an infinite serving
+        # distance the kernel finds the region empty. The nearest policy's
+        # type-blind stay is one kernel call for both types
+        rows = np.where(weight > 0.0, r0, np.inf)
+        key = (*_handover_targets(link, params), rows.tobytes())
+        if key not in stays:
+            stays[key] = _stay_grid(link, rows, ctx.z, params)
+        stay = stays[key]
         p_cov = _coverage_grid(link, r0.ravel(), np.repeat(z_nodes, n_r0),
                                params).reshape(r0.shape)
-        # summed in node order: void = 1 - both would show a reordering
-        assoc[link] = np.cumsum(w_z * np.sum(weight, axis=1))[-1]
+        assoc[link] = w_z @ np.sum(weight, axis=1)
         cov1[link] = w_z @ np.sum(weight * p_cov, axis=1)
         cov2[link] = w_z @ np.sum(weight * p_cov * stay, axis=1)
         handover += w_z @ np.sum(weight * (1.0 - stay), axis=1)
-    void = 1.0 - sum(assoc.values())
-    return _PolicyMetrics(cov1, cov2, handover, assoc, void)
+    # void: the altitude average of exp(-2 pi lam Lam) at the last received
+    # station, so it and the association add to 1 up to roundoff
+    return _PolicyMetrics(cov1, cov2, handover, assoc, w_z @ void)
 
 
 def _breakdown(params: SystemParams, metrics: _PolicyMetrics) -> CoverageBreakdown:

@@ -1,25 +1,29 @@
-"""Cumulative type intensities per altitude, and the cross-type exclusion.
+"""Cumulative type intensities per altitude, and the serving process.
 
 A GBS at horizontal distance x is LoS with probability P_L(x, z), so each
 type-thinned field has radial intensity 2 pi lambda x P_type(x, z), and
-every nested probability integral needs G(r) = int_0^r x P_type(x, z) dx or
-its inverse. ``HeightContext`` keeps both for one altitude, or a stack of
-them row by row, as piecewise-cubic Hermite interpolants on knots dense
-across the elevation-angle transition and geometric beyond it, up to the
-receiving radius: G integrates the Hermite of f = x P_type built from f
-and its exact derivative, and the inverse interpolates the radius against
-sqrt(G), which is linear in the radius near the origin. ``exclusion_factor``
-is the probability that no opposite-type GBS beats a serving one.
+every nested probability integral needs G(r) = int_0^r x P_type(x, z) dx.
+``HeightContext`` keeps it for one altitude, or a stack of them row by row,
+as a piecewise-cubic Hermite interpolant on knots dense across the
+elevation-angle transition and geometric beyond it, up to the receiving
+radius: G integrates the Hermite of f = x P_type built from f and its
+exact derivative.
+
+A policy ranks stations by a loss (x^2 + h_bar^2)^(alpha/2) / eta, its
+law (eta, alpha) per type. Ranked so, the received stations of both types
+are one PPP on the half-line, the serving process; ``HeightContext``
+inverts its cumulative intensity per policy's laws, and ``serving_nodes``
+puts the serving-distance nodes of both types in the CDF of its first
+point.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
-from .geometry import exclusion_radius, receiving_radius
+from .geometry import receiving_radius
 from .model import (
     AntennaModel,
     EnvironmentParams,
@@ -27,11 +31,30 @@ from .model import (
     SystemParams,
     los_probability,
     los_probability_slope,
+    los_radius,
 )
+from .quadrature import gauss_legendre
 
-__all__ = ["HeightContext", "exclusion_factor", "height_context"]
+__all__ = ["HeightContext", "height_context", "serving_nodes"]
 
 _KNOTS = 384    # per panel: linear across the elevation transition, geometric beyond
+# the LoS probabilities whose radii split the serving process's panels
+_LEVELS = np.array([0.999, 0.9, 0.5, 0.1, 0.001])
+
+
+def _log_loss(law, start, x, h_bar):
+    """Log of the ranking loss (x^2 + h_bar^2)^(alpha/2) / eta of a station
+    at distance x under law = (eta, alpha), measured from the least such
+    log of a station straight below, start being this law's own. Near that
+    station the log-loss keeps its relative precision, which the loss, a
+    large number barely above its least, would lose."""
+    return 0.5 * law[1] * np.log1p((x / h_bar) ** 2) + start
+
+
+def _radius(law, start, tau, h_bar):
+    """Distance of log-loss tau under law, the inverse of _log_loss; 0
+    below the start."""
+    return h_bar * np.sqrt(np.maximum(np.expm1((2.0 / law[1]) * (tau - start)), 0.0))
 
 
 def _hermite(t, h, y0, m0, y1, m1):
@@ -67,10 +90,11 @@ def _interval(knots, x, top):
 
 
 class HeightContext:
-    """Altitude-specific caches: receiving radius, LoS probability and the
-    cumulative type intensities int_0^r x P_type dx for both link types. z
-    is one altitude, or a column of n; then the methods take r (or g) with
-    one row per altitude, as the tables keep them."""
+    """Altitude-specific caches: receiving radius, LoS probability, the
+    cumulative type intensities int_0^r x P_type dx for both link types, and
+    the inverse of the serving process's intensity per set of ranking laws.
+    z is one altitude, or a column of n; then the methods take r (or tau, or
+    g) with one row per altitude, as the tables keep them."""
 
     def __init__(self, z, h_b: float, env: EnvironmentParams,
                  antenna: AntennaModel):
@@ -117,46 +141,90 @@ class HeightContext:
         out = out.reshape(np.shape(x))
         return float(out) if out.ndim == 0 else out
 
-    def inverse_cum(self, link: LinkType, g):
-        """Radius at which the cumulative type intensity reaches g, the
-        inverse of cum_intensity on [0, receiving radius].
+    def supports(self, laws):
+        """Per type, LoS first: its law, and the log-losses where its support
+        starts (a station straight below) and ends (at the receiving
+        radius), both measured from the lesser start."""
+        below = [alpha * np.log(self.h_bar) - np.log(eta) for eta, alpha in laws]
+        return [(law, start, _log_loss(law, start, self.r_m, self.h_bar))
+                for law, start in zip(laws, [b - np.minimum(*below) for b in below])]
 
-        Interpolates radius against s = sqrt(cumulative), with slopes
-        dx/ds = 2 s / f: the cumulative is quadratic near the origin, so
-        the sqrt domain keeps the inverse accurate there; at the origin the
-        slope is its limit sqrt(2 / P_link(0)). Rows keep the knots where s
-        increases, padded with their last one, which no interval starts at.
+    def log_losses(self, laws, x):
+        """Log-losses of stations at distances x, a row per altitude, under
+        each distinct law of laws, side by side."""
+        return np.concatenate([_log_loss(law, start, x, self.h_bar) for law, start
+                               in dict((law, start) for law, start, _ in
+                                       self.supports(laws)).items()], axis=-1)
+
+    def rank_rates(self, laws, tau):
+        """Per type, LoS first: the distance x_t(tau) at which its stations
+        rank at log-loss tau, capped at the receiving radius; their intensity
+        per unit log-loss there, x P_t(x) dx/dtau = P_t(x) (x^2 + h_bar^2) /
+        alpha_t without the 2 pi lambda; and where the type's support starts
+        and ends."""
+        out = []
+        for link, (law, start, end) in zip(LinkType, self.supports(laws)):
+            x = np.minimum(_radius(law, start, tau, self.h_bar), self.r_m)
+            out.append((x, self.p_type(link, x) * (x * x + self.h_bar ** 2) / law[1],
+                        start, end))
+        return out
+
+    def ranked_cum(self, laws, tau):
+        """Intensity of the serving process up to log-loss tau without the
+        2 pi lambda, Lam(tau) = sum_t G_t(min(x_t(tau), receiving radius)),
+        x_t(tau) being the distance at which a type-t station ranks at tau."""
+        return sum(self.cum_intensity(link, _radius(law, start, tau, self.h_bar))
+                   for link, (law, start, _) in zip(LinkType, self.supports(laws)))
+
+    def inverse_cum(self, laws, g):
+        """Log-loss at which ``ranked_cum`` of laws reaches g; its table is
+        built on the first call per laws.
+
+        Interpolates the log-loss against s = sqrt(Lam) on the knots of the
+        cumulative tables mapped to their log-losses under each law, with
+        slopes dtau/ds = 2 s / Lam'(tau): Lam is linear in tau where the
+        first type's support starts, so tau is quadratic in s there. Lam'
+        jumps where a type's support starts or ends, at a knot, so a knot
+        keeps one slope for the interval it starts and one for the interval
+        it ends (the secant where Lam' is 0). No g falls in an interval of
+        equal s, since the search takes the last knot at or below it.
         """
-        knots = self._inv.get(link)
+        knots = self._inv.get(laws)
         if knots is None:
-            rows = []
-            for s, x, f, df in zip(np.sqrt(self._cum[link][2]), self._xs,
-                                   *self._cum[link][:2]):
-                keep = np.concatenate([[True], np.diff(s) > 0.0])
-                if keep.sum() == 1:
-                    # no intensity of this type: every g maps to radius 0
-                    s, x, slope = np.array([0.0, 1.0]), np.zeros(2), np.zeros(2)
-                else:
-                    s, x, f = s[keep], x[keep], f[keep]
-                    slope = np.empty_like(s)
-                    slope[1:] = 2.0 * s[1:] / f[1:]
-                    # P_link(0) underflows to 0 in a sharp sigmoid: the secant
-                    slope[0] = (math.sqrt(2.0 / df[0]) if df[0] > 0.0
-                                else x[1] / s[1])
-                rows.append([np.pad(a, (0, keep.size - s.size), mode="edge")
-                             for a in (s, x, slope)] + [[s.size - 2]])
-            knots = self._inv[link] = tuple(map(np.array, zip(*rows)))
-        s, x, slope, top = knots
+            knots = self._inv[laws] = self._inverse_knots(laws)
+        s, tau, out_slope, in_slope, top = knots
         v = np.minimum(np.sqrt(np.maximum(g, 0.0)),
                        np.reshape(s[:, -1], np.shape(self.z)))
         i, h, t = _interval(s, v, top)
-        out = np.clip(_hermite(t, h, x.take(i), slope.take(i), x.take(i + 1),
-                               slope.take(i + 1)), 0.0, self.r_m)
-        out = out.reshape(np.shape(v))
+        out = _hermite(t, h, tau.take(i), out_slope.take(i), tau.take(i + 1),
+                       in_slope.take(i + 1)).reshape(np.shape(v))
         return float(out) if out.ndim == 0 else out
 
+    def _inverse_knots(self, laws):
+        tau = self.log_losses(laws, self._xs)
+        cum = self.ranked_cum(laws, tau)
+        up = down = 0.0                 # Lam' above and below each knot
+        for _, rate, lo, hi in self.rank_rates(laws, tau):
+            up = up + np.where((tau >= lo) & (tau < hi), rate, 0.0)
+            down = down + np.where((tau > lo) & (tau <= hi), rate, 0.0)
+        order = np.argsort(tau, axis=1, kind="stable")
+        tau, up, down = (np.take_along_axis(a, order, axis=1) for a in (tau, up, down))
+        s = np.sqrt(np.maximum.accumulate(np.take_along_axis(cum, order, axis=1),
+                                          axis=1))
+        ds, dtau = np.diff(s, axis=1), np.diff(tau, axis=1)
+        rise = ds > 0.0
+        secant = np.divide(dtau, ds, out=np.zeros_like(ds), where=rise)
+        zero = np.zeros((len(s), 1))
+        out_slope = np.divide(2.0 * s, up, out=np.hstack([secant, zero]), where=up > 0.0)
+        in_slope = np.divide(2.0 * s, down, out=np.hstack([zero, secant]),
+                             where=down > 0.0)
+        # the last interval over which s rises: a final run of equal s is
+        # never an interval's end
+        top = rise.shape[1] - 1 - np.argmax(rise[:, ::-1], axis=1)
+        return s, tau, out_slope, in_slope, top[:, None]
 
-# a context of the 12 altitude nodes keeps about 1 MB of tables
+
+# a context of the 12 altitude nodes keeps about 1.4 MB of tables
 @lru_cache(maxsize=32)
 def _height_context_cached(z, h_b: float, env: EnvironmentParams,
                            antenna) -> HeightContext:
@@ -170,13 +238,72 @@ def height_context(params: SystemParams, z) -> HeightContext:
     return _height_context_cached(key, params.h_b, params.env, params.antenna)
 
 
-def exclusion_factor(serving: LinkType, r0, ctx: HeightContext,
-                     params: SystemParams):
-    """Probability that no opposite-type GBS lies within the cross-type
-    exclusion radius of a serving GBS at r0, which it must to win. The
-    cumulative intensity caps the radius at the receiving radius: a GBS of
-    either type beyond the receiving range is not received and cannot have
-    won."""
-    limit = exclusion_radius(serving, r0, ctx.h_bar, params.channel)
-    return np.exp(-2.0 * np.pi * params.lambda_b
-                  * ctx.cum_intensity(serving.other, limit))
+def _panel_nodes(breaks, n: int):
+    """n Gauss nodes and weights per row on [0, the row's largest break],
+    in panels split at its breaks: each panel takes one node and a share of
+    the rest in proportion to the square root of its width (largest
+    remainder); a panel narrower than 1e-12 of the row's range merges into
+    the next."""
+    edges = np.sort(breaks, axis=1)
+    gap = 1e-12 * edges[:, -1:]
+    keep = ((np.diff(edges, axis=1, prepend=-np.inf) > gap)
+            & (edges[:, -1:] - edges > gap))
+    keep[:, -1] = True
+    # an edge not kept moves to the next kept one, leaving a panel of width 0
+    edges = np.minimum.accumulate(np.where(keep, edges, np.inf)[:, ::-1], axis=1)[:, ::-1]
+    width = np.diff(edges, axis=1)
+    root = np.sqrt(width)
+    share = ((n - np.count_nonzero(width, axis=1, keepdims=True))
+             * root / root.sum(axis=1, keepdims=True))
+    counts = np.where(width > 0.0, 1 + np.floor(share), 0).astype(int)
+    rank = np.argsort(np.argsort(np.where(width > 0.0, np.floor(share) - share, 1.0),
+                                 axis=1, kind="stable"), axis=1)
+    counts += rank < n - counts.sum(axis=1, keepdims=True)
+    # each node's panel and its place in that panel's rule
+    ends = np.cumsum(counts, axis=1)
+    slot = np.arange(n)
+    panel = np.count_nonzero(slot[:, None] >= ends[:, None, :], axis=2)
+    size = np.take_along_axis(counts, panel, axis=1)
+    place = slot - np.take_along_axis(ends, panel, axis=1) + size
+    rules = np.zeros((2, n + 1, n))
+    for k in set(size.ravel().tolist()):
+        rules[:, k, :k] = gauss_legendre(k)
+    half = 0.5 * np.take_along_axis(width, panel, axis=1)
+    return (np.take_along_axis(edges, panel, axis=1)
+            + half * (rules[0, size, place] + 1.0), half * rules[1, size, place])
+
+
+def serving_nodes(ctx: HeightContext, laws, lam: float, n: int):
+    """Serving-distance nodes of both types at each altitude of ctx: {link:
+    (r0, weight)} with a row of n per altitude, and the void probability
+    per altitude.
+
+    Ranked by its log-loss tau under its type's law, every received station
+    is a point of one PPP on the half-line of mean measure 2 pi lam Lam(tau)
+    (``HeightContext.ranked_cum``), the propagation process of Blaszczyszyn
+    and Keeler (IEEE Trans. Inf. Theory 2015), and the server is its first
+    point. So its u = 1 - exp(-2 pi lam Lam(tau)) is uniform on [0, 1], and
+    values above 1 - void, where Lam stops at the last received station,
+    leave the UAV unserved. The nodes are Gauss nodes in u on panels split
+    where a type's support starts or ends and at the log-losses, under
+    either law, of the radii where P_LoS crosses _LEVELS (``_panel_nodes``).
+    At a node each type sits at its own distance x_t(tau), weighted by its
+    share dLam_t/dLam of the density, so both weights add to the node's,
+    and the association to 1 - void, up to roundoff; a node where no type
+    has density (a support end missed by a rounding) counts as LoS.
+    """
+    scale = 2.0 * np.pi * lam
+    r_m = np.reshape(ctx.r_m, (-1, 1))
+    radii = np.concatenate([np.zeros_like(r_m), r_m, np.minimum(los_radius(
+        _LEVELS, np.reshape(ctx.z, (-1, 1)), ctx.env, ctx.h_b), r_m)], axis=1)
+    cum = ctx.ranked_cum(laws, ctx.log_losses(laws, radii))
+    u, w_u = _panel_nodes(-np.expm1(-scale * cum), n)
+    tau = ctx.inverse_cum(laws, -np.log1p(-u) / scale)
+    (x_l, rate_l), (x_n, rate_n) = (
+        (x, np.where((tau > lo) & (tau < hi), rate, 0.0))
+        for x, rate, lo, hi in ctx.rank_rates(laws, tau))
+    share_n = np.divide(rate_n, rate_l + rate_n, out=np.zeros_like(tau),
+                        where=rate_n > 0.0)
+    return ({LinkType.LOS: (x_l, w_u * (1.0 - share_n)),
+             LinkType.NLOS: (x_n, w_u * share_n)},
+            np.exp(-scale * cum.max(axis=1)))

@@ -37,6 +37,7 @@ __all__ = [
     "path_loss",
     "los_probability",
     "los_probability_slope",
+    "los_radius",
     "uav_mainlobe_gain",
     "sample_fading",
     "horizontal_speed",
@@ -340,6 +341,13 @@ def los_probability_slope(r, h_u, env: EnvironmentParams, h_b: float):
     dh = h_u - h_b
     p = los_probability(r, h_u, env, h_b)
     return -env.b * p * (1.0 - p) * np.degrees(dh / (r * r + dh * dh))
+
+
+def los_radius(p, h_u, env: EnvironmentParams, h_b: float):
+    """Horizontal distance at which ``los_probability`` falls to p: 0 where
+    it starts below p, and 1.6e16 (h_u - h_b) where it never falls to p."""
+    angle = env.a - np.log((1.0 / p - 1.0) / env.a) / env.b
+    return (h_u - h_b) * np.tan(np.radians(90.0 - np.clip(angle, 0.0, 90.0)))
 
 
 def uav_mainlobe_gain(antenna: AntennaModel) -> float:

@@ -19,12 +19,12 @@ that patches `montecarlo.episode_rng`, `BLOCK_STATIONS` or `_FieldBlock`
 patches these oracles too.
 
 `per_altitude_metrics` computes `analytic._policy_metrics` one altitude
-node at a time: one `HeightContext`, node set, handover call and coverage
-call per node, accumulated node by node; the engine, which stacks the
-altitudes, is held to it. `per_call_same_type_area` and
-`speed_ratio_nodes_at` are the handover kernel's set-up done per call and
-per altitude, which the engine's shared factors and stacked inversion must
-match bit for bit.
+node at a time: one `HeightContext`, serving-process node set, and
+handover and coverage call per serving type and node, accumulated node by
+node; the engine, which stacks the altitudes, is held to it.
+`per_call_same_type_area` and `speed_ratio_nodes_at` are the handover
+kernel's set-up done per call and per altitude, which the engine's shared
+factors and stacked inversion must match bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from uavcov import analytic, geometry, model
 from uavcov import montecarlo as mc
-from uavcov.association import exclusion_factor, height_context
+from uavcov.association import height_context, serving_nodes
 from uavcov.errors import ParameterError
 from uavcov.geometry import receiving_radius
 from uavcov.model import (
@@ -212,58 +212,30 @@ def laplace_estimate(params: SystemParams, serving: LinkType, r0: float,
                    params, r0, z, serving, r_field, n, seed)) / n
 
 
-def _r0_nodes_type(ctx, link: LinkType, params: SystemParams, n_r0: int):
-    """Serving-distance nodes and du-weights at one altitude, through the
-    type-nearest CDF u = 1 - exp(-2 pi lam G_link(r0))."""
-    lam = params.lambda_b
-    g_span = ctx.cum_intensity(link, ctx.r_m)
-    u_top = -math.expm1(-2.0 * np.pi * lam * g_span)
-    u, w_u = gauss_nodes(0.0, u_top, n_r0)
-    return ctx.inverse_cum(link, -np.log1p(-u) / (2.0 * np.pi * lam)), w_u
-
-
-def _strongest_nodes(ctx, params: SystemParams, n_r0: int):
-    """(link, r0, weight, stay) per serving type at one altitude under
-    strongest-average-RSS."""
-    for link in LinkType:
-        r0, w_u = _r0_nodes_type(ctx, link, params, n_r0)
-        yield (link, r0, w_u * exclusion_factor(link, r0, ctx, params),
-               analytic._stay_grid(link, r0, ctx.z, params))
-
-
-def _nearest_nodes(ctx, params: SystemParams, n_r0: int):
-    """(link, r0, weight, stay) per serving type at one altitude under the
-    nearest policy: shared contact-distance nodes, thinned by type."""
-    lam = params.lambda_b
-    u_top = -math.expm1(-np.pi * lam * ctx.r_m ** 2)
-    u, w_u = gauss_nodes(0.0, u_top, n_r0)
-    r0 = np.sqrt(-np.log1p(-u) / (np.pi * lam))
-    stay = analytic._stay_grid(LinkType.LOS, r0, ctx.z, params)
-    for link in LinkType:
-        yield link, r0, w_u * ctx.p_type(link, r0), stay
-
-
 def per_altitude_metrics(params: SystemParams, n_z: int, n_r0: int):
-    """analytic._PolicyMetrics of params, one altitude node at a time on
-    height_context(params, z)."""
+    """analytic._PolicyMetrics of params, one altitude node at a time: the
+    serving process's nodes of height_context(params, z), and a handover
+    and a coverage call per serving type."""
     z_nodes, w_z = gauss_nodes(params.h_lb, params.h_ub, n_z)
     w_z = w_z * (1.0 / (params.h_ub - params.h_lb))
-    nodes = (_nearest_nodes if params.policy is AssociationPolicy.NEAREST
-             else _strongest_nodes)
     cov1 = dict.fromkeys(LinkType, 0.0)
     cov2 = dict.fromkeys(LinkType, 0.0)
     assoc = dict.fromkeys(LinkType, 0.0)
-    handover = 0.0
+    handover = void = 0.0
     for z, wz in zip(z_nodes, w_z):
-        for link, r0, weight, stay in nodes(height_context(params, z), params,
-                                            n_r0):
+        nodes, void_z = serving_nodes(height_context(params, z),
+                                      analytic._ranking_laws(params),
+                                      params.lambda_b, n_r0)
+        for link, (r0, weight) in nodes.items():
+            r0, weight = r0[0], weight[0]
+            stay = analytic._stay_grid(link, r0, z, params)
             p_cov = analytic._coverage_grid(link, r0, z, params)
             assoc[link] += wz * float(np.sum(weight))
             cov1[link] += wz * float(np.sum(weight * p_cov))
             cov2[link] += wz * float(np.sum(weight * p_cov * stay))
             handover += wz * float(np.sum(weight * (1.0 - stay)))
-    return analytic._PolicyMetrics(cov1, cov2, handover, assoc,
-                                   1.0 - sum(assoc.values()))
+        void += wz * float(void_z[0])
+    return analytic._PolicyMetrics(cov1, cov2, handover, assoc, void)
 
 
 def per_call_same_type_area(r0, v, theta, r_m):

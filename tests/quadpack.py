@@ -5,7 +5,10 @@ The package evaluates every integral on fixed Gauss grids and interpolants;
 the tests hold those to these adaptive integrals (scipy, a test
 dependency): the type-thinned nearest-GBS densities, the association
 probabilities and the conditional serving-distance densities, with the
-cumulative type intensities carried beyond the receiving radius.
+cumulative type intensities carried beyond the receiving radius, and the
+cumulative intensity of the serving process. The association integrates
+the per-type form, nearest type-t GBS times the cross-type exclusion
+factor, independent of the engine's serving process.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate as _scipy_integrate
 
-from uavcov.association import HeightContext, exclusion_factor, height_context
+from uavcov.association import HeightContext, height_context
+from uavcov.geometry import exclusion_radius
 from uavcov.model import LinkType, SystemParams
 from uavcov.quadrature import gauss_nodes
 
@@ -105,6 +109,34 @@ def cum_intensity(ctx: HeightContext, link: LinkType, r):
         x, w = gauss_nodes(ctx.r_m, flat_r[i], _EXTENSION_NODES)
         flat_out[i] += float(np.sum(w * x * ctx.p_type(link, x)))
     return float(out[0]) if scalar else out
+
+
+def ranked_cum(ctx: HeightContext, laws, tau: float, spec: QuadratureSpec) -> float:
+    """Cumulative intensity of the serving process at log-loss tau, without
+    the 2 pi lambda: sum_t int_0^min(x_t, r_m) x P_t(x) dx. x_t is the
+    distance at which a type-t station has log-loss tau: log((x^2 +
+    h_bar^2)^(alpha/2) / eta) under its law (eta, alpha), laws LoS first,
+    less the lesser of both types' log-losses straight below."""
+    below = [alpha * np.log(ctx.h_bar) - np.log(eta) for eta, alpha in laws]
+    total = 0.0
+    for link, (_, alpha), log in zip(LinkType, laws, below):
+        x_t = ctx.h_bar * np.sqrt(max(
+            np.expm1(2.0 / alpha * (tau - (log - min(below)))), 0.0))
+        total += integrate(lambda x: x * float(ctx.p_type(link, np.asarray(x))),
+                           0.0, float(min(x_t, ctx.r_m)), spec)
+    return total
+
+
+def exclusion_factor(serving: LinkType, r0, ctx: HeightContext,
+                     params: SystemParams):
+    """Probability that no opposite-type GBS lies within the cross-type
+    exclusion radius of a serving GBS at r0, which it must to win. The
+    cumulative intensity caps the radius at the receiving radius: a GBS of
+    either type beyond the receiving range is not received and cannot have
+    won."""
+    limit = exclusion_radius(serving, r0, ctx.h_bar, params.channel)
+    return np.exp(-2.0 * np.pi * params.lambda_b
+                  * ctx.cum_intensity(serving.other, limit))
 
 
 def nearest_type_pdf(link: LinkType, r0, z: float, params: SystemParams):

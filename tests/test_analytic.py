@@ -21,7 +21,7 @@ from uavcov.analytic import (
     coverage_probability,
     reset_coverage_drift_counter,
 )
-from uavcov.association import height_context
+from uavcov.association import height_context, serving_nodes
 from uavcov.errors import ParameterError
 from uavcov.geometry import (
     displaced_distance,
@@ -506,14 +506,15 @@ class TestCoverageProbability:
 
 class TestZeroTypeIntensity:
     """b = 3 per degree: 1 - P_LoS is exactly 0 at every knot, so the NLoS
-    cumulative never increases and its inverse maps every g to radius 0."""
+    cumulative never increases and no serving-process node weights an NLoS
+    server."""
 
     def test_los_certain_sigmoid(self, params):
         p = params.with_(env=replace(params.env, b=3.0))
         ctx = height_context(p, 120.0)
         assert ctx.cum_intensity(LinkType.NLOS, ctx.r_m) == 0.0
-        assert np.all(ctx.inverse_cum(LinkType.NLOS,
-                                      np.array([0.0, 1.0, 1e6])) == 0.0)
+        nodes, _ = serving_nodes(ctx, analytic._ranking_laws(p), p.lambda_b, N_R0)
+        assert np.all(nodes[LinkType.NLOS][1] == 0.0)
         got = coverage_probability(p)
         assert got.association[1] == 0.0 and got.per_link[1] == 0.0
         mc = summary_estimates(p, 20_000, 3)
@@ -529,8 +530,9 @@ def _log_uniform(lo, hi):
 
 
 def _boundary_config(draw: dict) -> dict:
-    band = draw.pop("band")
-    return {**BOUNDARY_DEFAULTS, **draw, "h_ub": draw["h_lb"] + band}
+    band, alpha_gap, m_gap = draw.pop("band"), draw.pop("alpha_gap"), draw.pop("m_gap")
+    return {**BOUNDARY_DEFAULTS, **draw, "h_ub": draw["h_lb"] + band,
+            "alpha_n": draw["alpha_l"] + alpha_gap, "m_l": draw["m_n"] + m_gap}
 
 
 # boundary-unit configs over a wide box around the baseline; the keys not
@@ -545,16 +547,30 @@ ACCEPTED_BOX = st.fixed_dictionaries({
     "h_lb": st.floats(31.0, 400.0),
     "band": _log_uniform(1e-3, 500.0),
     "v": st.one_of(st.just(0.0), st.floats(0.1, 200.0)),
+    "kappa": st.floats(0.0, 1.0),
+    "t_thresh": st.floats(-20.0, 20.0),
+    "alpha_l": st.floats(2.01, 6.0),
+    "alpha_gap": st.floats(0.0, 2.0),
+    "m_n": st.integers(1, 4),
+    "m_gap": st.integers(0, 3),
     "antenna": st.sampled_from(("directional", "omni")),
     "policy": st.sampled_from(("strongest_rss", "nearest")),
 }).map(_boundary_config)
 
+# the probability bounds that hold by construction, up to roundoff: LoS +
+# NLoS association + void = 1, and the handover is at most the association
+BY_CONSTRUCTION = 1e-12
+
+
+def assert_probabilities(got):
+    assert abs(sum(got.association) + got.void_prob - 1.0) <= BY_CONSTRUCTION, got
+    assert got.handover_prob <= 1.0 - got.void_prob + BY_CONSTRUCTION, got
+
 
 class TestAcceptedBox:
-    # outputs are probabilities up to this much roundoff (a handover sum
-    # reached 1 + 1.5e-12 over 3000 draws of the box, yet the inside-box
-    # point below breaks it by 6.2e-6). LoS + NLoS association + void = 1
-    # is not asserted: the sum exceeds 1 by up to 2.4e-4 on a wider box
+    # outputs are probabilities up to this much roundoff (over 3000 draws
+    # of the box the largest output was 1 + 2.2e-16, and association + void
+    # missed 1 by at most 5.6e-16)
     TOL = 1e-9
 
     @given(values=ACCEPTED_BOX)
@@ -571,6 +587,7 @@ class TestAcceptedBox:
                    for x in outputs), outputs
         for cov, assoc in zip(got.per_link, got.association):
             assert cov <= assoc + self.TOL
+        assert_probabilities(got)
 
     @given(values=ACCEPTED_BOX)
     # the box's densest, widest corner: 1.6e6 stations refused, 8e5 run
@@ -600,25 +617,28 @@ class TestAcceptedBox:
             assert math.isfinite(estimate.mean), name
             assert 0.0 <= estimate.mean <= 1.0, name
 
-    @pytest.mark.parametrize("overrides, excess", [
-        ({"alpha_l": 3.893, "alpha_n": 4.054, "m_l": 6, "m_n": 3,
-          "t_thresh": 17.41, "a": 26.78, "b": 0.5607, "h_lb": 245.79,
-          "h_ub": 246.04, "v": 111.9, "antenna": "omni", "r_max": 1490.0,
-          "mu": 16.4, "lambda_b": 4868.0}, 1e-3),
+    @pytest.mark.parametrize("overrides", [
+        {"alpha_l": 3.893, "alpha_n": 4.054, "m_l": 6, "m_n": 3,
+         "t_thresh": 17.41, "a": 26.78, "b": 0.5607, "h_lb": 245.79,
+         "h_ub": 246.04, "v": 111.9, "antenna": "omni", "r_max": 1490.0,
+         "mu": 16.4, "lambda_b": 4868.0},
         # a point of the box above, which its draws rarely reach
-        ({"lambda_b": math.exp(6.0), "a": math.exp(1.5), "b": math.e,
-          "mu": 1.0, "r_max": math.exp(6.0), "h_lb": 31.0, "h_ub": 32.0,
-          "v": 116.0, "antenna": "omni"}, 5e-6),
-    ], ids=["outside-box", "inside-box"])
-    def test_unclamped_outputs_exceed_one(self, overrides, excess):
-        # a known defect, ROADMAP item 7 (the association sum): on dense
-        # omni cells the 32-node serving-distance rule over-counts the
-        # association integrals, and handover_prob, which is not clamped,
-        # inherits the excess. Flip these asserts when item 7 closes
+        {"lambda_b": math.exp(6.0), "a": math.exp(1.5), "b": math.e,
+         "mu": 1.0, "r_max": math.exp(6.0), "h_lb": 31.0, "h_ub": 32.0,
+         "v": 116.0, "antenna": "omni"},
+        {"lambda_b": 3176.0, "a": 1.30, "b": 0.036, "mu": 190.0,
+         "antenna": "omni", "r_max": 2589.0, "h_lb": 36.42, "h_ub": 37.13,
+         "v": 131.0},
+    ], ids=["outside-box", "inside-box", "dense-omni"])
+    def test_dense_omni_outputs_are_probabilities(self, overrides):
+        # dense omni cells where two per-type serving-distance rules summed
+        # the association to 1.0016, 1 + 8.4e-5 and 1 + 1.5e-5, and the
+        # handover, which is not clamped, to 1.00156, 1 + 6.2e-6 and
+        # 1 + 1.5e-5: the one rule over the serving process holds both
         got = coverage_probability(params_from_boundary(
             {**BOUNDARY_DEFAULTS, **overrides}))
-        assert got.handover_prob - 1.0 > excess
-        assert sum(got.association) - 1.0 > excess
+        assert_probabilities(got)
+        assert got.handover_prob <= 1.0
 
 
 class TestHandoverKernelGrid:
@@ -668,12 +688,10 @@ class TestHandoverKernelEquivalence:
         # channel, whose cross-type radius maps are not trivial. Without a
         # move no row is live, so the kernel reads exactly 0 for every
         # serving/target pair, the nearest rule's LoS/LoS pair included. The
-        # bound is 2e-12:
-        # near r_m with the smallest speed node the general formula's
-        # v^2 + y^2 - x^2 cancels, so at r0 = 3000 m, v_h = 0.7 m its area
-        # is off by 1.2e-6 m^2 (the closed form by 1e-13 m^2, both against
-        # 50-digit arithmetic), which moves the omni kernel at 1000/km^2 by
-        # 1.7e-12
+        # largest gap is 8.4e-15 (omni, 1000/km^2, v 20, h_lb, LoS serving),
+        # with the smallest speed node at 0.17 m; the bound of 2e-12 leaves
+        # room for the general formula's cancellation of v^2 + y^2 - x^2
+        # near r_m at small speeds
         paths = {"empty rows": 0, "live cross-type rows": 0, "capped": 0}
         for antenna, channel, v, lam, edge in itertools.product(
                 (DIRECTIONAL, OMNI),
@@ -837,11 +855,11 @@ class TestPinnedSweepPoints:
         their five outputs within 1e-9.
 
         tests/data/analytic_points.json was written by the commit after
-        a9aa10b, the one that placed the handover kernel's speed nodes in the
-        square root of the speed law's CDF (12 nodes in place of 32 in the
-        CDF itself): the sweep below was run there, each row's unrounded
-        analytic value stored by json (shortest round-trip repr, so at full
-        precision).
+        58028b8, the one that took both serving types' distances from one
+        set of Gauss nodes in the CDF of the serving process (in place of a
+        rule per serving type): the sweep below was run there, each row's
+        unrounded analytic value stored by json (shortest round-trip repr,
+        so at full precision).
         """
         pinned = json.loads((Path(__file__).parent / "data"
                              / "analytic_points.json").read_text())["points"]

@@ -24,11 +24,18 @@ from quadpack import (
     integrate,
     nearest_any_pdf,
     nearest_type_pdf,
+    ranked_cum,
     serving_distance_pdf,
 )
 
 TIGHT = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13, max_depth=14)
 OMNI = OmniAntenna(BOUNDARY_DEFAULTS["r_max"])
+# the ranking laws (eta, alpha) of both types, LoS first: strongest RSS at
+# the baseline channel, and the nearest policy's common law
+CHANNEL = default_params().channel
+LAWS = {"strongest": ((CHANNEL.eta_l, CHANNEL.alpha_l),
+                      (CHANNEL.eta_n, CHANNEL.alpha_n)),
+        "nearest": ((1.0, 2.0),) * 2}
 
 
 class TestNearestTypePdf:
@@ -174,20 +181,20 @@ class TestInnerIntegralCache:
 
     def test_inverse_cum_roundtrip(self, params):
         ctx = height_context(params, 120.0)
-        for link in LinkType:
-            g_top = float(ctx.cum_intensity(link, ctx.r_m))
-            g = np.linspace(g_top * 1e-4, g_top * 0.999, 40)
-            r = ctx.inverse_cum(link, g)
-            back = ctx.cum_intensity(link, r)
-            assert np.allclose(back, g, rtol=1e-6, atol=g_top * 1e-8)
+        top = sum(ctx.cum_intensity(link, ctx.r_m) for link in LinkType)
+        g = np.linspace(top * 1e-4, top * 0.999, 40)
+        for laws in LAWS.values():
+            back = ctx.ranked_cum(laws, ctx.inverse_cum(laws, g))
+            assert np.allclose(back, g, rtol=1e-6, atol=top * 1e-8)
 
 
 class TestHeightContext:
     # QUADPACK at 1e-12 relative differs from the scipy cubic splines these
-    # interpolants replaced by at most 2.3e-11 of the span's cumulative, in
-    # cum(r) and in QUADPACK's cumulative up to inverse_cum(g) against g;
-    # near the origin (g at most 1e-6 of the span's) the splines' inverse
-    # missed by up to 2.3e-3 of g
+    # interpolants replaced by at most 2.3e-11 of the span's cumulative in
+    # cum(r); the serving process's inverse is held to the same bound in
+    # QUADPACK's cumulative up to inverse_cum(g) against g, and near the
+    # origin (g at most 1e-6 of the span's) to the bound the splines'
+    # inverse met, which missed by up to 2.3e-3 of g
     TOL, NEAR_TOL = 1e-10, 5e-3
     SPEC = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300, max_depth=14)
 
@@ -199,6 +206,7 @@ class TestHeightContext:
                              ids=["30deg", "120deg", "170deg", "omni"])
     def test_matches_quadpack(self, antenna, z):
         ctx = HeightContext(z, 30.0, default_params().env, antenna)
+        tops = 0.0
         for link in LinkType:
             def cum(r):
                 def f(x):
@@ -206,12 +214,17 @@ class TestHeightContext:
                 return integrate(f, 0.0, float(r), self.SPEC)
 
             top = cum(ctx.r_m)
+            tops += top
             for r in ctx.r_m * np.array([1e-3, 0.02, 0.1, 0.3, 0.6, 1.0]):
                 assert abs(ctx.cum_intensity(link, r) - cum(r)) <= self.TOL * top
-            for g in top * np.array([1e-4, 1e-2, 0.1, 0.3, 0.6, 0.9, 1.0]):
-                assert abs(cum(ctx.inverse_cum(link, g)) - g) <= self.TOL * top
-            for g in top * np.array([1e-12, 1e-10, 1e-8, 1e-6]):
-                assert abs(cum(ctx.inverse_cum(link, g)) - g) <= self.NEAR_TOL * g
+        for name, laws in LAWS.items():
+            def lam(g):
+                return ranked_cum(ctx, laws, ctx.inverse_cum(laws, g), self.SPEC)
+
+            for g in tops * np.array([1e-4, 1e-2, 0.1, 0.3, 0.6, 0.9, 1.0]):
+                assert abs(lam(g) - g) <= self.TOL * tops, (name, g / tops)
+            for g in tops * np.array([1e-12, 1e-10, 1e-8, 1e-6]):
+                assert abs(lam(g) - g) <= self.NEAR_TOL * g, (name, g / tops)
 
 
 class TestStackedHeightContext:
@@ -230,26 +243,38 @@ class TestStackedHeightContext:
     def test_rows_match_one_altitude_contexts(self, antenna, env):
         z = np.linspace(90.0, 150.0, 7)
         stacked = HeightContext(z[:, None], 30.0, env, antenna)
+        contexts = [HeightContext(float(z_j), 30.0, env, antenna) for z_j in z]
         frac = np.linspace(-0.1, 1.1, 25)
+        r = stacked.r_m * frac
         for link in LinkType:
-            r = stacked.r_m * frac
-            g = stacked.cum_intensity(link, stacked.r_m) * frac
-            cum, inv, p = (stacked.cum_intensity(link, r),
-                           stacked.inverse_cum(link, g), stacked.p_type(link, r))
-            for j, z_j in enumerate(z):
-                ctx = HeightContext(float(z_j), 30.0, env, antenna)
+            cum, p = stacked.cum_intensity(link, r), stacked.p_type(link, r)
+            for j, ctx in enumerate(contexts):
                 assert np.array_equal(cum[j], ctx.cum_intensity(link, r[j]))
-                assert np.array_equal(inv[j], ctx.inverse_cum(link, g[j]))
                 assert np.array_equal(p[j], ctx.p_type(link, r[j]))
+        g = sum(stacked.cum_intensity(link, stacked.r_m) for link in LinkType) * frac
+        for laws in LAWS.values():
+            inv = stacked.inverse_cum(laws, g)
+            for j, ctx in enumerate(contexts):
+                assert np.array_equal(inv[j], ctx.inverse_cum(laws, g[j]))
 
     def test_sharp_sigmoid_keeps_uneven_inverse_rows(self):
-        # the inverse keeps only knots where sqrt(G) increases; in a sharp
-        # sigmoid the far LoS steps vanish at a different knot per altitude,
-        # so the rows above hold different knot counts
+        # in a sharp sigmoid the far LoS and the near NLoS stations add
+        # nothing over a range of log-losses, which differs per altitude:
+        # each row keeps its own knots of equal sqrt(Lam), and a g just
+        # above such a run inverts past it, not into it
         stacked = HeightContext(np.linspace(90.0, 150.0, 7)[:, None], 30.0,
                                 replace(default_params().env, b=10.0), OMNI)
-        stacked.inverse_cum(LinkType.LOS, 0.0)
-        assert len(np.unique(stacked._inv[LinkType.LOS][-1])) > 1
+        laws = LAWS["strongest"]
+        stacked.inverse_cum(laws, 0.0)
+        s = stacked._inv[laws][0]
+        flat = np.diff(s, axis=1) == 0.0
+        assert np.all(np.any(flat, axis=1))
+        assert len({tuple(np.flatnonzero(row)) for row in flat}) > 1
+        # a run's sqrt(Lam) squared, plus a millionth
+        run = np.argmax(flat, axis=1)[:, None]
+        g = np.take_along_axis(s, run, axis=1) ** 2 * (1.0 + 1e-6)
+        back = stacked.ranked_cum(laws, stacked.inverse_cum(laws, g))
+        assert np.allclose(back, g, rtol=1e-8, atol=0.0)
 
     def test_memoized_per_altitude_set(self, params):
         z = np.linspace(90.0, 150.0, 7)

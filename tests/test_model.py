@@ -21,6 +21,7 @@ from uavcov.model import (
     linear_from_db,
     los_probability,
     los_probability_slope,
+    los_radius,
     path_loss,
     sample_fading,
     uav_mainlobe_gain,
@@ -112,6 +113,16 @@ class TestLosProbability:
               - los_probability(r - h, 120.0, params.env, 30.0)) / (2 * h)
         slope = los_probability_slope(r, 120.0, params.env, 30.0)
         assert np.allclose(slope, fd, rtol=1e-6, atol=1e-12)
+
+    def test_radius_inverts_the_sigmoid(self, params):
+        # P_LoS at 120 m starts at 0.99997 straight below and tends to
+        # 0.022 far away: a level outside that range has no crossing
+        levels = np.array([0.999, 0.9, 0.5, 0.1, 0.05])
+        r = los_radius(levels, 120.0, params.env, 30.0)
+        assert np.allclose(los_probability(r, 120.0, params.env, 30.0), levels,
+                           rtol=1e-12)
+        assert los_radius(0.99999, 120.0, params.env, 30.0) == 0.0
+        assert los_radius(0.01, 120.0, params.env, 30.0) > 1e15
 
 
 class TestAntennaGain:
