@@ -4,9 +4,9 @@
 quantities: coverage, handover, association and void. The association rule
 is ``params.policy``: strongest-average-RSS, or nearest GBS (type-blind
 handover, interference from beyond the serving distance). The conditional
-quantities are private kernels on arrays of serving distances, which read
-the rule too: ``_stay_grid`` (no handover, composed from the per-target
-``_cond_handover_grid``) and ``_coverage_grid`` (coverage, from
+quantities are private kernels: ``_stay_grid`` (no handover, composed from
+the per-target ``_cond_handover_grid``), which reads the rule too, and
+``_coverage_grid`` (coverage of both serving types, from ``_panel_terms``,
 ``_exponent_terms`` and ``_coverage_series``).
 
 Layout of the computation:
@@ -35,9 +35,11 @@ Layout of the computation:
   integrals), every term a probability (``_coverage_series``; the Monte
   Carlo near field sums the same terms). The integrals run on two-panel
   (linear + geometric) Gauss grids so both the near-serving peak and the
-  slowly decaying far tail are resolved; one call per serving type covers
-  the whole altitude x serving-distance grid, each row carrying its own
-  altitude;
+  slowly decaying far tail are resolved. One call covers both serving
+  types on the altitude x node grid, each row carrying its own altitude;
+  each type's interferers start at its own node distance whichever type
+  serves, so only the Nakagami terms run per serving type, on its rows of
+  weight > 0;
 * totals: row sums over (altitude, serving distance) arrays of nodes,
   weights and handover. Both serving types take their distances from one
   set of nodes per altitude in the CDF of the serving process
@@ -67,7 +69,6 @@ from .errors import ParameterError
 from .geometry import (
     displaced_distance,
     equal_power_radius,
-    exclusion_radius,
     lens_complement_area,
     receiving_radius,
     same_type_lens,
@@ -224,60 +225,66 @@ def _radial_panel(lo, hi, h_bar, n_x=N_X):
             np.concatenate([w_lin, w_geo], axis=1))
 
 
-def _interference_nodes(serving: LinkType, r0: np.ndarray, z,
-                        params: SystemParams, n_x=N_X):
+def _interference_nodes(starts: dict, z, params: SystemParams, n_x=N_X):
     """Quadrature nodes for the Laplace exponent integrals.
 
-    Returns, per interferer type, the (x nodes, dx weights) of
-    ``_radial_panel`` from the exclusion radius to the receiving radius, at
-    each r0's altitude z (or one z for all). Under the nearest policy every
-    interferer lies beyond the serving distance, whatever its type, so both
-    types share one panel (and _exponent_terms one LoS evaluation).
+    Returns, per interferer type xi, the (x nodes, dx weights) of
+    ``_radial_panel`` from starts[xi], the type's own distance at a
+    serving-process node, beyond which its interferers lie whichever type
+    serves, to the receiving radius at each row's altitude z. Types at one
+    distance share one panel, and ``_panel_terms`` one LoS evaluation.
     """
     h_bar = np.asarray(z, dtype=float) - params.h_b
     hi = receiving_radius(z, params.h_b, params.antenna)
-    own = _radial_panel(r0.astype(float), hi, h_bar, n_x)
-    if params.policy is AssociationPolicy.NEAREST:
-        return dict.fromkeys(LinkType, own)
-    other = _radial_panel(exclusion_radius(serving, r0, h_bar, params.channel),
-                          hi, h_bar, n_x)
-    return {xi: own if xi is serving else other for xi in LinkType}
+    x_l, x_n = (starts[xi] for xi in LinkType)
+    los = _radial_panel(x_l, hi, h_bar, n_x)
+    nlos = los if np.array_equal(x_l, x_n) else _radial_panel(x_n, hi, h_bar, n_x)
+    return {LinkType.LOS: los, LinkType.NLOS: nlos}
 
 
-def _exponent_terms(s: np.ndarray, panels: dict, z, params: SystemParams,
-                    order: int):
+def _panel_terms(panels: dict, z, params: SystemParams) -> dict:
+    """Per interferer type xi, over its panel (x, dx) of a row per altitude
+    z (or one z for all): (P_xi x dx, l_xi(x)), the type's share of the
+    area element and its path-loss gain; one LoS evaluation per distinct
+    node array."""
+    z = np.expand_dims(z, -1)                       # one altitude per node row
+    los_of, out = {}, {}
+    for xi, (xs, ws) in panels.items():
+        if id(xs) not in los_of:
+            los_of[id(xs)] = los_probability(xs, z, params.env, params.h_b)
+        p_los = los_of[id(xs)]
+        base = ws * xs
+        base *= p_los if xi is LinkType.LOS else 1.0 - p_los
+        out[xi] = base, path_loss(xi, xs, z, params.channel, params.h_b)
+    return out
+
+
+def _exponent_terms(s: np.ndarray, terms: dict, params: SystemParams,
+                    order: int, rows=slice(None)):
     """The Laplace exponent g0 = log L and the coefficients t_1..t_order of
     g(tau - tau y) = g0 + sum_k t_k y^k, one value per row.
 
     s scales each interferer's path-loss gain l(x) to u = s l(x) / m_xi, so
-    s = m T / S for a serving path-loss gain S (tau = s / (P_t G_tot)). Over
-    the panels {interferer type: (x, dx)}, with P_xi the type probability,
+    s = m T / S for a serving path-loss gain S (tau = s / (P_t G_tot)), one
+    per row that the index rows takes from the panel terms {interferer type:
+    (P_xi x dx, l)} of ``_panel_terms``. Over them,
 
         g0  = -2 pi lam sum_xi int P_xi (1 - (1 + u)^-m_xi) x dx,
         t_k =  2 pi lam sum_xi int P_xi NB_k(u) x dx,
 
     NB_k(u) = C(m+k-1, k) (u/(1+u))^k (1+u)^-m the negative-binomial pmf:
     NB_0 from log1p(u), then NB_k = NB_(k-1) (m+k-1)/k u/(1+u). Every NB_k
-    is a probability, so none overflows. z is each row's altitude (or one
-    for all).
+    is a probability, so none overflows.
     """
-    ch = params.channel
-    z = np.expand_dims(z, -1)                       # one altitude per node row
     s = s[:, None]
     g0 = np.zeros(s.shape[0])
     t = [np.zeros(s.shape[0]) for _ in range(order)]
-    los_of = {}                 # one evaluation per distinct node array
-    for xi, (xs, ws) in panels.items():
-        m = ch.m(xi)
-        if id(xs) not in los_of:
-            los_of[id(xs)] = los_probability(xs, z, params.env, params.h_b)
-        p_los = los_of[id(xs)]
+    for xi, (base, gain) in terms.items():
+        m = params.channel.m(xi)
         # the products and sums of the formulas above in their operation
         # order, in place: term holds each summand in turn
-        base = ws * xs
-        base *= p_los if xi is LinkType.LOS else 1.0 - p_los
-        u = path_loss(xi, xs, z, ch, params.h_b)
-        u *= s
+        base = base[rows]
+        u = gain[rows] * s
         u /= m
         nb = np.log1p(u)
         nb *= -m
@@ -315,19 +322,28 @@ def _coverage_series(g0: np.ndarray, t: list) -> list:
     return b
 
 
-def _coverage_grid(serving: LinkType, r0: np.ndarray, z,
-                   params: SystemParams) -> np.ndarray:
-    """Conditional coverage on an array of serving distances, z being the
-    altitude of each (an array aligned with r0) or of all (a scalar)."""
+def _coverage_grid(nodes: dict, z, params: SystemParams) -> dict:
+    """{link: conditional coverage} at the serving-process nodes {link: (r0,
+    weight)}, z being the altitude of each row (broadcast to r0) or of all.
+    The panels and their ``_panel_terms`` serve both types; a type's
+    Nakagami terms run only on its rows of weight > 0, the others read 0."""
     global _drift_events
-    s = (params.channel.m(serving) * params.t_thresh
-         / path_loss(serving, r0, z, params.channel, params.h_b))
-    total = sum(_coverage_series(*_exponent_terms(
-        s, _interference_nodes(serving, r0, z, params), z, params,
-        params.channel.m(serving) - 1)))
-    drift = np.maximum(total - 1.0, -total)
-    _drift_events += int(np.count_nonzero(~(drift <= 1e-6)))
-    return np.clip(total, 0.0, 1.0)
+    z = np.broadcast_to(z, np.shape(nodes[LinkType.LOS][0])).ravel()
+    starts = {link: r0.ravel() for link, (r0, _) in nodes.items()}
+    terms = _panel_terms(_interference_nodes(starts, z, params), z, params)
+    out = {}
+    for link, (r0, weight) in nodes.items():
+        live = weight.ravel() > 0.0
+        m = params.channel.m(link)
+        s = m * params.t_thresh / path_loss(link, starts[link][live], z[live],
+                                            params.channel, params.h_b)
+        total = sum(_coverage_series(*_exponent_terms(
+            s, terms, params, m - 1, slice(None) if live.all() else live)))
+        drift = np.maximum(total - 1.0, -total)
+        _drift_events += int(np.count_nonzero(~(drift <= 1e-6)))
+        out[link] = np.zeros(r0.shape)
+        out[link][live.reshape(r0.shape)] = np.clip(total, 0.0, 1.0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +383,7 @@ def _policy_metrics(params: SystemParams, n_z: int, n_r0: int) -> _PolicyMetrics
     # per serving type, nodes, weights and stay with one row per altitude
     cov1, cov2, assoc, stays = {}, {}, {}, {}
     handover = 0.0
+    p_cov = _coverage_grid(nodes, ctx.z, params)
     for link, (r0, weight) in nodes.items():
         # rows of weight 0 take no handover grid: at an infinite serving
         # distance the kernel finds the region empty. The nearest policy's
@@ -376,11 +393,9 @@ def _policy_metrics(params: SystemParams, n_z: int, n_r0: int) -> _PolicyMetrics
         if key not in stays:
             stays[key] = _stay_grid(link, rows, ctx.z, params)
         stay = stays[key]
-        p_cov = _coverage_grid(link, r0.ravel(), np.repeat(z_nodes, n_r0),
-                               params).reshape(r0.shape)
         assoc[link] = w_z @ np.sum(weight, axis=1)
-        cov1[link] = w_z @ np.sum(weight * p_cov, axis=1)
-        cov2[link] = w_z @ np.sum(weight * p_cov * stay, axis=1)
+        cov1[link] = w_z @ np.sum(weight * p_cov[link], axis=1)
+        cov2[link] = w_z @ np.sum(weight * p_cov[link] * stay, axis=1)
         handover += w_z @ np.sum(weight * (1.0 - stay), axis=1)
     # void: the altitude average of exp(-2 pi lam Lam) at the last received
     # station, so it and the association add to 1 up to roundoff

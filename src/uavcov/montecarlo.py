@@ -71,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import N_X, _coverage_series, _exponent_terms, _radial_panel
+from .analytic import N_X, _coverage_series, _exponent_terms, _panel_terms, _radial_panel
 from .errors import ParameterError
 from .geometry import receiving_radius
 from .model import (
@@ -606,8 +606,8 @@ def _near_coverage(params: SystemParams, serving_los: np.ndarray,
         far = far[radius[far] - v_h[far] < r_m[far]]
     if len(far):
         nodes = _exterior_nodes(radius[far], v_h[far], z[far], r_m[far], params)
-        g_far, t_far = _exponent_terms(s[far], dict.fromkeys(LinkType, nodes),
-                                       z[far], params, order)
+        terms = _panel_terms(dict.fromkeys(LinkType, nodes), z[far], params)
+        g_far, t_far = _exponent_terms(s[far], terms, params, order)
         g0[far] += g_far
         for tk, tk_far in zip(t, t_far):
             tk[far] += tk_far

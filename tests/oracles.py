@@ -214,8 +214,8 @@ def laplace_estimate(params: SystemParams, serving: LinkType, r0: float,
 
 def per_altitude_metrics(params: SystemParams, n_z: int, n_r0: int):
     """analytic._PolicyMetrics of params, one altitude node at a time: the
-    serving process's nodes of height_context(params, z), and a handover
-    and a coverage call per serving type."""
+    serving process's nodes of height_context(params, z), a handover call
+    per serving type and one coverage call for both."""
     z_nodes, w_z = gauss_nodes(params.h_lb, params.h_ub, n_z)
     w_z = w_z * (1.0 / (params.h_ub - params.h_lb))
     cov1 = dict.fromkeys(LinkType, 0.0)
@@ -226,10 +226,11 @@ def per_altitude_metrics(params: SystemParams, n_z: int, n_r0: int):
         nodes, void_z = serving_nodes(height_context(params, z),
                                       analytic._ranking_laws(params),
                                       params.lambda_b, n_r0)
+        nodes = {link: (r0[0], weight[0]) for link, (r0, weight) in nodes.items()}
+        coverage = analytic._coverage_grid(nodes, z, params)
         for link, (r0, weight) in nodes.items():
-            r0, weight = r0[0], weight[0]
             stay = analytic._stay_grid(link, r0, z, params)
-            p_cov = analytic._coverage_grid(link, r0, z, params)
+            p_cov = coverage[link]
             assoc[link] += wz * float(np.sum(weight))
             cov1[link] += wz * float(np.sum(weight * p_cov))
             cov2[link] += wz * float(np.sum(weight * p_cov * stay))

@@ -26,6 +26,7 @@ from uavcov.errors import ParameterError
 from uavcov.geometry import (
     displaced_distance,
     equal_power_radius,
+    exclusion_radius,
     lens_complement_area,
     receiving_radius,
 )
@@ -70,9 +71,52 @@ def handover_any(serving, r0, z_t, params) -> float:
                                            params)[0])
 
 
+def reference_starts(serving, r0, z, params) -> dict:
+    """Where each interferer type's panel starts for a server of type
+    serving at distances r0: its own type at r0, the other at its exclusion
+    radius under strongest RSS and at r0 under the nearest policy (every
+    station beyond the serving distance)."""
+    if params.policy is AssociationPolicy.NEAREST:
+        return dict.fromkeys(LinkType, r0)
+    return {serving: r0, serving.other: exclusion_radius(
+        serving, r0, np.asarray(z) - params.h_b, params.channel)}
+
+
+def serving_panels(serving, r0, z, params) -> dict:
+    """analytic._interference_nodes for one serving type at distances r0."""
+    return analytic._interference_nodes(reference_starts(serving, r0, z, params),
+                                        z, params)
+
+
+def reference_nodes(serving, r0, z, params, other_weight=0.0) -> dict:
+    """Serving-process nodes {link: (r0, weight)} of _coverage_grid with the
+    server of type serving at r0 (weight 1) and the other type at its
+    reference start (other_weight)."""
+    return {link: (start, np.full(np.shape(r0), 1.0 if link is serving
+                                  else other_weight))
+            for link, start in reference_starts(serving, r0, z, params).items()}
+
+
+def coverage_of(serving, r0, z, params) -> np.ndarray:
+    """_coverage_grid's conditional coverage of a server of type serving at
+    each r0."""
+    return analytic._coverage_grid(reference_nodes(serving, r0, z, params),
+                                   z, params)[serving]
+
+
+def reference_coverage(serving, r0, z, params) -> np.ndarray:
+    """The coverage kernel one serving type at a time, every row evaluated,
+    on the panels of reference_starts."""
+    m = params.channel.m(serving)
+    s = m * params.t_thresh / path_loss(serving, r0, z, params.channel, params.h_b)
+    terms = analytic._panel_terms(serving_panels(serving, r0, z, params), z, params)
+    return np.clip(sum(analytic._coverage_series(*analytic._exponent_terms(
+        s, terms, params, m - 1))), 0.0, 1.0)
+
+
 def conditional_coverage(serving, r0, z, params) -> float:
     """P(SIR > threshold | serving type, serving distance, altitude)."""
-    return float(analytic._coverage_grid(serving, np.array([r0]), z, params)[0])
+    return float(coverage_of(serving, np.array([r0]), z, params)[0])
 
 
 def _tau_threshold(serving, r0, z, params):
@@ -88,9 +132,9 @@ def laplace_derivatives(tau, serving, r0, z, params, max_order) -> list:
     conditioned on the serving type and distance, from the coverage sum's
     terms: L^(k) = k! exp(g0) b_k / (-tau)^k."""
     s = np.array([tau * params.p_t * params.g_tot])
-    panels = analytic._interference_nodes(serving, np.array([r0]), z, params)
+    panels = serving_panels(serving, np.array([r0]), z, params)
     terms = analytic._coverage_series(*analytic._exponent_terms(
-        s, panels, z, params, max_order))
+        s, analytic._panel_terms(panels, z, params), params, max_order))
     return [float(math.factorial(k) * term[0] / (-tau) ** k)
             for k, term in enumerate(terms)]
 
@@ -112,7 +156,7 @@ def alternating_coverage(serving, r0, z, params) -> np.ndarray:
     pg = params.p_t * params.g_tot
     z_rows = np.expand_dims(z, -1)
     g = [np.zeros_like(tau) for _ in range(order + 1)]
-    for xi, (xs, ws) in analytic._interference_nodes(serving, r0, z, params).items():
+    for xi, (xs, ws) in serving_panels(serving, r0, z, params).items():
         m = ch.m(xi)
         p_los = los_probability(xs, z_rows, params.env, params.h_b)
         base = ws * xs * (p_los if xi is LinkType.LOS else 1.0 - p_los)
@@ -294,13 +338,13 @@ class TestCoverageSeries:
             r0 = rng.uniform(0.0, 1.0, 64) * receiving_radius(z, p.h_b, antenna)
             s = _tau_threshold(serving, r0, z, p) * (p.p_t * p.g_tot)
             terms = analytic._coverage_series(*analytic._exponent_terms(
-                s, analytic._interference_nodes(serving, r0, z, p), z, p,
-                p.channel.m(serving) - 1))
+                s, analytic._panel_terms(serving_panels(serving, r0, z, p), z, p),
+                p, p.channel.m(serving) - 1))
             assert len(terms) == p.channel.m(serving)
             for b in terms:
                 assert np.all(np.isfinite(b) & (b >= 0.0))
             assert np.all(sum(terms) <= 1.0 + 1e-12)
-            analytic._coverage_grid(serving, r0, z, p)
+            coverage_of(serving, r0, z, p)
         assert coverage_drift_events() == 0
 
     @pytest.mark.parametrize("overrides", [
@@ -323,7 +367,7 @@ class TestCoverageSeries:
         old = alternating_coverage(serving, r0, z, p)
         finite = np.isfinite(old)
         assert np.count_nonzero(finite) >= len(old) // 2
-        got = analytic._coverage_grid(serving, r0, z, p)
+        got = coverage_of(serving, r0, z, p)
         assert np.max(np.abs(got[finite] - np.clip(old[finite], 0.0, 1.0))) <= 1e-12
 
     def test_near_term_is_the_poisson_sum(self):
@@ -379,23 +423,28 @@ class TestConditionalCoverage:
 
 
 class TestStackedCoverageGrid:
-    """The marginal integrals call _coverage_grid once per serving type on
-    the stacked (altitude, serving distance) rows; each row must see its own
-    altitude, exactly as one call per altitude does."""
+    """The marginal integrals call _coverage_grid once on the stacked
+    (altitude, serving distance) rows of both serving types; each row must
+    see its own altitude, exactly as one call per altitude does."""
 
     @staticmethod
     def _stacked_and_per_altitude(serving, p):
+        # serving's distances on a geometric grid up to each r_m, the other
+        # type at its reference start, both types live
         z_nodes, _ = gauss_nodes(p.h_lb, p.h_ub, N_Z)
-        rows = [height_context(p, z).r_m * np.geomspace(1e-3, 1.0, N_R0)
+        rows = [reference_nodes(serving, height_context(p, z).r_m
+                                * np.geomspace(1e-3, 1.0, N_R0), z, p, 1.0)
                 for z in z_nodes]
         reset_coverage_drift_counter()
-        per_z = np.stack([analytic._coverage_grid(serving, r0, z, p)
-                          for r0, z in zip(rows, z_nodes)])
+        per_z = [analytic._coverage_grid(nodes, z, p)
+                 for nodes, z in zip(rows, z_nodes)]
+        per_z = {link: np.stack([got[link] for got in per_z]) for link in LinkType}
         per_z_drift = coverage_drift_events()
         reset_coverage_drift_counter()
-        stacked = analytic._coverage_grid(serving, np.concatenate(rows),
-                                          np.repeat(z_nodes, N_R0), p)
-        return stacked.reshape(N_Z, N_R0), coverage_drift_events(), per_z, per_z_drift
+        stacked = analytic._coverage_grid(
+            {link: tuple(np.stack([nodes[link][i] for nodes in rows]) for i in (0, 1))
+             for link in LinkType}, z_nodes[:, None], p)
+        return stacked, coverage_drift_events(), per_z, per_z_drift
 
     @pytest.mark.parametrize("antenna", [DIRECTIONAL, OMNI],
                              ids=["directional", "omni"])
@@ -405,7 +454,9 @@ class TestStackedCoverageGrid:
     def test_matches_per_altitude_calls(self, params, serving, policy, antenna):
         p = params.with_(policy=policy, antenna=antenna)
         stacked, drift, per_z, per_z_drift = self._stacked_and_per_altitude(serving, p)
-        assert np.array_equal(stacked, per_z)
+        for link in LinkType:
+            assert stacked[link].shape == (N_Z, N_R0)
+            assert np.array_equal(stacked[link], per_z[link]), link
         assert drift == per_z_drift
 
     @pytest.mark.parametrize("antenna", [DIRECTIONAL, OMNI],
@@ -417,9 +468,10 @@ class TestStackedCoverageGrid:
     def test_one_los_evaluation_per_radial_panel(self, params, serving, policy,
                                                  evaluations, antenna,
                                                  monkeypatch):
-        # under the nearest policy both interferer types start at r0, so
-        # they share one panel and one LoS evaluation; under strongest RSS
-        # the other type starts at its exclusion radius
+        # one call covers both serving types. Under the nearest policy both
+        # interferer types start at r0, so they share one panel and one LoS
+        # evaluation; under strongest RSS the other type starts at its
+        # exclusion radius
         calls = []
 
         def counted(*args):
@@ -430,7 +482,8 @@ class TestStackedCoverageGrid:
         p = params.with_(policy=policy, antenna=antenna)
         z = np.repeat([95.0, 145.0], 4)
         r0 = receiving_radius(z, p.h_b, antenna) * np.tile([0.05, 0.2, 0.5, 0.9], 2)
-        analytic._coverage_grid(serving, r0, z, p)
+        got = analytic._coverage_grid(reference_nodes(serving, r0, z, p, 1.0), z, p)
+        assert all(np.all(got[link] > 0.0) for link in LinkType)
         assert len(calls) == evaluations
 
     def test_drift_counts_match(self, params, monkeypatch):
@@ -442,15 +495,73 @@ class TestStackedCoverageGrid:
                          lambda_b=10e-6, antenna=OMNI)
         stacked, drift, per_z, per_z_drift = self._stacked_and_per_altitude(
             LinkType.LOS, p)
-        assert np.array_equal(stacked, per_z)
+        for link in LinkType:
+            assert np.array_equal(stacked[link], per_z[link]), link
         assert drift == per_z_drift == 0
         series = analytic._coverage_series
         monkeypatch.setattr(analytic, "_coverage_series",
                             lambda g0, t: [2.0 * b for b in series(g0, t)])
         stacked, drift, per_z, per_z_drift = self._stacked_and_per_altitude(
             LinkType.LOS, params)
-        assert np.array_equal(stacked, per_z)
+        for link in LinkType:
+            assert np.array_equal(stacked[link], per_z[link]), link
         assert drift == per_z_drift > 0
+
+
+class TestCoverageKernelEquivalence:
+    """_coverage_grid on the serving-process nodes of the 28 benchmark
+    points against reference_coverage, one serving type at a time: both
+    types share the panels, and only rows of weight > 0 are evaluated."""
+
+    @staticmethod
+    def evaluated_rows(p):
+        """(nodes, the kernel's coverage, rows reaching _exponent_terms) of
+        one cold point."""
+        ctx = height_context(p, gauss_nodes(p.h_lb, p.h_ub, N_Z)[0])
+        nodes, _ = serving_nodes(ctx, analytic._ranking_laws(p), p.lambda_b, N_R0)
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analytic, "_exponent_terms",
+                          _recorded(analytic._exponent_terms, calls))
+            got = analytic._coverage_grid(nodes, ctx.z, p)
+        return nodes, ctx.z, got, sum(len(args[0]) for args in calls)
+
+    def test_matches_per_serving_type_reference(self):
+        # the largest relative gap is about 1e-14: the other type's panel
+        # starts at its own node distance instead of the exclusion radius
+        # computed from the server's
+        dead = 0
+        for lam, policy, antenna in itertools.product(
+                (10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0),
+                ("strongest_rss", "nearest"), ("directional", "omni")):
+            p = params_from_boundary({**BOUNDARY_DEFAULTS, "lambda_b": lam,
+                                      "policy": policy, "antenna": antenna})
+            nodes, z, got, evaluated = self.evaluated_rows(p)
+            live_rows = 0
+            for link, (r0, weight) in nodes.items():
+                live = weight > 0.0
+                z_rows = np.broadcast_to(z, r0.shape)[live]
+                want = reference_coverage(link, r0[live], z_rows, p)
+                gap = np.abs(got[link][live] - want)
+                assert np.all(gap <= 1e-12 * want), (lam, policy, antenna, link)
+                assert np.all(got[link][~live] == 0.0)
+                live_rows += np.count_nonzero(live)
+                dead += np.count_nonzero(~live)
+            assert evaluated == live_rows, (lam, policy, antenna)
+        # the cold pass's rows of weight 0 (5,263 of 21,504), all under
+        # strongest RSS
+        assert dead > 0
+
+    @pytest.mark.parametrize("policy", list(AssociationPolicy),
+                             ids=lambda p: p.value)
+    def test_los_certain_sigmoid_evaluates_no_nlos_row(self, params, policy):
+        # b = 3 per degree: every NLoS weight is 0, so only the LoS rows
+        # reach the Nakagami terms
+        p = params.with_(env=replace(params.env, b=3.0), policy=policy)
+        nodes, _, got, evaluated = self.evaluated_rows(p)
+        assert not np.any(nodes[LinkType.NLOS][1])
+        assert not np.any(got[LinkType.NLOS])
+        assert evaluated == np.count_nonzero(nodes[LinkType.LOS][1] > 0.0) > 0
 
 
 class TestCoverageProbability:
@@ -656,6 +767,24 @@ class TestHandoverKernelGrid:
             analytic._cond_handover_grid, n_theta=48, n_v=64))
         refined = _policy_metrics.__wrapped__(key, N_Z, N_R0).handover
         assert abs(default - refined) <= 2e-6
+
+    @pytest.mark.parametrize("antenna", [DIRECTIONAL, OMNI],
+                             ids=["directional", "omni"])
+    @pytest.mark.parametrize("policy", list(AssociationPolicy),
+                             ids=lambda p: p.value)
+    def test_wide_band_matches_refined(self, params, monkeypatch, policy,
+                                       antenna):
+        # band 40-300 m, a point of CI's height-band sweep, against 48
+        # directions and 256 speed nodes: the 12-node speed rule's error
+        # reads 3.8e-6 to 6.1e-6 here, against at most 4.7e-7 at the
+        # baseline band 90-150 m
+        key = params.with_(h_lb=40.0, h_ub=300.0, policy=policy,
+                           antenna=antenna, kappa=0.0)
+        default = _policy_metrics.__wrapped__(key, N_Z, N_R0).handover
+        monkeypatch.setattr(analytic, "_cond_handover_grid", functools.partial(
+            analytic._cond_handover_grid, n_theta=48, n_v=256))
+        refined = _policy_metrics.__wrapped__(key, N_Z, N_R0).handover
+        assert abs(default - refined) <= 1e-5
 
 
 def general_lens_handover_grid(serving, targets, r0, z_t, params):
