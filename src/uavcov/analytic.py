@@ -33,9 +33,11 @@ Layout of the computation:
   interference Laplace transform, taken as exp(g0) sum_{l<m} b_l from the
   exponent g0 and the nonnegative coefficients t_k (negative-binomial
   integrals), every term a probability (``_coverage_series``; the Monte
-  Carlo near field sums the same terms). The integrals run on two-panel
-  (linear + geometric) Gauss grids so both the near-serving peak and the
-  slowly decaying far tail are resolved. One call covers both serving
+  Carlo near field sums the same terms). The integrals run on N_X Gauss
+  nodes per row in asinh(x / h_bar), where both the near field and the
+  slowly decaying far tail are smooth, on panels split where P_LoS crosses
+  0.9, 0.5 and 0.1 so that a sharp elevation sigmoid is resolved wherever
+  it falls (``_radial_panel``). One call covers both serving
   types on the altitude x node grid, each row carrying its own altitude;
   each type's interferers start at its own node distance whichever type
   serves, so only the Nakagami terms run per serving type, on its rows of
@@ -64,7 +66,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .association import height_context, serving_nodes
+from .association import _panel_nodes, height_context, serving_nodes
 from .errors import ParameterError
 from .geometry import (
     displaced_distance,
@@ -80,6 +82,7 @@ from .model import (
     SystemParams,
     horizontal_speed_nodes,
     los_probability,
+    los_radius,
     path_loss,
 )
 from .quadrature import gauss_nodes
@@ -97,7 +100,12 @@ N_Z = 12        # post-move altitude
 N_R0 = 32       # serving distance (the serving process's CDF), per altitude
 N_THETA = 24    # movement direction
 N_V = 12        # horizontal speed (square root of its CDF)
-N_X = 40        # interference distance, per panel
+N_X = 32        # interference distance, per row (asinh panels)
+# the LoS probabilities whose radii split the interference rule's panels;
+# adding the serving process's 0.999 and 0.001 (association._LEVELS) took
+# nodes from the sigmoid: b = 3 omni rows then missed 4 N_X by 1.1e-5,
+# against 1.4e-6 without
+_X_LEVELS = np.array([0.9, 0.5, 0.1])
 
 _drift_events = 0
 
@@ -206,23 +214,26 @@ def _stay_grid(serving: LinkType, r0, z_t, params: SystemParams) -> np.ndarray:
 # interference Laplace transform and conditional coverage
 # ---------------------------------------------------------------------------
 
-def _radial_panel(lo, hi, h_bar, n_x=N_X):
-    """(x nodes, dx weights) of shape (rows, 2*n_x) on [lo, hi] per row: a
-    linear panel from lo to a mid-point around twice the effective height
-    h_bar, then a geometric panel to hi."""
-    t01, w01 = gauss_nodes(0.0, 1.0, n_x)
-    lo = np.minimum(lo, hi)
-    mid = np.clip(np.maximum(2.0 * h_bar, 2.0 * lo), lo, hi)
-    # linear panel [lo, mid]
-    span = mid - lo
-    x_lin = lo[:, None] + span[:, None] * t01[None, :]
-    w_lin = span[:, None] * w01[None, :]
-    # geometric panel (mid, hi]
-    ratio = np.log(np.maximum(hi / np.maximum(mid, 1e-300), 1.0))
-    x_geo = np.maximum(mid, 1e-300)[:, None] * np.exp(ratio[:, None] * t01[None, :])
-    w_geo = x_geo * ratio[:, None] * w01[None, :]
-    return (np.concatenate([x_lin, x_geo], axis=1),
-            np.concatenate([w_lin, w_geo], axis=1))
+def _radial_panel(lo, hi, z, params: SystemParams, n_x=N_X):
+    """(x nodes, dx weights) of shape (rows, n_x) on [lo, hi] per row, z
+    being the row's altitude (or every row's): Gauss nodes in y = asinh(x /
+    h_bar), h_bar = z - h_b, on panels split where P_LoS crosses _X_LEVELS
+    (``association._panel_nodes``); a row with lo >= hi gets weights 0.
+
+    In y the area element x dx = h_bar^2 sinh(y) cosh(y) dy and the path
+    loss (x^2 + h_bar^2)^(-alpha/2) = (h_bar cosh y)^-alpha are smooth and
+    the far tail decays exponentially. The elevation angle is a function
+    of y alone, falling at the rate sech(y), so the LoS sigmoid and the
+    levels that split it sit at the same y at every altitude."""
+    h_bar = np.broadcast_to(np.asarray(z, dtype=float) - params.h_b, np.shape(lo))
+    y_lo = np.arcsinh(lo / h_bar)[:, None]
+    span = np.maximum(np.arcsinh(hi / h_bar)[:, None] - y_lo, 0.0)
+    levels = np.arcsinh(los_radius(_X_LEVELS, params.h_b + 1.0, params.env, params.h_b))
+    t, w = _panel_nodes(np.hstack([np.zeros_like(span), span,
+                                   np.clip(levels - y_lo, 0.0, span)]), n_x)
+    t += y_lo
+    h_bar = h_bar[:, None]
+    return h_bar * np.sinh(t), h_bar * np.cosh(t) * w
 
 
 def _interference_nodes(starts: dict, z, params: SystemParams, n_x=N_X):
@@ -234,11 +245,10 @@ def _interference_nodes(starts: dict, z, params: SystemParams, n_x=N_X):
     serves, to the receiving radius at each row's altitude z. Types at one
     distance share one panel, and ``_panel_terms`` one LoS evaluation.
     """
-    h_bar = np.asarray(z, dtype=float) - params.h_b
     hi = receiving_radius(z, params.h_b, params.antenna)
     x_l, x_n = (starts[xi] for xi in LinkType)
-    los = _radial_panel(x_l, hi, h_bar, n_x)
-    nlos = los if np.array_equal(x_l, x_n) else _radial_panel(x_n, hi, h_bar, n_x)
+    los = _radial_panel(x_l, hi, z, params, n_x)
+    nlos = los if np.array_equal(x_l, x_n) else _radial_panel(x_n, hi, z, params, n_x)
     return {LinkType.LOS: los, LinkType.NLOS: nlos}
 
 

@@ -118,6 +118,8 @@ MAX_MEAN_STATIONS = 1e6
 BLOCK_STATIONS = 1 << 15
 # mean stations in the first disc an episode draws
 ORIGIN_CANDIDATES = 64
+# Gauss nodes in the angle of the exterior's annulus (_exterior_nodes)
+N_PHI = 40
 # relative margin by which a candidate winner must beat any station outside
 # the disc; rounding moves a distance or a gain by some 1e-15
 DISC_MARGIN = 1e-9
@@ -565,18 +567,19 @@ def _exterior_nodes(radius: np.ndarray, v_h: np.ndarray, z: np.ndarray,
     stopping set), so each node weighs its circle's share outside the disc,
     1 - arccos((rho^2 + v_h^2 - radius^2) / (2 rho v_h)) / pi. The share
     rises from 0 at radius - v_h and reaches 1 at radius + v_h, at each end
-    as a square root; rho = lo + (hi - lo)(1 - cos phi) / 2 on Gauss nodes
-    in phi takes both roots out. Beyond, up to the receiving radius,
-    analytic's radial panel. Needs radius > v_h."""
+    as a square root; rho = lo + (hi - lo)(1 - cos phi) / 2 on N_PHI Gauss
+    nodes in phi takes both roots out. Beyond, up to the receiving radius,
+    analytic's radial rule of n_x nodes (``_radial_panel``). Needs radius >
+    v_h."""
     lo = radius - v_h
     hi = np.minimum(radius + v_h, r_m)
-    phi, w_phi = gauss_nodes(0.0, np.pi, n_x)
+    phi, w_phi = gauss_nodes(0.0, np.pi, N_PHI)
     half = 0.5 * (hi - lo)[:, None]
     rho = lo[:, None] + half * (1.0 - np.cos(phi))
     cos_gap = ((rho * rho + (v_h * v_h - radius * radius)[:, None])
                / np.maximum(2.0 * rho * v_h[:, None], 1e-300))
     share = 1.0 - np.arccos(np.clip(cos_gap, -1.0, 1.0)) / np.pi
-    x_tail, w_tail = _radial_panel(hi, r_m, z - params.h_b, n_x)
+    x_tail, w_tail = _radial_panel(hi, r_m, z, params, n_x)
     return (np.concatenate([rho, x_tail], axis=1),
             np.concatenate([half * np.sin(phi) * w_phi * share, w_tail], axis=1))
 

@@ -6,16 +6,20 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-# imported here, not on the first rule's call: numpy.polynomial loads lazily
-from numpy.polynomial.legendre import leggauss
 
 __all__ = ["gauss_legendre", "gauss_nodes"]
 
 
 @lru_cache(maxsize=64)
 def gauss_legendre(n: int):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
-    nodes, weights = leggauss(n)
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]: the
+    eigenvalues of the symmetric Jacobi matrix of the Legendre recurrence,
+    off-diagonal beta_k = k / sqrt(4 k^2 - 1), and twice the squared first
+    components of its unit eigenvectors (Golub and Welsch, Math. Comp.
+    1969)."""
+    k = np.arange(1.0, n)
+    nodes, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    weights = 2.0 * vectors[0] ** 2
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights

@@ -40,6 +40,7 @@ from uavcov.model import (
     default_params,
     horizontal_speed_nodes,
     los_probability,
+    los_radius,
     params_from_boundary,
     path_loss,
 )
@@ -47,7 +48,7 @@ from uavcov.montecarlo import summary_estimates
 from uavcov.quadrature import gauss_nodes
 
 from oracles import conditioned_oracles, laplace_estimate, per_altitude_metrics
-from quadpack import association_probability
+from quadpack import QuadratureSpec, association_probability, integrate
 
 SYM_CHANNEL = ChannelParams(alpha_l=3.0, alpha_n=3.0, eta_l=1e-4, eta_n=1e-4,
                             m_l=2, m_n=2)
@@ -564,6 +565,120 @@ class TestCoverageKernelEquivalence:
         assert evaluated == np.count_nonzero(nodes[LinkType.LOS][1] > 0.0) > 0
 
 
+
+# the inside-box point of TestAcceptedBox: a 31-32 m band puts the UAV 1 to
+# 2 m above the GBSs, so the elevation sigmoid spans a few metres
+INSIDE_BOX = {"lambda_b": math.exp(6.0), "a": math.exp(1.5), "b": math.e,
+              "mu": 1.0, "r_max": math.exp(6.0), "h_lb": 31.0, "h_ub": 32.0,
+              "v": 116.0, "antenna": "omni"}
+
+
+class TestInterferenceRule:
+    """The interference rule of _coverage_grid, N_X Gauss nodes per row in
+    asinh(x / h_bar) split where P_LoS crosses analytic._X_LEVELS, where
+    the elevation sigmoid is sharp: b = 3 per degree, omni at 10 and
+    100/km^2 and directional with a = 60, where it sits inside the near
+    field, and the inside-box point. Two 40-node panels, linear to 2 h_bar
+    and geometric beyond, missed 4 N_X nodes by 1.9e-4 to 6.6e-3 on the
+    rows and by up to 6.5e-5 on the marginals here."""
+
+    POINTS = {
+        "b3-omni-10": {"b": 3.0, "antenna": "omni", "lambda_b": 10.0},
+        "b3-omni-100": {"b": 3.0, "antenna": "omni", "lambda_b": 100.0},
+        "a60-b3-directional": {"a": 60.0, "b": 3.0},
+        "inside-box": INSIDE_BOX,
+    }
+
+    @classmethod
+    def point(cls, name, policy):
+        return params_from_boundary({**BOUNDARY_DEFAULTS, **cls.POINTS[name],
+                                     "policy": policy, "kappa": 0.0})
+
+    @staticmethod
+    def evaluate(p):
+        """(serving-process nodes and row altitudes, conditional coverage,
+        the marginal coverage sums with and without handover per type)."""
+        ctx = height_context(p, gauss_nodes(p.h_lb, p.h_ub, N_Z)[0])
+        nodes, _ = serving_nodes(ctx, analytic._ranking_laws(p), p.lambda_b, N_R0)
+        metrics = _policy_metrics.__wrapped__(p, N_Z, N_R0)
+        return ((nodes, ctx.z), analytic._coverage_grid(nodes, ctx.z, p),
+                [*metrics.cov_nohandover.values(), *metrics.cov_stay.values()])
+
+    @pytest.mark.parametrize("policy", ["strongest_rss", "nearest"])
+    @pytest.mark.parametrize("name", list(POINTS))
+    def test_matches_four_times_the_nodes(self, name, policy, monkeypatch):
+        p = self.point(name, policy)
+        (nodes, _), rows, marginals = self.evaluate(p)
+        monkeypatch.setattr(analytic, "_interference_nodes", functools.partial(
+            analytic._interference_nodes, n_x=4 * analytic.N_X))
+        _, fine_rows, fine_marginals = self.evaluate(p)
+        for link, (_, weight) in nodes.items():
+            live = weight > 0.0
+            gap = np.abs(rows[link] - fine_rows[link])[live]
+            assert np.all(gap <= 1e-5), (link, gap.max())
+        assert np.max(np.abs(np.subtract(marginals, fine_marginals))) <= 1e-6
+
+    def test_empty_rows_weigh_nothing(self, params):
+        # rows that start at or beyond the receiving radius (lo >= hi) get
+        # weights 0, without a 0/0 on the way
+        z = np.full(3, 120.0)
+        hi = receiving_radius(z, params.h_b, params.antenna)
+        with np.errstate(all="raise"):
+            x, w = analytic._radial_panel(np.array([0.5, 1.0, 2.0]) * hi, hi, z,
+                                          params)
+        assert x.shape == w.shape == (3, analytic.N_X)
+        assert np.all(np.isfinite(x)) and np.all(w[1:] == 0.0)
+        assert np.sum(w[0]) == pytest.approx(0.5 * hi[0], rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["a60-b3-directional", "inside-box"])
+    def test_exponent_matches_quadpack(self, name):
+        # g0 and t_1 of a LoS server's first, middle and last rows of weight
+        # > 0 at the lowest and the highest altitude, against adaptive
+        # quadrature in x on [start, r_m] of -P_xi (1 - (1 + u)^-m) x and
+        # P_xi m u (1 + u)^-(m+1) x, summed over xi and times 2 pi lam,
+        # split at the radii of the levels. The largest gaps, at a = 60,
+        # are 2.6e-6 in g0 and 5.4e-6 relative in t_1
+        p = self.point(name, "strongest_rss")
+        (nodes, z), _, _ = self.evaluate(p)
+        weight = nodes[LinkType.LOS][1]
+        rows, cols = [], []
+        for j in (0, N_Z - 1):
+            live = np.flatnonzero(weight[j] > 0.0)
+            rows += [j] * 3
+            cols += list(live[[0, len(live) // 2, -1]])
+        z_rows = np.ravel(z)[rows]
+        starts = {link: nodes[link][0][rows, cols] for link in LinkType}
+        m = p.channel.m_l
+        s = m * p.t_thresh / path_loss(LinkType.LOS, starts[LinkType.LOS], z_rows,
+                                       p.channel, p.h_b)
+        g0, (t1, *_) = analytic._exponent_terms(s, analytic._panel_terms(
+            analytic._interference_nodes(starts, z_rows, p), z_rows, p), p, m - 1)
+        spec = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-300, max_depth=14)
+        for k, z_k in enumerate(z_rows):
+            r_m = float(receiving_radius(z_k, p.h_b, p.antenna))
+            want = np.zeros(2)
+            for xi in LinkType:
+                m_xi = p.channel.m(xi)
+
+                def integrands(x, xi=xi, m_xi=m_xi):
+                    p_los = float(los_probability(x, z_k, p.env, p.h_b))
+                    u = s[k] * float(path_loss(xi, x, z_k, p.channel, p.h_b)) / m_xi
+                    share = p_los if xi is LinkType.LOS else 1.0 - p_los
+                    return share * x * np.array([-(1.0 - (1.0 + u) ** -m_xi),
+                                                 m_xi * u * (1.0 + u) ** -(m_xi + 1)])
+
+                edges = np.unique(np.clip(np.append(los_radius(
+                    analytic._X_LEVELS, z_k, p.env, p.h_b), (0.0, r_m)), starts[xi][k], r_m))
+                for lo, hi in zip(edges[:-1], edges[1:]):
+                    want += [integrate(lambda x, j=j: integrands(x)[j], lo, hi, spec)
+                             for j in (0, 1)]
+            want *= 2.0 * np.pi * p.lambda_b
+            # g0 is the log of the Laplace transform: an absolute gap in it
+            # is a relative gap in the coverage terms
+            assert abs(g0[k] - want[0]) <= 1e-5, (k, g0[k], want[0])
+            assert t1[k] == pytest.approx(want[1], rel=1e-5, abs=0.0), (k, t1[k], want[1])
+
+
 class TestCoverageProbability:
     def test_kappa_zero_is_handover_free_term(self, params):
         free = coverage_probability(params.with_(kappa=0.0))
@@ -734,9 +849,7 @@ class TestAcceptedBox:
          "h_ub": 246.04, "v": 111.9, "antenna": "omni", "r_max": 1490.0,
          "mu": 16.4, "lambda_b": 4868.0},
         # a point of the box above, which its draws rarely reach
-        {"lambda_b": math.exp(6.0), "a": math.exp(1.5), "b": math.e,
-         "mu": 1.0, "r_max": math.exp(6.0), "h_lb": 31.0, "h_ub": 32.0,
-         "v": 116.0, "antenna": "omni"},
+        INSIDE_BOX,
         {"lambda_b": 3176.0, "a": 1.30, "b": 0.036, "mu": 190.0,
          "antenna": "omni", "r_max": 2589.0, "h_lb": 36.42, "h_ub": 37.13,
          "v": 131.0},

@@ -812,9 +812,9 @@ class TestNearField:
         x, w = montecarlo._exterior_nodes(r0, np.zeros(15), z, r_m, p)
         panels = analytic._interference_nodes(dict.fromkeys(LinkType, r0), z, p)
         for x_an, w_an in panels.values():
-            assert np.array_equal(x[:, analytic.N_X:], x_an)
-            assert np.array_equal(w[:, analytic.N_X:], w_an)
-        assert np.all(w[:, :analytic.N_X] == 0.0)
+            assert np.array_equal(x[:, montecarlo.N_PHI:], x_an)
+            assert np.array_equal(w[:, montecarlo.N_PHI:], w_an)
+        assert np.all(w[:, :montecarlo.N_PHI] == 0.0)
         s = p.channel.m(serving) * p.t_thresh / path_loss(serving, r0, z,
                                                           p.channel, p.h_b)
         got = analytic._exponent_terms(s, analytic._panel_terms(

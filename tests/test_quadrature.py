@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from uavcov.quadrature import gauss_nodes
+from numpy.polynomial.legendre import leggauss
+
+from uavcov.quadrature import gauss_legendre, gauss_nodes
 
 from quadpack import QuadratureError, QuadratureSpec, integrate
 
@@ -54,3 +56,13 @@ def test_spec_validation():
 def test_gauss_nodes_integrate_cubic():
     x, w = gauss_nodes(0.0, 2.0, 8)
     assert float(np.sum(w * x**3)) == pytest.approx(4.0, rel=1e-12)
+
+
+def test_golub_welsch_matches_leggauss():
+    # the eigenvalues and first eigenvector components of the Jacobi matrix
+    # against numpy's Newton-polished roots of P_n
+    for n in range(1, 65):
+        x, w = gauss_legendre(n)
+        want_x, want_w = leggauss(n)
+        assert np.max(np.abs(x - want_x)) <= 1e-14, n
+        assert np.max(np.abs(w - want_w)) <= 1e-14, n
