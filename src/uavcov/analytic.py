@@ -66,7 +66,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .association import _panel_nodes, height_context, serving_nodes
+from .association import height_context, serving_nodes
 from .errors import ParameterError
 from .geometry import (
     displaced_distance,
@@ -85,7 +85,7 @@ from .model import (
     los_radius,
     path_loss,
 )
-from .quadrature import gauss_nodes
+from .quadrature import gauss_nodes, panel_nodes
 
 __all__ = [
     "CoverageBreakdown",
@@ -100,11 +100,11 @@ N_Z = 12        # post-move altitude
 N_R0 = 32       # serving distance (the serving process's CDF), per altitude
 N_THETA = 24    # movement direction
 N_V = 12        # horizontal speed (square root of its CDF)
-N_X = 32        # interference distance, per row (asinh panels)
+N_X = 44        # interference distance, per row (asinh panels)
 # the LoS probabilities whose radii split the interference rule's panels;
 # adding the serving process's 0.999 and 0.001 (association._LEVELS) took
-# nodes from the sigmoid: b = 3 omni rows then missed 4 N_X by 1.1e-5,
-# against 1.4e-6 without
+# nodes from the sigmoid: b = 3 omni rows then missed 4 N_X by 2.6e-7,
+# against 6.8e-9 without
 _X_LEVELS = np.array([0.9, 0.5, 0.1])
 
 _drift_events = 0
@@ -218,7 +218,7 @@ def _radial_panel(lo, hi, z, params: SystemParams, n_x=N_X):
     """(x nodes, dx weights) of shape (rows, n_x) on [lo, hi] per row, z
     being the row's altitude (or every row's): Gauss nodes in y = asinh(x /
     h_bar), h_bar = z - h_b, on panels split where P_LoS crosses _X_LEVELS
-    (``association._panel_nodes``); a row with lo >= hi gets weights 0.
+    (``quadrature.panel_nodes``); a row with lo >= hi gets weights 0.
 
     In y the area element x dx = h_bar^2 sinh(y) cosh(y) dy and the path
     loss (x^2 + h_bar^2)^(-alpha/2) = (h_bar cosh y)^-alpha are smooth and
@@ -229,8 +229,8 @@ def _radial_panel(lo, hi, z, params: SystemParams, n_x=N_X):
     y_lo = np.arcsinh(lo / h_bar)[:, None]
     span = np.maximum(np.arcsinh(hi / h_bar)[:, None] - y_lo, 0.0)
     levels = np.arcsinh(los_radius(_X_LEVELS, params.h_b + 1.0, params.env, params.h_b))
-    t, w = _panel_nodes(np.hstack([np.zeros_like(span), span,
-                                   np.clip(levels - y_lo, 0.0, span)]), n_x)
+    t, w = panel_nodes(np.hstack([np.zeros_like(span), span,
+                                  np.clip(levels - y_lo, 0.0, span)]), n_x)
     t += y_lo
     h_bar = h_bar[:, None]
     return h_bar * np.sinh(t), h_bar * np.cosh(t) * w

@@ -33,7 +33,7 @@ from .model import (
     los_probability_slope,
     los_radius,
 )
-from .quadrature import gauss_legendre
+from .quadrature import panel_nodes
 
 __all__ = ["HeightContext", "height_context", "serving_nodes"]
 
@@ -151,9 +151,10 @@ class HeightContext:
 
     def log_losses(self, laws, x):
         """Log-losses of stations at distances x, a row per altitude, under
-        each distinct law of laws: a list of arrays like x."""
-        return [_log_loss(law, start, x, self.h_bar) for law, start
-                in dict((law, start) for law, start, _ in self.supports(laws)).items()]
+        each distinct law of laws, side by side."""
+        return np.concatenate([_log_loss(law, start, x, self.h_bar) for law, start
+                               in dict((law, start) for law, start, _ in
+                                       self.supports(laws)).items()], axis=-1)
 
     def rank_rates(self, laws, tau):
         """Per type, LoS first: the distance x_t(tau) at which its stations
@@ -199,20 +200,13 @@ class HeightContext:
                        in_slope.take(i + 1)).reshape(np.shape(v))
         return float(out) if out.ndim == 0 else out
 
-    def _knot_block(self, laws, tau):
-        """(tau, Lam(tau), Lam' above tau, Lam' below tau) at the log-losses
-        tau of the knots under one law."""
-        up = down = 0.0
+    def _inverse_knots(self, laws):
+        tau = self.log_losses(laws, self._xs)
+        cum = self.ranked_cum(laws, tau)
+        up = down = 0.0                 # Lam' above and below each knot
         for _, rate, lo, hi in self.rank_rates(laws, tau):
             up = up + np.where((tau >= lo) & (tau < hi), rate, 0.0)
             down = down + np.where((tau > lo) & (tau <= hi), rate, 0.0)
-        return tau, self.ranked_cum(laws, tau), up, down
-
-    def _inverse_knots(self, laws):
-        # one law at a time, side by side: every step before the sort is
-        # elementwise, and one law's temporaries are half the size
-        tau, cum, up, down = map(np.hstack, zip(*(
-            self._knot_block(laws, tau) for tau in self.log_losses(laws, self._xs))))
         order = np.argsort(tau, axis=1, kind="stable")
         tau, up, down = (np.take_along_axis(a, order, axis=1) for a in (tau, up, down))
         s = np.sqrt(np.maximum.accumulate(np.take_along_axis(cum, order, axis=1),
@@ -244,50 +238,6 @@ def height_context(params: SystemParams, z) -> HeightContext:
     return _height_context_cached(key, params.h_b, params.env, params.antenna)
 
 
-@lru_cache(maxsize=8)
-def _rule_table(n: int):
-    """The Gauss rules of 0 to n nodes on [-1, 1]: nodes and weights of
-    rule k in row k of two flat (n + 1) x n tables, zero-padded."""
-    rules = np.zeros((2, n + 1, n))
-    for k in range(1, n + 1):
-        rules[:, k, :k] = gauss_legendre(k)
-    return rules[0].ravel(), rules[1].ravel()
-
-
-def _panel_nodes(breaks, n: int):
-    """n Gauss nodes and weights per row on [0, the row's largest break],
-    in panels split at its breaks: each panel takes one node and a share of
-    the rest in proportion to the square root of its width (largest
-    remainder); a panel narrower than 1e-12 of the row's range merges into
-    the next. A row whose breaks are all 0 gets weights 0."""
-    edges = np.sort(breaks, axis=1)
-    top = edges[:, -1:]
-    gap = 1e-12 * top
-    keep = top - edges > gap
-    keep[:, 1:] &= np.diff(edges, axis=1) > gap
-    keep[:, -1] = True
-    # an edge not kept moves to the next kept one, leaving a panel of width 0
-    edges = np.minimum.accumulate(np.where(keep, edges, np.inf)[:, ::-1], axis=1)[:, ::-1]
-    width = np.diff(edges, axis=1)
-    root = np.sqrt(width)
-    root[:, -1] += ~root.any(axis=1)    # a row of width 0: its last panel
-    live = root > 0.0
-    share = (n - live.sum(axis=1, keepdims=True)) * root / root.sum(axis=1, keepdims=True)
-    whole = np.floor(share)
-    counts = np.where(live, 1 + whole, 0).astype(int)
-    rank = np.argsort(np.argsort(np.where(live, whole - share, 1.0), axis=1, kind="stable"),
-                      axis=1)
-    counts += rank < n - counts.sum(axis=1, keepdims=True)
-    # each node's panel, flat over the rows, and its place in that panel's rule
-    counts = counts.ravel()
-    panel = np.repeat(np.arange(counts.size), counts)
-    rule = np.arange(panel.size) + (n * counts - np.cumsum(counts) + counts).take(panel)
-    x, w = _rule_table(n)
-    half = 0.5 * width.ravel().take(panel)
-    return ((edges[:, :-1].ravel().take(panel) + half * (x.take(rule) + 1.0)).reshape(-1, n),
-            (half * w.take(rule)).reshape(-1, n))
-
-
 def serving_nodes(ctx: HeightContext, laws, lam: float, n: int):
     """Serving-distance nodes of both types at each altitude of ctx: {link:
     (r0, weight)} with a row of n per altitude, and the void probability
@@ -301,7 +251,7 @@ def serving_nodes(ctx: HeightContext, laws, lam: float, n: int):
     values above 1 - void, where Lam stops at the last received station,
     leave the UAV unserved. The nodes are Gauss nodes in u on panels split
     where a type's support starts or ends and at the log-losses, under
-    either law, of the radii where P_LoS crosses _LEVELS (``_panel_nodes``).
+    either law, of the radii where P_LoS crosses _LEVELS (``panel_nodes``).
     At a node each type sits at its own distance x_t(tau), weighted by its
     share dLam_t/dLam of the density, so both weights add to the node's,
     and the association to 1 - void, up to roundoff; a node where no type
@@ -311,8 +261,8 @@ def serving_nodes(ctx: HeightContext, laws, lam: float, n: int):
     r_m = np.reshape(ctx.r_m, (-1, 1))
     radii = np.concatenate([np.zeros_like(r_m), r_m, np.minimum(los_radius(
         _LEVELS, np.reshape(ctx.z, (-1, 1)), ctx.env, ctx.h_b), r_m)], axis=1)
-    cum = ctx.ranked_cum(laws, np.hstack(ctx.log_losses(laws, radii)))
-    u, w_u = _panel_nodes(-np.expm1(-scale * cum), n)
+    cum = ctx.ranked_cum(laws, ctx.log_losses(laws, radii))
+    u, w_u = panel_nodes(-np.expm1(-scale * cum), n)
     tau = ctx.inverse_cum(laws, -np.log1p(-u) / scale)
     (x_l, rate_l), (x_n, rate_n) = (
         (x, np.where((tau > lo) & (tau < hi), rate, 0.0))

@@ -810,7 +810,8 @@ class TestNearField:
         r_m = receiving_radius(z, p.h_b, antenna)
         r0 = r_m * np.tile([0.01, 0.1, 0.3, 0.6, 0.9], 3)
         x, w = montecarlo._exterior_nodes(r0, np.zeros(15), z, r_m, p)
-        panels = analytic._interference_nodes(dict.fromkeys(LinkType, r0), z, p)
+        panels = analytic._interference_nodes(dict.fromkeys(LinkType, r0), z, p,
+                                              montecarlo.N_TAIL)
         for x_an, w_an in panels.values():
             assert np.array_equal(x[:, montecarlo.N_PHI:], x_an)
             assert np.array_equal(w[:, montecarlo.N_PHI:], w_an)
@@ -847,10 +848,11 @@ class TestNearField:
         {"lambda_b": 1e-5, "antenna": OMNI,
          "channel": replace(default_params().channel, m_l=8), "t_thresh": 100.0},
     ], ids=("omni-10", "dense-omni", "directional-170", "omni-m8-20dB"))
-    def test_exterior_nodes_converged(self, params, overrides):
-        # doubling the nodes moves the conditional coverage by at most 1e-7
-        # on random rows: discs of the first radius times 1, 2 or 4, cut
-        # below r_m + v_h, serving LoS stations inside radius - v_h
+    def test_exterior_nodes_converged(self, params, overrides, monkeypatch):
+        # doubling the nodes, of the annulus's angle rule and of the tail,
+        # moves the conditional coverage by at most 1e-7 on random rows:
+        # discs of the first radius times 1, 2 or 4, cut below r_m + v_h,
+        # serving LoS stations inside radius - v_h
         p = params.with_(**overrides)
         rng = np.random.default_rng(8)
         z = rng.uniform(p.h_lb, p.h_ub, 200)
@@ -862,8 +864,11 @@ class TestNearField:
         s = p.channel.m_l * p.t_thresh / path_loss(LinkType.LOS, d, z,
                                                    p.channel, p.h_b)
         coverage = []
-        for n_x in (analytic.N_X, 2 * analytic.N_X):
-            nodes = montecarlo._exterior_nodes(radius, v_h, z, r_m, p, n_x)
+        n_phi = montecarlo.N_PHI
+        for factor in (1, 2):
+            monkeypatch.setattr(montecarlo, "N_PHI", factor * n_phi)
+            nodes = montecarlo._exterior_nodes(radius, v_h, z, r_m, p,
+                                               factor * montecarlo.N_TAIL)
             terms = analytic._panel_terms(dict.fromkeys(LinkType, nodes), z, p)
             coverage.append(sum(analytic._coverage_series(*analytic._exponent_terms(
                 s, terms, p, p.channel.m_l - 1))))
