@@ -1,13 +1,15 @@
 """Numerical evaluation of the closed-form handover and coverage expressions.
 
-``coverage_probability(params)`` is the one entry point for the marginal
-quantities: coverage, handover, association and void. The association rule
-is ``params.policy``: strongest-average-RSS, or nearest GBS (type-blind
-handover, interference from beyond the serving distance). The conditional
-quantities are private kernels: ``_stay_grid`` (no handover, composed from
-the per-target ``_cond_handover_grid``), which reads the rule too, and
-``_coverage_grid`` (coverage of both serving types, from ``_panel_terms``,
-``_exponent_terms`` and ``_coverage_series``).
+``coverage_probabilities(points)`` is the one entry point for the marginal
+quantities: coverage, handover, association and void, at parameter sets
+that differ in density alone, evaluated together;
+``coverage_probability(params)`` is its one-point case. The association
+rule is ``params.policy``: strongest-average-RSS, or nearest GBS
+(type-blind handover, interference from beyond the serving distance). The
+conditional quantities are private kernels: ``_stay_grid`` (no handover,
+composed from the per-target ``_cond_handover_grid``), which reads the
+rule too, and ``_coverage_grid`` (coverage of both serving types, from
+``_panel_terms``, ``_exponent_terms`` and ``_coverage_series``).
 
 Layout of the computation:
 
@@ -50,7 +52,14 @@ Layout of the computation:
   receiving radius). The policy enters only as the law by which it ranks
   each type (``_ranking_laws``), and at every node the weights of both
   types add to the node's, so association + void = 1 and handover <= 1 -
-  void up to roundoff.
+  void up to roundoff;
+* densities: the altitude nodes, the ``HeightContext`` tables and the
+  serving process's intensity at its panel breaks do not depend on the
+  density, so the nodes of several densities sit side by side in each
+  altitude's row, and one handover-kernel call per serving type covers
+  them all, each node carrying its own density in exp(-lam A). The
+  coverage grid, whose interference terms scale with the density, and
+  the row sums run per density (``_density_metrics``).
 
 Of ``coverage_probability``'s outputs, ``total`` and ``void_prob`` are
 clamped to [0, 1]. The conditional kernels clip their grids to [0, 1];
@@ -90,6 +99,7 @@ from .quadrature import gauss_nodes, panel_nodes
 __all__ = [
     "CoverageBreakdown",
     "coverage_probability",
+    "coverage_probabilities",
     "coverage_drift_events",
     "reset_coverage_drift_counter",
 ]
@@ -143,10 +153,11 @@ class CoverageBreakdown:
 
 def _cond_handover_grid(serving: LinkType, targets: tuple, r0, z_t,
                         params: SystemParams, n_theta=N_THETA,
-                        n_v=N_V) -> np.ndarray:
+                        n_v=N_V, lam=None) -> np.ndarray:
     """P(handover to each target type | serving type, r0, z_t), one row per
     target type, vectorized in r0: a row of r0 per altitude in z_t (or r0 at
-    one z_t).
+    one z_t). lam is the density at each r0 (broadcast to it), or
+    params.lambda_b at all.
 
     The movement reaches the handover region only through its direction
     theta and its horizontal speed v_h, so the expectation runs over theta
@@ -161,6 +172,8 @@ def _cond_handover_grid(serving: LinkType, targets: tuple, r0, z_t,
     r0 = np.atleast_1d(np.asarray(r0, dtype=float))
     rows = np.atleast_2d(r0)
     out = np.zeros((len(targets), *rows.shape))
+    minus_lam = np.broadcast_to(-np.asarray(params.lambda_b if lam is None else lam),
+                                rows.shape)
     ctx = height_context(params, np.atleast_1d(z_t))    # h_bar, r_m: a row per z_t
     ch = params.channel
 
@@ -188,7 +201,8 @@ def _cond_handover_grid(serving: LinkType, targets: tuple, r0, z_t,
                 y_b = equal_power_radius(serving, target, r_after, ctx.h_bar[j, 0], ch)
                 area = lens_complement_area(x=x_a[j, live[j], None, None],
                                             y=np.minimum(y_b, ctx.r_m[j, 0]), v=v_h[j])
-            area *= -params.lambda_b        # in place: the same sum, faster
+            # in place: the same sum, faster
+            area *= minus_lam[j, live[j], None, None]
             np.exp(area, out=area)
             out[i, j, live[j]] = 1.0 - area.reshape(len(area), -1) @ w
     return np.clip(out, 0.0, 1.0).reshape(len(targets), *r0.shape)
@@ -204,10 +218,12 @@ def _handover_targets(serving: LinkType, params: SystemParams):
     return serving, tuple(LinkType)
 
 
-def _stay_grid(serving: LinkType, r0, z_t, params: SystemParams) -> np.ndarray:
-    """P(no handover | serving type, r0, z_t), shaped as the kernel's rows."""
+def _stay_grid(serving: LinkType, r0, z_t, params: SystemParams,
+               lam=None) -> np.ndarray:
+    """P(no handover | serving type, r0, z_t), shaped as the kernel's rows,
+    at the densities lam of the kernel."""
     return np.prod(1.0 - _cond_handover_grid(*_handover_targets(serving, params),
-                                             r0, z_t, params), axis=0)
+                                             r0, z_t, params, lam=lam), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -382,34 +398,56 @@ def _ranking_laws(params: SystemParams):
                  for link in LinkType)
 
 
-@lru_cache(maxsize=64)
-def _policy_metrics(params: SystemParams, n_z: int, n_r0: int) -> _PolicyMetrics:
+def _density_metrics(params: SystemParams, densities, n_z: int,
+                     n_r0: int) -> list:
+    """_PolicyMetrics of params at each density (lambda_b, per m^2) of
+    densities: the serving-process nodes of every density side by side in
+    one row per altitude, one handover-kernel call per serving type for
+    all of them, and a coverage call and the reductions per density."""
     # uniform altitude on [h_lb, h_ub]
     z_nodes, w_z = gauss_nodes(params.h_lb, params.h_ub, n_z)
     w_z = w_z * (1.0 / (params.h_ub - params.h_lb))
     ctx = height_context(params, z_nodes)
-    nodes, void = serving_nodes(ctx, _ranking_laws(params), params.lambda_b, n_r0)
+    nodes, void = serving_nodes(ctx, _ranking_laws(params), densities, n_r0)
 
-    # per serving type, nodes, weights and stay with one row per altitude
-    cov1, cov2, assoc, stays = {}, {}, {}, {}
-    handover = 0.0
-    p_cov = _coverage_grid(nodes, ctx.z, params)
+    # per serving type, stay with one row per altitude: rows of weight 0
+    # take no handover grid, since at an infinite serving distance the
+    # kernel finds the region empty. The nearest policy's type-blind stay
+    # is one kernel call for both types
+    stays, stay = {}, {}
     for link, (r0, weight) in nodes.items():
-        # rows of weight 0 take no handover grid: at an infinite serving
-        # distance the kernel finds the region empty. The nearest policy's
-        # type-blind stay is one kernel call for both types
         rows = np.where(weight > 0.0, r0, np.inf)
         key = (*_handover_targets(link, params), rows.tobytes())
         if key not in stays:
-            stays[key] = _stay_grid(link, rows, ctx.z, params)
-        stay = stays[key]
-        assoc[link] = w_z @ np.sum(weight, axis=1)
-        cov1[link] = w_z @ np.sum(weight * p_cov[link], axis=1)
-        cov2[link] = w_z @ np.sum(weight * p_cov[link] * stay, axis=1)
-        handover += w_z @ np.sum(weight * (1.0 - stay), axis=1)
-    # void: the altitude average of exp(-2 pi lam Lam) at the last received
-    # station, so it and the association add to 1 up to roundoff
-    return _PolicyMetrics(cov1, cov2, handover, assoc, w_z @ void)
+            stays[key] = _stay_grid(link, rows, ctx.z, params,
+                                    np.repeat(densities, n_r0))
+        stay[link] = stays[key]
+
+    out = []
+    for i, lam in enumerate(densities):
+        cols = slice(i * n_r0, (i + 1) * n_r0)
+        part = {link: (r0[:, cols], weight[:, cols])
+                for link, (r0, weight) in nodes.items()}
+        p_cov = _coverage_grid(part, ctx.z, replace(params, lambda_b=lam))
+        cov1, cov2, assoc = {}, {}, {}
+        handover = 0.0
+        for link, (_, weight) in part.items():
+            stay_i = stay[link][:, cols]
+            assoc[link] = w_z @ np.sum(weight, axis=1)
+            cov1[link] = w_z @ np.sum(weight * p_cov[link], axis=1)
+            cov2[link] = w_z @ np.sum(weight * p_cov[link] * stay_i, axis=1)
+            handover += w_z @ np.sum(weight * (1.0 - stay_i), axis=1)
+        # void: the altitude average of exp(-2 pi lam Lam) at the last
+        # received station, so it and the association add to 1 up to roundoff
+        out.append(_PolicyMetrics(cov1, cov2, handover, assoc,
+                                  w_z @ void[i]))
+    return out
+
+
+@lru_cache(maxsize=64)
+def _policy_metrics(params: SystemParams, n_z: int, n_r0: int) -> _PolicyMetrics:
+    [metrics] = _density_metrics(params, (params.lambda_b,), n_z, n_r0)
+    return metrics
 
 
 def _breakdown(params: SystemParams, metrics: _PolicyMetrics) -> CoverageBreakdown:
@@ -427,17 +465,34 @@ def _breakdown(params: SystemParams, metrics: _PolicyMetrics) -> CoverageBreakdo
     )
 
 
+def coverage_probabilities(points) -> list:
+    """``coverage_probability`` at each of points, parameter sets that
+    differ in lambda_b (or kappa) alone, evaluated together: the work that
+    does not depend on the density, and the handover kernel's calls, are
+    shared, and the arrays grow with the number of points. Raises
+    ParameterError if any point's marginals are not finite."""
+    # the heavy integrals do not depend on kappa; key the cache without it
+    key = replace(points[0], kappa=0.0)
+    if any(replace(p, kappa=0.0, lambda_b=key.lambda_b) != key for p in points):
+        raise ValueError("points must differ in lambda_b or kappa alone")
+    if len(points) == 1:
+        metrics = [_policy_metrics(key, N_Z, N_R0)]
+    else:
+        metrics = _density_metrics(key, [p.lambda_b for p in points], N_Z, N_R0)
+    for params, m in zip(points, metrics):
+        marginals = [*m.cov_nohandover.values(), *m.cov_stay.values(),
+                     *m.assoc.values(), m.handover, m.void]
+        if not all(map(math.isfinite, marginals)):
+            raise ParameterError(
+                "the marginal integrals are not finite at these parameters (a "
+                f"Nakagami sum of up to m_l = {params.channel.m_l} terms at SIR "
+                f"threshold {params.t_thresh:.4g} can overflow)")
+    return [_breakdown(params, m) for params, m in zip(points, metrics)]
+
+
 def coverage_probability(params: SystemParams) -> CoverageBreakdown:
     """Coverage of the mobile user under the association policy of params,
     combining handover-free coverage with the handover-survival term, with
     the marginal handover, association and void probabilities."""
-    # the heavy integrals do not depend on kappa; key the cache without it
-    metrics = _policy_metrics(replace(params, kappa=0.0), N_Z, N_R0)
-    marginals = [*metrics.cov_nohandover.values(), *metrics.cov_stay.values(),
-                 *metrics.assoc.values(), metrics.handover, metrics.void]
-    if not all(map(math.isfinite, marginals)):
-        raise ParameterError(
-            "the marginal integrals are not finite at these parameters (a "
-            f"Nakagami sum of up to m_l = {params.channel.m_l} terms at SIR "
-            f"threshold {params.t_thresh:.4g} can overflow)")
-    return _breakdown(params, metrics)
+    [breakdown] = coverage_probabilities([params])
+    return breakdown

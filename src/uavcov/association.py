@@ -238,10 +238,12 @@ def height_context(params: SystemParams, z) -> HeightContext:
     return _height_context_cached(key, params.h_b, params.env, params.antenna)
 
 
-def serving_nodes(ctx: HeightContext, laws, lam: float, n: int):
+def serving_nodes(ctx: HeightContext, laws, lam, n: int):
     """Serving-distance nodes of both types at each altitude of ctx: {link:
     (r0, weight)} with a row of n per altitude, and the void probability
-    per altitude.
+    per altitude. lam is one density, or a sequence of k: then each row
+    holds the n nodes of each density side by side, k n in all, and the
+    void probabilities take a row per density.
 
     Ranked by its log-loss tau under its type's law, every received station
     is a point of one PPP on the half-line of mean measure 2 pi lam Lam(tau)
@@ -256,19 +258,25 @@ def serving_nodes(ctx: HeightContext, laws, lam: float, n: int):
     share dLam_t/dLam of the density, so both weights add to the node's,
     and the association to 1 - void, up to roundoff; a node where no type
     has density (a support end missed by a rounding) counts as LoS.
+
+    Only u and its inverse depend on the density: Lam at the panel breaks
+    and the inverse's knots serve every density alike.
     """
-    scale = 2.0 * np.pi * lam
+    scale = 2.0 * np.pi * np.ravel(lam)
     r_m = np.reshape(ctx.r_m, (-1, 1))
     radii = np.concatenate([np.zeros_like(r_m), r_m, np.minimum(los_radius(
         _LEVELS, np.reshape(ctx.z, (-1, 1)), ctx.env, ctx.h_b), r_m)], axis=1)
     cum = ctx.ranked_cum(laws, ctx.log_losses(laws, radii))
-    u, w_u = panel_nodes(-np.expm1(-scale * cum), n)
-    tau = ctx.inverse_cum(laws, -np.log1p(-u) / scale)
+    breaks = -np.expm1(-scale[:, None] * cum[:, None, :])   # altitude, density, break
+    u, w_u = (a.reshape(len(cum), -1)
+              for a in panel_nodes(breaks.reshape(-1, breaks.shape[-1]), n))
+    tau = ctx.inverse_cum(laws, -np.log1p(-u) / np.repeat(scale, n))
     (x_l, rate_l), (x_n, rate_n) = (
         (x, np.where((tau > lo) & (tau < hi), rate, 0.0))
         for x, rate, lo, hi in ctx.rank_rates(laws, tau))
     share_n = np.divide(rate_n, rate_l + rate_n, out=np.zeros_like(tau),
                         where=rate_n > 0.0)
+    void = np.exp(-scale[:, None] * cum.max(axis=1))
     return ({LinkType.LOS: (x_l, w_u * (1.0 - share_n)),
              LinkType.NLOS: (x_n, w_u * share_n)},
-            np.exp(-scale * cum.max(axis=1)))
+            void.reshape(*np.shape(lam), len(cum)))

@@ -31,7 +31,6 @@ from .errors import ParameterError
 from .model import (
     BOUNDARY_DEFAULTS,
     AssociationPolicy,
-    SystemParams,
     params_from_boundary,
 )
 
@@ -57,6 +56,8 @@ METRICS = ("coverage", "handover", "association", "void")
 POLICIES = tuple(p.value for p in AssociationPolicy)
 ANTENNAS = ("directional", "omni")
 LAMBDA_GRID = (10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
+# the most densities one analytic evaluation takes: its arrays grow with them
+DENSITY_GROUP = 8
 BEAMWIDTH_GRID = (20.0, 50.0, 80.0, 110.0, 140.0, 170.0)
 
 
@@ -133,16 +134,27 @@ class ResultRow:
     error: str = ""
 
 
-def _analytic_metrics(params: SystemParams) -> dict:
-    """The analytic value of every CSV metric row, under params.policy."""
-    breakdown = analytic.coverage_probability(params)
-    return {
-        "coverage": breakdown.total,
-        "handover": breakdown.handover_prob,
-        "void": breakdown.void_prob,
-        "association_los": breakdown.association[0],
-        "association_nlos": breakdown.association[1],
-    }
+def _analytic_metrics(points: list) -> list:
+    """The analytic value of every CSV metric row at each of points, which
+    differ in lambda_b alone, under their policy; evaluated together."""
+    return [{"coverage": b.total,
+             "handover": b.handover_prob,
+             "void": b.void_prob,
+             "association_los": b.association[0],
+             "association_nlos": b.association[1]}
+            for b in analytic.coverage_probabilities(points)]
+
+
+def _analytic_cells(points: list) -> list:
+    """Per point, its analytic metrics and its error text. If evaluating
+    the points together raises, they are evaluated one at a time, so that
+    only a failing point carries an error, worded as in a one-point sweep."""
+    try:
+        return [(metrics, "") for metrics in _analytic_metrics(points)]
+    except Exception as exc:  # recorded per row, sweep continues
+        if len(points) == 1:
+            return [({}, f"analytic: {exc}")]
+    return [cell for p in points for cell in _analytic_cells([p])]
 
 
 def _metric_rows_for_spec(metric: str) -> tuple:
@@ -152,40 +164,55 @@ def _metric_rows_for_spec(metric: str) -> tuple:
 
 
 def _evaluate_group(args, workers: int = 1) -> list:
-    spec, values, value, policy, antenna_name = args
-    point = (dict(zip(("h_lb", "h_ub"), value)) if spec.axis == "height_band"
-             else {spec.axis: value})
-    p = params_from_boundary({**values, **point, "antenna": antenna_name,
-                              "policy": policy})
-    error = ""
-    analytic_vals, mc_vals = {}, {}
-    if spec.engine in ("analytic", "both"):
-        try:
-            analytic_vals = _analytic_metrics(p)
-        except Exception as exc:  # recorded per row, sweep continues
-            error = f"analytic: {exc}"
-    if spec.engine in ("mc", "both"):
-        try:
-            mc_vals = montecarlo.summary_estimates(p, spec.trials, spec.seed,
-                                                   workers=workers)
-        except Exception as exc:
-            error = (error + "; " if error else "") + f"mc: {exc}"
-    return [ResultRow(spec.axis, value, name, policy, antenna_name,
-                      analytic_vals.get(name), mc_vals.get(name), error)
-            for metric in spec.metrics
-            for name in _metric_rows_for_spec(metric)]
+    """Rows of the points of one group, a list per point: the group's axis
+    values under one policy and antenna."""
+    spec, values, group, policy, antenna_name = args
+
+    def point(value):
+        axis = (dict(zip(("h_lb", "h_ub"), value)) if spec.axis == "height_band"
+                else {spec.axis: value})
+        return params_from_boundary({**values, **axis, "antenna": antenna_name,
+                                     "policy": policy})
+
+    points = [point(value) for value in group]
+    cells = ([({}, "")] * len(points) if spec.engine == "mc"
+             else _analytic_cells(points))
+    out = []
+    for value, p, (analytic_vals, error) in zip(group, points, cells):
+        mc_vals = {}
+        if spec.engine in ("mc", "both"):
+            try:
+                mc_vals = montecarlo.summary_estimates(p, spec.trials, spec.seed,
+                                                       workers=workers)
+            except Exception as exc:
+                error = (error + "; " if error else "") + f"mc: {exc}"
+        out.append([ResultRow(spec.axis, value, name, policy, antenna_name,
+                              analytic_vals.get(name), mc_vals.get(name), error)
+                    for metric in spec.metrics
+                    for name in _metric_rows_for_spec(metric)])
+    return out
 
 
 def run_sweep(spec: SweepSpec, values: dict, threads: int = 1) -> list:
     """Evaluate the sweep on load_config's boundary values, each point's
     axis value, antenna and policy on top of them; rows come back in
-    deterministic axis order."""
-    groups = [(spec, values, value, policy, antenna)
-              for value in spec.values
-              for policy in spec.policies
-              for antenna in spec.antennas]
+    deterministic axis order.
+
+    The points of one policy and antenna on the lambda_b axis form groups
+    of up to DENSITY_GROUP consecutive densities, each evaluated together,
+    in fewer when that leaves a thread without a group; every other point
+    is a group of its own."""
+    variants = [(policy, antenna) for policy in spec.policies
+                for antenna in spec.antennas]
+    size = 1
+    if spec.axis == "lambda_b":
+        size = max(1, min(DENSITY_GROUP,
+                          -(-len(spec.values) * len(variants) // threads)))
+    n = len(spec.values)
+    groups = [(spec, values, spec.values[i:i + size], policy, antenna)
+              for policy, antenna in variants for i in range(0, n, size)]
     if len(groups) == 1:
-        # one point: the threads go to its Monte Carlo episodes instead
+        # one group: the threads go to its Monte Carlo episodes instead
         per_group = [_evaluate_group(groups[0], workers=threads)]
     elif threads > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -194,7 +221,10 @@ def run_sweep(spec: SweepSpec, values: dict, threads: int = 1) -> list:
             per_group = list(pool.map(_evaluate_group, groups))
     else:
         per_group = [_evaluate_group(g) for g in groups]
-    return [row for rows in per_group for row in rows]
+    # the points' rows come variant by variant, each variant in axis order
+    per_point = [rows for point_rows in per_group for rows in point_rows]
+    return [row for i in range(n) for v in range(len(variants))
+            for row in per_point[v * n + i]]
 
 
 # figure presets: id -> (sweep, {variant label: boundary-unit overrides}).

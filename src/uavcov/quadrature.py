@@ -10,16 +10,58 @@ import numpy as np
 __all__ = ["gauss_legendre", "gauss_nodes", "panel_nodes"]
 
 
+def _legendre(x, runs: dict):
+    """P_k(x) and P_(k-1)(x) by the three-term recurrence m P_m = (2m - 1) x
+    P_(m-1) - (m - 1) P_(m-2), the elements of x in runs {k: slice} of one
+    order k >= 1 each."""
+    q, p = np.ones_like(x), x
+    p_k, q_k = p.copy(), q.copy()
+    for m in range(2, max(runs) + 1):
+        q, p = p, ((2 * m - 1) * x * p - (m - 1) * q) / m
+        if m in runs:
+            p_k[runs[m]], q_k[runs[m]] = p[runs[m]], q[runs[m]]
+    return p_k, q_k
+
+
+def _gauss_rules(orders) -> list:
+    """(nodes, weights) of the Gauss-Legendre rule on [-1, 1] of each of the
+    distinct orders, nodes ascending.
+
+    The nodes in [0, 1) of all rules at once: Newton's method on P_k from
+    Tricomi's first guess (1 - (k - 1) / (8 k^3)) cos(pi (4i - 1) / (4k + 2)),
+    written as a sine that is exactly 0 at an odd rule's middle node, and
+    weights 2 / ((1 - x^2) P_k'(x)^2); then mirrored, so that every rule is
+    exactly symmetric, and the weights scaled to sum to 2, as numpy's
+    leggauss does, so that a probability the rule integrates stays at most
+    1. No eigen-solve: LAPACK's threaded path could cost a cold rule
+    milliseconds."""
+    half = [(n + 1) // 2 for n in orders]
+    ends = np.cumsum(half)
+    runs = {n: slice(end - h, end) for n, h, end in zip(orders, half, ends)}
+    k = np.repeat(np.array(orders, dtype=float), half)
+    i = np.arange(k.size) - np.repeat(ends - half, half) + 1.0
+    x = (1.0 - (k - 1.0) / (8.0 * k ** 3)) * np.sin(
+        np.pi * (k + 1.0 - 2.0 * i) / (2.0 * k + 1.0))
+    for _ in range(20):
+        p, q = _legendre(x, runs)
+        step = p * (x - 1.0) * (x + 1.0) / (k * (x * p - q))
+        x = x - step
+        if np.all(np.abs(step) <= 1e-15):
+            break
+    p, q = _legendre(x, runs)
+    w = 2.0 * (1.0 - x) * (1.0 + x) / (k * (x * p - q)) ** 2
+    rules = [(np.concatenate([-x[run][:n // 2], x[run][::-1]]),
+              np.concatenate([w[run][:n // 2], w[run][::-1]]))
+             for n, run in runs.items()]
+    for _, w_n in rules:
+        w_n *= 2.0 / w_n.sum()
+    return rules
+
+
 @lru_cache(maxsize=64)
 def gauss_legendre(n: int):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]: the
-    eigenvalues of the symmetric Jacobi matrix of the Legendre recurrence,
-    off-diagonal beta_k = k / sqrt(4 k^2 - 1), and twice the squared first
-    components of its unit eigenvectors (Golub and Welsch, Math. Comp.
-    1969)."""
-    k = np.arange(1.0, n)
-    nodes, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
-    weights = 2.0 * vectors[0] ** 2
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
+    [(nodes, weights)] = _gauss_rules((n,))
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -37,8 +79,8 @@ def _rule_table(n: int):
     """The Gauss rules of 0 to n nodes on [-1, 1]: nodes and weights of
     rule k in row k of two flat (n + 1) x n tables, zero-padded."""
     rules = np.zeros((2, n + 1, n))
-    for k in range(1, n + 1):
-        rules[:, k, :k] = gauss_legendre(k)
+    for k, rule in enumerate(_gauss_rules(range(1, n + 1)), 1):
+        rules[:, k, :k] = rule
     return rules[0].ravel(), rules[1].ravel()
 
 

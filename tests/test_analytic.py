@@ -1101,6 +1101,41 @@ class TestStackedAltitudes:
         assert all(np.shape(args[0]) == (N_Z, N_V) for args in calls)
 
 
+# boundary-unit changes of the density-group tests: the baseline, a sharp
+# LoS sigmoid, a wide height band, no move and a wide beam
+DENSITY_GROUP_CONFIGS = {"baseline": {}, "b3": {"b": 3.0},
+                         "band40-300": {"h_lb": 40.0, "h_ub": 300.0},
+                         "v0": {"v": 0.0}, "beam170": {"beamwidth_deg": 170.0}}
+
+
+class TestDensityGroups:
+    """The densities of a sweep, evaluated together on one serving-node
+    axis, match each density evaluated alone: only the handover kernel's
+    matrix-vector products run on more rows."""
+
+    @pytest.mark.parametrize("antenna", ["directional", "omni"])
+    @pytest.mark.parametrize("policy", [p.value for p in AssociationPolicy])
+    @pytest.mark.parametrize("changes", DENSITY_GROUP_CONFIGS.values(),
+                             ids=DENSITY_GROUP_CONFIGS)
+    def test_matches_one_density_at_a_time(self, changes, policy, antenna):
+        p = params_from_boundary({**BOUNDARY_DEFAULTS, **changes, "kappa": 0.0,
+                                  "policy": policy, "antenna": antenna})
+        densities = [lam / 1e6 for lam in cli.LAMBDA_GRID]
+        together = analytic._density_metrics(p, densities, N_Z, N_R0)
+        for lam, got in zip(densities, together):
+            want = _policy_metrics.__wrapped__(p.with_(lambda_b=lam), N_Z, N_R0)
+            for name in ("cov_nohandover", "cov_stay", "assoc"):
+                for link in LinkType:
+                    gap = abs(getattr(got, name)[link] - getattr(want, name)[link])
+                    assert gap <= 1e-15, (lam, name, link)
+            assert abs(got.handover - want.handover) <= 1e-15, lam
+            assert got.void == want.void, lam
+
+    def test_points_must_share_all_but_the_density(self, params):
+        with pytest.raises(ValueError):
+            analytic.coverage_probabilities([params, params.with_(v=0.0)])
+
+
 class TestPinnedSweepPoints:
     def test_matches_values_before_kernel_rewrite(self):
         """The 28 points of the benchmark's analytic sweep (lambda_b 10 to

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import functools
 import io
 import math
 import re
@@ -120,12 +121,14 @@ class TestPointDensity:
 
     def test_sweep_points_evaluate_every_integer_density(self, monkeypatch):
         # a sweep value v per km^2 is evaluated at float(v) / 1e6, as
-        # params_from_boundary converts a configured density
-        seen = []
+        # params_from_boundary converts a configured density, in groups of
+        # at most DENSITY_GROUP densities
+        seen, sizes = [], set()
 
-        def analytic_metrics(p):
-            seen.append(p.lambda_b)
-            return {}
+        def analytic_metrics(points):
+            seen.extend(p.lambda_b for p in points)
+            sizes.add(len(points))
+            return [{}] * len(points)
 
         monkeypatch.setattr(cli, "_analytic_metrics", analytic_metrics)
         densities = [float(v) for v in range(1, 100_001)]
@@ -133,15 +136,16 @@ class TestPointDensity:
                          metrics=("void",), engine="analytic")
         run_sweep(spec, load_config(None))
         assert seen == [v / 1e6 for v in densities]
+        assert sizes == {cli.DENSITY_GROUP}
 
     @pytest.mark.parametrize("per_km2", ["30", "100"])
     def test_commands_evaluate_the_configured_density(self, tmp_path,
                                                       monkeypatch, per_km2):
         seen = []
 
-        def analytic_metrics(p):
-            seen.append(p.lambda_b)
-            return dict.fromkeys(cli.montecarlo._SUMMARY_KEYS, 0.5)
+        def analytic_metrics(points):
+            seen.extend(p.lambda_b for p in points)
+            return [dict.fromkeys(cli.montecarlo._SUMMARY_KEYS, 0.5) for _ in points]
 
         def summary_estimates(p, n, seed, workers=1):
             seen.append(p.lambda_b)
@@ -232,6 +236,60 @@ class TestRunSweep:
             SweepSpec(axis="v", values=(1.0,), antennas=("dish",))
 
 
+def csv_text(rows) -> str:
+    buf = io.StringIO()
+    rows_to_csv(rows, buf)
+    return buf.getvalue()
+
+
+class TestDensityGroups:
+    """A lambda_b sweep evaluates the densities of one policy and antenna
+    together; its CSV cells are those of one-point sweeps."""
+
+    SPEC = SweepSpec(axis="lambda_b", values=cli.LAMBDA_GRID, metrics=cli.METRICS,
+                     policies=cli.POLICIES, antennas=cli.ANTENNAS,
+                     engine="analytic")
+
+    @pytest.mark.parametrize("changes", [
+        {}, {"b": 3.0}, {"h_lb": 40.0, "h_ub": 300.0}, {"v": 0.0},
+        {"beamwidth_deg": 170.0}], ids=["baseline", "b3", "band40-300", "v0",
+                                        "beam170"])
+    def test_cells_match_one_point_sweeps(self, changes):
+        values = {**load_config(None), **changes}
+        header = ",".join(CSV_HEADER) + "\n"
+        alone = [csv_text(run_sweep(replace(self.SPEC, values=(lam,)), values))
+                 for lam in self.SPEC.values]
+        assert all(text.startswith(header) for text in alone)
+        assert csv_text(run_sweep(self.SPEC, values)) == header + "".join(
+            text[len(header):] for text in alone)
+
+    def test_a_failing_density_fails_alone(self, monkeypatch):
+        # the group raises, so its densities are evaluated one at a time;
+        # the failing one's rows carry the error a one-point sweep gives
+        coverage_grid = cli.analytic._coverage_grid
+
+        def failing(nodes, z, params):
+            if params.lambda_b == 100e-6:
+                raise ParameterError("forced failure")
+            return coverage_grid(nodes, z, params)
+
+        spec = replace(self.SPEC, values=(10.0, 100.0, 1000.0))
+        values = load_config(None)
+        clean = run_sweep(spec, values)
+        monkeypatch.setattr(cli.analytic, "_coverage_grid", failing)
+        monkeypatch.setattr(cli.analytic, "_policy_metrics", functools.lru_cache(
+            cli.analytic._policy_metrics.__wrapped__))
+        alone = {row.error for row in run_sweep(replace(spec, values=(100.0,)), values)}
+        assert alone == {"analytic: forced failure"}
+        rows = run_sweep(spec, values)
+        assert len(rows) == len(clean)
+        for row, want in zip(rows, clean):
+            if row.value == 100.0:
+                assert (row.analytic, row.error) == (None, "analytic: forced failure")
+            else:
+                assert csv_text([row]) == csv_text([want])
+
+
 class TestFigurePresets:
     def test_fig2a_contains_handover_and_two_bands(self):
         spec, variants = FIGURE_PRESETS["fig2a"]
@@ -303,11 +361,12 @@ class TestCsvOutput:
         # every cell kind: a tuple value, an expanded metric, both engines'
         # columns, and an error cell (quoted for its comma) on a point whose
         # analytic engine raises while its Monte Carlo rows stay filled
-        def analytic_metrics(p):
+        def analytic_metrics(points):
+            [p] = points
             if p.h_lb == 100.0:
                 raise ParameterError("bad, point")
-            return {"coverage": 1 / 3, "association_los": 0.123456789012,
-                    "association_nlos": 2e-12}
+            return [{"coverage": 1 / 3, "association_los": 0.123456789012,
+                     "association_nlos": 2e-12}]
 
         def summary_estimates(p, n, seed, workers=1):
             est = cli.montecarlo.McEstimate(0.25, 0.1234567891, 1.0, 400, 11)

@@ -5,7 +5,7 @@ import pytest
 
 from numpy.polynomial.legendre import leggauss
 
-from uavcov.quadrature import gauss_legendre, gauss_nodes
+from uavcov.quadrature import _rule_table, gauss_legendre, gauss_nodes
 
 from quadpack import QuadratureError, QuadratureSpec, integrate
 
@@ -58,11 +58,27 @@ def test_gauss_nodes_integrate_cubic():
     assert float(np.sum(w * x**3)) == pytest.approx(4.0, rel=1e-12)
 
 
-def test_golub_welsch_matches_leggauss():
-    # the eigenvalues and first eigenvector components of the Jacobi matrix
-    # against numpy's Newton-polished roots of P_n
+def test_newton_rules_match_leggauss():
+    # Newton's roots of P_n, mirrored, against numpy's Newton-polished
+    # companion-matrix roots of P_n
     for n in range(1, 65):
         x, w = gauss_legendre(n)
         want_x, want_w = leggauss(n)
         assert np.max(np.abs(x - want_x)) <= 1e-14, n
         assert np.max(np.abs(w - want_w)) <= 1e-14, n
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]), n
+
+
+def test_rules_build_without_an_eigen_solver(monkeypatch):
+    # the threaded LAPACK path of eigh could cost a cold rule milliseconds
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for n in range(1, 65):
+        assert len(gauss_legendre.__wrapped__(n)[0]) == n
+    x, w = _rule_table.__wrapped__(44)
+    for n in range(1, 45):
+        rule = slice(n * 44, n * 44 + n)
+        assert np.array_equal(x[rule], gauss_legendre(n)[0]), n
+        assert np.array_equal(w[rule], gauss_legendre(n)[1]), n
