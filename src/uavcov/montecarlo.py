@@ -10,8 +10,8 @@ the disc), then one LoS latent per kept station. Every distance is
 sqrt(dx*dx + dy*dy) and every squared height gap a product.
 
 `summary_estimates` runs blocks of a fixed number of episodes, chosen
-from the inputs so that a block holds about BLOCK_STATIONS stations (a
-first disc holds at most ORIGIN_CANDIDATES on average, so a block holds
+from the inputs so that a block holds about BLOCK_STATIONS stations (it
+counts at most ORIGIN_CANDIDATES per episode, so a block holds
 at least 504 episodes, 1893 at the baseline). Block k draws from one
 PCG64DXSM stream seeded by SeedSequence([seed, k]), each quantity in one
 vector call, and workers get whole blocks, so estimates are bit-identical
@@ -28,15 +28,17 @@ The engine simulates the near field only. A block draws, in
 order: altitudes, rho and theta, which fix each episode's horizontal speed
 v_h and field radius R_b = max(r_m(z_pre), v_h + r_m(z_post)) (1 +
 DISC_MARGIN), beyond which no station is in range of either waypoint
-(`_episode_radius`); a first disc of radius min(sqrt(ORIGIN_CANDIDATES /
-(pi lambda)), r_field, R_b), r_field = r_m(h_ub) + v being the largest
-field (square counts, x|y, latents); the annulus out to twice its radius
-(at most R_b) of every episode whose pick does not stand yet, round after
-round; then the fading of the disc's stations in range after the move,
-the NLoS law for every one and then the LoS law written over the LoS
-rows. Blocks are sized by the mean count of a first disc capped at
-r_field rather than R_b (16.3 stations at the baseline, where an episode
-draws 10.6 on average).
+(`_episode_radius`); a first disc (square counts, x|y, latents): the
+whole field where it holds at most ORIGIN_CANDIDATES stations on average
+(R_b <= `_near_radius`, every field at the baseline), else a disc of half
+as many; the annulus out to max(2R, R + v_h) (at most R_b) of every
+episode whose pick, made v_h from the origin (0 before the move), does
+not stand yet on its disc of radius R, round after round; then the
+fading of the disc's stations in range after the move, the NLoS law for
+every one and then the LoS law written over the LoS rows. Blocks are
+sized by the mean count of a disc of radius `_near_radius`, capped at
+r_field = r_m(h_ub) + v rather than R_b (16.3 stations at the baseline,
+where an episode draws 10.6 on average).
 
 * Near field. A pick stands once no station outside the episode's disc of
   radius R, at least R (before the move, above the origin) or R - v_h
@@ -107,7 +109,7 @@ _Z95 = 1.959963984540054
 # 4/pi times as many points while the field is built
 MAX_MEAN_STATIONS = 1e6
 # stations per block, counting one for each episode's own draws, by the
-# mean count of a first disc capped at field_radius rather than at each
+# mean count of a _near_radius disc, capped at field_radius, not at each
 # episode's R_b (a baseline block of 1893 episodes draws some 20 000); a
 # larger disc is a block of its own. On a 2-core Xeon a block costs some
 # 0.2 ms plus about 1.1 us per baseline episode, so at 32768 (1893 baseline
@@ -116,7 +118,10 @@ MAX_MEAN_STATIONS = 1e6
 # sweep ran 42 % faster than at 4096 for 2 MB more peak memory, 16384 35 %
 # faster for 1 MB
 BLOCK_STATIONS = 1 << 15
-# mean stations in the first disc an episode draws
+# mean stations of the largest field an episode draws whole; a larger
+# field starts from a disc of half as many, since the stations outside it
+# are integrated exactly (on a 2-core Xeon, omni at 1000/km^2 ran in 0.7
+# of the time of a 64-station disc). Blocks count this many per episode
 ORIGIN_CANDIDATES = 64
 # Gauss nodes in the angle of the exterior's annulus, and in its tail
 # beyond (_exterior_nodes), which takes analytic's radial rule. The tail
@@ -187,7 +192,7 @@ def episode_rng(seed: int, index: int) -> np.random.Generator:
 def field_radius(params: SystemParams) -> float:
     """r_m(h_ub) + v, the largest field an episode draws (_episode_radius,
     up to its margin): the radius the station budget is checked on, and the
-    cap of the first disc."""
+    cap of _near_radius."""
     r_m = receiving_radius(params.h_ub, params.h_b, params.antenna)
     return r_m + params.v
 
@@ -461,13 +466,16 @@ class _FieldBlock:
         self.starts = self.ends - sizes
         self._seg = np.repeat(np.arange(len(sizes)), sizes)
 
-    def grow(self, todo: np.ndarray, limit, rng: np.random.Generator) -> None:
+    def grow(self, todo: np.ndarray, reach, limit,
+             rng: np.random.Generator) -> None:
         """Adds to each episode in todo the stations of the annulus from its
-        disc out to twice its radius, at most limit (one value per episode
-        of todo, or one for all; annulus). Each episode's new rows follow
-        its old ones, so a station keeps its offset within its episode's
-        rows."""
-        outer = np.minimum(2.0 * self.radius[todo], limit)
+        disc, of radius R, out to max(2R, R + reach), at most limit (reach
+        and limit one value per episode of todo, or one for all; annulus):
+        a pick made reach from the origin can stand only once R - reach > 0,
+        so one round clears the move. Each episode's new rows follow its old
+        ones, so a station keeps its offset within its episode's rows."""
+        inner = self.radius[todo]
+        outer = np.minimum(np.maximum(2.0 * inner, inner + reach), limit)
         episode, x, y, latent = self.annulus(todo, outer, rng)
         episode = np.concatenate([self._seg, episode])
         order = np.argsort(episode, kind="stable")
@@ -543,7 +551,7 @@ class _FieldBlock:
             todo = open_[~_stands(best, clearance, r_m[open_], z[open_], params)]
             if not len(todo):
                 return served
-            self.grow(todo, limit[todo], rng)
+            self.grow(todo, reach[todo], limit[todo], rng)
 
 
 _SUMMARY_KEYS = ("coverage", "handover", "association_los", "association_nlos",
@@ -559,8 +567,9 @@ def _association_counts(los: np.ndarray, pick: np.ndarray) -> tuple:
 
 
 def _near_radius(lambda_b: float, r_field: float) -> float:
-    """Radius of the first disc an episode draws: ORIGIN_CANDIDATES
-    stations on average, at most the field."""
+    """Radius of a disc of ORIGIN_CANDIDATES stations on average, at most
+    the field: an episode whose field R_b fits in it draws the field
+    whole, any other a first disc of half its area (_tally_block)."""
     return min(math.sqrt(ORIGIN_CANDIDATES / (math.pi * lambda_b)), r_field)
 
 
@@ -630,11 +639,10 @@ def _near_coverage(params: SystemParams, serving_los: np.ndarray,
 
 def _tally_block(params: SystemParams, episodes: int, near: float,
                  rng: np.random.Generator) -> np.ndarray:
-    """Summary sums of one block of episodes drawn from rng, near being the
-    first disc's radius (_near_radius): coverage as the sum of the
-    episodes' conditional coverage, then the handover, LoS, NLoS and void
-    counts. Its arrays live only in this call, so the next
-    block is drawn without them."""
+    """Summary sums of one block of episodes drawn from rng, near being
+    _near_radius: coverage as the sum of the episodes' conditional
+    coverage, then the handover, LoS, NLoS and void counts. Its arrays live
+    only in this call, so the next block is drawn without them."""
     band = params.h_ub - params.h_lb
     z = params.h_lb + band * rng.random((episodes, 2))
     z_pre, z_post = z.T
@@ -643,7 +651,12 @@ def _tally_block(params: SystemParams, episodes: int, near: float,
     v_h = horizontal_speed(params.v, rho, z_post - z_pre)
     r_m = receiving_radius(z, params.h_b, params.antenna)
     limit = _episode_radius(r_m, v_h)
-    field = _FieldBlock(episodes, params.lambda_b, np.minimum(near, limit), rng)
+    # a field of at most ORIGIN_CANDIDATES stations is drawn whole, a
+    # larger one from a disc of half as many; near may be r_field, and
+    # every R_b is at most r_field (1 + DISC_MARGIN)
+    first = np.where(limit <= near * (1.0 + DISC_MARGIN),
+                     np.minimum(near, limit), near * math.sqrt(0.5))
+    field = _FieldBlock(episodes, params.lambda_b, first, rng)
 
     origin = np.zeros(episodes)
     rows, _, los, _, _, pick = field.settle(origin, origin, z_pre, r_m[:, 0],

@@ -646,9 +646,10 @@ HIGH_RISE = EnvironmentParams(a=27.23, b=0.08)
 
 
 class TestNearField:
-    """summary_estimates draws a first disc of about ORIGIN_CANDIDATES
-    stations, grows it by annuli until the picks before and after the move
-    stand, and integrates the stations outside it; the full-field tally of
+    """summary_estimates draws a field of at most ORIGIN_CANDIDATES
+    stations whole and a larger one from a first disc of half as many,
+    grows it by annuli until the picks before and after the move stand,
+    and integrates the stations outside it; the full-field tally of
     tests/full_field.py is its reference."""
 
     @pytest.mark.parametrize("policy", list(AssociationPolicy),
@@ -682,10 +683,18 @@ class TestNearField:
         pytest.param({"lambda_b": 1e-5, "antenna": OMNI,
                       "env": HIGH_RISE, "h_lb": 40.0, "h_ub": 80.0}, 5000,
                      ORIGIN_CANDIDATES, id="nlos-heavy"),
-        # a one-station first disc of 178 m: half the episodes grow it,
-        # by 0.84 doublings on average
+        # a first disc of half a station, 126 m: 70 % of the episodes
+        # grow it, in 1.27 rounds per episode on average
         pytest.param({"lambda_b": 1e-5, "antenna": OMNI}, 3000, 1,
                      id="omni-10-one-station-disc"),
+        # fields of 34 to 163 stations: a block mixes whole fields with
+        # first discs of 32 stations
+        pytest.param({"lambda_b": 1e-3, "antenna": DirectionalAntenna(120.0)},
+                     20_000, ORIGIN_CANDIDATES, id="directional-120-1000"),
+        # moves of up to 200 m from first discs of 101 m: the post-move
+        # picks stand only on discs grown past v_h
+        pytest.param({"lambda_b": 1e-3, "antenna": OMNI, "v": 200.0}, 600,
+                     ORIGIN_CANDIDATES, id="dense-omni-v-200"),
     ])
     def test_agrees_with_the_full_field(self, params, overrides, n,
                                         candidates, monkeypatch):
@@ -698,6 +707,46 @@ class TestNearField:
         for key, est in got.items():
             assert (abs(est.mean - want[key].mean)
                     <= est.half_width + want[key].half_width), key
+
+    @pytest.mark.parametrize("overrides, n, whole", [
+        pytest.param({}, 4000, "all", id="baseline"),
+        pytest.param({"lambda_b": 1e-3, "antenna": OMNI}, 1500, "none",
+                     id="dense-omni"),
+        pytest.param({"lambda_b": 1e-3, "antenna": DirectionalAntenna(120.0)},
+                     3000, "some", id="directional-120-1000"),
+    ])
+    def test_first_disc_is_the_field_or_half_the_candidates(
+            self, params, monkeypatch, overrides, n, whole):
+        # an episode whose field holds at most ORIGIN_CANDIDATES stations on
+        # average (R_b <= _near_radius) draws it whole, any other a first
+        # disc of half as many
+        p = params.with_(**overrides)
+        near = montecarlo._near_radius(p.lambda_b, field_radius(p))
+        radius_of, drawn, limits = montecarlo._episode_radius, [], []
+
+        class Recorded(_FieldBlock):
+            def __init__(self, *args):
+                super().__init__(*args)
+                drawn.append((self.radius.copy(), self.sizes.copy()))
+
+        def episode_radius(*args):
+            limits.append(radius_of(*args))
+            return limits[-1]
+
+        monkeypatch.setattr(montecarlo, "_FieldBlock", Recorded)
+        monkeypatch.setattr(montecarlo, "_episode_radius", episode_radius)
+        summary_estimates(p, n, 11)
+        radius, sizes = map(np.concatenate, zip(*drawn))
+        limit = np.concatenate(limits)
+        small = limit <= near
+        assert {"all": small.all(), "none": not small.any(),
+                "some": 0 < small.mean() < 1}[whole]
+        assert np.array_equal(radius[small], limit[small])
+        assert np.all(radius[~small] == near * math.sqrt(0.5))
+        if not small.all():
+            half = 0.5 * ORIGIN_CANDIDATES
+            count = sizes[~small]
+            assert abs(count.mean() - half) < 4.0 * math.sqrt(half / len(count))
 
     @given(st.lists(st.tuples(st.floats(0.0, 1e4),
                               st.floats(BOUNDARY_DEFAULTS["h_lb"],
@@ -724,7 +773,7 @@ class TestNearField:
         old = [np.column_stack([field.x[a:b], field.y[a:b]])
                for a, b in zip(field.starts, field.ends)]
         old_latent = [field.latent[a:b] for a, b in zip(field.starts, field.ends)]
-        field.grow(np.array([1, 4]), 250.0, episode_rng(5, 1))
+        field.grow(np.array([1, 4]), 0.0, 250.0, episode_rng(5, 1))
         assert field.radius.tolist() == [100.0, 200.0, 100.0, 100.0, 200.0, 100.0]
         for b, (a, e) in enumerate(zip(field.starts, field.ends)):
             xy = np.column_stack([field.x[a:e], field.y[a:e]])
@@ -733,14 +782,37 @@ class TestNearField:
             r = np.hypot(*xy[len(old[b]):].T)
             assert np.all((r > 100.0) & (r <= 200.0))
             assert (len(r) > 0) == (b in (1, 4))
-        field.grow(np.array([4]), 250.0, episode_rng(5, 2))
+        field.grow(np.array([4]), 0.0, 250.0, episode_rng(5, 2))
         assert field.radius[4] == 250.0
+
+    def test_grow_clears_the_reach(self):
+        # one round takes a disc of radius R out to max(2R, R + reach), at
+        # most the limit; each episode's old rows stay first
+        field = _FieldBlock(5, 1e-4, 100.0, episode_rng(7, 0))
+        old = [field.latent[a:b] for a, b in zip(field.starts, field.ends)]
+        field.grow(np.arange(5), np.array([0.0, 50.0, 150.0, 150.0, 300.0]),
+                   np.array([1e3, 1e3, 1e3, 220.0, 1e3]), episode_rng(7, 1))
+        assert field.radius.tolist() == [200.0, 200.0, 250.0, 220.0, 400.0]
+        for b, (a, e) in enumerate(zip(field.starts, field.ends)):
+            assert np.array_equal(field.latent[a:e][:len(old[b])], old[b])
+            r = np.hypot(field.x[a:e], field.y[a:e])[len(old[b]):]
+            assert np.all((r > 100.0) & (r <= field.radius[b]))
+        # 4000 discs of 100 m at 1e-4 per m^2, reach 150 m: one round takes
+        # them to 250 m, counts Poisson with mean 6.25 pi, uniform on the disc
+        field = _FieldBlock(4000, 1e-4, 100.0, episode_rng(8, 0))
+        field.grow(np.arange(4000), 150.0, 1e3, episode_rng(8, 1))
+        assert np.all(field.radius == 250.0)
+        mean = 1e-4 * np.pi * 250.0 ** 2
+        assert abs(field.sizes.mean() - mean) < 4.0 * math.sqrt(mean / 4000)
+        assert abs(field.sizes.var() / mean - 1.0) < 0.1
+        r = np.sqrt(field.x ** 2 + field.y ** 2) / 250.0
+        assert stats.kstest(r * r, "uniform").pvalue > 1e-3
 
     def test_grown_disc_is_a_ppp(self):
         # 4000 discs of radius 100 m at 1e-4 per m^2 grown to 200 m: counts
         # Poisson with mean 4 pi, uniform on the disc
         field = _FieldBlock(4000, 1e-4, 100.0, episode_rng(6, 0))
-        field.grow(np.arange(4000), 1e3, episode_rng(6, 1))
+        field.grow(np.arange(4000), 0.0, 1e3, episode_rng(6, 1))
         mean = 1e-4 * np.pi * 200.0 ** 2
         assert abs(field.sizes.mean() - mean) < 4.0 * math.sqrt(mean / 4000)
         assert abs(field.sizes.var() / mean - 1.0) < 0.1
